@@ -1,8 +1,8 @@
 """Observability-handle rule (OBS001).
 
-Tracing (``sim.obs``), profiling (``prof.ACTIVE``), and the request
-telemetry trio (``reqtrace.ACTIVE``, ``slog.ACTIVE``, the service's
-``.telemetry`` attribute) are opt-in: the handle defaults to ``None``
+Tracing (``sim.obs``), profiling (``prof.ACTIVE``), and request
+telemetry (``slog.ACTIVE``, the service's ``.telemetry`` attribute) are
+opt-in: the handle defaults to ``None``
 and every instrumentation site must guard on it, so an uninstrumented
 run pays one attribute load and records nothing.  A site that calls
 through the handle without a ``None`` guard crashes every production
@@ -60,7 +60,6 @@ _TELEMETRY_MODULES = frozenset(
 
 _ACTIVE_HANDLES = frozenset({
     "prof.ACTIVE", "repro.obs.prof.ACTIVE", "obs.prof.ACTIVE",
-    "reqtrace.ACTIVE", "repro.obs.reqtrace.ACTIVE", "obs.reqtrace.ACTIVE",
     "slog.ACTIVE", "repro.obs.slog.ACTIVE", "obs.slog.ACTIVE",
 })
 

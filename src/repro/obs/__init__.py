@@ -6,24 +6,35 @@ equally-guarded ``prof.ACTIVE`` handle, a run without a tracer or
 profiler records nothing, and scalar outputs are byte-identical with
 tracing/profiling on or off.  See ``docs/OBSERVABILITY.md``.
 
-Three pillars, deliberately separated by clock and scope:
-:class:`Tracer` (attached) reads *simulated* time and describes the
-modeled cluster; :mod:`repro.obs.prof` reads *wall* time and describes
-what the reproduction costs the host, aggregated per phase; and the
-request-telemetry trio (:mod:`repro.obs.registry`,
-:mod:`repro.obs.reqtrace`, :mod:`repro.obs.slog`) reads *wall* time
-scoped to one serve-tier request — typed metrics with a valid
-Prometheus renderer, per-request span traces, and structured JSON-lines
-logs correlated by request id.
+One substrate, three uses told apart by clock and scope.  There is one
+span record (:class:`SpanRecord`), one Chrome trace exporter
+(:mod:`repro.obs.export`), one histogram (:class:`LogHistogram`, which
+carries its own running sum) and one metrics registry
+(:class:`MetricsRegistry`):
+
+* :class:`Tracer` (attached) records spans in *simulated* time and
+  describes the modeled cluster;
+* :class:`Profiler` (:mod:`repro.obs.prof`) keeps one histogram per
+  phase of *wall* time and describes what the reproduction costs the
+  host;
+* :class:`RequestTrace` (:mod:`repro.obs.reqtrace`) records spans in
+  *wall* time for one serve-tier request, :class:`MetricsRegistry`
+  renders the serve tier's Prometheus metrics, and
+  :class:`StructuredLog` writes JSON-lines events correlated by request
+  id.
+
+The clock split is enforced by the ARCH001/OBS001 lint rules: wall-clock
+telemetry never reaches the result-computing packages.
 """
 
 from . import prof, reqtrace, slog
-from .export import (perfetto_json, perfetto_trace, text_summary,
-                     timeline_csv, write_trace_files)
+from .export import (perfetto_json, perfetto_trace, request_json,
+                     request_trace, text_summary, timeline_csv,
+                     write_trace_files)
 from .invariants import (InvariantReport, TraceInvariantError, Violation,
                          check_intervals, check_job, verify_job)
-from .metrics import Counter, CounterRegistry, LogHistogram
-from .prof import PhaseStat, Profiler
+from .metrics import Counter, LogHistogram
+from .prof import Profiler
 from .registry import (ExpositionError, MetricsRegistry, parse_exposition)
 from .reqtrace import RequestTelemetry, RequestTrace
 from .slog import StructuredLog
@@ -31,13 +42,13 @@ from .spans import EventRecord, JobTrace, NodeInfo, SpanRecord, Tracer
 
 __all__ = [
     "Tracer", "JobTrace", "NodeInfo", "SpanRecord", "EventRecord",
-    "Counter", "CounterRegistry", "LogHistogram",
-    "prof", "Profiler", "PhaseStat",
+    "Counter", "LogHistogram",
+    "prof", "Profiler",
     "reqtrace", "RequestTelemetry", "RequestTrace",
     "slog", "StructuredLog",
     "MetricsRegistry", "ExpositionError", "parse_exposition",
     "check_intervals", "check_job", "verify_job",
     "InvariantReport", "Violation", "TraceInvariantError",
-    "perfetto_trace", "perfetto_json", "timeline_csv", "text_summary",
-    "write_trace_files",
+    "perfetto_trace", "perfetto_json", "request_trace", "request_json",
+    "timeline_csv", "text_summary", "write_trace_files",
 ]

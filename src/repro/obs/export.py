@@ -1,7 +1,8 @@
 """Trace exporters: Perfetto JSON, per-node timeline CSV, text summary.
 
 Three views over one traced run (a :class:`~repro.obs.spans.Tracer` that
-carries a :class:`~repro.obs.spans.JobTrace`):
+carries a :class:`~repro.obs.spans.JobTrace`), plus the Chrome export of
+served requests:
 
 * :func:`perfetto_json` — the Chrome trace-event format that
   https://ui.perfetto.dev opens directly.  One *process* per node with
@@ -15,12 +16,18 @@ carries a :class:`~repro.obs.spans.JobTrace`):
   for plotting outside the repo.
 * :func:`text_summary` — the at-a-glance report: phase windows, top
   time sinks, task-wave chart, recovery waste, engine statistics.
+* :func:`request_json` — a batch of completed
+  :class:`~repro.obs.reqtrace.RequestTrace` s in the same Chrome format,
+  built from the same event helpers and serialized by the same
+  canonical ``json.dumps`` call (what ``/debug/requests?format=chrome``
+  serves).
 
 Every exporter is a pure function of the captured trace: same seed and
 configuration produce byte-identical artifacts at any ``--jobs`` width
 (asserted in CI), because the only clock that reaches a job trace is
 simulated time and the only float operations are replays of the same
-deterministic arithmetic.
+deterministic arithmetic.  Request traces carry *wall* time instead;
+their export is still a pure function of the traces it is given.
 """
 
 from __future__ import annotations
@@ -30,13 +37,17 @@ import io
 import json
 import math
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple, Union
 
 from ..sim.trace import Interval
 from .spans import JobTrace, SpanRecord, Tracer
 
-__all__ = ["perfetto_trace", "perfetto_json", "timeline_csv",
-           "text_summary", "write_trace_files"]
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .reqtrace import RequestTrace
+
+__all__ = ["perfetto_trace", "perfetto_json", "request_trace",
+           "request_json", "timeline_csv", "text_summary",
+           "write_trace_files"]
 
 #: Fixed thread-id bases inside a node's process, chosen so Perfetto's
 #: tid-sorted thread list reads slots → compute → devices top to bottom.
@@ -77,6 +88,30 @@ def _clean_args(args: Dict) -> Dict:
     return {k: v for k, v in args.items() if v is not None}
 
 
+def _process(pid: int, name: str) -> Dict:
+    """``M`` event naming process *pid*."""
+    return {"ph": "M", "name": "process_name", "pid": pid,
+            "args": {"name": name}}
+
+
+def _thread(pid: int, tid: int, name: str) -> Dict:
+    """``M`` event naming thread *tid* of process *pid*."""
+    return {"ph": "M", "name": "thread_name", "pid": pid, "tid": tid,
+            "args": {"name": name}}
+
+
+def _complete(pid: int, tid: int, name: str, cat: str, ts: float,
+              dur: float, args: Dict) -> Dict:
+    """``X`` (complete) event: one window, microsecond ``ts``/``dur``."""
+    return {"ph": "X", "pid": pid, "tid": tid, "name": name, "cat": cat,
+            "ts": ts, "dur": dur, "args": args}
+
+
+def _dumps(doc: Dict) -> str:
+    """The canonical serialization every Chrome export shares."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
 def _span_end(span: SpanRecord, makespan: float) -> float:
     return span.end if span.end is not None else makespan
 
@@ -98,12 +133,9 @@ def perfetto_trace(tracer: Tracer) -> Dict:
         thread_names.setdefault((pid, tid), name)
 
     for name in node_names:
-        meta.append({"ph": "M", "name": "process_name", "pid": pid_of[name],
-                     "args": {"name": name}})
-    meta.append({"ph": "M", "name": "process_name", "pid": _DRIVER_PID,
-                 "args": {"name": "driver"}})
-    meta.append({"ph": "M", "name": "process_name", "pid": _ENGINE_PID,
-                 "args": {"name": "engine"}})
+        meta.append(_process(pid_of[name], name))
+    meta.append(_process(_DRIVER_PID, "driver"))
+    meta.append(_process(_ENGINE_PID, "engine"))
 
     # -- spans --------------------------------------------------------
     # Task-attempt spans live on (node, slotN) tracks; their args carry
@@ -130,10 +162,9 @@ def perfetto_trace(tracer: Tracer) -> Dict:
             tid = _DRIVER_LANES.get(lane, len(_DRIVER_LANES))
             name_thread(pid, tid, lane)
         end = _span_end(span, job.makespan)
-        data.append({"ph": "X", "pid": pid, "tid": tid, "name": span.name,
-                     "cat": span.cat or "span", "ts": span.start * _US,
-                     "dur": (end - span.start) * _US,
-                     "args": _clean_args(span.args)})
+        data.append(_complete(pid, tid, span.name, span.cat or "span",
+                              span.start * _US, (end - span.start) * _US,
+                              _clean_args(span.args)))
 
     for group in sorted(hdfs_spans):
         spans = sorted(hdfs_spans[group],
@@ -143,12 +174,11 @@ def perfetto_trace(tracer: Tracer) -> Dict:
         for span, lane in zip(spans, _assign_lanes(windows)):
             pid, tid = pid_of[group], _HDFS_TID + lane
             name_thread(pid, tid, "hdfs" if lane == 0 else f"hdfs#{lane}")
-            data.append({"ph": "X", "pid": pid, "tid": tid,
-                         "name": span.name, "cat": span.cat or "hdfs",
-                         "ts": span.start * _US,
-                         "dur": (_span_end(span, job.makespan)
-                                 - span.start) * _US,
-                         "args": _clean_args(span.args)})
+            data.append(_complete(
+                pid, tid, span.name, span.cat or "hdfs",
+                span.start * _US,
+                (_span_end(span, job.makespan) - span.start) * _US,
+                _clean_args(span.args)))
 
     # -- activity intervals -------------------------------------------
     # Core intervals ride on the slot that ran the task; device activity
@@ -162,12 +192,11 @@ def perfetto_trace(tracer: Tracer) -> Dict:
             if tid is None:
                 tid = _CORE_SPILL_TID
                 name_thread(pid_of[iv.node], tid, "core")
-            data.append({"ph": "X", "pid": pid_of[iv.node], "tid": tid,
-                         "name": iv.kind, "cat": f"core/{iv.phase}",
-                         "ts": iv.start * _US, "dur": iv.duration * _US,
-                         "args": _clean_args({"task": iv.task_id,
-                                              "activity": iv.activity,
-                                              "phase": iv.phase})})
+            data.append(_complete(
+                pid_of[iv.node], tid, iv.kind, f"core/{iv.phase}",
+                iv.start * _US, iv.duration * _US,
+                _clean_args({"task": iv.task_id, "activity": iv.activity,
+                             "phase": iv.phase})))
         else:
             device_ivs.setdefault((iv.node, iv.device), []).append(iv)
 
@@ -181,12 +210,11 @@ def perfetto_trace(tracer: Tracer) -> Dict:
             tid = base + lane
             name_thread(pid_of[node], tid,
                         device if lane == 0 else f"{device}#{lane}")
-            data.append({"ph": "X", "pid": pid_of[node], "tid": tid,
-                         "name": iv.kind, "cat": f"{device}/{iv.phase}",
-                         "ts": iv.start * _US, "dur": iv.duration * _US,
-                         "args": _clean_args({"task": iv.task_id,
-                                              "activity": iv.activity,
-                                              "phase": iv.phase})})
+            data.append(_complete(
+                pid_of[node], tid, iv.kind, f"{device}/{iv.phase}",
+                iv.start * _US, iv.duration * _US,
+                _clean_args({"task": iv.task_id, "activity": iv.activity,
+                             "phase": iv.phase})))
 
     # -- instant events ------------------------------------------------
     for event in tracer.events:
@@ -212,7 +240,7 @@ def perfetto_trace(tracer: Tracer) -> Dict:
 
     # -- counter tracks ------------------------------------------------
     node_set = set(node_names)
-    for name, counter in tracer.registry.items():
+    for name, counter in tracer.counters.items():
         suffix = name.rsplit(".", 1)[-1]
         pid = pid_of[suffix] if suffix in node_set else _DRIVER_PID
         series = name[:-(len(suffix) + 1)] if suffix in node_set else name
@@ -243,8 +271,7 @@ def perfetto_trace(tracer: Tracer) -> Dict:
                          "ts": t * _US, "args": {"value": level}})
 
     for (pid, tid) in sorted(thread_names):
-        meta.append({"ph": "M", "name": "thread_name", "pid": pid,
-                     "tid": tid, "args": {"name": thread_names[(pid, tid)]}})
+        meta.append(_thread(pid, tid, thread_names[(pid, tid)]))
 
     data.sort(key=lambda e: (e["ts"], e["pid"], e.get("tid", -1),
                              e["ph"], e["name"], e.get("dur", 0.0)))
@@ -262,8 +289,47 @@ def perfetto_trace(tracer: Tracer) -> Dict:
 
 def perfetto_json(tracer: Tracer) -> str:
     """Serialize :func:`perfetto_trace` deterministically (sorted keys)."""
-    return json.dumps(perfetto_trace(tracer), sort_keys=True,
-                      separators=(",", ":")) + "\n"
+    return _dumps(perfetto_trace(tracer)) + "\n"
+
+
+def request_trace(traces: Sequence["RequestTrace"]) -> Dict:
+    """Chrome trace-event object for a batch of completed request traces.
+
+    One *process* (``serve``), one thread per request named by its id,
+    the whole request as an enclosing ``request`` span so Perfetto nests
+    its ``phase`` spans visually, and microsecond timestamps rebased to
+    the earliest request start (rounded to the nanosecond: wall-clock
+    stamps carry no more precision than that).
+    """
+    events: List[Dict] = [_process(1, "serve")]
+    if not traces:
+        return {"traceEvents": events, "displayTimeUnit": "ms"}
+    ordered = sorted(traces, key=lambda t: (t.t0, t.id))
+    base = ordered[0].t0
+    for tid, trace in enumerate(ordered, start=1):
+        events.append(_thread(1, tid, f"{trace.id} {trace.method} "
+                                      f"{trace.route}"))
+        args: Dict[str, object] = {"id": trace.id, "route": trace.route}
+        if trace.status is not None:
+            args["status"] = trace.status
+        events.append(_complete(
+            1, tid, f"{trace.method} {trace.route}", "request",
+            round((trace.t0 - base) * _US, 3),
+            round(trace.duration_s * _US, 3), args))
+        for rec in sorted(trace.spans,
+                          key=lambda s: (s.start, s.end, s.name)):
+            span_args: Dict[str, object] = {"id": trace.id}
+            span_args.update(rec.args)
+            events.append(_complete(
+                1, tid, rec.name, "phase",
+                round((rec.start - base) * _US, 3),
+                round(rec.duration * _US, 3), span_args))
+    return {"traceEvents": events, "displayTimeUnit": "ms"}
+
+
+def request_json(traces: Sequence["RequestTrace"]) -> str:
+    """Serialize :func:`request_trace` canonically (sorted keys)."""
+    return _dumps(request_trace(traces))
 
 
 def timeline_csv(job: JobTrace, bins: int = 120) -> str:
@@ -407,9 +473,9 @@ def text_summary(tracer: Tracer) -> str:
         waves = math.ceil(tasks / slots) if slots else 0
         lines.append(f"  {span.name:<20s} {tasks:4d} tasks / "
                      f"{slots:3d} slots = {waves:2d} wave(s)")
-    if "tasks.running" in tracer.registry:
+    if "tasks.running" in tracer.counters:
         chart, peak = _ascii_chart(
-            tracer.registry.get("tasks.running").samples, job.makespan)
+            tracer.counters["tasks.running"].samples, job.makespan)
         if chart:
             lines.append(f"  running tasks   [{chart}] peak {peak:.0f}")
 

@@ -13,10 +13,13 @@ every timestamp — which is what keeps traces byte-identical across
 ``--jobs`` widths: simulated time is the only clock that ever reaches a
 job trace.
 
-A :class:`LogHistogram` is the distribution companion: fixed log-scale
-buckets over positive durations, so the wall-clock profiler
-(:mod:`repro.obs.prof`) can report p50/p95/p99 latencies with O(1)
-recording cost and a bounded, mergeable memory footprint.
+A :class:`LogHistogram` is the distribution companion, and the one
+histogram type in ``repro.obs``: fixed log-scale buckets over positive
+durations plus a running sum, so the wall-clock profiler
+(:mod:`repro.obs.prof`), the ``/metrics`` registry
+(:mod:`repro.obs.registry`) and the load generator all report
+p50/p95/p99 latencies, totals and means with O(1) recording cost and a
+bounded, mergeable memory footprint.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import bisect
 import math
 from typing import Dict, List, Optional, Tuple
 
-__all__ = ["Counter", "CounterRegistry", "LogHistogram"]
+__all__ = ["Counter", "LogHistogram"]
 
 
 class Counter:
@@ -90,7 +93,9 @@ class LogHistogram:
     profiler phase can record, with ≤ ~19% relative quantization error
     per bucket (percentiles return the bucket's geometric midpoint).
     Values outside the range clamp to the edge buckets; exact ``min`` /
-    ``max`` are tracked separately so clamping never hides an outlier.
+    ``max`` are tracked separately so clamping never hides an outlier,
+    and ``sum`` keeps the exact running total (a profiler phase's
+    ``total_s``, a Prometheus histogram's ``_sum``).
     """
 
     MIN_VALUE = 1e-7
@@ -106,11 +111,12 @@ class LogHistogram:
     #: sitting exactly on 79 of the 80 bucket boundaries.
     _EDGES: List[float] = []
 
-    __slots__ = ("counts", "total", "min", "max")
+    __slots__ = ("counts", "total", "sum", "min", "max")
 
     def __init__(self):
         self.counts: List[int] = [0] * self.N_BUCKETS
         self.total = 0
+        self.sum = 0.0
         self.min: Optional[float] = None
         self.max: Optional[float] = None
 
@@ -132,16 +138,29 @@ class LogHistogram:
         never disagree about which bucket owns a boundary."""
         return self._EDGES[index], self._EDGES[index + 1]
 
-    def record(self, value: float, count: int = 1) -> None:
-        """Record *count* observations of *value* (seconds)."""
+    def record(self, value: float, count: int = 1,
+               total: Optional[float] = None) -> None:
+        """Record *count* observations of *value* (seconds).
+
+        *total* is their exact sum when the caller timed the batch as
+        one window and *value* is its mean (how the engine loop reports
+        per-event dispatch cost without a clock read per event); it
+        defaults to ``value * count``.
+        """
         if count <= 0:
             return
         self.counts[self.bucket_of(value)] += count
         self.total += count
+        self.sum += value * count if total is None else total
         if self.min is None or value < self.min:
             self.min = value
         if self.max is None or value > self.max:
             self.max = value
+
+    def observe(self, value: float) -> None:
+        """Record one observation — the Prometheus spelling of
+        :meth:`record`, for histogram children of a metrics family."""
+        self.record(value)
 
     def merge(self, other: "LogHistogram") -> None:
         """Fold *other*'s observations into this histogram.
@@ -161,6 +180,7 @@ class LogHistogram:
         for i, n in enumerate(other.counts):
             self.counts[i] += n
         self.total += other.total
+        self.sum += other.sum
         if other.min is not None and (self.min is None
                                       or other.min < self.min):
             self.min = other.min
@@ -221,31 +241,3 @@ class LogHistogram:
 # comprehension cannot see class attributes (Python scoping).
 LogHistogram._EDGES = [LogHistogram.MIN_VALUE * LogHistogram.BASE ** i
                        for i in range(LogHistogram.N_BUCKETS + 1)]
-
-
-class CounterRegistry:
-    """Name → :class:`Counter`, created on first use (insertion-ordered)."""
-
-    def __init__(self):
-        self._counters: Dict[str, Counter] = {}
-
-    def counter(self, name: str, unit: str = "") -> Counter:
-        c = self._counters.get(name)
-        if c is None:
-            c = self._counters[name] = Counter(name, unit)
-        return c
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._counters
-
-    def __iter__(self):
-        return iter(self._counters.values())
-
-    def __len__(self) -> int:
-        return len(self._counters)
-
-    def get(self, name: str) -> Counter:
-        return self._counters[name]
-
-    def items(self):
-        return self._counters.items()

@@ -4,8 +4,9 @@ Where :class:`~repro.obs.spans.Tracer` observes *simulated* time (what
 the modeled cluster did), this module observes *wall* time (what running
 the reproduction costs the host): how many seconds of real CPU the
 engine loop, the driver stages, HDFS placement and the sweep executor
-burn, with call counts and p50/p95/p99 latencies per phase from a
-fixed-bucket log-scale histogram (:class:`~repro.obs.metrics.LogHistogram`).
+burn, with call counts and p50/p95/p99 latencies per phase.  Each phase
+is one :class:`~repro.obs.metrics.LogHistogram`: its ``total`` is the
+phase's call count and its ``sum`` the phase's total seconds.
 
 Profiling follows the same opt-in handle pattern as the tracer: the
 module-level :data:`ACTIVE` handle defaults to ``None`` and every
@@ -20,13 +21,9 @@ Usage::
 
     with prof.profiled() as profiler:          # install + auto-uninstall
         simulate_job("atom", "wordcount")
+        with profiler.phase("my.block"):       # ad-hoc block timing
+            ...
     print(profiler.render())
-
-    @prof.profile_calls("my.phase")            # decorator form
-    def hot_function(...): ...
-
-    with prof.phase("my.block"):               # ad-hoc block timing
-        ...
 
 Instrumented sites (all guarded, all coarse — never per-chunk):
 
@@ -51,13 +48,11 @@ from __future__ import annotations
 import threading
 import time
 from contextlib import contextmanager
-from functools import wraps
 from typing import Callable, Dict, Optional
 
 from .metrics import LogHistogram
 
-__all__ = ["ACTIVE", "PhaseStat", "Profiler", "install", "uninstall",
-           "profiled", "phase", "profile_calls"]
+__all__ = ["ACTIVE", "Profiler", "install", "uninstall", "profiled"]
 
 #: Events per ``perf_counter`` read in the engine's profiled dispatch
 #: loop: large enough that timing cost vanishes, small enough that the
@@ -70,55 +65,8 @@ DISPATCH_BATCH = 256
 ACTIVE: Optional["Profiler"] = None
 
 
-class PhaseStat:
-    """Accumulated wall-clock cost of one named phase."""
-
-    __slots__ = ("name", "calls", "total_s", "hist")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.calls = 0
-        self.total_s = 0.0
-        self.hist = LogHistogram()
-
-    def record(self, seconds: float, calls: int = 1) -> None:
-        """Fold in *seconds* of wall time covering *calls* invocations.
-
-        Batched recording (``calls > 1``) attributes the *mean* per-call
-        latency to the histogram with weight ``calls`` — how the engine
-        loop reports per-event dispatch cost without a clock read per
-        event.
-        """
-        self.calls += calls
-        self.total_s += seconds
-        self.hist.record(seconds / calls if calls > 1 else seconds, calls)
-
-    @property
-    def mean_s(self) -> float:
-        return self.total_s / self.calls if self.calls else 0.0
-
-    def percentile(self, p: float) -> float:
-        return self.hist.percentile(p)
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "calls": self.calls,
-            "total_s": self.total_s,
-            "mean_s": self.mean_s,
-            "min_s": self.hist.min,
-            "max_s": self.hist.max,
-            "p50_s": self.hist.percentile(50.0) if self.hist.total else 0.0,
-            "p95_s": self.hist.percentile(95.0) if self.hist.total else 0.0,
-            "p99_s": self.hist.percentile(99.0) if self.hist.total else 0.0,
-        }
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<PhaseStat {self.name}: {self.calls} calls, "
-                f"{self.total_s:.4f}s>")
-
-
 class Profiler:
-    """Collects :class:`PhaseStat` records from instrumented phases.
+    """Collects one :class:`LogHistogram` per instrumented phase.
 
     Like the tracer, a profiler is inert until installed (see
     :func:`install` / :func:`profiled`); unlike the tracer it reads the
@@ -129,18 +77,25 @@ class Profiler:
     def __init__(self, clock: Callable[[], float] = time.perf_counter):
         self.clock = clock
         self._lock = threading.Lock()
-        self._phases: Dict[str, PhaseStat] = {}
+        self._phases: Dict[str, LogHistogram] = {}
         #: Scalar tallies with no duration (heap pushes, cancel skips).
         self.meta: Dict[str, float] = {}
 
     # -- recording -------------------------------------------------------
     def record(self, name: str, seconds: float, calls: int = 1) -> None:
-        """Record *seconds* of wall time under phase *name*."""
+        """Record *seconds* of wall time covering *calls* of phase *name*.
+
+        Batched recording (``calls > 1``) attributes the *mean* per-call
+        latency to the histogram with weight ``calls`` and the exact
+        *seconds* to its sum — how the engine loop reports per-event
+        dispatch cost without a clock read per event.
+        """
         with self._lock:
-            stat = self._phases.get(name)
-            if stat is None:
-                stat = self._phases[name] = PhaseStat(name)
-            stat.record(seconds, calls)
+            hist = self._phases.get(name)
+            if hist is None:
+                hist = self._phases[name] = LogHistogram()
+            hist.record(seconds / calls if calls > 1 else seconds, calls,
+                        total=seconds)
 
     def count(self, name: str, n: float = 1) -> None:
         """Bump a scalar meta counter (no time dimension)."""
@@ -158,32 +113,41 @@ class Profiler:
 
     # -- introspection ---------------------------------------------------
     @property
-    def phases(self) -> Dict[str, PhaseStat]:
-        """Name → stat, insertion-ordered (first-recorded first)."""
+    def phases(self) -> Dict[str, LogHistogram]:
+        """Name → histogram, insertion-ordered (first-recorded first)."""
         return self._phases
 
-    def get(self, name: str) -> Optional[PhaseStat]:
+    def get(self, name: str) -> Optional[LogHistogram]:
         return self._phases.get(name)
 
     def merge(self, other: "Profiler") -> None:
         """Fold *other*'s phases and meta counters into this profiler."""
         with self._lock:
-            for name, stat in other._phases.items():
+            for name, hist in other._phases.items():
                 mine = self._phases.get(name)
                 if mine is None:
-                    mine = self._phases[name] = PhaseStat(name)
-                mine.calls += stat.calls
-                mine.total_s += stat.total_s
-                mine.hist.merge(stat.hist)
+                    mine = self._phases[name] = LogHistogram()
+                mine.merge(hist)
             for name, n in other.meta.items():
                 self.meta[name] = self.meta.get(name, 0) + n
 
+    def _hottest_first(self):
+        return sorted(self._phases.items(),
+                      key=lambda item: (-item[1].sum, item[0]))
+
     def to_dict(self) -> Dict[str, object]:
         """JSON-friendly snapshot, phases sorted by total time desc."""
-        ordered = sorted(self._phases.values(),
-                         key=lambda s: (-s.total_s, s.name))
         return {
-            "phases": {s.name: s.to_dict() for s in ordered},
+            "phases": {name: {
+                "calls": hist.total,
+                "total_s": hist.sum,
+                "mean_s": _mean(hist),
+                "min_s": hist.min,
+                "max_s": hist.max,
+                "p50_s": hist.percentile(50.0),
+                "p95_s": hist.percentile(95.0),
+                "p99_s": hist.percentile(99.0),
+            } for name, hist in self._hottest_first()},
             "meta": dict(sorted(self.meta.items())),
         }
 
@@ -191,14 +155,13 @@ class Profiler:
         """Terminal table: one row per phase, hottest first."""
         lines = [f"{'phase':<28s} {'calls':>9s} {'total':>10s} "
                  f"{'mean':>10s} {'p50':>10s} {'p95':>10s} {'p99':>10s}"]
-        for stat in sorted(self._phases.values(),
-                           key=lambda s: (-s.total_s, s.name)):
+        for name, hist in self._hottest_first():
             lines.append(
-                f"{stat.name:<28s} {stat.calls:>9d} "
-                f"{stat.total_s:>9.4f}s {_si(stat.mean_s):>10s} "
-                f"{_si(stat.percentile(50.0)):>10s} "
-                f"{_si(stat.percentile(95.0)):>10s} "
-                f"{_si(stat.percentile(99.0)):>10s}")
+                f"{name:<28s} {hist.total:>9d} "
+                f"{hist.sum:>9.4f}s {_si(_mean(hist)):>10s} "
+                f"{_si(hist.percentile(50.0)):>10s} "
+                f"{_si(hist.percentile(95.0)):>10s} "
+                f"{_si(hist.percentile(99.0)):>10s}")
         if self.meta:
             lines.append("")
             for name in sorted(self.meta):
@@ -207,6 +170,10 @@ class Profiler:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Profiler {len(self._phases)} phases>"
+
+
+def _mean(hist: LogHistogram) -> float:
+    return hist.sum / hist.total if hist.total else 0.0
 
 
 def _si(seconds: float) -> str:
@@ -247,48 +214,3 @@ def profiled(profiler: Optional[Profiler] = None):
         yield active
     finally:
         ACTIVE = previous
-
-
-@contextmanager
-def phase(name: str):
-    """Time a block under the active profiler; no-op when profiling is off.
-
-    The guard is evaluated on *entry*, so a profiler installed mid-block
-    does not see a torn phase.
-    """
-    p = ACTIVE
-    if p is None:
-        yield None
-        return
-    t0 = p.clock()
-    try:
-        yield p
-    finally:
-        p.record(name, p.clock() - t0)
-
-
-def profile_calls(name: Optional[str] = None):
-    """Decorator: record each call of the wrapped function as a phase.
-
-    The active-profiler check happens per call, so decorated functions
-    stay unprofiled (one global load + ``is None``) until someone
-    installs a profiler.
-    """
-
-    def deco(fn: Callable) -> Callable:
-        phase_name = name or f"{fn.__module__.split('.')[-1]}.{fn.__name__}"
-
-        @wraps(fn)
-        def wrapper(*args, **kwargs):
-            p = ACTIVE
-            if p is None:
-                return fn(*args, **kwargs)
-            t0 = p.clock()
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                p.record(phase_name, p.clock() - t0)
-
-        return wrapper
-
-    return deco

@@ -1,15 +1,15 @@
-"""Unified metrics registry: typed instruments, one canonical renderer.
+"""Metrics registry: typed instruments, one canonical renderer.
 
-The serve tier's third observability pillar needs a *metrics* spine:
-PR 8 shipped ``/metrics`` as hand-assembled text with no ``# TYPE`` /
-``# HELP`` lines, a ``quantile`` label on a plain gauge (``quantile``
-is reserved for *summary* metrics in the Prometheus exposition format),
-and latency series with no ``_sum``/``_count``.  This module replaces
-that ad-hoc assembly with a :class:`MetricsRegistry` of typed
-instruments — :class:`Counter` (monotonic), :class:`Gauge`
-(set/add), :class:`Histogram` (a :class:`~repro.obs.metrics.LogHistogram`
-plus a running sum) — each optionally labelled, and **one** canonical
-renderer pair:
+The serve tier's ``/metrics`` endpoint needs a *metrics* spine: an
+earlier hand-assembled exposition had no ``# TYPE`` / ``# HELP`` lines,
+a ``quantile`` label on a plain gauge (``quantile`` is reserved for
+*summary* metrics in the Prometheus exposition format), and latency
+series with no ``_sum``/``_count``.  :class:`MetricsRegistry` — the one
+registry class in ``repro.obs`` — holds typed instruments instead:
+:class:`Counter` (monotonic), :class:`Gauge` (set/add) and
+:class:`~repro.obs.metrics.LogHistogram` (the one histogram type, which
+carries its own running sum), each optionally labelled, and renders them
+through **one** canonical renderer pair:
 
 * :meth:`MetricsRegistry.render_prometheus` — valid text exposition
   format 0.0.4: ``# HELP`` + ``# TYPE`` per family, escaped label
@@ -21,12 +21,13 @@ renderer pair:
 * :meth:`MetricsRegistry.render_json` — the same data as one JSON
   document (unlabelled instruments map to scalars, labelled ones to
   ``{"v1 v2": value}`` keyed by space-joined label values, histograms
-  to their :meth:`~repro.obs.metrics.LogHistogram.to_dict` snapshots).
+  to their :meth:`~repro.obs.metrics.LogHistogram.to_dict` snapshots
+  plus ``sum_s``).
 
 :func:`parse_exposition` is the conformance half: a strict parser for
 the subset of the exposition format the registry emits, used by the
 tests and the CI ``serve-smoke`` job so the format can never silently
-regress back into the PR 8 bugs.  ``python -m repro.obs.registry FILE``
+regress back into those bugs.  ``python -m repro.obs.registry FILE``
 validates a scraped document from the command line.
 
 Wall-clock policy: the registry itself never reads any clock — callers
@@ -44,7 +45,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .metrics import LogHistogram
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricFamily",
+__all__ = ["Counter", "Gauge", "MetricFamily",
            "MetricsRegistry", "ExpositionError", "parse_exposition"]
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
@@ -121,35 +122,10 @@ class Gauge:
         self._value += delta
 
 
-class Histogram:
-    """A :class:`LogHistogram` plus the running sum Prometheus wants."""
+_INSTRUMENTS = {"counter": Counter, "gauge": Gauge,
+                "histogram": LogHistogram}
 
-    __slots__ = ("hist", "sum")
-
-    def __init__(self):
-        self.hist = LogHistogram()
-        self.sum = 0.0
-
-    def observe(self, value: float) -> None:
-        self.hist.record(value)
-        self.sum += value
-
-    @property
-    def count(self) -> int:
-        return self.hist.total
-
-    def quantile(self, q: float) -> float:
-        return self.hist.quantile(q)
-
-    def to_dict(self) -> Dict[str, object]:
-        out = self.hist.to_dict()
-        out["sum_s"] = self.sum
-        return out
-
-
-_INSTRUMENTS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
-
-Instrument = Union[Counter, Gauge, Histogram]
+Instrument = Union[Counter, Gauge, LogHistogram]
 
 
 class MetricFamily:
@@ -322,8 +298,7 @@ class MetricsRegistry:
 
     def _render_histogram(self, lines: List[str], full: str,
                           names: Tuple[str, ...], values: Tuple[str, ...],
-                          child: Histogram) -> None:
-        hist = child.hist
+                          hist: LogHistogram) -> None:
         cumulative = 0
         # Sparse cumulative buckets: one line per occupied bucket at its
         # exact upper edge.  The top bucket holds clamped outliers that
@@ -342,7 +317,7 @@ class MetricsRegistry:
             f"{self._labels(names, values, (('le', '+Inf'),))}"
             f" {hist.total}")
         lines.append(f"{full}_sum{self._labels(names, values)} "
-                     f"{_fmt(child.sum)}")
+                     f"{_fmt(hist.sum)}")
         lines.append(f"{full}_count{self._labels(names, values)} "
                      f"{hist.total}")
 
@@ -352,7 +327,7 @@ class MetricsRegistry:
         for family in self.families():
             if family.kind == "histogram":
                 snap = {(" ".join(values) if values else ""):
-                        child.to_dict()
+                        dict(child.to_dict(), sum_s=child.sum)
                         for values, child in family.children()}
                 out[family.name] = (snap[""] if family.label_names == ()
                                     and "" in snap else snap)

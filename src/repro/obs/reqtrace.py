@@ -1,19 +1,20 @@
 """Request-scoped wall-clock tracing for the serve/loadgen tier.
 
-The third observability pillar.  Where the :class:`~repro.obs.spans.Tracer`
-records *simulated* time inside one job and :mod:`repro.obs.prof`
-aggregates *wall* time across a whole process, this module answers the
-per-request question the other two cannot: **where did this specific
-slow request spend its time** — HTTP parse, routing, coalesce wait,
-admission-queue wait, pool execution, or cache store?
+Where the :class:`~repro.obs.spans.Tracer` records *simulated* time
+inside one job and :mod:`repro.obs.prof` aggregates *wall* time across a
+whole process, this module answers the per-request question the other
+two cannot: **where did this specific slow request spend its time** —
+HTTP parse, routing, coalesce wait, admission-queue wait, pool
+execution, or cache store?
 
 Model
 -----
 
 A :class:`RequestTrace` is one request's wall-clock life: a generated
-request id, the route/method, a flat list of named :class:`SpanRec`
-windows (offsets are ``perf_counter`` stamps; exporters rebase them),
-and a final status.  Spans come from two directions:
+request id, the route/method, a flat list of named
+:class:`~repro.obs.spans.SpanRecord` windows (the same record job traces
+use; here the stamps are ``perf_counter`` seconds, which exporters
+rebase), and a final status.  Spans come from two directions:
 
 * the code path *owning* the request times its own blocks via
   :meth:`RequestTrace.span` (a context manager), and
@@ -27,10 +28,8 @@ and a final status.  Spans come from two directions:
 A :class:`RequestTelemetry` instance owns the traces: a registry of
 in-flight requests plus a bounded ring buffer (``collections.deque``)
 of the most recently *completed* traces, so memory stays constant under
-any load.  :func:`chrome_trace` exports a batch of completed traces in
-the Chrome trace-event format (the same convention as
-:mod:`repro.obs.export`): one synthetic *thread* per request, span
-nesting restored from interval containment, so
+any load.  :func:`repro.obs.export.request_json` exports a batch of
+completed traces in the Chrome trace-event format, so
 https://ui.perfetto.dev opens a ``/debug/requests?format=chrome``
 download directly.
 
@@ -53,49 +52,26 @@ from __future__ import annotations
 import contextvars
 import hashlib
 import itertools
-import json
 import os
 import threading
 import time
 from collections import deque
 from contextlib import contextmanager
-from typing import Deque, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, Iterator, List, Optional
 
-__all__ = ["SpanRec", "RequestTrace", "RequestTelemetry", "ACTIVE",
-           "install", "uninstall", "current", "push", "pop", "use",
-           "span", "chrome_trace", "chrome_json"]
+from .spans import SpanRecord
 
-_US = 1e6  # seconds -> trace microseconds (obs/export.py convention)
-
-#: Optional module-level handle, mirroring ``prof.ACTIVE``: the serve
-#: stack passes its telemetry instance explicitly, but standalone tools
-#: (the loadgen client, tests) can install one globally instead of
-#: threading it.  ``None`` means request tracing is off.
-ACTIVE: Optional["RequestTelemetry"] = None
+__all__ = ["RequestTrace", "RequestTelemetry", "current", "push", "pop",
+           "use"]
 
 #: The request trace the current (asyncio or thread) context is serving.
 _CURRENT: "contextvars.ContextVar[Optional[RequestTrace]]" = \
     contextvars.ContextVar("repro_request_trace", default=None)
 
-
-class SpanRec:
-    """One named wall-clock window inside a request."""
-
-    __slots__ = ("name", "start", "end", "meta")
-
-    def __init__(self, name: str, start: float, end: float,
-                 meta: Optional[Dict[str, object]] = None):
-        self.name = name
-        self.start = start
-        self.end = end
-        self.meta = meta
-
-    @property
-    def duration_s(self) -> float:
-        return max(self.end - self.start, 0.0)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<SpanRec {self.name} {self.duration_s * 1e3:.3f}ms>")
+#: Track and category of every request span: the Chrome export lays
+#: requests out one per thread, so the record needs no per-span track.
+_TRACK = ("serve", "request")
+_CAT = "phase"
 
 
 class RequestTrace:
@@ -120,7 +96,7 @@ class RequestTrace:
         self.started_at = started_at
         self.status: Optional[int] = None     #: HTTP status once finished
         self.end: Optional[float] = None      #: perf_counter at finish
-        self.spans: List[SpanRec] = []
+        self.spans: List[SpanRecord] = []
         self._lock = threading.Lock()
 
     @property
@@ -133,29 +109,24 @@ class RequestTrace:
         return max(end - self.t0, 0.0)
 
     def add_span(self, name: str, start: float, end: float,
-                 **meta: object) -> SpanRec:
+                 **meta: object) -> SpanRecord:
         """Attach an externally timed window (``perf_counter`` stamps)."""
-        rec = SpanRec(name, start, end, meta or None)
+        rec = SpanRecord(name, _TRACK, _CAT, start, end, meta)
         with self._lock:
             self.spans.append(rec)
         return rec
 
     @contextmanager
-    def span(self, name: str, **meta: object) -> Iterator[SpanRec]:
+    def span(self, name: str, **meta: object) -> Iterator[SpanRecord]:
         """Time a block as one span of this trace."""
         start = time.perf_counter()
-        rec = SpanRec(name, start, start, meta or None)
+        rec = SpanRecord(name, _TRACK, _CAT, start, start, meta)
         try:
             yield rec
         finally:
             rec.end = time.perf_counter()
             with self._lock:
                 self.spans.append(rec)
-
-    def phase_s(self, name: str) -> float:
-        """Total seconds this trace spent in spans named *name*."""
-        with self._lock:
-            return sum(s.duration_s for s in self.spans if s.name == name)
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-friendly snapshot (span offsets relative to ``t0``)."""
@@ -172,8 +143,8 @@ class RequestTrace:
             "spans": [
                 {"name": s.name,
                  "offset_s": round(s.start - self.t0, 9),
-                 "duration_s": round(s.duration_s, 9),
-                 **({"meta": s.meta} if s.meta else {})}
+                 "duration_s": round(s.duration, 9),
+                 **({"meta": s.args} if s.args else {})}
                 for s in spans
             ],
         }
@@ -294,92 +265,3 @@ def use(trace: Optional[RequestTrace]) -> Iterator[Optional[RequestTrace]]:
         yield trace
     finally:
         _CURRENT.reset(token)
-
-
-@contextmanager
-def span(name: str, **meta: object) -> Iterator[Optional[SpanRec]]:
-    """Time a block on the context's current trace; no-op without one."""
-    trace = _CURRENT.get()
-    if trace is None:
-        yield None
-        return
-    with trace.span(name, **meta) as rec:
-        yield rec
-
-
-# -- installation (module-handle form, mirrors prof) -----------------------
-
-def install(telemetry: Optional[RequestTelemetry] = None
-            ) -> RequestTelemetry:
-    """Make *telemetry* (or a fresh instance) the module handle."""
-    global ACTIVE
-    if telemetry is None:
-        telemetry = RequestTelemetry()
-    ACTIVE = telemetry
-    return telemetry
-
-
-def uninstall() -> Optional[RequestTelemetry]:
-    global ACTIVE
-    previous, ACTIVE = ACTIVE, None
-    return previous
-
-
-# -- Chrome trace export ---------------------------------------------------
-
-def chrome_trace(traces: Sequence[RequestTrace]) -> Dict[str, object]:
-    """Chrome trace-event JSON for a batch of completed request traces.
-
-    Follows the :mod:`repro.obs.export` conventions: one *process*
-    (``serve``), one synthetic *thread* per request named by its id,
-    ``X`` (complete) events with microsecond timestamps rebased to the
-    earliest trace start, and the whole request as an enclosing span so
-    Perfetto nests the phases visually.  Pure function of its input —
-    byte-identical for the same traces.
-    """
-    events: List[Dict[str, object]] = [
-        {"ph": "M", "name": "process_name", "pid": 1,
-         "args": {"name": "serve"}},
-    ]
-    if not traces:
-        return {"traceEvents": events, "displayTimeUnit": "ms"}
-    ordered = sorted(traces, key=lambda t: (t.t0, t.id))
-    base = ordered[0].t0
-    for tid, trace in enumerate(ordered, start=1):
-        events.append({"ph": "M", "name": "thread_name", "pid": 1,
-                       "tid": tid,
-                       "args": {"name": f"{trace.id} {trace.method} "
-                                        f"{trace.route}"}})
-        end = trace.end if trace.end is not None else trace.t0
-        args: Dict[str, object] = {"id": trace.id, "route": trace.route}
-        if trace.status is not None:
-            args["status"] = trace.status
-        events.append({
-            "ph": "X", "pid": 1, "tid": tid,
-            "name": f"{trace.method} {trace.route}",
-            "cat": "request",
-            "ts": round((trace.t0 - base) * _US, 3),
-            "dur": round(max(end - trace.t0, 0.0) * _US, 3),
-            "args": args,
-        })
-        spans = sorted(trace.spans, key=lambda s: (s.start, s.end, s.name))
-        for rec in spans:
-            span_args: Dict[str, object] = {"id": trace.id}
-            if rec.meta:
-                span_args.update(
-                    {k: rec.meta[k] for k in sorted(rec.meta)})
-            events.append({
-                "ph": "X", "pid": 1, "tid": tid,
-                "name": rec.name,
-                "cat": "phase",
-                "ts": round((rec.start - base) * _US, 3),
-                "dur": round(rec.duration_s * _US, 3),
-                "args": span_args,
-            })
-    return {"traceEvents": events, "displayTimeUnit": "ms"}
-
-
-def chrome_json(traces: Sequence[RequestTrace]) -> str:
-    """:func:`chrome_trace` serialized canonically (sorted keys)."""
-    return json.dumps(chrome_trace(traces), sort_keys=True,
-                      separators=(",", ":"))

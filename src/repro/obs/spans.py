@@ -8,7 +8,7 @@ This is the recording half of ``repro.obs``.  A :class:`Tracer` collects
 * **instant events** — point occurrences (crashes, retries, speculation
   launches, process interrupts);
 * **counters** — step-function time series (live tasks, queue backlog),
-  see :mod:`repro.obs.metrics`;
+  see :mod:`repro.obs.metrics`, kept by name in :attr:`Tracer.counters`;
 * **meta counters** — plain scalar tallies (engine wakes, HDFS bytes)
   with no time dimension.
 
@@ -22,6 +22,11 @@ The tracer's clock is injected: :meth:`Tracer.attach` binds it to a
 simulated seconds only (and are therefore reproducible bit for bit at
 any ``--jobs`` width), while a bare ``Tracer()`` uses the wall clock for
 host-side instrumentation such as the sweep executor.
+
+:class:`SpanRecord` is the one span type in ``repro.obs``: the
+request-trace layer (:mod:`repro.obs.reqtrace`) records its wall-clock
+windows with it too, and :mod:`repro.obs.export` turns either kind into
+Chrome trace events.
 
 At the end of a traced run the job driver deposits a :class:`JobTrace`
 on the tracer: the full activity-interval set plus the node, stage,
@@ -37,7 +42,7 @@ from dataclasses import dataclass, field
 from typing import (Any, Callable, Dict, List, Optional, Tuple, TYPE_CHECKING)
 
 from ..sim.trace import Interval
-from .metrics import Counter, CounterRegistry
+from .metrics import Counter
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from ..arch.power import EnergyBreakdown, NodePower
@@ -50,20 +55,32 @@ __all__ = ["SpanRecord", "EventRecord", "NodeInfo", "JobTrace", "Tracer"]
 Track = Tuple[str, str]
 
 
-@dataclass
 class SpanRecord:
-    """One named time window on a track."""
+    """One named time window on a track.
 
-    name: str
-    track: Track
-    cat: str
-    start: float
-    end: Optional[float] = None  #: None while the span is still open
-    args: Dict[str, Any] = field(default_factory=dict)
+    Job traces stamp it in simulated seconds, request traces in
+    ``perf_counter`` seconds; the record itself never reads a clock.
+    Slotted by hand (not ``dataclass(slots=True)``, which needs Python
+    3.10) because request tracing builds several per served request.
+    """
+
+    __slots__ = ("name", "track", "cat", "start", "end", "args")
+
+    def __init__(self, name: str, track: Track, cat: str, start: float,
+                 end: Optional[float] = None,
+                 args: Optional[Dict[str, Any]] = None):
+        self.name = name
+        self.track = track
+        self.cat = cat
+        self.start = start
+        self.end = end  #: None while the span is still open
+        self.args: Dict[str, Any] = args if args is not None else {}
 
     @property
     def duration(self) -> float:
-        return (self.end if self.end is not None else self.start) - self.start
+        """Seconds from start to end; 0 while the span is still open."""
+        end = self.end if self.end is not None else self.start
+        return max(end - self.start, 0.0)
 
 
 @dataclass
@@ -136,7 +153,8 @@ class Tracer:
             clock if clock is not None else time.perf_counter)
         self.spans: List[SpanRecord] = []
         self.events: List[EventRecord] = []
-        self.registry = CounterRegistry()
+        #: Step-function series by name, created on first use.
+        self.counters: Dict[str, Counter] = {}
         #: Scalar tallies without a time axis (engine wakes, HDFS bytes).
         self.meta: Dict[str, float] = {}
         #: Filled in by the job driver when the traced run completes.
@@ -185,17 +203,16 @@ class Tracer:
     # -- counters --------------------------------------------------------
     def counter(self, name: str, unit: str = "") -> Counter:
         """Time-series counter (created on first use)."""
-        return self.registry.counter(name, unit)
+        counter = self.counters.get(name)
+        if counter is None:
+            counter = self.counters[name] = Counter(name, unit)
+        return counter
 
     def count(self, name: str, n: float = 1) -> None:
         """Bump a scalar meta counter (no time axis)."""
         self.meta[name] = self.meta.get(name, 0) + n
 
     # -- introspection ---------------------------------------------------
-    @property
-    def open_spans(self) -> List[SpanRecord]:
-        return [s for s in self.spans if s.end is None]
-
     def spans_on(self, group: str, lane: Optional[str] = None
                  ) -> List[SpanRecord]:
         """Spans whose track group (and optionally lane) matches."""
@@ -205,4 +222,4 @@ class Tracer:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<Tracer {len(self.spans)} spans, {len(self.events)} "
-                f"events, {len(self.registry)} counters>")
+                f"events, {len(self.counters)} counters>")

@@ -32,6 +32,7 @@ from ..core.characterization import RunKey
 from ..core.metrics import edxp
 from ..mapreduce.driver import JobResult
 from ..obs import prof, reqtrace, slog
+from ..obs.export import request_json
 from ..obs.reqtrace import RequestTrace
 from ..workloads.base import all_workloads
 from .http import BadRequest, Request, Response
@@ -54,6 +55,10 @@ _KEY_FIELDS: Tuple[Tuple[str, type, bool], ...] = (
 _OPTIONAL_NONE = ("cores_per_node", "map_slots_per_node")
 
 _COMPARE_GOALS = {"EDP": 1, "ED2P": 2, "ED3P": 3}
+
+#: The ``route`` label of requests to paths no endpoint serves: one fixed
+#: value, so clients cannot mint ``/metrics`` series by varying the path.
+UNMATCHED_ROUTE = "unmatched"
 
 
 def _coerce(name: str, value, kind: type):
@@ -205,9 +210,11 @@ class SimulationApp:
                 response = Response.error(
                     405, f"{request.method} not allowed on {request.path}")
             else:
+                route = UNMATCHED_ROUTE
                 response = Response.error(
                     404, f"no such endpoint {request.path!r}")
-            self.service.stats.count_request(route, response.status)
+            self.service.stats.requests.labels(
+                route=route, status=str(response.status)).inc()
             return response
         t0 = time.perf_counter()
         profiler = prof.ACTIVE
@@ -241,10 +248,18 @@ class SimulationApp:
                 response = Response.error(400, str(exc))
             else:
                 response = Response.error(500, str(exc))
-        self.service.stats.count_request(route, response.status)
-        self.service.stats.observe_latency(route,
-                                           time.perf_counter() - t0)
+        except Exception:
+            # A handler bug: http.py answers it with a 500, so count
+            # and time it as one before letting it propagate.
+            self._served(route, 500, t0)
+            raise
+        self._served(route, response.status, t0)
         return response
+
+    def _served(self, route: str, status: int, t0: float) -> None:
+        stats = self.service.stats
+        stats.requests.labels(route=route, status=str(status)).inc()
+        stats.latency.labels(route=route).observe(time.perf_counter() - t0)
 
     async def _invoke(self, handler, request: Request,
                       trace: Optional[RequestTrace]) -> Response:
@@ -382,7 +397,7 @@ class SimulationApp:
             traces = tel.recent(limit)
             fmt = request.query.get("format", "json")
             if fmt == "chrome":
-                body = reqtrace.chrome_json(traces).encode("utf-8")
+                body = request_json(traces).encode("utf-8")
                 return Response(
                     status=200, body=body,
                     content_type="application/json",

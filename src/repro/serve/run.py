@@ -89,9 +89,11 @@ async def serve_forever(config: ServiceConfig, host: str, port: int,
     slog.emit("serve.drain.begin")
     await stop_stack(handle, graceful=True)
     stats = handle.service.stats
-    served = sum(stats.requests_total.values())
+    served = int(sum(child.value for _labels, child
+                     in stats.requests.children()))
+    coalesced, shed = int(stats.coalesced.value), int(stats.shed.value)
     log(f"repro-hadoop serve: drained ({served} requests served, "
-        f"{stats.coalesced_total} coalesced, {stats.shed_total} shed)")
+        f"{coalesced} coalesced, {shed} shed)")
     slog.emit("serve.drain.end", served=served,
-              coalesced=stats.coalesced_total, shed=stats.shed_total)
+              coalesced=coalesced, shed=shed)
     return 0

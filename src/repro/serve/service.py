@@ -157,40 +157,38 @@ class ShardedResultCache:
 
 
 class ServiceStats:
-    """Service counters + latency histograms over one typed registry.
+    """The service's metric families, registered on one typed registry.
 
-    PR 8's hand-rolled dict grew organically into malformed ``/metrics``
-    output; this class is now a thin facade over a
-    :class:`~repro.obs.registry.MetricsRegistry`, which owns every
-    instrument and renders both exposition formats canonically.  The
-    integer properties (``coalesced_total`` & co.) keep the service and
-    test call sites registry-agnostic.
+    Call sites update the families directly (``stats.shed.inc()``,
+    ``stats.requests.labels(route=..., status=...).inc()``); the
+    :class:`~repro.obs.registry.MetricsRegistry` owns every instrument
+    and renders both exposition formats canonically.
     """
 
     def __init__(self, registry: Optional[MetricsRegistry] = None):
         self.started_at = time.time()
         reg = self.registry = (registry if registry is not None
                                else MetricsRegistry())
-        self._requests = reg.counter(
+        self.requests = reg.counter(
             "requests_total", "HTTP requests served, by route and status.",
             labels=("route", "status"))
-        self._latency = reg.histogram(
+        self.latency = reg.histogram(
             "request_latency_seconds",
             "Wall-clock request latency in seconds, by route.",
             labels=("route",))
-        self._coalesced = reg.counter(
+        self.coalesced = reg.counter(
             "coalesced_total",
             "Requests that joined an identical in-flight computation.")
-        self._shed = reg.counter(
+        self.shed = reg.counter(
             "shed_total",
             "Requests shed with 429 (admission queue full).")
-        self._timeouts = reg.counter(
+        self.timeouts = reg.counter(
             "timeout_total",
             "Waiters that hit the per-request deadline (504).")
-        self._submissions = reg.counter(
+        self.submissions = reg.counter(
             "executor_submissions_total",
             "Micro-batches submitted to the process pool.")
-        self._cells = reg.counter(
+        self.cells = reg.counter(
             "executor_cells_total",
             "Grid cells submitted to the process pool.")
         self.cache_hits = reg.counter(
@@ -211,53 +209,6 @@ class ServiceStats:
             "request_traces_inflight", "Request traces currently open.")
         self.traces_total = reg.counter(
             "request_traces_total", "Request traces completed.")
-
-    def count_request(self, route: str, status: int) -> None:
-        self._requests.labels(route=route, status=str(status)).inc()
-
-    def observe_latency(self, route: str, seconds: float) -> None:
-        self._latency.labels(route=route).observe(seconds)
-
-    def count_coalesced(self) -> None:
-        self._coalesced.inc()
-
-    def count_shed(self) -> None:
-        self._shed.inc()
-
-    def count_timeout(self) -> None:
-        self._timeouts.inc()
-
-    def count_submission(self, cells: int) -> None:
-        self._submissions.inc()
-        self._cells.inc(cells)
-
-    # -- registry-agnostic read side (service + tests) -------------------
-
-    @property
-    def coalesced_total(self) -> int:
-        return int(self._coalesced.value)
-
-    @property
-    def shed_total(self) -> int:
-        return int(self._shed.value)
-
-    @property
-    def timeout_total(self) -> int:
-        return int(self._timeouts.value)
-
-    @property
-    def executor_submissions(self) -> int:
-        return int(self._submissions.value)
-
-    @property
-    def executor_cells(self) -> int:
-        return int(self._cells.value)
-
-    @property
-    def requests_total(self) -> Dict[Tuple[str, int], int]:
-        """(route, status) → count, rebuilt from the labelled counter."""
-        return {(values[0], int(values[1])): int(child.value)
-                for values, child in self._requests.children()}
 
 
 class SimulationService:
@@ -378,7 +329,7 @@ class SimulationService:
         key_hex = cache_key(key, self.conf)
         existing = self._inflight.get(key_hex)
         if existing is not None:
-            self.stats.count_coalesced()
+            self.stats.coalesced.inc()
             result = await self._await_result(existing, trace, joined=True)
             return result, "coalesced"
 
@@ -390,7 +341,7 @@ class SimulationService:
         if self.draining:
             raise Draining("service is draining")
         if self._admitted >= self.config.queue_limit:
-            self.stats.count_shed()
+            self.stats.shed.inc()
             raise Overloaded(
                 f"admission queue full ({self.config.queue_limit} cells)")
 
@@ -439,7 +390,7 @@ class SimulationService:
             result = await asyncio.wait_for(
                 asyncio.shield(future), self.config.request_timeout_s)
         except asyncio.TimeoutError:
-            self.stats.count_timeout()
+            self.stats.timeouts.inc()
             if trace is not None:
                 trace.add_span("coalesce.wait", t0, time.perf_counter(),
                                joined=joined, timeout=True)
@@ -485,7 +436,8 @@ class SimulationService:
                     batch.append(self._queue.get_nowait())
                 except asyncio.QueueEmpty:
                     break
-            self.stats.count_submission(len(batch))
+            self.stats.submissions.inc()
+            self.stats.cells.inc(len(batch))
             pickup = time.perf_counter()
             # Traced cells carry their request id through the pool as an
             # opaque tag (worker-side it is pass-through data, so the

@@ -114,7 +114,7 @@ class TestRunDatacenter:
                        job_model=model, obs=tracer)
         assert tracer.meta.get("dc.grants") == 12
         assert "dc.makespan_s" in tracer.meta
-        names = {c.name for c in tracer.registry}
+        names = set(tracer.counters)
         assert {"dc.queue", "dc.busy.atom", "dc.busy.xeon"} <= names
         lease_spans = [s for s in tracer.spans
                        if s.track == ("datacenter", "atom")

@@ -493,20 +493,13 @@ class TestOBS001UnguardedHandle:
                 prof.ACTIVE.reset()
             """, relpath="src/repro/obs/helpers.py")
 
-    def test_positive_unguarded_reqtrace_active(self):
-        found = hits("OBS001", """\
-            from repro.obs import reqtrace
-            def f():
-                reqtrace.ACTIVE.start("/simulate")
-            """)
-        assert len(found) == 1 and "None" in found[0].message
-
     def test_positive_unguarded_slog_active(self):
-        assert hits("OBS001", """\
+        found = hits("OBS001", """\
             from repro.obs import slog
             def f():
                 slog.ACTIVE.log("event")
             """)
+        assert len(found) == 1 and "None" in found[0].message
 
     def test_positive_unguarded_telemetry_attribute(self):
         assert hits("OBS001", """\

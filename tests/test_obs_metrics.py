@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from repro.obs.metrics import Counter, CounterRegistry, LogHistogram
+from repro.obs.metrics import Counter, LogHistogram
+from repro.obs.spans import Tracer
 
 
 class TestCounter:
@@ -26,10 +27,10 @@ class TestCounter:
         assert c.samples == [(0.0, 1.0), (2.0, 3.0)]
 
     def test_registry_creates_on_first_use(self):
-        reg = CounterRegistry()
-        a = reg.counter("a", "J")
-        assert reg.counter("a") is a
-        assert "a" in reg and len(reg) == 1
+        tracer = Tracer()
+        a = tracer.counter("a", "J")
+        assert tracer.counter("a") is a
+        assert tracer.counters == {"a": a} and a.unit == "J"
 
 
 class TestBucketEdges:

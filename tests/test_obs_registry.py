@@ -67,7 +67,7 @@ class TestInstruments:
         for v in (0.1, 0.2, 0.4):
             h.observe(v)
         solo = h.labels()
-        assert solo.count == 3
+        assert solo.total == 3
         assert solo.sum == pytest.approx(0.7)
         assert 0.05 < solo.quantile(0.5) < 0.4
 

@@ -15,8 +15,8 @@ import json
 import pytest
 
 from repro.obs import reqtrace, slog
-from repro.obs.reqtrace import (RequestTelemetry, RequestTrace,
-                                chrome_json, chrome_trace)
+from repro.obs.export import request_json, request_trace
+from repro.obs.reqtrace import RequestTelemetry
 from repro.obs.slog import StructuredLog
 
 
@@ -52,9 +52,14 @@ class TestRequestTrace:
         trace.add_span("queue.wait", 100.0, 100.25)
         trace.add_span("pool.execute", 100.25, 100.75, batch=3)
         trace.add_span("queue.wait", 101.0, 101.1)
-        assert trace.phase_s("queue.wait") == pytest.approx(0.35)
-        assert trace.phase_s("pool.execute") == pytest.approx(0.5)
-        assert trace.phase_s("nope") == 0.0
+
+        def phase_s(name):
+            return sum(s.duration for s in trace.spans if s.name == name)
+
+        assert phase_s("queue.wait") == pytest.approx(0.35)
+        assert phase_s("pool.execute") == pytest.approx(0.5)
+        assert phase_s("nope") == 0.0
+        assert [s.args for s in trace.spans] == [{}, {"batch": 3}, {}]
 
     def test_to_dict_offsets_relative_to_start(self):
         tel = _telemetry()
@@ -79,7 +84,7 @@ class TestRequestTrace:
         (rec,) = trace.spans
         assert rec.name == "route"
         assert rec.end >= rec.start
-        assert rec.meta == {"handler": "simulate"}
+        assert rec.args == {"handler": "simulate"}
 
 
 class TestRing:
@@ -124,10 +129,6 @@ class TestContextPropagation:
             assert reqtrace.current() is trace
         assert reqtrace.current() is None
 
-    def test_module_span_helper_is_noop_without_trace(self):
-        with reqtrace.span("anything") as rec:
-            assert rec is None
-
     def test_follows_asyncio_tasks(self):
         tel = _telemetry()
 
@@ -135,7 +136,7 @@ class TestContextPropagation:
             trace = tel.start(route)
             with reqtrace.use(trace):
                 await asyncio.sleep(0)        # force interleaving
-                with reqtrace.span("work"):
+                with trace.span("work"):
                     await asyncio.sleep(0)
                 return reqtrace.current().id, trace.id
 
@@ -161,7 +162,7 @@ class TestChromeExport:
         a = self._finished(tel, "/simulate",
                            [("queue.wait", 100.0, 100.5)])
         b = self._finished(tel, "/compare", [])
-        doc = chrome_trace([a, b])
+        doc = request_trace([a, b])
         events = doc["traceEvents"]
         metas = [e for e in events if e["ph"] == "M"]
         assert metas[0]["name"] == "process_name"
@@ -179,13 +180,13 @@ class TestChromeExport:
         tel = _telemetry()
         trace = self._finished(tel, "/simulate",
                                [("route", 100.0, 100.2)])
-        one = chrome_json([trace])
-        two = chrome_json([trace])
+        one = request_json([trace])
+        two = request_json([trace])
         assert one == two
         json.loads(one)
 
     def test_empty_batch_still_valid(self):
-        doc = chrome_trace([])
+        doc = request_trace([])
         assert doc["traceEvents"][0]["name"] == "process_name"
 
 

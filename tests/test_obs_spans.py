@@ -57,7 +57,7 @@ class TestTracer:
         assert span.start == 0.0 and span.end == 5.0
         assert span.duration == 5.0
         assert span.args == {"task": "t1", "status": "ok"}
-        assert t.open_spans == []
+        assert [s for s in t.spans if s.end is None] == []
 
     def test_context_manager(self):
         clock = [1.0]
@@ -167,5 +167,5 @@ class TestJobTraceCapture:
         assert [(s.name, s.track, s.start, s.end) for s in a.spans] == \
                [(s.name, s.track, s.start, s.end) for s in b.spans]
         assert a.meta == b.meta
-        assert {k: c.samples for k, c in a.registry.items()} == \
-               {k: c.samples for k, c in b.registry.items()}
+        assert {k: c.samples for k, c in a.counters.items()} == \
+               {k: c.samples for k, c in b.counters.items()}

@@ -65,9 +65,9 @@ def test_concurrent_identical_submits_coalesce_to_one_flight(tmp_path):
 def test_coalesced_flight_makes_exactly_one_executor_submission(tmp_path):
     async def scenario(service):
         await asyncio.gather(*(service.submit(KEY) for _ in range(8)))
-        return (service.stats.executor_submissions,
-                service.stats.executor_cells,
-                service.stats.coalesced_total)
+        return (service.stats.submissions.value,
+                service.stats.cells.value,
+                service.stats.coalesced.value)
 
     submissions, cells, coalesced = asyncio.run(
         _with_service(_config(tmp_path), scenario))
@@ -134,7 +134,7 @@ def test_admission_beyond_queue_limit_sheds(tmp_path):
     async def scenario(service):
         outcomes = await asyncio.gather(
             *(service.submit(k) for k in keys), return_exceptions=True)
-        return outcomes, service.stats.shed_total
+        return outcomes, service.stats.shed.value
 
     outcomes, shed = asyncio.run(_with_service(config, scenario))
     shed_outcomes = [o for o in outcomes if isinstance(o, Overloaded)]
@@ -151,7 +151,7 @@ def test_identical_requests_coalesce_instead_of_shedding(tmp_path):
     async def scenario(service):
         outcomes = await asyncio.gather(
             *(service.submit(KEY) for _ in range(5)))
-        return outcomes, service.stats.shed_total
+        return outcomes, service.stats.shed.value
 
     outcomes, shed = asyncio.run(_with_service(config, scenario))
     assert shed == 0
@@ -170,7 +170,7 @@ def test_waiter_timeout_is_504_and_result_still_lands_in_cache(tmp_path):
             if not service.inflight_cells:
                 break
             await asyncio.sleep(0.02)
-        assert service.stats.timeout_total == 1
+        assert service.stats.timeouts.value == 1
         return service.cache.get(cache_key(KEY, service.conf), KEY,
                                  service.conf)
 
@@ -243,7 +243,7 @@ def test_concurrent_identical_requests_get_byte_identical_bodies(tmp_path):
     bodies = {body for _s, body in responses}
     assert len(bodies) == 1, "identical requests must get identical bytes"
     assert cached[0] == 200 and cached[1] in bodies
-    assert stats.executor_submissions == 1
+    assert stats.submissions.value == 1
     payload = json.loads(bodies.pop())
     assert payload["result"]["machine"] == "atom"
     assert payload["result"]["execution_time_s"] > 0
@@ -430,6 +430,57 @@ def test_metrics_exposes_both_formats(tmp_path):
     assert "/simulate" in payload["request_latency_seconds"]
     # The text form must be valid exposition format, not just greppable.
     parse_exposition(t_body.decode("utf-8"))
+
+
+def test_unknown_paths_share_one_metrics_series(tmp_path):
+    """A client varying the path of 404s cannot mint /metrics series."""
+    async def main():
+        handle = await _stack(tmp_path)
+        conn = _Connection(handle.host, handle.port)
+        try:
+            statuses = [(await conn.request("GET", f"/no/such/{i}"))[0]
+                        for i in range(60)]
+            statuses.append((await conn.request("GET", "/simulate"))[0])
+            _status, body = await conn.request("GET", "/metrics?format=json")
+            return statuses, json.loads(body), handle.service.stats
+        finally:
+            conn.close()
+            await stop_stack(handle, graceful=False)
+
+    statuses, payload, stats = asyncio.run(main())
+    assert statuses == [404] * 60 + [405]
+    assert payload["requests_total"] == {"unmatched 404": 60,
+                                         "/simulate 405": 1}
+    assert len(stats.requests.children()) == 3     # + the /metrics scrape
+
+
+def test_handler_bug_is_counted_and_timed_as_a_500(tmp_path):
+    """An exception no route maps reaches http.py as a 500; /metrics must
+    count and time it like every other answered request."""
+    async def boom(request):
+        raise RuntimeError("handler bug")
+
+    async def main():
+        handle = await _stack(tmp_path)
+        handle.app._routes[("GET", "/boom")] = boom
+        conn = _Connection(handle.host, handle.port)
+        try:
+            status, _body = await conn.request("GET", "/boom")
+            request_id = conn.last_headers.get("x-repro-request-id")
+            _s, metrics = await conn.request("GET", "/metrics?format=json")
+            _s, traces = await conn.request("GET", "/debug/requests")
+            return status, request_id, json.loads(metrics), json.loads(traces)
+        finally:
+            conn.close()
+            await stop_stack(handle, graceful=False)
+
+    status, request_id, metrics, traces = asyncio.run(main())
+    assert status == 500
+    assert request_id is None        # http.py built the 500, not the app
+    assert metrics["requests_total"]["/boom 500"] == 1
+    assert metrics["request_latency_seconds"]["/boom"]["total"] == 1
+    (trace,) = [t for t in traces["traces"] if t["route"] == "/boom"]
+    assert trace["status"] == 500
 
 
 def test_graceful_stop_stack_drains_cleanly(tmp_path):

@@ -16,11 +16,11 @@ served requests:
   for plotting outside the repo.
 * :func:`text_summary` — the at-a-glance report: phase windows, top
   time sinks, task-wave chart, recovery waste, engine statistics.
-* :func:`request_json` — a batch of completed
-  :class:`~repro.obs.reqtrace.RequestTrace` s in the same Chrome format,
-  built from the same event helpers and serialized by the same
-  canonical ``json.dumps`` call (what ``/debug/requests?format=chrome``
-  serves).
+* :func:`request_json` — completed request traces
+  (:class:`~repro.obs.reqtrace.RequestTrace`) in the same Chrome
+  format, built from the same event helpers and serialized by the same
+  canonical ``json.dumps`` call; ``/debug/requests?format=chrome``
+  serves it.
 
 Every exporter is a pure function of the captured trace: same seed and
 configuration produce byte-identical artifacts at any ``--jobs`` width

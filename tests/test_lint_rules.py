@@ -166,6 +166,18 @@ class TestDET003WallClock:
                 return t
             """, relpath=SIM)
 
+    def test_positive_class_body_default_and_lambda(self):
+        # Reads outside any function body are still reads.
+        found = hits("DET003", """\
+            import time
+            class Stamp:
+                created = time.time()
+            def run(start=time.time()):
+                return start
+            clock = lambda: time.time()
+            """, relpath=SIM)
+        assert [f.line for f in found] == [3, 4, 6]
+
 
 class TestDET004UnsortedSetIteration:
     def test_positive_loop_feeding_append(self):
@@ -191,6 +203,17 @@ class TestDET004UnsortedSetIteration:
 
     def test_positive_values_into_list(self):
         assert hits("DET004", "snapshot = list(running.values())\n")
+
+    def test_positive_set_as_direct_join_argument(self):
+        found = hits("DET004", """\
+            def render(xs):
+                return ",".join(set(xs))
+            """)
+        assert len(found) == 1 and ".join()" in found[0].message
+
+    def test_positive_module_level_keys_into_tuple(self):
+        found = hits("DET004", "names = tuple(registry.keys())\n")
+        assert len(found) == 1 and "tuple()" in found[0].message
 
     def test_negative_sorted_loop(self):
         assert not hits("DET004", """\
@@ -285,9 +308,26 @@ class TestDET005UnsortedDirListing:
             entries = sorted(p for p in root.rglob('*.py'))
             """)
 
+    def test_positive_iterdir_loop_feeding_append(self):
+        found = hits("DET005", """\
+            def scan(root, out):
+                for p in root.iterdir():
+                    out.append(p)
+            """)
+        assert len(found) == 1 and found[0].line == 2
+
     def test_negative_length_only(self):
         assert not hits("DET005",
                         "n = sum(1 for _ in bucket.iterdir())\n")
+
+    def test_negative_sorted_generator_over_glob(self):
+        source = """\
+            import glob
+            def find(p):
+                return sorted(x for x in glob.glob(p))
+            """
+        assert not hits("DET005", source)
+        assert not hits("DET004", source)
 
     def test_negative_flow_proven_count_only(self):
         # Flow-backed prove-safe: the listing is named but only ever

@@ -5,18 +5,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, Optional
 
-__all__ = ["dotted_name", "parent_map", "ancestors", "call_of",
-           "ORDER_INSENSITIVE_REDUCERS", "in_order_insensitive_context"]
-
-#: Builtins (and common library callables) whose result does not depend
-#: on the iteration order of their iterable argument.  An unordered
-#: iterable flowing straight into one of these is not a determinism
-#: hazard.
-ORDER_INSENSITIVE_REDUCERS = frozenset({
-    "sorted", "len", "sum", "min", "max", "any", "all", "set", "frozenset",
-    "Counter", "collections.Counter", "dict", "statistics.mean",
-    "statistics.median", "math.fsum",
-})
+__all__ = ["dotted_name", "parent_map", "ancestors"]
 
 
 def dotted_name(node: ast.AST) -> Optional[str]:
@@ -28,13 +17,6 @@ def dotted_name(node: ast.AST) -> Optional[str]:
     if isinstance(node, ast.Name):
         parts.append(node.id)
         return ".".join(reversed(parts))
-    return None
-
-
-def call_of(node: ast.AST) -> Optional[str]:
-    """Dotted name of a call's callee, or None."""
-    if isinstance(node, ast.Call):
-        return dotted_name(node.func)
     return None
 
 
@@ -54,42 +36,3 @@ def ancestors(node: ast.AST,
     while current is not None:
         yield current
         current = parents.get(current)
-
-
-def in_order_insensitive_context(node: ast.AST,
-                                 parents: Dict[ast.AST, ast.AST]) -> bool:
-    """True when *node*'s value flows into an order-insensitive consumer.
-
-    Walks up the expression tree: a direct (possibly comprehension- or
-    starred-wrapped) argument of ``sorted``/``len``/``sum``/... cannot
-    leak iteration order, nor can a membership test (``x in s``).
-    Stops at the first statement boundary — beyond that the value has
-    been named and we no longer track it.
-    """
-    child = node
-    for parent in ancestors(node, parents):
-        if isinstance(parent, ast.Call):
-            name = dotted_name(parent.func)
-            if child in parent.args or any(
-                    kw.value is child for kw in parent.keywords):
-                if name is not None and (
-                        name in ORDER_INSENSITIVE_REDUCERS
-                        or name.rsplit(".", 1)[-1] == "Counter"):
-                    return True
-                # Flowing into some *other* call: order may matter there;
-                # stop tracking and let the caller decide.
-                return False
-            # ``child`` is the callee itself (e.g. ``set(...)()``) —
-            # keep walking.
-        elif isinstance(parent, ast.Compare):
-            # Membership / equality against a set is order-insensitive.
-            return True
-        elif isinstance(parent, ast.comprehension):
-            # The iterable drives a comprehension: the value flows into
-            # the comprehension's result, so keep walking from there
-            # (``sorted(x for x in glob(...))`` is order-insensitive).
-            continue
-        elif isinstance(parent, (ast.stmt, ast.Lambda)):
-            return False
-        child = parent
-    return False

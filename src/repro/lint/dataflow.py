@@ -46,7 +46,8 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Union
+from typing import (Dict, FrozenSet, Iterable, List, Optional, Sequence,
+                    Union)
 
 from .astutil import dotted_name
 
@@ -138,6 +139,9 @@ class NameResolver:
         return EMPTY
 
 
+#: ``try`` and, from Python 3.11, ``try``/``except*`` walk alike.
+_TRY = (ast.Try, getattr(ast, "TryStar", ast.Try))
+
 #: Loop bodies are re-walked until the environment stabilizes; the cap
 #: only guards pathological fact growth (it is never hit by real code:
 #: each pass can only add facts, and the fact universe per function is
@@ -157,13 +161,16 @@ class FunctionWalker:
       variable is bound from an iterable;
     * :meth:`on_return` / :meth:`on_yield` at those statements;
     * :meth:`on_for` when a loop header is evaluated (receives the
-      iterable's facts — used by flow-aware DET004);
+      iterable's facts); while its body is walked the loop sits on
+      :attr:`loops`, so hooks can tell which loops enclose them;
     * :meth:`on_escape` when a value leaves the function through an
-      unknown call / attribute store (used by flow-aware DET005).
+      unknown call / attribute store.
     """
 
     def __init__(self, resolver: Optional[NameResolver] = None):
         self.resolver = resolver if resolver is not None else NameResolver()
+        #: ``for`` statements whose body is being walked, innermost last.
+        self.loops: List[ast.AST] = []
 
     # -- hooks ------------------------------------------------------------
 
@@ -219,9 +226,9 @@ class FunctionWalker:
                 self.eval(default, env)
         return self.exec_block(fn.body, env)
 
-    def run_module(self, tree: ast.Module) -> Env:
-        """Walk the module body itself (module-level flows)."""
-        return self.exec_block(tree.body, {})
+    def run_body(self, scope: Union[ast.Module, ast.ClassDef]) -> Env:
+        """Walk a module or class body (names bound there outlive it)."""
+        return self.exec_block(scope.body, {})
 
     def param_facts(self, arg: ast.arg) -> Facts:
         return EMPTY
@@ -263,7 +270,8 @@ class FunctionWalker:
         elif isinstance(stmt, (ast.For, ast.AsyncFor)):
             env = self._exec_for(stmt, env)
         elif isinstance(stmt, ast.While):
-            env = self._exec_loop_body(stmt, env, test=stmt.test)
+            self.eval(stmt.test, env)
+            env = self.exec_block(stmt.orelse, self._fixpoint(stmt, env))
         elif isinstance(stmt, (ast.With, ast.AsyncWith)):
             for item in stmt.items:
                 facts = self.eval(item.context_expr, env)
@@ -271,7 +279,7 @@ class FunctionWalker:
                     self.assign(item.optional_vars, item.context_expr,
                                 drop_shapes(facts), env)
             env = self.exec_block(stmt.body, env)
-        elif isinstance(stmt, ast.Try):
+        elif isinstance(stmt, _TRY):
             env_body = self.exec_block(stmt.body, dict(env))
             # A handler may run after any prefix of the body: start it
             # from the join of entry and body-exit states.
@@ -291,6 +299,13 @@ class FunctionWalker:
                     env.pop(target.id, None)
         elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
                                ast.ClassDef)):
+            # Decorators and class bases run here, in this scope.
+            for expr in stmt.decorator_list:
+                self.eval(expr, env)
+            if isinstance(stmt, ast.ClassDef):
+                for expr in [*stmt.bases,
+                             *(kw.value for kw in stmt.keywords)]:
+                    self.eval(expr, env)
             # Nested definitions are analyzed separately; the bound name
             # carries no facts here.  Anything in scope may be captured
             # by the nested body, which this walk cannot see.
@@ -318,13 +333,15 @@ class FunctionWalker:
                 self.assign(stmt.target, stmt.iter,
                             self.element_facts(stmt.iter, iter_facts), env)
 
-        return self._exec_loop_body(stmt, env, bind=bind_target)
+        self.loops.append(stmt)
+        try:
+            env = self._fixpoint(stmt, env, bind=bind_target)
+        finally:
+            self.loops.pop()
+        return self.exec_block(stmt.orelse, env)
 
-    def _exec_loop_body(self, stmt, env: Env, test: Optional[ast.expr] = None,
-                        bind=None) -> Env:
+    def _fixpoint(self, stmt, env: Env, bind=None) -> Env:
         """Walk a loop body to a fixpoint over the joined environment."""
-        if test is not None:
-            self.eval(test, env)
         current = dict(env)
         for _ in range(MAX_LOOP_PASSES):
             body_env = dict(current)
@@ -335,7 +352,7 @@ class FunctionWalker:
             if joined == current:
                 break
             current = joined
-        return self.exec_block(stmt.orelse, current)
+        return current
 
     def _positional_unpack(self, target: ast.AST, iter_node: ast.AST,
                            env: Env) -> bool:
@@ -582,5 +599,16 @@ class FunctionWalker:
         return value_taints(merged)
 
     def _eval_Lambda(self, node: ast.Lambda, env: Env) -> Facts:
+        args = node.args
+        for default in [*args.defaults, *args.kw_defaults]:
+            self.eval(default, env)
         self.on_nested_scope(env)
+        # The body runs later, on the lambda's own arguments; whatever
+        # it returns leaves this walk.
+        inner = dict(env)
+        for arg in [*getattr(args, "posonlyargs", []), *args.args,
+                    *args.kwonlyargs, args.vararg, args.kwarg]:
+            if arg is not None:
+                inner[arg.arg] = EMPTY
+        self.on_escape(node, self.eval(node.body, inner))
         return EMPTY

@@ -29,7 +29,6 @@ class FileContext:
         self.root = root  # repo root; None for in-memory snippets
         self._tree: Optional[ast.Module] = None
         self._parse_error: Optional[SyntaxError] = None
-        self._parents: Optional[Dict[ast.AST, ast.AST]] = None
 
     @property
     def tree(self) -> Optional[ast.Module]:
@@ -45,24 +44,6 @@ class FileContext:
     def parse_error(self) -> Optional[SyntaxError]:
         self.tree  # trigger the parse
         return self._parse_error
-
-    @property
-    def parents(self) -> Dict[ast.AST, ast.AST]:
-        """Child -> parent map over :attr:`tree`, built once per file.
-
-        Several rules need ancestor walks; sharing one map keeps the
-        whole-tree lint inside its wall-clock budget (the map is the
-        second-hottest allocation after parsing itself).
-        """
-        if self._parents is None:
-            parents: Dict[ast.AST, ast.AST] = {}
-            tree = self.tree
-            if tree is not None:
-                for parent in ast.walk(tree):
-                    for child in ast.iter_child_nodes(parent):
-                        parents[child] = parent
-            self._parents = parents
-        return self._parents
 
 
 class ProjectContext:

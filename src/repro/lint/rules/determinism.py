@@ -7,37 +7,47 @@ either already bitten this repo (DET001: the PYTHONHASHSEED ``hash()``
 partitioner/replica-picker bug fixed in PR 1) or is one refactor away
 from doing so.
 
-Since the dataflow engine landed, DET003/DET004/DET005 are *flow-
-backed*: on top of their original syntactic patterns they consult
-:func:`repro.lint.taint.dataflow_of`, which both catches the one-hop-
-variable spellings the syntactic patterns miss (``clock =
-time.perf_counter; clock()``, ``s = set(...); for x in s: out.append``)
-and *proves safe* sites the syntactic patterns over-flag (views of
-dicts with deterministic insertion order, directory listings that are
-only ever counted or sorted).  DET006 is pure dataflow: it reports
-nondeterministic *values* — wall-clock reads, unseeded RNG draws,
-salted ``hash()`` — that reach a deterministic-output sink through any
-chain of local assignments.
+All six rules read one analysis, :func:`repro.lint.taint.dataflow_of`:
+
+* DET001, DET002, DET003 and DET005 report the calls its source table
+  classifies as salted hashes, unseeded RNGs, wall-clock reads and
+  directory listings.  DET003 adds calls through a stored wall-clock
+  reference; DET005 skips listings the flow proves are only ever
+  counted or sorted.
+* DET004 reports unordered shapes (sets, dict views of unproven
+  insertion order) iterated into a sink, and their order taints
+  reaching a sink through variables.
+* DET006 reports nondeterministic *values* — wall-clock reads, unseeded
+  RNG draws, salted ``hash()`` — that reach a deterministic-output sink
+  through any chain of local assignments.
 """
 
 from __future__ import annotations
 
-import ast
-from typing import Dict, Iterable, List, Optional
+from typing import Iterable
 
-from ..astutil import dotted_name, in_order_insensitive_context
 from ..findings import Finding
 from ..registry import FileContext, Rule, register
-from ..taint import (GLOBAL_RANDOM_FNS, LISTING_CALLS, LISTING_METHODS,
-                     WALL_CLOCK_CALLS, WALL_CLOCK_FROM_TIME, dataflow_of)
+from ..taint import dataflow_of
 
 __all__ = ["BareHashRule", "UnseededRandomRule", "WallClockRule",
            "UnsortedSetIterationRule", "UnsortedDirListingRule",
            "TaintedSinkRule"]
 
 
+class _SourceRule(Rule):
+    """Reports every call the source table classifies as *source_kind*."""
+
+    source_kind = ""
+
+    def check(self, ctx: FileContext) -> Iterable[Finding]:
+        for source in dataflow_of(ctx).sources:
+            if source.taint.kind == self.source_kind:
+                yield self.finding(ctx, source.node, source.note)
+
+
 @register
-class BareHashRule(Rule):
+class BareHashRule(_SourceRule):
     """DET001: builtin ``hash()`` is salted per process."""
 
     id = "DET001"
@@ -46,24 +56,11 @@ class BareHashRule(Rule):
                    "PYTHONHASHSEED; key-partitioning and placement must "
                    "use zlib.crc32 or a SHA-256 draw")
     include = ("src/repro",)
-
-    def check(self, ctx: FileContext) -> Iterable[Finding]:
-        tree = ctx.tree
-        if tree is None:
-            return
-        for node in ast.walk(tree):
-            if (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Name)
-                    and node.func.id == "hash"):
-                yield self.finding(
-                    ctx, node,
-                    "builtin hash() is PYTHONHASHSEED-randomized and "
-                    "differs across worker processes; use zlib.crc32 or "
-                    "a SHA-256 draw (see sim/faults.py)")
+    source_kind = "hash"
 
 
 @register
-class UnseededRandomRule(Rule):
+class UnseededRandomRule(_SourceRule):
     """DET002: randomness must flow from an explicit seed."""
 
     id = "DET002"
@@ -72,52 +69,17 @@ class UnseededRandomRule(Rule):
                    "random.*() calls use hidden global/process state; "
                    "construct random.Random(seed) explicitly")
     include = ("src/repro",)
-
-    def check(self, ctx: FileContext) -> Iterable[Finding]:
-        tree = ctx.tree
-        if tree is None:
-            return
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            name = dotted_name(node.func)
-            if name is None:
-                continue
-            if name == "random.Random" and not node.args and not node.keywords:
-                yield self.finding(
-                    ctx, node,
-                    "random.Random() without a seed draws from OS "
-                    "entropy; pass an explicit seed")
-            elif (name.startswith("random.")
-                    and name.split(".", 1)[1] in GLOBAL_RANDOM_FNS):
-                yield self.finding(
-                    ctx, node,
-                    f"{name}() uses the shared module-level RNG (global "
-                    f"mutable state, seeded per process); use a local "
-                    f"random.Random(seed)")
-            elif (name.startswith(("np.random.", "numpy.random."))
-                    and not name.endswith(".default_rng")):
-                yield self.finding(
-                    ctx, node,
-                    f"{name}() uses numpy's legacy global RNG; use "
-                    f"numpy.random.default_rng(seed)")
-            elif (name.endswith(".default_rng")
-                    and name.startswith(("np.", "numpy."))
-                    and not node.args and not node.keywords):
-                yield self.finding(
-                    ctx, node,
-                    "default_rng() without a seed draws from OS entropy; "
-                    "pass an explicit seed")
+    source_kind = "rng"
 
 
 @register
-class WallClockRule(Rule):
+class WallClockRule(_SourceRule):
     """DET003: simulated components must not read the host clock.
 
     Simulation time is ``sim.now``; host-cost measurement belongs to
     the opt-in profiler (``obs/prof.py``), which is the one sanctioned
-    wall-clock reader.  The flow-backed half also catches calls through
-    a stored *reference* (``clock = time.perf_counter; clock()``).
+    wall-clock reader.  Calls through a stored *reference*
+    (``clock = time.perf_counter; clock()``) count too.
     """
 
     id = "DET003"
@@ -134,33 +96,10 @@ class WallClockRule(Rule):
                "src/repro/arch", "src/repro/cluster",
                "src/repro/serve/work.py", "src/repro/loadgen/generator.py")
     exclude = ("src/repro/obs/prof.py",)
+    source_kind = "wallclock"
 
     def check(self, ctx: FileContext) -> Iterable[Finding]:
-        tree = ctx.tree
-        if tree is None:
-            return
-        # Track `from time import perf_counter [as pc]` style aliases.
-        aliased: Dict[str, str] = {}
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom) and node.module == "time":
-                for alias in node.names:
-                    if alias.name in WALL_CLOCK_FROM_TIME:
-                        local = alias.asname or alias.name
-                        aliased[local] = f"time.{alias.name}"
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            name = dotted_name(node.func)
-            if name is None:
-                continue
-            origin = aliased.get(name, name)
-            if origin in WALL_CLOCK_CALLS:
-                yield self.finding(
-                    ctx, node,
-                    f"{origin}() reads the host clock inside model code; "
-                    f"use sim.now for simulated time or the obs/prof.py "
-                    f"profiler for host cost")
-        # Flow-backed: calls through a stored wall-clock reference.
+        yield from super().check(ctx)
         for node, shown in dataflow_of(ctx).clock_alias_calls:
             yield self.finding(
                 ctx, node,
@@ -169,71 +108,13 @@ class WallClockRule(Rule):
                 f"the obs/prof.py profiler for host cost")
 
 
-#: ``x.<method>(unordered)`` / ``<builtin>(unordered)`` argument sinks
-#: whose output depends on iteration order.
-_SINK_METHODS = frozenset({"join", "writerow", "writerows", "writelines",
-                           "extend", "append", "write"})
-_SINK_BUILTINS = frozenset({"list", "tuple"})
-
-_SET_SHAPE_DESC = {"set": "a set (hash order)",
-                   "dict_view": "a dict view of unproven insertion order"}
-
-
-def _unordered_desc(node: ast.AST) -> Optional[str]:
-    """Describe *node* if its iteration order is hash/insertion-driven."""
-    if isinstance(node, (ast.Set, ast.SetComp)):
-        return "set"
-    if isinstance(node, ast.Call):
-        name = dotted_name(node.func)
-        if name in ("set", "frozenset"):
-            return name
-        if (isinstance(node.func, ast.Attribute)
-                and node.func.attr in ("values", "keys")
-                and not node.args and not node.keywords):
-            return f"dict.{node.func.attr}()"
-    return None
-
-
-def _sink_name(parent: ast.AST, child: ast.AST) -> Optional[str]:
-    """Name of the order-sensitive sink *parent* feeds *child* into."""
-    if isinstance(parent, (ast.Yield, ast.YieldFrom)):
-        return "yield"
-    if isinstance(parent, ast.Return):
-        return "return"
-    if isinstance(parent, ast.Call) and (
-            child in parent.args
-            or any(kw.value is child for kw in parent.keywords)):
-        if (isinstance(parent.func, ast.Attribute)
-                and parent.func.attr in _SINK_METHODS):
-            return f".{parent.func.attr}()"
-        if (isinstance(parent.func, ast.Name)
-                and parent.func.id in _SINK_BUILTINS):
-            return f"{parent.func.id}()"
-    return None
-
-
-def _body_sink(body: List[ast.stmt]) -> Optional[ast.AST]:
-    """First order-sensitive sink statement inside a loop body."""
-    for stmt in body:
-        for node in ast.walk(stmt):
-            if isinstance(node, (ast.Yield, ast.YieldFrom)):
-                return node
-            if (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in _SINK_METHODS):
-                return node
-    return None
-
-
 @register
 class UnsortedSetIterationRule(Rule):
     """DET004: unordered iteration must not feed ordered output.
 
-    Flow-backed in both directions: dict views whose receiver the
-    dataflow engine proves to have deterministic insertion order (dict
-    displays, ``**kwargs``, resolved module-level dict constants) are
-    *not* flagged, while loops and sinks fed unordered data through an
-    intermediate variable *are*.
+    Dict views whose receiver the analysis proves to have deterministic
+    insertion order (dict displays, ``**kwargs``, resolved module-level
+    dict constants) are not unordered.
     """
 
     id = "DET004"
@@ -244,98 +125,24 @@ class UnsortedSetIterationRule(Rule):
     include = ("src/repro",)
 
     def check(self, ctx: FileContext) -> Iterable[Finding]:
-        tree = ctx.tree
-        if tree is None:
-            return
         flow = dataflow_of(ctx)
-        parents = ctx.parents
-        for node in ast.walk(tree):
-            desc = _unordered_desc(node)
-            if desc is None:
-                continue
-            if desc.startswith("dict.") and id(node) in flow.proven_views:
-                continue
-            hit = self._consumes_unordered(node, desc, parents)
-            if hit is not None:
-                yield self.finding(ctx, node, hit)
-        # Flow-backed: a loop over a *variable* holding unordered data,
-        # feeding an order-sensitive sink in its body.
-        loop_iters = sorted(flow.loop_iter_facts.values(),
-                            key=lambda pair: (pair[0].lineno,
-                                              pair[0].col_offset))
-        for loop, facts in loop_iters:
-            if _body_sink(loop.body) is None:
-                continue
-            desc = self._flow_desc(facts)
-            if desc is not None:
-                yield self.finding(
-                    ctx, loop.iter,
-                    f"loop over a variable holding {desc} feeds an "
-                    f"order-sensitive sink; iterate sorted(...) instead")
-        # Flow-backed: materialized set/dict-view order reaching a sink
-        # through assignments (``xs = list(s); out.extend(xs)``).
+        for node, message in flow.unordered_uses:
+            yield self.finding(ctx, node, message)
         for hit in flow.order_hits:
-            if hit.taint.kind != "setorder":
-                continue
-            yield self.finding(
-                ctx, hit.node,
-                f"value ordered by {hit.taint.what} reaches {hit.sink} "
-                f"through a variable; sort before emitting")
-
-    def _flow_desc(self, facts) -> Optional[str]:
-        kinds = {getattr(f, "kind", None) for f in facts}
-        for kind in ("set", "dict_view"):
-            if kind in kinds:
-                return _SET_SHAPE_DESC[kind]
-        if "setorder" in kinds:
-            return "a set-ordered sequence"
-        return None
-
-    def _consumes_unordered(self, node: ast.AST, desc: str,
-                            parents) -> Optional[str]:
-        if in_order_insensitive_context(node, parents):
-            return None
-        parent = parents.get(node)
-        if parent is None:
-            return None
-        # for x in <unordered>: ... <sink> ...
-        if isinstance(parent, (ast.For, ast.AsyncFor)) and parent.iter is node:
-            if _body_sink(parent.body) is not None:
-                return (f"loop over unordered {desc} feeds an "
-                        f"order-sensitive sink; iterate sorted({desc})")
-            return None
-        # [f(x) for x in <unordered>] handed to a sink / yield / return.
-        if isinstance(parent, ast.comprehension) and parent.iter is node:
-            comp = parents.get(parent)
-            if not isinstance(comp, (ast.ListComp, ast.GeneratorExp)):
-                return None
-            if in_order_insensitive_context(comp, parents):
-                return None
-            comp_parent = parents.get(comp)
-            sink = (_sink_name(comp_parent, comp)
-                    if comp_parent is not None else None)
-            if sink is not None:
-                return (f"comprehension over unordered {desc} feeds "
-                        f"{sink}; wrap the iterable in sorted()")
-            return None
-        # <sink>(<unordered>) directly.  Return/yield of the collection
-        # *object* is fine (the hazard is iteration order, and the
-        # caller decides how to iterate); only call sinks that iterate
-        # the argument count here.
-        sink = _sink_name(parent, node)
-        if sink is not None and sink not in ("return", "yield"):
-            return (f"unordered {desc} feeds {sink}; wrap it in sorted()")
-        return None
+            if hit.taint.kind == "setorder":
+                yield self.finding(
+                    ctx, hit.node,
+                    f"value ordered by {hit.taint.what} reaches {hit.sink} "
+                    f"through a variable; sort before emitting")
 
 
 @register
 class UnsortedDirListingRule(Rule):
     """DET005: directory listings must be sorted before use.
 
-    Flow-backed prove-safe: a listing whose result the dataflow engine
-    shows is only ever counted, summed, or sorted — never iterated,
-    emitted, stored beyond the function, or passed to unknown code —
-    is not flagged.
+    A listing whose result the analysis shows is only ever counted,
+    summed, or sorted — never iterated, emitted, stored beyond the
+    function, or passed to unknown code — is not flagged.
     """
 
     id = "DET005"
@@ -346,42 +153,23 @@ class UnsortedDirListingRule(Rule):
     include = ("src/repro",)
 
     def check(self, ctx: FileContext) -> Iterable[Finding]:
-        tree = ctx.tree
-        if tree is None:
-            return
         flow = dataflow_of(ctx)
-        parents = ctx.parents
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            name = dotted_name(node.func)
-            is_listing = name in LISTING_CALLS or (
-                isinstance(node.func, ast.Attribute)
-                and node.func.attr in LISTING_METHODS)
-            if not is_listing:
-                continue
-            if in_order_insensitive_context(node, parents):
-                continue
-            if id(node) in flow.safe_listings:
-                continue
-            shown = name or f".{node.func.attr}(...)"
-            yield self.finding(
-                ctx, node,
-                f"{shown} yields entries in filesystem order; wrap the "
-                f"call in sorted() before iterating or counting on order")
+        for source in flow.sources:
+            if source.taint.kind == "dirorder" \
+                    and id(source.node) not in flow.safe_listings:
+                yield self.finding(ctx, source.node, source.note)
 
 
 @register
 class TaintedSinkRule(Rule):
     """DET006: a nondeterministic *value* reaches an output sink.
 
-    Pure dataflow.  Wall-clock reads, unseeded RNG draws and salted
-    ``hash()`` results are tracked through local assignments, tuple
-    unpacking, arithmetic and branches; reaching ``yield``, ``return``,
-    ``.append``/``.extend``/``.write*``/``.join`` or a CSV writer is a
-    finding even when the source call sits many statements away.  This
-    is the rule that catches ``t = time.time(); ...; rows.append(t)`` —
-    invisible to the per-node syntactic rules.
+    Wall-clock reads, unseeded RNG draws and salted ``hash()`` results
+    are tracked through local assignments, tuple unpacking, arithmetic
+    and branches; reaching ``yield``, ``return``, ``.append``/
+    ``.extend``/``.write*``/``.join`` or a CSV writer is a finding even
+    when the source call sits many statements away.  This is the rule
+    that catches ``t = time.time(); ...; rows.append(t)``.
     """
 
     id = "DET006"
@@ -401,8 +189,6 @@ class TaintedSinkRule(Rule):
     exclude = ("src/repro/obs",)
 
     def check(self, ctx: FileContext) -> Iterable[Finding]:
-        if ctx.tree is None:
-            return
         for hit in dataflow_of(ctx).value_hits:
             yield self.finding(
                 ctx, hit.node,

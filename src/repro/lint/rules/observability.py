@@ -30,9 +30,9 @@ serve/loadgen tier only (see DET003 for the raw wall-clock ban).
 from __future__ import annotations
 
 import ast
-from typing import Iterable, Optional, Set
+from typing import Dict, Iterable, Optional, Set
 
-from ..astutil import ancestors, dotted_name
+from ..astutil import ancestors, dotted_name, parent_map
 from ..findings import Finding
 from ..registry import FileContext, Rule, register
 
@@ -107,7 +107,7 @@ class UnguardedObsHandleRule(Rule):
             return
         if any(ctx.relpath.startswith(prefix) for prefix in _RESULT_TIER):
             yield from self._check_result_tier(ctx, tree)
-        parents = ctx.parents
+        parents: Optional[Dict[ast.AST, ast.AST]] = None
         aliases = self._handle_aliases(tree)
         for node in ast.walk(tree):
             if not (isinstance(node, ast.Call)
@@ -118,6 +118,8 @@ class UnguardedObsHandleRule(Rule):
                     or (isinstance(receiver, ast.Name)
                         and receiver.id in aliases)):
                 continue
+            if parents is None:
+                parents = parent_map(tree)
             if self._is_guarded(node, parents):
                 continue
             shown = dotted_name(receiver) or "<handle>"

@@ -1,14 +1,27 @@
-"""The determinism taint domain over :mod:`repro.lint.dataflow`.
+"""The determinism analysis: source/sink tables over :mod:`repro.lint.dataflow`.
 
-:class:`TaintWalker` instantiates the generic dataflow engine with the
-repo's determinism semantics:
+This is the one analysis behind every determinism rule.  :func:`analyze`
+instantiates the generic dataflow engine with the repo's determinism
+semantics and returns a :class:`ModuleDataflow`; DET001-DET006 only
+read that result.
 
 **Sources** (facts enter the flow)
-    wall-clock reads (``time.time`` & friends, incl. ``from time
-    import ...`` aliases and *references* like ``clock =
-    time.perf_counter``), unseeded RNG construction and global
-    ``random.*`` draws, builtin ``hash()``, set displays/constructors,
-    dict views of unproven dicts, unsorted directory listings.
+    One classifier, :func:`classify_call`, reading one import-alias
+    table (:func:`import_aliases`), decides which calls are hazards:
+    wall-clock reads (``time.time`` & friends), builtin ``hash()``,
+    unseeded RNG construction and draws from a global RNG
+    (``random.*``, numpy's legacy ``np.random.*``), and unsorted
+    directory listings.  Every call in the file is classified once;
+    DET001/002/003/005 report the sources of their kind, and the walker
+    seeds taints from the same records.  A call through a stored
+    *reference* to a wall-clock function (``clock = time.perf_counter``)
+    reads the clock too.
+
+**Unordered shapes**
+    Set displays and constructors, dict views of dicts not proven to
+    have deterministic insertion order, and directory listings.
+    Iterating one in a ``for``, a comprehension or ``list()``/
+    ``tuple()`` yields an order taint.
 
 **Sanitizers / reducers** (facts leave the flow)
     ``sorted()`` erases order taints (sorting *defines* the order);
@@ -18,22 +31,26 @@ repo's determinism semantics:
     sum of wall-clock reads is still a wall-clock artifact).
 
 **Sinks** (facts are reported)
-    ``yield``, ``return`` (model tier), and argument positions of
-    order-/value-sensitive calls — ``.append``/``.extend``/``.write``/
-    ``.writerow(s)``/``.writelines``/``.join``.
+    ``yield``, ``return``, and argument positions of order-/value-
+    sensitive calls — ``.append``/``.extend``/``.insert``/``.write``/
+    ``.writerow(s)``/``.writelines``/``.join``.  Value taints at a sink
+    are DET006 findings and order taints DET004 findings.  An unordered
+    shape handed straight to a sink or to ``list()``/``tuple()``, or
+    iterated by a loop whose body reaches a sink, is a DET004 finding
+    at the shape itself.
 
 **Proofs** (facts remove findings)
     A dict display, a ``**kwargs`` parameter, a dict comprehension
     over a deterministic iterable, or a module-level dict-literal
     constant (resolved across imports by
     :class:`ModuleConstantResolver`) is a ``det_dict``: its views
-    iterate in insertion order, which is source order — DET004 stops
-    flagging them.  A directory listing whose taint never reaches a
+    iterate in insertion order, which is source order, so they are not
+    unordered shapes.  A directory listing whose taint never reaches a
     loop, sink, escape, or unknown call is only ever counted/reduced —
-    DET005 stops flagging it.
+    DET005 does not report it.
 
-The per-file result is a :class:`ModuleDataflow`, cached on the
-:class:`~repro.lint.registry.FileContext` so DET003-006 share one
+The per-file result is cached on the
+:class:`~repro.lint.registry.FileContext`, so all six rules share one
 analysis pass.
 """
 
@@ -49,10 +66,11 @@ from .dataflow import (EMPTY, Facts, FunctionWalker, NameResolver, Shape,
                        Taint, drop_shapes, order_taints, taints,
                        value_taints)
 
-__all__ = ["ModuleDataflow", "SinkHit", "analyze", "dataflow_of",
-           "ModuleConstantResolver", "WALL_CLOCK_CALLS",
-           "WALL_CLOCK_FROM_TIME", "GLOBAL_RANDOM_FNS", "LISTING_CALLS",
-           "LISTING_METHODS", "SINK_METHODS", "ORDER_INSENSITIVE_CALLS"]
+__all__ = ["ModuleDataflow", "Source", "SinkHit", "analyze", "dataflow_of",
+           "classify_call", "import_aliases", "ModuleConstantResolver",
+           "WALL_CLOCK_CALLS", "WALL_CLOCK_FROM_TIME", "GLOBAL_RANDOM_FNS",
+           "LISTING_CALLS", "LISTING_METHODS", "SINK_METHODS",
+           "ORDER_INSENSITIVE_CALLS"]
 
 #: Wall-clock reads by dotted name.  ``datetime.now`` covers the
 #: ``from datetime import datetime`` spelling.
@@ -113,7 +131,99 @@ _SET = Shape("set")
 _LISTING = Shape("listing")
 _DICT_VIEW = Shape("dict_view")
 _CLOCK_FN = Shape("clock_fn")
+_UNORDERED = frozenset({_SET, _DICT_VIEW, _LISTING})
 
+_CLOCK_ADVICE = ("use sim.now for simulated time or the obs/prof.py "
+                 "profiler for host cost")
+
+
+# -- the source table -----------------------------------------------------
+
+@dataclass(frozen=True)
+class Source:
+    """One call the source table classifies as a hazard."""
+
+    node: ast.Call
+    taint: Taint       #: what the call's value carries into the flow
+    note: str          #: the finding message of the rule owning the kind
+
+
+def import_aliases(tree: ast.Module) -> Dict[str, str]:
+    """Local name -> dotted origin, for every import in *tree*."""
+    aliases: Dict[str, str] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "time":
+            for alias in node.names:
+                if alias.name in WALL_CLOCK_FROM_TIME:
+                    aliases[alias.asname or alias.name] = \
+                        f"time.{alias.name}"
+    return aliases
+
+
+def _source(node: ast.Call, kind: str, what: str, note: str) -> Source:
+    return Source(node, Taint(kind, node.lineno, what), note)
+
+
+def _rng_source(node: ast.Call, name: str) -> Optional[Source]:
+    unseeded = not node.args and not node.keywords
+    if name == "random.Random":
+        return _source(node, "rng", "unseeded random.Random()",
+                       "random.Random() without a seed draws from OS "
+                       "entropy; pass an explicit seed") \
+            if unseeded else None
+    if name.startswith("random.") \
+            and name.split(".", 1)[1] in GLOBAL_RANDOM_FNS:
+        return _source(node, "rng", f"{name}()",
+                       f"{name}() uses the shared module-level RNG (global "
+                       f"mutable state, seeded per process); use a local "
+                       f"random.Random(seed)")
+    if not name.startswith(("np.", "numpy.")):
+        return None
+    if not name.endswith(".default_rng"):
+        if name.startswith(("np.random.", "numpy.random.")):
+            return _source(node, "rng", f"{name}()",
+                           f"{name}() uses numpy's legacy global RNG; use "
+                           f"numpy.random.default_rng(seed)")
+        return None
+    return _source(node, "rng", f"unseeded {name}()",
+                   "default_rng() without a seed draws from OS entropy; "
+                   "pass an explicit seed") if unseeded else None
+
+
+def classify_call(node: ast.Call,
+                  aliases: Dict[str, str]) -> Optional[Source]:
+    """The source *node* is, if any: the one table every rule shares."""
+    raw = dotted_name(node.func)
+    if raw is not None:
+        name = aliases.get(raw, raw)
+        if name in WALL_CLOCK_CALLS:
+            return _source(node, "wallclock", f"{name}()",
+                           f"{name}() reads the host clock inside model "
+                           f"code; {_CLOCK_ADVICE}")
+        if name == "hash":
+            return _source(node, "hash", "builtin hash()",
+                           "builtin hash() is PYTHONHASHSEED-randomized and "
+                           "differs across worker processes; use zlib.crc32 "
+                           "or a SHA-256 draw (see sim/faults.py)")
+        rng = _rng_source(node, name)
+        if rng is not None:
+            return rng
+        if name in LISTING_CALLS:
+            return _listing_source(node, name, name)
+    if isinstance(node.func, ast.Attribute) \
+            and node.func.attr in LISTING_METHODS:
+        attr = node.func.attr
+        return _listing_source(node, f".{attr}", raw or f".{attr}(...)")
+    return None
+
+
+def _listing_source(node: ast.Call, what: str, shown: str) -> Source:
+    return _source(node, "dirorder", f"{what}()",
+                   f"{shown} yields entries in filesystem order; wrap the "
+                   f"call in sorted() before iterating or counting on order")
+
+
+# -- results --------------------------------------------------------------
 
 @dataclass(frozen=True)
 class SinkHit:
@@ -126,28 +236,40 @@ class SinkHit:
 
 @dataclass
 class ModuleDataflow:
-    """Everything the flow-aware rules ask about one file."""
+    """Everything the determinism rules ask about one file."""
 
+    #: Every call the source table classifies, in walk order —
+    #: DET001 (hash), DET002 (rng), DET003 (wallclock), DET005
+    #: (dirorder).
+    sources: List[Source] = field(default_factory=list)
     #: Value taints (wallclock/rng/hash) at sinks — DET006.
     value_hits: List[SinkHit] = field(default_factory=list)
-    #: Order taints (setorder/dirorder) at sinks — flow-aware DET004.
+    #: Order taints (setorder/dirorder) at sinks — DET004.
     order_hits: List[SinkHit] = field(default_factory=list)
-    #: ``for`` nodes -> facts of their (indirect, Name/Attribute)
-    #: iterable — flow-aware DET004's one-hop catch.
+    #: Unordered shapes iterated straight into a sink, as (anchor,
+    #: message) — DET004.
+    unordered_uses: List[Tuple[ast.AST, str]] = field(default_factory=list)
+    #: ``for`` nodes -> facts of their (Name/Attribute) iterable when it
+    #: holds an unordered shape or order taint.
     loop_iter_facts: Dict[int, Tuple[ast.AST, Facts]] = \
         field(default_factory=dict)
     #: ``d.values()/keys()/items()`` call id -> receiver proven det_dict.
     proven_views: Set[int] = field(default_factory=set)
-    #: Listing-call id -> True when the result provably never leaks
-    #: order (only counted/reduced/sorted) — flow-aware DET005.
+    #: Listing-call ids whose result provably never leaks order (only
+    #: counted/reduced/sorted) — DET005 skips them.
     safe_listings: Set[int] = field(default_factory=set)
-    #: Wall-clock calls through an alias/reference — flow-aware DET003.
+    #: Wall-clock calls through a stored reference — DET003.
     clock_alias_calls: List[Tuple[ast.Call, str]] = field(
         default_factory=list)
-    #: Dedupe guard: loop fixpoint passes re-walk bodies, so the same
-    #: sink/alias can be observed several times.
+    #: Dedupe guards: loop fixpoint passes re-walk bodies, so the same
+    #: sink/alias/use can be observed several times.
     _seen: Set[Tuple[int, str, Taint]] = field(default_factory=set)
     _seen_aliases: Set[int] = field(default_factory=set)
+    _seen_uses: Set[Tuple[int, str]] = field(default_factory=set)
+    #: Loops over an unordered iterable -> their pending use, reported
+    #: only when the loop body reaches a sink (``_sunk_loops``).
+    _loops: Dict[int, Tuple[ast.AST, str]] = field(default_factory=dict)
+    _sunk_loops: Set[int] = field(default_factory=set)
 
 
 # -- module-level constant resolution -------------------------------------
@@ -332,46 +454,34 @@ class ModuleConstantResolver(NameResolver):
 
 # -- the determinism walker -----------------------------------------------
 
-class TaintWalker(FunctionWalker):
-    """One function's worth of determinism dataflow."""
+#: How a variable-held iterable is described, most specific first.
+_HELD_DESC = ((_SET, "a set (hash order)"),
+              (_DICT_VIEW, "a dict view of unproven insertion order"))
 
-    def __init__(self, result: ModuleDataflow,
-                 resolver: NameResolver,
-                 time_aliases: Dict[str, str]):
+
+def _held_desc(facts: Facts) -> Optional[str]:
+    for shape, desc in _HELD_DESC:
+        if shape in facts:
+            return desc
+    if any(t.kind == "setorder" for t in order_taints(facts)):
+        return "a set-ordered sequence"
+    return None
+
+
+class TaintWalker(FunctionWalker):
+    """One scope's worth of determinism dataflow."""
+
+    def __init__(self, result: ModuleDataflow, resolver: NameResolver,
+                 sources: Dict[int, Source], aliases: Dict[str, str]):
         super().__init__(resolver)
         self.result = result
-        self.time_aliases = time_aliases
+        self.sources = sources
+        self.aliases = aliases
         #: dirorder taints born in this walk that stayed provably tame.
         self.tame_listings: Dict[Tuple[int, str], int] = {}
-
-    # -- sources ----------------------------------------------------------
-
-    def _source_facts(self, node: ast.Call,
-                      dotted: Optional[str]) -> Optional[Facts]:
-        if dotted is None:
-            return None
-        origin = self.time_aliases.get(dotted, dotted)
-        if origin in WALL_CLOCK_CALLS:
-            return frozenset({Taint("wallclock", node.lineno,
-                                    f"{origin}()")})
-        if dotted == "hash":
-            return frozenset({Taint("hash", node.lineno,
-                                    "builtin hash()")})
-        if dotted == "random.Random" and not node.args \
-                and not node.keywords:
-            return frozenset({Taint("rng", node.lineno,
-                                    "unseeded random.Random()")})
-        if dotted.startswith("random.") \
-                and dotted.split(".", 1)[1] in GLOBAL_RANDOM_FNS:
-            return frozenset({Taint("rng", node.lineno, f"{dotted}()")})
-        if dotted in LISTING_CALLS:
-            return self._listing_facts(node, dotted)
-        return None
-
-    def _listing_facts(self, node: ast.Call, shown: str) -> Facts:
-        taint = Taint("dirorder", node.lineno, f"{shown}()")
-        self.tame_listings.setdefault((taint.line, taint.what), id(node))
-        return frozenset({_LISTING, taint})
+        #: Expression id -> description, for expressions that *create*
+        #: an unordered set or dict view (not one read from a variable).
+        self.created: Dict[int, str] = {}
 
     def _spend(self, facts: Facts) -> None:
         """Mark dirorder taints in *facts* as having leaked."""
@@ -379,14 +489,52 @@ class TaintWalker(FunctionWalker):
             if isinstance(fact, Taint) and fact.kind == "dirorder":
                 self.tame_listings.pop((fact.line, fact.what), None)
 
+    # -- unordered shapes reaching sinks directly -------------------------
+
+    def _use(self, anchor: ast.AST, message: str) -> None:
+        key = (id(anchor), message)
+        if key not in self.result._seen_uses:
+            self.result._seen_uses.add(key)
+            self.result.unordered_uses.append((anchor, message))
+
+    def _comprehension_use(self, value: Optional[ast.AST],
+                           sink: str) -> None:
+        """A list/generator comprehension over a fresh unordered shape
+        handed straight to *sink*."""
+        if isinstance(value, (ast.ListComp, ast.GeneratorExp)):
+            for gen in value.generators:
+                what = self.created.get(id(gen.iter))
+                if what is not None:
+                    self._use(gen.iter,
+                              f"comprehension over unordered {what} feeds "
+                              f"{sink}; wrap the iterable in sorted()")
+
+    def _argument_uses(self, args: Sequence[ast.AST], sink: str) -> None:
+        for arg in args:
+            what = self.created.get(id(arg))
+            if what is not None:
+                self._use(arg, f"unordered {what} feeds {sink}; wrap it "
+                               f"in sorted()")
+            else:
+                self._comprehension_use(arg, sink)
+
+    def _mark_loops(self) -> None:
+        """A sink ran inside every loop currently on the stack."""
+        self.result._sunk_loops.update(id(loop) for loop in self.loops)
+
     # -- calls: sources, sanitizers, sinks --------------------------------
 
     def call_facts(self, node: ast.Call, dotted: Optional[str],
                    recv_facts: Facts, arg_facts: Sequence[Facts],
                    env) -> Facts:
-        source = self._source_facts(node, dotted)
+        source = self.sources.get(id(node))
         if source is not None:
-            return source
+            taint = source.taint
+            if taint.kind != "dirorder":
+                return frozenset({taint})
+            self.tame_listings.setdefault((taint.line, taint.what),
+                                          id(node))
+            return frozenset({_LISTING, taint})
 
         merged = EMPTY
         for facts in arg_facts:
@@ -409,11 +557,14 @@ class TaintWalker(FunctionWalker):
                 if _DET_DICT in recv_facts:
                     self.result.proven_views.add(id(node))
                     return EMPTY
+                if attr != "items":
+                    self.created[id(node)] = f"dict.{attr}()"
                 return frozenset({_DICT_VIEW}) | value_taints(recv_facts)
-            if attr in LISTING_METHODS:
-                return self._listing_facts(node, f".{attr}")
             if attr in SINK_METHODS:
-                self._record_sink(f".{attr}()", node, merged)
+                sink = f".{attr}()"
+                self._argument_uses(node.args, sink)
+                self._record_sink(sink, node, merged)
+                self._mark_loops()
                 self._spend(merged)
                 return EMPTY
             if attr == "sort" and isinstance(node.func.value, ast.Name):
@@ -438,16 +589,18 @@ class TaintWalker(FunctionWalker):
                 if dotted == "len":
                     return EMPTY
                 if dotted in ("set", "frozenset"):
+                    self.created[id(node)] = dotted
                     return value_taints(merged) | frozenset({_SET})
                 if dotted == "dict":
                     facts = value_taints(merged)
                     if not order_taints(merged) \
-                            and not (merged & {_SET, _LISTING, _DICT_VIEW}):
+                            and not (merged & _UNORDERED):
                         facts |= frozenset({_DET_DICT})
                     return facts
                 # sorted/sum/min/max/any/all/...: order is consumed.
                 return value_taints(merged)
             if dotted in _MATERIALIZING:
+                self._argument_uses(node.args, f"{dotted}()")
                 facts = taints(merged)
                 if _SET in merged or _DICT_VIEW in merged:
                     facts |= frozenset({Taint(
@@ -458,8 +611,7 @@ class TaintWalker(FunctionWalker):
                     facts |= merged & frozenset({_LISTING})
                 return facts
             if dotted in _LAZY_WRAPPERS:
-                return taints(merged) \
-                    | (merged & {_SET, _DICT_VIEW, _LISTING})
+                return taints(merged) | (merged & _UNORDERED)
 
         # Unknown call: conservatively propagate taints; order taints
         # handed to arbitrary code count as leaked listings.
@@ -478,26 +630,60 @@ class TaintWalker(FunctionWalker):
                 self.result._seen.add(key)
                 self.result.order_hits.append(SinkHit(sink, node, fact))
 
+    # -- shapes created by displays, wall-clock references ----------------
+
+    def _eval_Set(self, node: ast.Set, env) -> Facts:
+        self.created[id(node)] = "set"
+        return super()._eval_Set(node, env)
+
+    def _eval_SetComp(self, node: ast.SetComp, env) -> Facts:
+        self.created[id(node)] = "set"
+        return super()._eval_SetComp(node, env)
+
+    def _eval_Attribute(self, node: ast.Attribute, env) -> Facts:
+        dotted = dotted_name(node)
+        if dotted is not None and dotted in WALL_CLOCK_CALLS:
+            return frozenset({_CLOCK_FN})
+        return super()._eval_Attribute(node, env)
+
+    def _eval_Name(self, node: ast.Name, env) -> Facts:
+        if node.id not in env and node.id in self.aliases:
+            return frozenset({_CLOCK_FN})
+        return super()._eval_Name(node, env)
+
     # -- loops, returns, yields, escapes ----------------------------------
 
     def element_facts(self, iter_node, iter_facts: Facts) -> Facts:
         return drop_shapes(iter_facts) - order_taints(iter_facts)
 
     def on_for(self, node, iter_facts: Facts, env) -> None:
-        if isinstance(node.iter, (ast.Name, ast.Attribute)) \
-                and (iter_facts & {_SET, _DICT_VIEW, _LISTING}
-                     or order_taints(iter_facts)):
+        what = self.created.get(id(node.iter))
+        if what is not None:
+            self.result._loops[id(node)] = (
+                node.iter, f"loop over unordered {what} feeds an "
+                           f"order-sensitive sink; iterate sorted({what})")
+        elif isinstance(node.iter, (ast.Name, ast.Attribute)) \
+                and (iter_facts & _UNORDERED or order_taints(iter_facts)):
             prior = self.result.loop_iter_facts.get(id(node))
             merged = iter_facts | (prior[1] if prior is not None else EMPTY)
             self.result.loop_iter_facts[id(node)] = (node, merged)
+            held = _held_desc(merged)
+            if held is not None:
+                self.result._loops[id(node)] = (
+                    node.iter, f"loop over a variable holding {held} "
+                               f"feeds an order-sensitive sink; iterate "
+                               f"sorted(...) instead")
         self._spend(iter_facts)
 
     def on_return(self, node, facts: Facts, env) -> None:
+        self._comprehension_use(node.value, "return")
         self._record_sink("return", node, facts)
         self._spend(facts)
 
     def on_yield(self, node, facts: Facts, env) -> None:
+        self._comprehension_use(node.value, "yield")
         self._record_sink("yield", node, facts)
+        self._mark_loops()
         self._spend(facts)
 
     def on_escape(self, node, facts: Facts) -> None:
@@ -517,55 +703,40 @@ class TaintWalker(FunctionWalker):
         super().assign(target, value, facts, env)
 
 
-def _collect_time_aliases(tree: ast.Module) -> Dict[str, str]:
-    aliased: Dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module == "time":
-            for alias in node.names:
-                if alias.name in WALL_CLOCK_FROM_TIME:
-                    aliased[alias.asname or alias.name] = \
-                        f"time.{alias.name}"
-    return aliased
-
-
-class _ClockRefWalker(TaintWalker):
-    """Adds wall-clock *reference* detection to attribute evaluation."""
-
-    def _eval_Attribute(self, node: ast.Attribute, env) -> Facts:
-        dotted = dotted_name(node)
-        if dotted is not None and dotted in WALL_CLOCK_CALLS:
-            return frozenset({_CLOCK_FN})
-        return super()._eval_Attribute(node, env)
-
-    def _eval_Name(self, node: ast.Name, env) -> Facts:
-        if node.id not in env and node.id in self.time_aliases:
-            return frozenset({_CLOCK_FN})
-        return super()._eval_Name(node, env)
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def analyze(tree: ast.Module, relpath: str,
             root: Optional[Path] = None) -> ModuleDataflow:
-    """Run the determinism dataflow over every scope of one module."""
+    """Run the determinism analysis over every scope of one module."""
     result = ModuleDataflow()
-    resolver = ModuleConstantResolver(tree, relpath, root)
-    time_aliases = _collect_time_aliases(tree)
-
+    aliases = import_aliases(tree)
+    sources: Dict[int, Source] = {}
     scopes: List[ast.AST] = [tree]
-    scopes.extend(node for node in ast.walk(tree)
-                  if isinstance(node, (ast.FunctionDef,
-                                       ast.AsyncFunctionDef)))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            source = classify_call(node, aliases)
+            if source is not None:
+                result.sources.append(source)
+                sources[id(node)] = source
+        elif isinstance(node, _SCOPES):
+            scopes.append(node)
+
+    resolver = ModuleConstantResolver(tree, relpath, root)
     for scope in scopes:
-        walker = _ClockRefWalker(result, resolver, time_aliases)
-        if isinstance(scope, ast.Module):
-            end_env = walker.run_module(scope)
-            # Module-level locals never die: a listing bound at module
-            # scope may be consumed by any function later, which this
-            # intraprocedural walk cannot see — no safety proof.
-            for facts in end_env.values():
-                walker._spend(facts)
-        else:
+        walker = TaintWalker(result, resolver, sources, aliases)
+        if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
             walker.run_function(scope)
+        else:
+            # Module and class attributes never die: a listing bound
+            # there may be consumed by any function later, which this
+            # intraprocedural walk cannot see — no safety proof.
+            for facts in walker.run_body(scope).values():
+                walker._spend(facts)
         result.safe_listings.update(walker.tame_listings.values())
+    result.unordered_uses.extend(
+        use for loop_id, use in result._loops.items()
+        if loop_id in result._sunk_loops)
     return result
 
 

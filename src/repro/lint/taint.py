@@ -7,8 +7,9 @@ read that result.
 
 **Sources** (facts enter the flow)
     One classifier, :func:`classify_call`, reading one import-alias
-    table (:func:`import_aliases`), decides which calls are hazards:
-    wall-clock reads (``time.time`` & friends), builtin ``hash()``,
+    table (:func:`import_aliases`: ``import time as t``, ``from random
+    import choice``), decides which calls are hazards: wall-clock reads
+    (``time.time`` & friends), builtin ``hash()``,
     unseeded RNG construction and draws from a global RNG
     (``random.*``, numpy's legacy ``np.random.*``), and unsorted
     directory listings.  Every call in the file is classified once;
@@ -68,9 +69,8 @@ from .dataflow import (EMPTY, Facts, FunctionWalker, NameResolver, Shape,
 
 __all__ = ["ModuleDataflow", "Source", "SinkHit", "analyze", "dataflow_of",
            "classify_call", "import_aliases", "ModuleConstantResolver",
-           "WALL_CLOCK_CALLS", "WALL_CLOCK_FROM_TIME", "GLOBAL_RANDOM_FNS",
-           "LISTING_CALLS", "LISTING_METHODS", "SINK_METHODS",
-           "ORDER_INSENSITIVE_CALLS"]
+           "WALL_CLOCK_CALLS", "GLOBAL_RANDOM_FNS", "LISTING_CALLS",
+           "LISTING_METHODS", "SINK_METHODS", "ORDER_INSENSITIVE_CALLS"]
 
 #: Wall-clock reads by dotted name.  ``datetime.now`` covers the
 #: ``from datetime import datetime`` spelling.
@@ -81,13 +81,6 @@ WALL_CLOCK_CALLS = frozenset({
     "datetime.datetime.now", "datetime.datetime.utcnow",
     "datetime.datetime.today", "datetime.date.today",
     "datetime.now", "datetime.utcnow", "datetime.today", "date.today",
-})
-
-#: Names importable ``from time import ...`` that read the wall clock.
-WALL_CLOCK_FROM_TIME = frozenset({
-    "time", "time_ns", "monotonic", "monotonic_ns", "perf_counter",
-    "perf_counter_ns", "process_time", "process_time_ns",
-    "clock_gettime", "clock_gettime_ns",
 })
 
 #: ``random`` module-level functions drawing from the hidden global RNG.
@@ -149,15 +142,34 @@ class Source:
 
 
 def import_aliases(tree: ast.Module) -> Dict[str, str]:
-    """Local name -> dotted origin, for every import in *tree*."""
+    """Local name -> dotted origin, for every absolute import in *tree*
+    that binds a name other than the module's own."""
     aliases: Dict[str, str] = {}
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module == "time":
+        if isinstance(node, ast.Import):
             for alias in node.names:
-                if alias.name in WALL_CLOCK_FROM_TIME:
+                if alias.asname is not None:
+                    aliases[alias.asname] = alias.name
+        elif isinstance(node, ast.ImportFrom) and node.module \
+                and not node.level:
+            for alias in node.names:
+                if alias.name != "*":
                     aliases[alias.asname or alias.name] = \
-                        f"time.{alias.name}"
+                        f"{node.module}.{alias.name}"
     return aliases
+
+
+def _origin(dotted: str, aliases: Dict[str, str]) -> str:
+    """*dotted* with its first name replaced by what it was imported as."""
+    head, dot, rest = dotted.partition(".")
+    origin = aliases.get(head)
+    return dotted if origin is None else origin + dot + rest
+
+
+def _unseeded(node: ast.Call) -> bool:
+    """No seed, or only ``None`` passed where a seed would go."""
+    return all(isinstance(arg, ast.Constant) and arg.value is None
+               for arg in [*node.args, *(kw.value for kw in node.keywords)])
 
 
 def _source(node: ast.Call, kind: str, what: str, note: str) -> Source:
@@ -165,7 +177,7 @@ def _source(node: ast.Call, kind: str, what: str, note: str) -> Source:
 
 
 def _rng_source(node: ast.Call, name: str) -> Optional[Source]:
-    unseeded = not node.args and not node.keywords
+    unseeded = _unseeded(node)
     if name == "random.Random":
         return _source(node, "rng", "unseeded random.Random()",
                        "random.Random() without a seed draws from OS "
@@ -194,17 +206,18 @@ def classify_call(node: ast.Call,
                   aliases: Dict[str, str]) -> Optional[Source]:
     """The source *node* is, if any: the one table every rule shares."""
     raw = dotted_name(node.func)
-    if raw is not None:
-        name = aliases.get(raw, raw)
+    if raw == "hash":
+        return _source(node, "hash", "builtin hash()",
+                       "builtin hash() is PYTHONHASHSEED-randomized and "
+                       "differs across worker processes; use zlib.crc32 "
+                       "or a SHA-256 draw (see sim/faults.py)")
+    # The name as written, then as imported: a local module that
+    # shadows ``time`` still reads as ``time``.
+    for name in ((raw, _origin(raw, aliases)) if raw is not None else ()):
         if name in WALL_CLOCK_CALLS:
             return _source(node, "wallclock", f"{name}()",
                            f"{name}() reads the host clock inside model "
                            f"code; {_CLOCK_ADVICE}")
-        if name == "hash":
-            return _source(node, "hash", "builtin hash()",
-                           "builtin hash() is PYTHONHASHSEED-randomized and "
-                           "differs across worker processes; use zlib.crc32 "
-                           "or a SHA-256 draw (see sim/faults.py)")
         rng = _rng_source(node, name)
         if rng is not None:
             return rng
@@ -642,12 +655,15 @@ class TaintWalker(FunctionWalker):
 
     def _eval_Attribute(self, node: ast.Attribute, env) -> Facts:
         dotted = dotted_name(node)
-        if dotted is not None and dotted in WALL_CLOCK_CALLS:
+        if dotted is not None and (
+                dotted in WALL_CLOCK_CALLS
+                or _origin(dotted, self.aliases) in WALL_CLOCK_CALLS):
             return frozenset({_CLOCK_FN})
         return super()._eval_Attribute(node, env)
 
     def _eval_Name(self, node: ast.Name, env) -> Facts:
-        if node.id not in env and node.id in self.aliases:
+        if node.id not in env \
+                and self.aliases.get(node.id) in WALL_CLOCK_CALLS:
             return frozenset({_CLOCK_FN})
         return super()._eval_Name(node, env)
 

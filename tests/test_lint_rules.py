@@ -93,6 +93,32 @@ class TestDET002UnseededRandom:
             rng = np.random.default_rng(7)
             """)
 
+    def test_positive_from_import_draw(self):
+        source = """\
+            from random import choice
+            def pick(xs, out):
+                out.append(choice(xs))
+            """
+        assert hits("DET002", source, relpath=SIM)
+        assert hits("DET006", source, relpath=SIM)
+
+    def test_positive_explicit_none_seed(self):
+        found = hits("DET002", """\
+            import random
+            rng = random.Random(None)
+            """)
+        assert len(found) == 1 and "seed" in found[0].message
+
+    def test_positive_numpy_draw_reaches_sink(self):
+        source = """\
+            import numpy as np
+            def sample(out):
+                x = np.random.rand()
+                out.append(x)
+            """
+        assert hits("DET002", source)
+        assert hits("DET006", source)
+
 
 class TestDET003WallClock:
     def test_positive_time_time_in_sim(self):
@@ -107,6 +133,13 @@ class TestDET003WallClock:
             from time import perf_counter as pc
             t0 = pc()
             """, relpath="src/repro/mapreduce/example.py")
+
+    def test_positive_module_alias(self):
+        found = hits("DET003", """\
+            import time as t
+            t0 = t.time()
+            """, relpath=SIM)
+        assert len(found) == 1 and "time.time()" in found[0].message
 
     def test_positive_datetime_now(self):
         assert hits("DET003", """\

@@ -1,7 +1,7 @@
 """Documentation rule (DOC001): broken intra-repo markdown links.
 
-Folded in from ``tools/check_links.py`` (which remains as a thin shim)
-so ``repro-hadoop lint`` is the single lint entry point.  External
+The repo's one link checker, so ``repro-hadoop lint`` is the single
+lint entry point for docs as well as code.  External
 (``http(s)://``, ``mailto:``) and fragment-only targets are skipped;
 ``path#fragment`` targets are checked for the path part.
 """

@@ -1,44 +1,15 @@
-"""Documentation invariants: link integrity and architecture coverage.
+"""Documentation invariants: architecture and modeling coverage.
 
-These keep the docs honest in CI: every intra-repo markdown link must
-resolve, `docs/ARCHITECTURE.md` must mention every `src/repro`
-subpackage, and MODELING.md must document the cache-key scheme.
+These keep the docs honest in CI: `docs/ARCHITECTURE.md` must mention
+every `src/repro` subpackage, and MODELING.md must document the
+cache-key scheme.  Link integrity is lint rule DOC001.
 """
 
 from __future__ import annotations
 
-import importlib.util
 from pathlib import Path
 
-import pytest
-
 ROOT = Path(__file__).resolve().parent.parent
-
-
-def _load_check_links():
-    spec = importlib.util.spec_from_file_location(
-        "check_links", ROOT / "tools" / "check_links.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-class TestLinks:
-    def test_no_broken_intra_repo_links(self):
-        checker = _load_check_links()
-        assert checker.broken_links(ROOT) == []
-
-    def test_linter_catches_broken_link(self, tmp_path):
-        (tmp_path / "bad.md").write_text("see [x](does/not/exist.md)")
-        checker = _load_check_links()
-        errors = checker.broken_links(tmp_path)
-        assert len(errors) == 1 and "does/not/exist.md" in errors[0]
-
-    def test_linter_allows_external_and_fragments(self, tmp_path):
-        (tmp_path / "ok.md").write_text(
-            "[a](https://example.com) [b](#section) [c](ok.md#frag)")
-        checker = _load_check_links()
-        assert checker.broken_links(tmp_path) == []
 
 
 class TestArchitectureDoc:

@@ -248,6 +248,30 @@ class TestDET004UnsortedSetIteration:
         found = hits("DET004", "names = tuple(registry.keys())\n")
         assert len(found) == 1 and "tuple()" in found[0].message
 
+    def test_positive_outside_function_bodies(self):
+        # Class bodies, decorators and lambdas are analyzed too.
+        found = hits("DET004", """\
+            class Table:
+                names = list(set(raw))
+            @register(tuple(d.keys()))
+            def f():
+                return 1
+            key = lambda xs: ",".join(set(xs))
+            """)
+        assert [f.line for f in found] == [2, 3, 6]
+
+    @pytest.mark.skipif(sys.version_info < (3, 11),
+                        reason="except* needs Python 3.11")
+    def test_positive_inside_except_star(self):
+        assert hits("DET004", """\
+            def f(s, out):
+                try:
+                    pass
+                except* ValueError:
+                    for x in set(s):
+                        out.append(x)
+            """)
+
     def test_negative_sorted_loop(self):
         assert not hits("DET004", """\
             def collect(xs, out):
@@ -361,6 +385,14 @@ class TestDET005UnsortedDirListing:
             """
         assert not hits("DET005", source)
         assert not hits("DET004", source)
+
+    def test_negative_sorted_in_class_body_and_lambda(self):
+        assert not hits("DET005", """\
+            import os
+            class Spool:
+                files = sorted(os.listdir("."))
+            count = lambda p: len(os.listdir(p))
+            """)
 
     def test_negative_flow_proven_count_only(self):
         # Flow-backed prove-safe: the listing is named but only ever

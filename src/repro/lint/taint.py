@@ -126,9 +126,6 @@ _DICT_VIEW = Shape("dict_view")
 _CLOCK_FN = Shape("clock_fn")
 _UNORDERED = frozenset({_SET, _DICT_VIEW, _LISTING})
 
-_CLOCK_ADVICE = ("use sim.now for simulated time or the obs/prof.py "
-                 "profiler for host cost")
-
 
 # -- the source table -----------------------------------------------------
 
@@ -177,29 +174,28 @@ def _source(node: ast.Call, kind: str, what: str, note: str) -> Source:
 
 
 def _rng_source(node: ast.Call, name: str) -> Optional[Source]:
-    unseeded = _unseeded(node)
-    if name == "random.Random":
-        return _source(node, "rng", "unseeded random.Random()",
-                       "random.Random() without a seed draws from OS "
-                       "entropy; pass an explicit seed") \
-            if unseeded else None
     if name.startswith("random.") \
-            and name.split(".", 1)[1] in GLOBAL_RANDOM_FNS:
+            and name[len("random."):] in GLOBAL_RANDOM_FNS:
         return _source(node, "rng", f"{name}()",
                        f"{name}() uses the shared module-level RNG (global "
                        f"mutable state, seeded per process); use a local "
                        f"random.Random(seed)")
-    if not name.startswith(("np.", "numpy.")):
+    if name.startswith(("np.random.", "numpy.random.")) \
+            and not name.endswith(".default_rng"):
+        return _source(node, "rng", f"{name}()",
+                       f"{name}() uses numpy's legacy global RNG; use "
+                       f"numpy.random.default_rng(seed)")
+    if not _unseeded(node):
         return None
-    if not name.endswith(".default_rng"):
-        if name.startswith(("np.random.", "numpy.random.")):
-            return _source(node, "rng", f"{name}()",
-                           f"{name}() uses numpy's legacy global RNG; use "
-                           f"numpy.random.default_rng(seed)")
-        return None
-    return _source(node, "rng", f"unseeded {name}()",
-                   "default_rng() without a seed draws from OS entropy; "
-                   "pass an explicit seed") if unseeded else None
+    if name == "random.Random":
+        return _source(node, "rng", "unseeded random.Random()",
+                       "random.Random() without a seed draws from OS "
+                       "entropy; pass an explicit seed")
+    if name.endswith(".default_rng") and name.startswith(("np.", "numpy.")):
+        return _source(node, "rng", f"unseeded {name}()",
+                       "default_rng() without a seed draws from OS "
+                       "entropy; pass an explicit seed")
+    return None
 
 
 def classify_call(node: ast.Call,
@@ -213,11 +209,13 @@ def classify_call(node: ast.Call,
                        "or a SHA-256 draw (see sim/faults.py)")
     # The name as written, then as imported: a local module that
     # shadows ``time`` still reads as ``time``.
-    for name in ((raw, _origin(raw, aliases)) if raw is not None else ()):
+    names = (raw, _origin(raw, aliases)) if raw is not None else ()
+    for name in dict.fromkeys(names):
         if name in WALL_CLOCK_CALLS:
             return _source(node, "wallclock", f"{name}()",
                            f"{name}() reads the host clock inside model "
-                           f"code; {_CLOCK_ADVICE}")
+                           f"code; use sim.now for simulated time or the "
+                           f"obs/prof.py profiler for host cost")
         rng = _rng_source(node, name)
         if rng is not None:
             return rng

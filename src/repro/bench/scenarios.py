@@ -287,11 +287,11 @@ def datacenter_small(ctx: ScenarioContext) -> Dict[str, float]:
 def lint_tree_scenario(ctx: ScenarioContext) -> Dict[str, float]:
     """Full-tree determinism/architecture lint over this checkout.
 
-    Pins the linter's own wall time: the taint-dataflow pass (DET006
-    and the flow-backed DET003/4/5 upgrades) must keep whole-tree lint
-    under ~2x its pre-dataflow runtime, and this scenario is where
-    that budget is enforced — a fixpoint blow-up or an accidentally
-    quadratic rule shows up here before it shows up in every CI run.
+    Pins the linter's own wall time: the one taint-dataflow pass that
+    DET001-DET006 all read must keep whole-tree lint under ~2x its
+    pre-dataflow runtime, and this scenario is where that budget is
+    enforced — a fixpoint blow-up or an accidentally quadratic rule
+    shows up here before it shows up in every CI run.
     The measured tree is the live checkout, so ``files`` drifts as the
     repo grows; the gate judges the median wall time, not the counts.
     """

@@ -334,10 +334,8 @@ class FunctionWalker:
                             self.element_facts(stmt.iter, iter_facts), env)
 
         self.loops.append(stmt)
-        try:
-            env = self._fixpoint(stmt, env, bind=bind_target)
-        finally:
-            self.loops.pop()
+        env = self._fixpoint(stmt, env, bind=bind_target)
+        self.loops.pop()
         return self.exec_block(stmt.orelse, env)
 
     def _fixpoint(self, stmt, env: Env, bind=None) -> Env:

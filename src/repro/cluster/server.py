@@ -37,7 +37,7 @@ class ServerNode:
         if not spec.dvfs.supports(freq_hz):
             raise SimulationError(
                 f"{spec.name} does not support {freq_ghz} GHz")
-        self.op: OperatingPoint = spec.dvfs.operating_point(freq_hz)
+        self._op: OperatingPoint = spec.dvfs.operating_point(freq_hz)
         n_cores = cores if cores is not None else spec.cores_per_node
         if not 1 <= n_cores <= spec.cores_per_node:
             raise SimulationError(
@@ -59,7 +59,12 @@ class ServerNode:
         self.iopath = BandwidthDevice(
             sim, spec.io_path_bw_per_ghz * freq_ghz * core_scale, 0.0,
             name=f"{name}.iopath")
-        self.power = NodePower(spec.power, self.op)
+        self.power = NodePower(spec.power, self._op)
+        #: Core-model results by profile.  The core and the operating
+        #: point are fixed for the node's life, so each distinct profile
+        #: is evaluated once; both types are frozen, so equal-valued
+        #: profiles share an entry.
+        self._perf: Dict[CpuProfile, CorePerf] = {}
         #: Up/down state for the fault model: a crashed node stops
         #: accepting tasks and is excluded from replica selection.
         self.alive = True
@@ -76,16 +81,30 @@ class ServerNode:
 
     # -- performance shortcuts -------------------------------------------
     @property
+    def op(self) -> OperatingPoint:
+        """The DVFS operating point, fixed at construction.
+
+        Read-only: the power context and the core-model memo are both
+        built from it.
+        """
+        return self._op
+
+    @property
     def freq_hz(self) -> float:
-        return self.op.freq_hz
+        return self._op.freq_hz
 
     @property
     def freq_ghz(self) -> float:
-        return self.op.freq_ghz
+        return self._op.freq_ghz
 
     def core_perf(self, profile: CpuProfile) -> CorePerf:
         """Evaluate a CPU profile on this node's core at its frequency."""
-        return self.spec.core.evaluate(profile, self.freq_hz)
+        try:
+            return self._perf[profile]
+        except KeyError:
+            perf = self._perf[profile] = self.spec.core.evaluate(
+                profile, self._op.freq_hz)
+            return perf
 
     def compute_seconds(self, instructions: float, profile: CpuProfile) -> float:
         """Single-core wall time for *instructions* of *profile* code."""

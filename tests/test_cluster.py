@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
+from repro.arch.cores import CoreSpec
 from repro.arch.presets import ATOM_C2758, XEON_E5_2420
 from repro.cluster.server import Cluster, ServerNode
 from repro.sim.engine import SimulationError, Simulator
@@ -48,6 +51,48 @@ class TestServerNode:
     def test_compute_seconds_positive(self):
         node = ServerNode(Simulator(), ATOM_C2758, "a0", 1.8)
         assert node.compute_seconds(1e9, IO_PATH_PROFILE) > 0
+
+    def test_operating_point_is_read_only(self):
+        node = ServerNode(Simulator(), ATOM_C2758, "a0", 1.8)
+        with pytest.raises(AttributeError):
+            node.op = ATOM_C2758.dvfs.operating_point(1.2e9)
+
+
+class TestCorePerfMemo:
+    def test_matches_core_model(self):
+        node = ServerNode(Simulator(), XEON_E5_2420, "x0", 1.8)
+        assert node.core_perf(IO_PATH_PROFILE) == node.spec.core.evaluate(
+            IO_PATH_PROFILE, node.freq_hz)
+
+    def test_repeated_call_does_not_reevaluate(self, monkeypatch):
+        calls = []
+        evaluate = CoreSpec.evaluate
+
+        def counting(core, profile, freq_hz):
+            calls.append(profile)
+            return evaluate(core, profile, freq_hz)
+
+        monkeypatch.setattr(CoreSpec, "evaluate", counting)
+        node = ServerNode(Simulator(), ATOM_C2758, "a0", 1.8)
+        first = node.core_perf(IO_PATH_PROFILE)
+        assert node.core_perf(IO_PATH_PROFILE) is first
+        assert calls == [IO_PATH_PROFILE]
+
+    def test_memo_is_per_node_frequency(self):
+        sim = Simulator()
+        slow = ServerNode(sim, ATOM_C2758, "a0", 1.2)
+        fast = ServerNode(sim, ATOM_C2758, "a1", 1.8)
+        assert slow.core_perf(IO_PATH_PROFILE) != fast.core_perf(
+            IO_PATH_PROFILE)
+        assert fast.core_perf(IO_PATH_PROFILE).freq_hz == pytest.approx(
+            1.8e9)
+
+    def test_equal_valued_profile_hits_stored_entry(self):
+        node = ServerNode(Simulator(), XEON_E5_2420, "x0", 1.8)
+        first = node.core_perf(IO_PATH_PROFILE)
+        copy = dataclasses.replace(IO_PATH_PROFILE)
+        assert copy is not IO_PATH_PROFILE
+        assert node.core_perf(copy) is first
 
 
 class TestCluster:

@@ -68,7 +68,7 @@ class CpuProfile:
     def __post_init__(self):
         if self.ilp <= 0:
             raise ValueError(f"{self.name}: ilp must be positive")
-        if self.apki < 0 or self.branch_mpki < 0:
+        if self.apki < 0 or self.branch_mpki < 0 or self.frontend_mpki < 0:
             raise ValueError(f"{self.name}: event rates must be non-negative")
 
     @property

@@ -39,6 +39,9 @@ class TestCpuProfile:
         with pytest.raises(ValueError):
             CpuProfile("bad", ilp=1, apki=-1, working_set_bytes=1024,
                        locality_alpha=0.5)
+        with pytest.raises(ValueError):
+            CpuProfile("bad", ilp=1, apki=100, working_set_bytes=1024,
+                       locality_alpha=0.5, frontend_mpki=-1)
 
     def test_characterized_anchors_l1(self):
         profile = _profile(l1_miss_ratio=0.12)

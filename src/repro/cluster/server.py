@@ -143,7 +143,7 @@ class Cluster:
 
     @classmethod
     def heterogeneous(cls, sim: Simulator,
-                      groups: Iterable[Dict], **_ignored) -> "Cluster":
+                      groups: Iterable[Dict]) -> "Cluster":
         """Mixed cluster from group dicts.
 
         Each group is ``{"spec": MachineSpec, "n_nodes": int,

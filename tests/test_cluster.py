@@ -121,6 +121,12 @@ class TestCluster:
         assert cluster.nodes_of("atom")[0].n_cores == 4
         assert cluster.nodes_of("atom")[0].freq_ghz == pytest.approx(1.6)
 
+    def test_heterogeneous_rejects_unknown_keyword(self):
+        with pytest.raises(TypeError):
+            Cluster.heterogeneous(Simulator(), [
+                {"spec": ATOM_C2758, "n_nodes": 1, "freq_ghz": 1.8},
+            ], freq_ghz=1.2)
+
     def test_node_power_mapping(self):
         sim = Simulator()
         cluster = Cluster.homogeneous(sim, ATOM_C2758, 3, 1.8)

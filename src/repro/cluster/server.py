@@ -98,7 +98,10 @@ class ServerNode:
         return self._op.freq_ghz
 
     def core_perf(self, profile: CpuProfile) -> CorePerf:
-        """Evaluate a CPU profile on this node's core at its frequency."""
+        """Evaluate a CPU profile on this node's core at its frequency.
+
+        Memoized per node: the core model runs once per distinct profile.
+        """
         try:
             return self._perf[profile]
         except KeyError:

@@ -13,7 +13,15 @@ The cases cover the three ways a node's cores are driven:
 * one mixed big+little cluster (``Cluster.heterogeneous``) through
   :func:`~repro.core.phase_scheduler.compare_phase_placements`;
 * one faulted run whose plan degrades a node's compute
-  (``compute_slowdown``) and adds stragglers and failed attempts.
+  (``compute_slowdown``) and adds stragglers and failed attempts;
+* two runs in which a node really crashes while transfers on it are
+  still queued or in service (one also with ``disk_slowdown``);
+* map-only ``sort``, whose output goes through the driver's replicated
+  HDFS write fan-out, and ``grep``.
+
+Traced runs also pin ``events_dispatched`` from the tracer's
+``JobTrace.engine`` — a deterministic count of the work the engine did
+— and the digest of the Perfetto export.
 
 Print the current digests with ``PYTHONPATH=src python
 tests/test_model_digests.py``.  Re-pin only together with a change that
@@ -31,6 +39,8 @@ import pytest
 from repro.core.characterization import RunKey, simulate_cell
 from repro.core.phase_scheduler import compare_phase_placements
 from repro.mapreduce.config import DEFAULT_CONF
+from repro.mapreduce.driver import simulate_job
+from repro.obs import Tracer, perfetto_json
 from repro.sim.faults import FaultPlan, NodeFault
 
 FAULT_PLAN = FaultPlan(
@@ -44,6 +54,12 @@ def _cell(machine: str, workload: str, freq_ghz: float) -> Callable:
     return lambda: simulate_cell(RunKey(machine, workload, freq_ghz=freq_ghz))
 
 
+def _crash(machine: str, workload: str, fault: NodeFault) -> Callable:
+    conf = dataclasses.replace(
+        DEFAULT_CONF, fault_plan=FaultPlan(node_faults=(fault,)))
+    return lambda: simulate_cell(RunKey(machine, workload), conf)
+
+
 CASES: Dict[str, Callable] = {
     f"{m}/{w}@{f}": _cell(m, w, f)
     for m in ("atom", "xeon")
@@ -54,6 +70,17 @@ CASES["mixed/terasort"] = lambda: compare_phase_placements("terasort")
 CASES["faulted/atom/wordcount"] = lambda: simulate_cell(
     RunKey("atom", "wordcount"),
     dataclasses.replace(DEFAULT_CONF, fault_plan=FAULT_PLAN))
+# Crash times chosen so that the dying node has transfers in flight.
+CRASH_CASES = {
+    "crash/xeon/terasort": _crash(
+        "xeon", "terasort", NodeFault("xeon1", crash_at_s=70.0)),
+    "crash/atom/wordcount": _crash(
+        "atom", "wordcount",
+        NodeFault("atom2", crash_at_s=100.0, disk_slowdown=2.0)),
+}
+CASES.update(CRASH_CASES)
+CASES["atom/sort@1.2"] = _cell("atom", "sort", 1.2)
+CASES["xeon/grep@1.8"] = _cell("xeon", "grep", 1.8)
 
 DIGESTS = {
     "atom/wordcount@1.2":
@@ -76,6 +103,47 @@ DIGESTS = {
         "da81a2163ebef102ffc8edd95e872310bd03057d778cb1ba14ffda72c5fe4dbb",
     "faulted/atom/wordcount":
         "4f12bd356a39548d0cb2531a2dbac81dde2af7b7a9ba03c24d9e8498a466356d",
+    "crash/xeon/terasort":
+        "d5a3651b70bf2b0c46cbcbc61c95b0884ee12001152937fe5ac9f77d9acbfc56",
+    "crash/atom/wordcount":
+        "6192cea02a8894fb2bf260835c3d447876005c582e1b20c6959d661d89055582",
+    "atom/sort@1.2":
+        "3bb736ab85d823c224524f445742bc708526e277916cc31e006062e5bbbc7f72",
+    "xeon/grep@1.8":
+        "3624261a593a1cb6032532f6563424fd58731257b0d842c7368aa3f7fa3eb6ee",
+}
+
+
+def _traced(machine: str, workload: str, *faults: NodeFault) -> Callable:
+    def run() -> Tracer:
+        tracer = Tracer()
+        simulate_job(machine, workload, data_per_node_gb=0.25,
+                     block_size_mb=64.0,
+                     fault_plan=FaultPlan(node_faults=faults) if faults
+                     else None,
+                     obs=tracer)
+        return tracer
+    return run
+
+
+TRACED: Dict[str, Callable] = {
+    "xeon/sort/crash": _traced("xeon", "sort",
+                               NodeFault("xeon1", crash_at_s=20.0)),
+    "atom/wordcount": _traced("atom", "wordcount"),
+    "xeon/terasort": _traced("xeon", "terasort"),
+}
+
+#: label -> (events_dispatched, sha256 of the Perfetto export)
+TRACED_PINS = {
+    "xeon/sort/crash": (
+        536,
+        "ea03ede9d4ef328cd53cd77ea2897573a8fd3db0d3356ed03c14319509dc43f3"),
+    "atom/wordcount": (
+        755,
+        "c1ec70c3b9dab96878ff262485a61833900c9da4ff9651571c0a7ae89b017397"),
+    "xeon/terasort": (
+        1292,
+        "59b724e32f0ed60c55cfa7b23c3bc8a4d0ddf3726b47eb0736b1b97ba3d283ea"),
 }
 
 
@@ -92,6 +160,27 @@ def test_output_digest_unchanged(label):
     assert digest(CASES[label]()) == DIGESTS[label]
 
 
+@pytest.mark.parametrize("label", sorted(CRASH_CASES))
+def test_crash_cases_lose_a_node(label):
+    assert CASES[label]().counters.node_crashes == 1
+
+
+def test_traced_cases_are_all_pinned():
+    assert sorted(TRACED) == sorted(TRACED_PINS)
+
+
+def _traced_pin(tracer: Tracer):
+    return (int(tracer.job.engine["events_dispatched"]),
+            hashlib.sha256(perfetto_json(tracer).encode("utf-8")).hexdigest())
+
+
+@pytest.mark.parametrize("label", sorted(TRACED))
+def test_traced_events_and_export_unchanged(label):
+    assert _traced_pin(TRACED[label]()) == TRACED_PINS[label]
+
+
 if __name__ == "__main__":
     for label in CASES:
         print(f'    "{label}":\n        "{digest(CASES[label]())}",')
+    for label in TRACED:
+        print(f'    "{label}": {_traced_pin(TRACED[label]())!r},')

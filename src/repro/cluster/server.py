@@ -1,9 +1,9 @@
 """Server nodes and clusters.
 
 A :class:`ServerNode` instantiates one machine preset inside a simulation:
-core slots become a counted :class:`~repro.sim.resources.Resource`, the
-disk and NIC become :class:`~repro.sim.resources.BandwidthDevice` queues,
-and the node carries its DVFS operating point and power context.  A
+the disk, the NIC and the CPU-coupled I/O path become
+:class:`~repro.sim.resources.BandwidthDevice` queues, and the node carries
+its core count, DVFS operating point and power context.  A
 :class:`Cluster` is a set of nodes sharing one simulator and one trace
 recorder — the paper's testbeds are 3-node homogeneous clusters, and the
 scheduling study (§3.5) uses heterogeneous big+little mixes.
@@ -19,7 +19,7 @@ from ..arch.dvfs import GHZ, OperatingPoint
 from ..arch.power import NodePower
 from ..arch.presets import MachineSpec
 from ..sim.engine import SimulationError, Simulator
-from ..sim.resources import BandwidthDevice, Resource
+from ..sim.resources import BandwidthDevice
 from ..sim.trace import TraceRecorder
 
 __all__ = ["ServerNode", "Cluster"]
@@ -43,7 +43,6 @@ class ServerNode:
             raise SimulationError(
                 f"{name}: {n_cores} cores outside 1..{spec.cores_per_node}")
         self.n_cores = n_cores
-        self.cores = Resource(sim, n_cores, name=f"{name}.cores")
         self.disk = BandwidthDevice(
             sim, spec.disk.bandwidth_bytes_s, spec.disk.latency_s,
             channels=spec.disk.channels, name=f"{name}.disk")

@@ -1,4 +1,4 @@
-"""HDFS facade: block reads and replicated writes as DES processes.
+"""HDFS facade: block reads and replicated writes on the DES engine.
 
 Ties the NameNode's placement metadata to the cluster's disk, NIC and
 I/O-path resources.  Every byte that crosses a node's storage or network
@@ -9,22 +9,32 @@ path is far faster than the disk and never binds; on the little core it
 *is* the bottleneck for I/O-heavy jobs, which is how the model reproduces
 the paper's large Sort gap (§3.1.1).
 
-All byte-moving methods are generators to be driven by a simulation
-process (``yield from hdfs.read_block(...)``); they record the activity
-intervals the power model consumes.
+The byte-moving methods are plain calls that start the transfer at once
+and return an event that fires when it has finished; a task process
+waits with ``yield hdfs.read_span(...)``.  Each leg — a chain of device
+transfers, or one node's I/O-path transit — is a :class:`_Leg` driven by
+callbacks, and records the activity intervals the power model consumes.
 """
 
 from __future__ import annotations
 
-from typing import Generator, List, Optional
+from functools import partial
+from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
 from ..cluster.server import Cluster, ServerNode
 from ..obs import prof
-from ..sim.engine import Simulator
+from ..sim.engine import Event, Simulator
 from .blocks import Block, split_input
 from .namenode import NameNode
 
+if TYPE_CHECKING:
+    from ..sim.resources import BandwidthDevice
+
 __all__ = ["HDFS"]
+
+#: One device step of a leg: (node, device, trace device label, bytes,
+#: trace kind).
+_Step = Tuple[ServerNode, "BandwidthDevice", str, float, str]
 
 
 class HDFS:
@@ -81,62 +91,45 @@ class HDFS:
         return self.namenode.pick_replica(
             block, reader.name, exclude=self.cluster.dead_node_names)
 
-    # -- primitive legs -------------------------------------------------------
-    def _record(self, node: ServerNode, device: str, nbytes: float,
-                end: float, kind: str, task_id: Optional[str],
-                phase: str) -> None:
-        dev = node.disk if device == "disk" else node.nic
-        duration = dev.service_time(nbytes)
-        self.cluster.trace.add(end - duration, end, node.name, device, kind,
-                               activity=1.0, task_id=task_id, phase=phase)
-
-    def _disk_leg(self, node: ServerNode, nbytes: float, kind: str,
-                  task_id: Optional[str], phase: str,
-                  is_read: bool = False) -> Generator:
+    # -- legs ---------------------------------------------------------------
+    def _disk(self, node: ServerNode, nbytes: float, kind: str) -> List[_Step]:
+        """The disk step for *nbytes*, or none if the page cache absorbs it."""
         nbytes *= (1.0 - self.page_cache_hit)
-        if nbytes <= 0:
-            return
-        yield from node.disk.transfer(nbytes)
-        self._record(node, "disk", nbytes, self.sim.now, kind, task_id, phase)
-
-    def _nic_leg(self, node: ServerNode, nbytes: float, kind: str,
-                 task_id: Optional[str], phase: str) -> Generator:
-        yield from node.nic.transfer(nbytes)
-        self._record(node, "nic", nbytes, self.sim.now, kind, task_id, phase)
-
-    def _iopath_leg(self, node: ServerNode, nbytes: float,
-                    task_id: Optional[str], phase: str) -> Generator:
-        """CPU-coupled I/O-path transit at *node* for *nbytes*."""
-        yield from node.iopath.transfer(nbytes)
-        duration = node.iopath.service_time(nbytes)
-        self.cluster.trace.add(self.sim.now - duration, self.sim.now,
-                               node.name, "fw", "iopath", activity=1.0,
-                               task_id=task_id, phase=phase)
+        return [(node, node.disk, "disk", nbytes, kind)] if nbytes > 0 else []
 
     def _with_iopath(self, nodes: List[ServerNode], nbytes: float,
-                     legs: Generator, task_id: Optional[str],
-                     phase: str, io_factor: float = 1.0) -> Generator:
-        """Run device legs concurrently with each node's I/O-path transit.
+                     steps: List[_Step], task_id: Optional[str],
+                     phase: str, io_factor: float = 1.0) -> Event:
+        """Run the device *steps* concurrently with each node's I/O-path
+        transit; the returned event fires when all have finished.
 
         The device chain and the CPU path pipeline against each other, so
         the elapsed time is the max of the two (plus queueing on both).
         """
-        procs = [self.sim.process(legs)]
+        legs = [_Leg(self, steps, task_id, phase).done]
         for node in nodes:
-            procs.append(self.sim.process(
-                self._iopath_leg(node, nbytes * io_factor, task_id, phase)))
-        yield self.sim.all_of(procs)
+            legs.append(_Leg(
+                self, [(node, node.iopath, "fw", nbytes * io_factor, "iopath")],
+                task_id, phase).done)
+        return self.sim.all_of(legs)
+
+    def _spawn(self, start: Callable[[], Event]) -> Event:
+        """Call *start* from a boot event at the current time; the
+        returned event fires once the event *start* returns has fired."""
+        done = Event(self.sim)
+        self.sim.schedule(
+            lambda _boot: start().add_callback(lambda _join: done.succeed()))
+        return done
 
     # -- data path ------------------------------------------------------------
     def read_span(self, source_name: str, reader: ServerNode, nbytes: float,
                   task_id: Optional[str] = None, phase: str = "map",
-                  io_factor: float = 1.0) -> Generator:
+                  io_factor: float = 1.0) -> Event:
         """Read *nbytes* of a replica on *source_name* from *reader*.
 
         Local reads hit the local disk; remote reads pay the source disk
-        plus both NICs.  Returns elapsed seconds.
+        plus both NICs.
         """
-        start = self.sim.now
         obs = self.sim.obs
         if obs is not None:
             # Chunk-level hot path: meta counters only, no per-read spans.
@@ -145,66 +138,53 @@ class HDFS:
             if source_name != reader.name:
                 obs.count("hdfs.remote_reads")
         if source_name == reader.name:
-            legs = self._disk_leg(reader, nbytes, "hdfs.read", task_id, phase,
-                                  is_read=True)
-            yield from self._with_iopath([reader], nbytes, legs, task_id,
-                                         phase, io_factor)
-        else:
-            source = self.cluster.node(source_name)
-
-            def _remote():
-                yield from self._disk_leg(source, nbytes, "hdfs.read.remote",
-                                          task_id, phase, is_read=True)
-                yield from self._nic_leg(source, nbytes, "hdfs.xmit",
-                                         task_id, phase)
-                yield from self._nic_leg(reader, nbytes, "hdfs.recv",
-                                         task_id, phase)
-
-            yield from self._with_iopath([source, reader], nbytes, _remote(),
-                                         task_id, phase, io_factor)
-        return self.sim.now - start
+            return self._with_iopath(
+                [reader], nbytes, self._disk(reader, nbytes, "hdfs.read"),
+                task_id, phase, io_factor)
+        source = self.cluster.node(source_name)
+        steps = self._disk(source, nbytes, "hdfs.read.remote")
+        steps.append((source, source.nic, "nic", nbytes, "hdfs.xmit"))
+        steps.append((reader, reader.nic, "nic", nbytes, "hdfs.recv"))
+        return self._with_iopath([source, reader], nbytes, steps, task_id,
+                                 phase, io_factor)
 
     def read_block(self, block: Block, reader: ServerNode,
                    task_id: Optional[str] = None, phase: str = "map",
-                   io_factor: float = 1.0) -> Generator:
-        """Read one whole block on *reader*; returns elapsed seconds."""
+                   io_factor: float = 1.0) -> Event:
+        """Read one whole block on *reader*."""
         source = self.pick_source(block, reader)
-        elapsed = yield from self.read_span(source, reader, block.size_bytes,
-                                            task_id=task_id, phase=phase,
-                                            io_factor=io_factor)
-        return elapsed
+        return self.read_span(source, reader, block.size_bytes,
+                              task_id=task_id, phase=phase,
+                              io_factor=io_factor)
 
     def read_local(self, node: ServerNode, nbytes: float,
                    task_id: Optional[str] = None, phase: str = "map",
                    kind: str = "local.read", io_factor: float = 1.0
-                   ) -> Generator:
+                   ) -> Event:
         """Read *nbytes* from the node's local disk (spill merges etc.)."""
-        legs = self._disk_leg(node, nbytes, kind, task_id, phase,
-                              is_read=True)
-        yield from self._with_iopath([node], nbytes, legs, task_id, phase,
-                                     io_factor)
-        return None
+        return self._with_iopath([node], nbytes,
+                                 self._disk(node, nbytes, kind), task_id,
+                                 phase, io_factor)
 
     def write_local(self, node: ServerNode, nbytes: float,
                     task_id: Optional[str] = None, phase: str = "map",
                     kind: str = "local.write", io_factor: float = 1.0
-                    ) -> Generator:
+                    ) -> Event:
         """Write *nbytes* to local disk (map outputs, spills)."""
-        legs = self._disk_leg(node, nbytes, kind, task_id, phase)
-        yield from self._with_iopath([node], nbytes, legs, task_id, phase,
-                                     io_factor)
-        return None
+        return self._with_iopath([node], nbytes,
+                                 self._disk(node, nbytes, kind), task_id,
+                                 phase, io_factor)
 
     def write(self, file_hint: str, nbytes: float, writer: ServerNode,
               task_id: Optional[str] = None, phase: str = "reduce",
               io_factor: float = 1.0, replication: Optional[int] = None
-              ) -> Generator:
-        """Replicated HDFS write from *writer*; returns elapsed seconds.
+              ) -> Event:
+        """Replicated HDFS write from *writer*.
 
         The replication pipeline streams, so the local write and the
-        remote legs proceed concurrently; completion waits for all.
+        remote legs proceed concurrently; the returned event fires when
+        all have finished.
         """
-        start = self.sim.now
         obs = self.sim.obs
         span = None
         if obs is not None:
@@ -218,30 +198,62 @@ class HDFS:
                       else self.namenode.replication)
         replica_names = list(placed.replicas[:max(1, n_replicas)])
 
-        def _local():
-            legs = self._disk_leg(writer, nbytes, "hdfs.write", task_id,
-                                  phase)
-            yield from self._with_iopath([writer], nbytes, legs, task_id,
-                                         phase, io_factor)
-
-        def _remote(target_name: str):
-            target = self.cluster.node(target_name)
-
-            def _legs():
-                yield from self._nic_leg(writer, nbytes, "hdfs.repl.xmit",
-                                         task_id, phase)
-                yield from self._nic_leg(target, nbytes, "hdfs.repl.recv",
-                                         task_id, phase)
-                yield from self._disk_leg(target, nbytes, "hdfs.repl.write",
-                                          task_id, phase)
-
-            yield from self._with_iopath([target], nbytes, _legs(), task_id,
-                                         phase, io_factor)
-
-        procs = [self.sim.process(_local())]
+        # The local write and each replica's pipeline start from boot
+        # events of their own, one after another.
+        groups = [self._spawn(partial(
+            self._with_iopath, [writer], nbytes,
+            self._disk(writer, nbytes, "hdfs.write"), task_id, phase,
+            io_factor))]
         for name in replica_names[1:]:
-            procs.append(self.sim.process(_remote(name)))
-        yield self.sim.all_of(procs)
+            target = self.cluster.node(name)
+            steps = [(writer, writer.nic, "nic", nbytes, "hdfs.repl.xmit"),
+                     (target, target.nic, "nic", nbytes, "hdfs.repl.recv")]
+            steps += self._disk(target, nbytes, "hdfs.repl.write")
+            groups.append(self._spawn(partial(
+                self._with_iopath, [target], nbytes, steps, task_id, phase,
+                io_factor)))
+        join = self.sim.all_of(groups)
         if span is not None:
-            obs.end(span, replicas=len(replica_names))
-        return self.sim.now - start
+            join.add_callback(
+                lambda _join: obs.end(span, replicas=len(replica_names)))
+        return join
+
+
+class _Leg:
+    """One leg of a data-path operation, run by callbacks.
+
+    A leg boots from an event at the current time, runs its device steps
+    one after another — recording each step's trace interval as it
+    completes — and then succeeds :attr:`done`.  It schedules the same
+    events, in the same order, as a process that ran the steps would:
+    a boot event, each step's device events, a completion event.
+    """
+
+    __slots__ = ("trace", "steps", "task_id", "phase", "done", "_next")
+
+    def __init__(self, hdfs: HDFS, steps: List[_Step],
+                 task_id: Optional[str], phase: str):
+        self.trace = hdfs.cluster.trace
+        self.steps = steps
+        self.task_id = task_id
+        self.phase = phase
+        self.done = Event(hdfs.sim)
+        self._next = 0
+        hdfs.sim.schedule(self._advance)
+
+    def _advance(self, _event: Optional[Event] = None) -> None:
+        i = self._next
+        if i == len(self.steps):
+            self.done.succeed()
+            return
+        self._next = i + 1
+        _node, device, _label, nbytes, _kind = self.steps[i]
+        device.transfer(nbytes, self._step_done)
+
+    def _step_done(self) -> None:
+        node, device, label, nbytes, kind = self.steps[self._next - 1]
+        end = device.sim.now
+        self.trace.add(end - device.service_time(nbytes), end, node.name,
+                       label, kind, activity=1.0, task_id=self.task_id,
+                       phase=self.phase)
+        self._advance()

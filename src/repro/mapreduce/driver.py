@@ -678,6 +678,17 @@ class HadoopJobRunner:
                 holder.append(self.sim.process(
                     self._slot_worker(phase, node, holder, slot)))
 
+    def _write_output(self, file: str, nbytes: float, node: ServerNode,
+                      stage: JobStage):
+        """One node's share of a map-only stage's replicated output.
+
+        A process of its own, so the write (and its block placement)
+        starts when the process boots.
+        """
+        yield self.hdfs.write(file, nbytes, node, phase="map",
+                              io_factor=stage.io_path_factor,
+                              replication=stage.output_replication)
+
     # -- crash watchers ----------------------------------------------------
     def _crash_watcher(self, node: ServerNode, at: float):
         t = self.sim.timeout(at)
@@ -843,10 +854,8 @@ class HadoopJobRunner:
                         continue
                     nbytes = map_out.get(node.name, 0.0)
                     if nbytes > 0:
-                        rep_procs.append(self.sim.process(self.hdfs.write(
-                            f"{file}.out", nbytes, node, phase="map",
-                            io_factor=stage.io_path_factor,
-                            replication=stage.output_replication)))
+                        rep_procs.append(self.sim.process(self._write_output(
+                            f"{file}.out", nbytes, node, stage)))
                 if rep_procs:
                     yield self.sim.all_of(rep_procs)
                 timing.map_s += self.sim.now - t_rep

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Generator, List, Optional
+from typing import TYPE_CHECKING, Dict, Generator, List, Optional
 
 from ..arch.cores import CpuProfile, scale_profile
 from ..arch.presets import FRAMEWORK_PROFILE
@@ -29,6 +29,9 @@ from ..hdfs.filesystem import HDFS
 from ..workloads.base import IO_PATH_PROFILE, JobStage
 from .config import JobConf
 from .shuffle import plan_reduce_merge, plan_spills
+
+if TYPE_CHECKING:
+    from ..sim.engine import Event
 
 __all__ = ["RunCounters", "MapTask", "ReduceTask", "TaskAttemptError"]
 
@@ -204,19 +207,20 @@ class _TaskBase:
         activity = act_weight / t_cpu if t_cpu > 0 else 0.0
         return instr, t_cpu, activity
 
-    def _overlapped_io(self, transfer: Generator, nbytes: float, kind: str,
+    def _overlapped_io(self, transfer: Event, nbytes: float, kind: str,
                        user_ipb: float = 0.0,
                        user_profile: Optional[CpuProfile] = None
                        ) -> Generator:
-        """Run a byte transfer and its CPU bill with overlap credit.
+        """Wait for a byte transfer and run its CPU bill with overlap credit.
 
-        *transfer* is a generator moving *nbytes* (disk and/or NIC); the
-        CPU cost of processing those bytes is partially hidden behind the
-        transfer according to the core's ``io_overlap``.
+        *transfer* is the event of an HDFS call moving *nbytes* (disk
+        and/or NIC), started just now; the CPU cost of processing those
+        bytes is partially hidden behind the transfer according to the
+        core's ``io_overlap``.
         """
         core = self.node.spec.core
         t0 = self.sim.now
-        yield from transfer
+        yield transfer
         t_wait = self.sim.now - t0
         instr, t_cpu, activity = self._io_cpu_bill(nbytes, user_ipb,
                                                    user_profile)

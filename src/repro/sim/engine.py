@@ -419,33 +419,35 @@ class Interrupt(Exception):
 
 
 class AllOf(Event):
-    """Fires when every child event has fired; value is a list of values."""
+    """Fires when every child event has fired; value is a list of values.
 
-    __slots__ = ("_pending", "_values")
+    One bound-method callback serves every child; the values are read
+    from the children when the last one fires.
+    """
+
+    __slots__ = ("_pending", "_events")
 
     def __init__(self, sim: "Simulator", events: Iterable[Event]):
         super().__init__(sim)
         events = list(events)
+        self._events = events
         self._pending = len(events)
-        self._values: List[Any] = [None] * len(events)
         if not events:
             self.succeed([])
             return
-        for index, event in enumerate(events):
-            event.add_callback(self._make_callback(index))
+        child_fired = self._child_fired
+        for event in events:
+            event.add_callback(child_fired)
 
-    def _make_callback(self, index: int) -> Callable[[Event], None]:
-        def _cb(event: Event) -> None:
-            if self._triggered:
-                return
-            if event._exc is not None:
-                self.fail(event._exc)
-                return
-            self._values[index] = event.value
-            self._pending -= 1
-            if self._pending == 0:
-                self.succeed(list(self._values))
-        return _cb
+    def _child_fired(self, event: Event) -> None:
+        if self._triggered:
+            return
+        if event._exc is not None:
+            self.fail(event._exc)
+            return
+        self._pending -= 1
+        if self._pending == 0:
+            self.succeed([child.value for child in self._events])
 
 
 class AnyOf(Event):
@@ -579,6 +581,31 @@ class Simulator:
             self._buckets[when].append(boot)
         except KeyError:
             self._buckets[when] = [boot]
+            heappush(self._times, when)
+        return event
+
+    def schedule(self, callback: Callable[[Event], None],
+                 value: Any = None) -> Event:
+        """Run *callback* from an event of its own at the current time.
+
+        The event carries *value* and lands at the back of the current
+        timestamp's bucket — where a process's boot event or
+        :meth:`Event.succeed` would land — so callback-driven code can
+        take the place of a process step for step.
+        """
+        event = Event.__new__(Event)
+        event.sim = self
+        event.callbacks = callback
+        event._triggered = True
+        event._processed = False
+        event.value = value
+        event._exc = None
+        event._cancelled = False
+        when = self.now
+        try:
+            self._buckets[when].append(event)
+        except KeyError:
+            self._buckets[when] = [event]
             heappush(self._times, when)
         return event
 

@@ -1,143 +1,47 @@
-"""Shared resources for the simulation kernel.
+"""Bandwidth devices for the simulation kernel.
 
-Two abstractions cover everything the cluster model needs:
+A :class:`BandwidthDevice` is a serializing device with a service time
+per request derived from a bandwidth and a fixed per-request latency
+(disks, NICs, the CPU-coupled I/O path).  Serialization is a standard
+first-order contention model: when N requests overlap, each effectively
+sees ~1/N of the bandwidth.
 
-* :class:`Resource` — a counted FIFO resource (CPU slots, map/reduce slots).
-* :class:`BandwidthDevice` — a serializing device with a service time per
-  request derived from a bandwidth and a fixed per-request latency (disks,
-  NICs).  Serialization is a standard first-order contention model: when
-  N requests overlap, each effectively sees ~1/N of the bandwidth.
-
-Both record utilization statistics that the power model and the analysis
-layer consume.
+Devices keep aggregate utilization statistics (:class:`UsageStats`).
+The power model does not read them: it folds the activity intervals the
+HDFS layer records in the cluster trace.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Deque, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Deque, Tuple
 
-from .engine import Event, SimulationError, Simulator
+from .engine import Event, SimulationError, Simulator, Timeout
 
-__all__ = ["Request", "Resource", "BandwidthDevice", "UsageStats"]
+__all__ = ["BandwidthDevice", "UsageStats"]
 
 
 @dataclass
 class UsageStats:
-    """Aggregate utilization statistics for a resource or device."""
+    """Aggregate utilization statistics for a device."""
 
     acquisitions: int = 0
     total_wait: float = 0.0
     total_service: float = 0.0
     busy_time: float = 0.0
-    max_queue: int = 0
 
     def mean_wait(self) -> float:
         """Average time a request waited before service."""
         return self.total_wait / self.acquisitions if self.acquisitions else 0.0
 
     def utilization(self, makespan: float) -> float:
-        """Fraction of *makespan* the resource was busy (per unit capacity)."""
+        """Fraction of *makespan* the device was busy (per unit capacity)."""
         return self.busy_time / makespan if makespan > 0 else 0.0
 
 
-class Request(Event):
-    """Pending acquisition of a :class:`Resource` unit."""
-
-    __slots__ = ("resource", "enqueued_at", "granted_at")
-
-    def __init__(self, resource: "Resource"):
-        super().__init__(resource.sim)
-        self.resource = resource
-        self.enqueued_at = resource.sim.now
-        self.granted_at: Optional[float] = None
-
-
-class Resource:
-    """A counted resource with FIFO admission.
-
-    Usage from a process::
-
-        req = slots.request()
-        yield req
-        try:
-            yield sim.timeout(work)
-        finally:
-            slots.release(req)
-    """
-
-    def __init__(self, sim: Simulator, capacity: int, name: str = "resource"):
-        if capacity < 1:
-            raise SimulationError(f"capacity must be >= 1, got {capacity}")
-        self.sim = sim
-        self.capacity = capacity
-        self.name = name
-        self._in_use = 0
-        self._waiting: Deque[Request] = deque()
-        self.stats = UsageStats()
-        self._busy_since: Optional[float] = None
-        self._busy_units = 0
-
-    # -- busy-time accounting ------------------------------------------
-    def _note_units(self, delta: int) -> None:
-        now = self.sim.now
-        if self._busy_since is not None:
-            self.stats.busy_time += self._busy_units * (now - self._busy_since)
-        self._busy_units += delta
-        self._busy_since = now
-
-    # -- acquisition -----------------------------------------------------
-    def request(self) -> Request:
-        """Return an event that fires when one unit is granted."""
-        req = Request(self)
-        if self._in_use < self.capacity:
-            self._grant(req)
-        else:
-            self._waiting.append(req)
-            self.stats.max_queue = max(self.stats.max_queue, len(self._waiting))
-        return req
-
-    def _grant(self, req: Request) -> None:
-        self._in_use += 1
-        self._note_units(+1)
-        req.granted_at = self.sim.now
-        self.stats.acquisitions += 1
-        self.stats.total_wait += req.granted_at - req.enqueued_at
-        req.succeed(self)
-
-    def release(self, req: Request) -> None:
-        """Return the unit acquired through *req*."""
-        if req.granted_at is None:
-            # Cancelled while waiting.
-            try:
-                self._waiting.remove(req)
-            except ValueError:
-                raise SimulationError("release of a request never granted")
-            return
-        if self._in_use <= 0:
-            raise SimulationError(f"{self.name}: release without acquire")
-        self.stats.total_service += self.sim.now - req.granted_at
-        self._in_use -= 1
-        self._note_units(-1)
-        if self._waiting and self._in_use < self.capacity:
-            self._grant(self._waiting.popleft())
-
-    # -- introspection ---------------------------------------------------
-    @property
-    def in_use(self) -> int:
-        return self._in_use
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._waiting)
-
-    def utilization(self, makespan: float) -> float:
-        """Average busy units over *makespan*, normalized by capacity."""
-        self._note_units(0)
-        if makespan <= 0:
-            return 0.0
-        return self.stats.busy_time / (makespan * self.capacity)
+#: One transfer: (nbytes, done callback, time it was requested).
+_Job = Tuple[float, Callable[[], None], float]
 
 
 class BandwidthDevice:
@@ -148,8 +52,9 @@ class BandwidthDevice:
     with ``channels`` parallel servers; overlapping demand queues up, which
     is what produces realistic I/O contention across concurrent tasks.
 
-    The device records its busy intervals so the power model can assign
-    active power to I/O time.
+    The device owns its FIFO — a free-channel count and a deque of
+    waiting transfers — and runs each transfer by callbacks rather than
+    as a process: see :meth:`transfer`.
     """
 
     def __init__(self, sim: Simulator, bandwidth: float, latency: float = 0.0,
@@ -158,14 +63,16 @@ class BandwidthDevice:
             raise SimulationError(f"bandwidth must be positive, got {bandwidth}")
         if latency < 0:
             raise SimulationError(f"latency must be non-negative, got {latency}")
+        if channels < 1:
+            raise SimulationError(f"channels must be >= 1, got {channels}")
         self.sim = sim
         self.bandwidth = bandwidth
         self.latency = latency
         self.name = name
-        self._servers = Resource(sim, channels, name=f"{name}.servers")
         self.stats = UsageStats()
         self.bytes_moved = 0.0
-        self.busy_intervals: List[Tuple[float, float]] = []
+        self._free = channels
+        self._waiting: Deque[_Job] = deque()
 
     def service_time(self, nbytes: float) -> float:
         """Pure service time for a transfer, excluding queueing."""
@@ -173,37 +80,52 @@ class BandwidthDevice:
             raise SimulationError(f"negative transfer size: {nbytes}")
         return self.latency + nbytes / self.bandwidth
 
-    def transfer(self, nbytes: float):
-        """Process generator: move *nbytes* through the device.
+    def transfer(self, nbytes: float, done: Callable[[], None]) -> None:
+        """Move *nbytes* through the device, then call ``done()``.
 
-        Yields until the transfer completes (including queueing delay).
-        Returns the total elapsed time.
+        Schedules a grant event — now if a channel is free, otherwise
+        when the transfer ahead of it in the FIFO finishes — and, when
+        the grant fires, the service timeout.  ``done`` runs
+        synchronously when that timeout fires, after the channel has
+        passed to the next waiting transfer.  These are the events, in
+        the order, that a process acquiring a channel and then sleeping
+        for the service time would schedule.
         """
-        start = self.sim.now
-        req = self._servers.request()
-        # The request itself sits inside the try so an Interrupt thrown
-        # while queued still releases (Resource.release knows how to
-        # withdraw a never-granted request) — without this, a task killed
-        # by the fault machinery mid-queue would leak a channel and
-        # deadlock every later transfer on the device.
-        try:
-            yield req
-            began = self.sim.now
-            self.stats.acquisitions += 1
-            self.stats.total_wait += began - start
-            duration = self.service_time(nbytes)
-            yield self.sim.timeout(duration)
-            self.bytes_moved += nbytes
-            self.stats.busy_time += duration
-            self.stats.total_service += duration
-            self.busy_intervals.append((began, self.sim.now))
-        finally:
-            self._servers.release(req)
-        return self.sim.now - start
+        if nbytes < 0:
+            raise SimulationError(f"negative transfer size: {nbytes}")
+        job = (nbytes, done, self.sim.now)
+        if self._free:
+            self._free -= 1
+            self.sim.schedule(self._begin, job)
+        else:
+            self._waiting.append(job)
+
+    def _begin(self, grant: Event) -> None:
+        job = grant.value
+        nbytes, _done, requested = job
+        sim = self.sim
+        stats = self.stats
+        stats.acquisitions += 1
+        stats.total_wait += sim.now - requested
+        sim.timeout(self.latency + nbytes / self.bandwidth,
+                    job).add_callback(self._end)
+
+    def _end(self, service: Timeout) -> None:
+        nbytes, done, _requested = service.value
+        duration = service.delay
+        stats = self.stats
+        self.bytes_moved += nbytes
+        stats.busy_time += duration
+        stats.total_service += duration
+        if self._waiting:
+            self.sim.schedule(self._begin, self._waiting.popleft())
+        else:
+            self._free += 1
+        done()
 
     @property
     def queue_length(self) -> int:
-        return self._servers.queue_length
+        return len(self._waiting)
 
     def utilization(self, makespan: float) -> float:
         """Fraction of *makespan* the device spent transferring."""

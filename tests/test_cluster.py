@@ -19,7 +19,6 @@ class TestServerNode:
         node = ServerNode(sim, XEON_E5_2420, "x0", 1.8)
         assert node.n_cores == 12
         assert node.freq_ghz == pytest.approx(1.8)
-        assert node.cores.capacity == 12
 
     def test_unsupported_frequency_rejected(self):
         with pytest.raises(SimulationError):

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro.arch.presets import ATOM_C2758, XEON_E5_2420
 from repro.cluster.server import Cluster
+from repro.hdfs import filesystem
 from repro.hdfs.filesystem import HDFS
-from repro.sim.engine import Simulator
+from repro.sim.engine import SimulationError, Simulator
 
 MB = 1024 * 1024
 
@@ -17,11 +20,11 @@ def _cluster(spec=XEON_E5_2420, n=3, freq=1.8):
     return sim, Cluster.homogeneous(sim, spec, n, freq)
 
 
-def _drive(sim, gen):
-    proc = sim.process(gen)
+def _drive(sim, transfer):
+    """Run *transfer* (started at time 0) to completion; its elapsed time."""
     sim.run()
-    assert proc.ok
-    return proc.value
+    assert transfer.ok
+    return sim.now
 
 
 class TestSetup:
@@ -119,6 +122,40 @@ class TestWrites:
         assert len(spills) == 1
         assert spills[0].duration == pytest.approx(
             node.disk.service_time(32 * MB))
+
+    def test_negative_size_fails_the_run(self):
+        """A bad transfer raises out of the run even though a watched
+        process waits on it: nothing on the data path may swallow it."""
+        sim, cluster = _cluster()
+        hdfs = HDFS(cluster, 64 * MB)
+        node = cluster.nodes[0]
+
+        def task():
+            yield hdfs.read_local(node, -MB)
+
+        proc = sim.process(task())
+        proc.add_callback(lambda _event: None)
+        with pytest.raises(SimulationError, match="negative transfer size"):
+            sim.run()
+        assert not proc.triggered
+
+    def test_finished_legs_need_no_cycle_collector(self):
+        """A finished leg is in no reference cycle, so reference counting
+        frees it at once; per-leg cyclic garbage would pile up between
+        collections and raise peak memory."""
+        sim, cluster = _cluster()
+        hdfs = HDFS(cluster, 64 * MB)
+        reader = cluster.nodes[0]
+        gc.collect()
+        gc.disable()
+        try:
+            _drive(sim, hdfs.read_span("xeon1", reader, 8 * MB))
+            _drive(sim, hdfs.write("out", 8 * MB, reader))
+            leftover = [obj for obj in gc.get_objects()
+                        if isinstance(obj, filesystem._Leg)]
+        finally:
+            gc.enable()
+        assert leftover == []
 
     def test_trace_phases_tagged(self):
         sim, cluster = _cluster()

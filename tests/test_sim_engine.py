@@ -235,6 +235,18 @@ class TestCombinators:
         sim.run()
         assert out == [(0.0, [])]
 
+    def test_all_of_repeated_and_processed_children(self):
+        """Values follow the child list, even for a child listed twice
+        or one that had already fired when the join was made."""
+        sim = Simulator()
+        early = sim.timeout(0, value="early")
+        sim.run()
+        late = sim.timeout(2, value="late")
+        join = sim.all_of([late, early, late])
+        sim.run()
+        assert join.value == ["late", "early", "late"]
+        assert sim.now == 2.0
+
     def test_any_of_fires_on_first(self):
         sim = Simulator()
         out = []
@@ -393,6 +405,21 @@ class TestSimulator:
         assert sim.step()
         assert sim.now == 2.0
         assert not sim.step()
+
+    def test_schedule_fires_callback_in_fifo_position(self):
+        sim = Simulator()
+        order = []
+
+        def proc(sim):
+            order.append(("process", sim.now))
+            yield sim.timeout(0)
+
+        sim.process(proc(sim))
+        sim.schedule(lambda event: order.append((event.value, sim.now)),
+                     "callback")
+        sim.run()
+        assert order == [("process", 0.0), ("callback", 0.0)]
+        assert sim.event_count == 4  # boot, callback, timeout, completion
 
     def test_fifo_among_simultaneous_events(self):
         sim = Simulator()

@@ -1,4 +1,4 @@
-"""Unit tests for counted resources and bandwidth devices."""
+"""Unit tests for bandwidth devices."""
 
 from __future__ import annotations
 
@@ -6,102 +6,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.sim.engine import SimulationError, Simulator
-from repro.sim.resources import BandwidthDevice, Resource
+from repro.sim.resources import BandwidthDevice
 
 
-def _use(sim, resource, hold, log, tag):
-    req = resource.request()
-    yield req
-    log.append(("acquire", tag, sim.now))
-    yield sim.timeout(hold)
-    resource.release(req)
-    log.append(("release", tag, sim.now))
-
-
-class TestResource:
-    def test_capacity_enforced(self):
-        sim = Simulator()
-        res = Resource(sim, capacity=1)
-        log = []
-        sim.process(_use(sim, res, 5, log, "a"))
-        sim.process(_use(sim, res, 5, log, "b"))
-        sim.run()
-        acquires = [(t, n) for kind, t, n in log if kind == "acquire"]
-        assert acquires == [("a", 0.0), ("b", 5.0)]
-
-    def test_parallel_up_to_capacity(self):
-        sim = Simulator()
-        res = Resource(sim, capacity=3)
-        log = []
-        for tag in "abc":
-            sim.process(_use(sim, res, 2, log, tag))
-        sim.run()
-        assert all(now == 0.0 for kind, _t, now in log if kind == "acquire")
-        assert sim.now == 2.0
-
-    def test_fifo_ordering(self):
-        sim = Simulator()
-        res = Resource(sim, capacity=1)
-        log = []
-        for tag in "abcd":
-            sim.process(_use(sim, res, 1, log, tag))
-        sim.run()
-        acquired = [t for kind, t, _ in log if kind == "acquire"]
-        assert acquired == ["a", "b", "c", "d"]
-
-    def test_invalid_capacity(self):
-        with pytest.raises(SimulationError):
-            Resource(Simulator(), capacity=0)
-
-    def test_release_without_acquire_rejected(self):
-        sim = Simulator()
-        res = Resource(sim, capacity=1)
-        req = res.request()
-        sim.run()
-        res.release(req)
-        with pytest.raises(SimulationError):
-            res.release(req)
-
-    def test_queue_length_and_in_use(self):
-        sim = Simulator()
-        res = Resource(sim, capacity=1)
-        for _ in range(3):
-            res.request()
-        assert res.in_use == 1
-        assert res.queue_length == 2
-
-    def test_wait_statistics(self):
-        sim = Simulator()
-        res = Resource(sim, capacity=1)
-        log = []
-        sim.process(_use(sim, res, 4, log, "a"))
-        sim.process(_use(sim, res, 4, log, "b"))
-        sim.run()
-        assert res.stats.acquisitions == 2
-        assert res.stats.total_wait == pytest.approx(4.0)
-        assert res.stats.mean_wait() == pytest.approx(2.0)
-
-    def test_utilization_full_serial(self):
-        sim = Simulator()
-        res = Resource(sim, capacity=1)
-        log = []
-        sim.process(_use(sim, res, 3, log, "a"))
-        sim.process(_use(sim, res, 3, log, "b"))
-        sim.run()
-        assert res.utilization(sim.now) == pytest.approx(1.0)
-
-    @given(st.integers(min_value=1, max_value=6),
-           st.integers(min_value=1, max_value=20))
-    def test_makespan_matches_wave_count(self, capacity, n_tasks):
-        """n identical unit tasks over c slots finish in ceil(n/c) waves."""
-        sim = Simulator()
-        res = Resource(sim, capacity=capacity)
-        log = []
-        for i in range(n_tasks):
-            sim.process(_use(sim, res, 1.0, log, i))
-        sim.run()
-        waves = -(-n_tasks // capacity)
-        assert sim.now == pytest.approx(float(waves))
+def _start(sim, dev, n, log=None, tag=None):
+    """Start a transfer of *n* bytes; log ``(tag, finish time)``."""
+    dev.transfer(n, lambda: log.append((tag, sim.now))
+                 if log is not None else None)
 
 
 class TestBandwidthDevice:
@@ -113,12 +24,8 @@ class TestBandwidthDevice:
     def test_transfers_serialize(self):
         sim = Simulator()
         dev = BandwidthDevice(sim, bandwidth=10.0)
-
-        def mover(sim, dev, n):
-            yield from dev.transfer(n)
-
-        sim.process(mover(sim, dev, 100.0))
-        sim.process(mover(sim, dev, 100.0))
+        _start(sim, dev, 100.0)
+        _start(sim, dev, 100.0)
         sim.run()
         assert sim.now == pytest.approx(20.0)
         assert dev.bytes_moved == pytest.approx(200.0)
@@ -126,27 +33,19 @@ class TestBandwidthDevice:
     def test_channels_allow_parallelism(self):
         sim = Simulator()
         dev = BandwidthDevice(sim, bandwidth=10.0, channels=2)
-
-        def mover(sim, dev, n):
-            yield from dev.transfer(n)
-
-        sim.process(mover(sim, dev, 100.0))
-        sim.process(mover(sim, dev, 100.0))
+        _start(sim, dev, 100.0)
+        _start(sim, dev, 100.0)
         sim.run()
         assert sim.now == pytest.approx(10.0)
 
     def test_transfer_returns_elapsed_including_queue(self):
         sim = Simulator()
         dev = BandwidthDevice(sim, bandwidth=10.0)
-        elapsed = []
-
-        def mover(sim, dev, n):
-            t = yield from dev.transfer(n)
-            elapsed.append(t)
-
-        sim.process(mover(sim, dev, 100.0))
-        sim.process(mover(sim, dev, 100.0))
+        log = []
+        _start(sim, dev, 100.0, log, "a")
+        _start(sim, dev, 100.0, log, "b")
         sim.run()
+        elapsed = [t for _tag, t in log]  # both requested at time 0
         assert elapsed[0] == pytest.approx(10.0)
         assert elapsed[1] == pytest.approx(20.0)  # waited behind the first
 
@@ -155,6 +54,8 @@ class TestBandwidthDevice:
         dev = BandwidthDevice(sim, bandwidth=10.0)
         with pytest.raises(SimulationError):
             dev.service_time(-1.0)
+        with pytest.raises(SimulationError):
+            dev.transfer(-1.0, lambda: None)
 
     def test_invalid_parameters(self):
         sim = Simulator()
@@ -162,17 +63,59 @@ class TestBandwidthDevice:
             BandwidthDevice(sim, bandwidth=0.0)
         with pytest.raises(SimulationError):
             BandwidthDevice(sim, bandwidth=1.0, latency=-0.1)
+        with pytest.raises(SimulationError):
+            BandwidthDevice(sim, bandwidth=1.0, channels=0)
+
+    def test_fifo_ordering(self):
+        sim = Simulator()
+        dev = BandwidthDevice(sim, bandwidth=1.0)
+        log = []
+        for tag in "abcd":
+            _start(sim, dev, 1.0, log, tag)
+        assert dev.queue_length == 3
+        sim.run()
+        assert log == [("a", 1.0), ("b", 2.0), ("c", 3.0), ("d", 4.0)]
+        assert dev.queue_length == 0
+
+    def test_wait_statistics(self):
+        sim = Simulator()
+        dev = BandwidthDevice(sim, bandwidth=1.0)
+        _start(sim, dev, 4.0)
+        _start(sim, dev, 4.0)
+        sim.run()
+        assert dev.stats.acquisitions == 2
+        assert dev.stats.total_wait == pytest.approx(4.0)
+        assert dev.stats.mean_wait() == pytest.approx(2.0)
+        assert dev.stats.total_service == pytest.approx(8.0)
+
+    def test_grant_and_service_are_two_events(self):
+        """Per transfer: one grant event, then one service timeout."""
+        sim = Simulator()
+        dev = BandwidthDevice(sim, bandwidth=1.0)
+        _start(sim, dev, 1.0)
+        _start(sim, dev, 1.0)
+        sim.run()
+        assert sim.event_count == 4
+
+    @given(st.integers(min_value=1, max_value=6),
+           st.integers(min_value=1, max_value=20))
+    def test_makespan_matches_wave_count(self, channels, n_transfers):
+        """n identical unit transfers over c channels take ceil(n/c) waves."""
+        sim = Simulator()
+        dev = BandwidthDevice(sim, bandwidth=1.0, channels=channels)
+        for _ in range(n_transfers):
+            _start(sim, dev, 1.0)
+        sim.run()
+        waves = -(-n_transfers // channels)
+        assert sim.now == pytest.approx(float(waves))
 
     def test_busy_intervals_recorded(self):
         sim = Simulator()
         dev = BandwidthDevice(sim, bandwidth=10.0)
-
-        def mover(sim, dev):
-            yield from dev.transfer(50.0)
-
-        sim.process(mover(sim, dev))
+        _start(sim, dev, 50.0)
         sim.run()
-        assert dev.busy_intervals == [(0.0, 5.0)]
+        assert sim.now == 5.0
+        assert dev.stats.busy_time == 5.0
         assert dev.utilization(sim.now) == pytest.approx(1.0)
 
     @given(st.lists(st.floats(min_value=1.0, max_value=1e6),
@@ -180,12 +123,8 @@ class TestBandwidthDevice:
     def test_serialized_makespan_is_sum_of_service(self, sizes):
         sim = Simulator()
         dev = BandwidthDevice(sim, bandwidth=123.0, latency=0.25)
-
-        def mover(sim, dev, n):
-            yield from dev.transfer(n)
-
         for n in sizes:
-            sim.process(mover(sim, dev, n))
+            _start(sim, dev, n)
         sim.run()
         expected = sum(dev.service_time(n) for n in sizes)
         assert sim.now == pytest.approx(expected)

@@ -1,4 +1,4 @@
-"""Unit tests for bandwidth devices."""
+"""Unit tests for bandwidth devices and the channel FIFO they own."""
 
 from __future__ import annotations
 
@@ -13,6 +13,75 @@ def _start(sim, dev, n, log=None, tag=None):
     """Start a transfer of *n* bytes; log ``(tag, finish time)``."""
     dev.transfer(n, lambda: log.append((tag, sim.now))
                  if log is not None else None)
+
+
+class TestResource:
+    """The counted, FIFO-queued channel pool inside a device.
+
+    ``channels`` plays the part of a resource's capacity: a transfer is
+    granted a channel when one is free and otherwise waits its turn.
+    """
+
+    def test_capacity_enforced(self):
+        sim = Simulator()
+        dev = BandwidthDevice(sim, bandwidth=1.0, channels=1)
+        log = []
+        _start(sim, dev, 5.0, log, "a")
+        _start(sim, dev, 5.0, log, "b")
+        sim.run()
+        granted = [(tag, t - 5.0) for tag, t in log]
+        assert granted == [("a", 0.0), ("b", 5.0)]
+
+    def test_parallel_up_to_capacity(self):
+        sim = Simulator()
+        dev = BandwidthDevice(sim, bandwidth=1.0, channels=3)
+        log = []
+        for tag in "abc":
+            _start(sim, dev, 2.0, log, tag)
+        assert dev.queue_length == 0
+        sim.run()
+        assert all(t == 2.0 for _tag, t in log)
+        assert dev.stats.total_wait == 0.0
+        assert sim.now == 2.0
+
+    def test_fifo_ordering(self):
+        """Served in arrival order, not shortest first."""
+        sim = Simulator()
+        dev = BandwidthDevice(sim, bandwidth=1.0, channels=1)
+        log = []
+        for tag, n in zip("abcd", (4.0, 1.0, 3.0, 2.0)):
+            _start(sim, dev, n, log, tag)
+        sim.run()
+        assert log == [("a", 4.0), ("b", 5.0), ("c", 8.0), ("d", 10.0)]
+
+    def test_invalid_capacity(self):
+        for channels in (0, -1):
+            with pytest.raises(SimulationError):
+                BandwidthDevice(Simulator(), bandwidth=1.0, channels=channels)
+
+    def test_queue_length_and_in_use(self):
+        """Transfers beyond the channels in use wait in the queue."""
+        sim = Simulator()
+        dev = BandwidthDevice(sim, bandwidth=1.0, channels=2)
+        lengths = []
+        for _ in range(5):
+            _start(sim, dev, 1.0)
+            lengths.append(dev.queue_length)
+        assert lengths == [0, 0, 1, 2, 3]
+        sim.run(until=1.5)
+        assert dev.queue_length == 1
+        sim.run()
+        assert dev.queue_length == 0
+        assert dev.stats.acquisitions == 5
+
+    def test_utilization_full_serial(self):
+        sim = Simulator()
+        dev = BandwidthDevice(sim, bandwidth=1.0, channels=1)
+        _start(sim, dev, 3.0)
+        _start(sim, dev, 3.0)
+        sim.run()
+        assert sim.now == pytest.approx(6.0)
+        assert dev.utilization(sim.now) == pytest.approx(1.0)
 
 
 class TestBandwidthDevice:

@@ -78,7 +78,8 @@ class Profiler:
         self.clock = clock
         self._lock = threading.Lock()
         self._phases: Dict[str, LogHistogram] = {}
-        #: Scalar tallies with no duration (heap pushes, cancel skips).
+        #: Scalar tallies with no duration (events, buckets, calendar
+        #: entries scheduled, cancel skips).
         self.meta: Dict[str, float] = {}
 
     # -- recording -------------------------------------------------------

@@ -24,12 +24,14 @@ timestamp to the list of events scheduled at it (in scheduling order),
 plus a heap of the distinct timestamps.  Scheduling an event is a dict
 lookup and a list append — the heap is only touched when a timestamp is
 seen for the first time.  Dispatch pops the earliest timestamp and drains
-its bucket in append order, which is exactly the FIFO-per-timestamp order
-the old ``(time, seq, event)`` tuple heap produced, without allocating a
-triple per event or paying tuple comparisons that fall through to the
-sequence number whenever timestamps collide (the common case in a
-heartbeat-driven simulation, and precisely where a tuple heap is
-slowest).
+its bucket in append order; the bucket stays in the dict while it drains,
+so an event scheduled at the current time from a callback joins the list
+being drained instead of opening a new bucket.  That is exactly the
+FIFO-per-timestamp order the old ``(time, seq, event)`` tuple heap
+produced, without allocating a triple per event or paying tuple
+comparisons that fall through to the sequence number whenever
+timestamps collide (the common case in a heartbeat-driven simulation,
+and precisely where a tuple heap is slowest).
 
 Cancelled events are *lazily deleted*: they stay in their bucket and are
 skipped at dispatch.  So that long datacenter runs cannot bloat the
@@ -489,7 +491,8 @@ class Simulator:
     """
 
     __slots__ = ("now", "event_count", "obs", "_buckets", "_times",
-                 "_cancelled_pending", "_retired", "_compact_at", "_front")
+                 "_cancelled_pending", "_retired", "_compact_at", "_front",
+                 "_draining")
 
     def __init__(self):
         #: Current simulated time in seconds.
@@ -497,8 +500,8 @@ class Simulator:
         #: time -> [events scheduled at that time, in scheduling order]
         self._buckets = {}
         #: Min-heap of distinct bucket times.  May hold stale entries
-        #: (bucket emptied by compaction, or a duplicate pushed while its
-        #: bucket was being drained); dispatch drops those on contact.
+        #: (bucket emptied by compaction or drained); dispatch drops
+        #: those on contact.
         self._times: List[float] = []
         self._cancelled_pending = 0   # cancelled events still in a bucket
         self._retired = 0             # cancelled events removed again
@@ -506,6 +509,9 @@ class Simulator:
         #: Partially drained front bucket left by a limit/step() exit (or
         #: a callback exception): ``(time, [unfired events])`` or None.
         self._front = None
+        #: The bucket ``run()`` is draining (still in ``_buckets``, so
+        #: same-time events append to it), or None.
+        self._draining = None
         self.event_count = 0
         #: Optional :class:`repro.obs.Tracer`; every instrumentation site
         #: in the simulator guards on ``obs is not None``, so an untraced
@@ -517,18 +523,21 @@ class Simulator:
         """Create a fresh untriggered event."""
         return Event(self)
 
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
+    def timeout(self, delay: float, value: Any = None,
+                callback: Optional[Callable[[Event], None]] = None
+                ) -> Timeout:
         """Create an event firing ``delay`` seconds from now.
 
-        Mirrors ``Timeout.__init__`` body-for-body (via ``__new__``) to
-        shed one call frame: this is the single hottest allocation site
-        in any run, and the frame was ~15% of bare dispatch throughput.
+        *callback*, if given, becomes the event's only callback.  Mirrors
+        ``Timeout.__init__`` body-for-body (via ``__new__``) to shed one
+        call frame: this is the single hottest allocation site in any
+        run, and the frame was ~15% of bare dispatch throughput.
         """
         if delay < 0:
             raise SimulationError(f"negative timeout delay: {delay!r}")
         event = Timeout.__new__(Timeout)
         event.sim = self
-        event.callbacks = None
+        event.callbacks = callback
         event._processed = False
         event.value = value
         event._cancelled = False
@@ -648,11 +657,13 @@ class Simulator:
         implemented by splitting the adopted bucket rather than checking
         a limit per event.  Returns the number of events fired.
 
+        The bucket being drained stays in ``_buckets`` (see the module
+        docstring); ``step()`` does not register its split-off head.
+
         Hot-path notes: everything touched per event is a local; the
-        fired count flushes to ``event_count`` per call (``finally``), so
-        ``pending``/``event_count`` are exact between calls and only
-        staler by the in-flight count when read from inside a callback.
-        A partially drained bucket (``step()``, or a callback raised) is
+        fired count flushes to ``event_count`` per call (``finally``);
+        ``pending`` is exact at any time, inside callbacks too.  A
+        partially drained bucket (``step()``, or a callback raised) is
         parked in ``_front`` so the next call resumes mid-bucket.
         """
         buckets = self._buckets
@@ -661,8 +672,9 @@ class Simulator:
         profiler = prof.ACTIVE
         fired = 0
         skipped = 0
+        adopted = 0
         it = None
-        blen = bskip = 0
+        bskip = 0
         now = self.now
         if profiler is not None:
             clock = profiler.clock
@@ -685,6 +697,11 @@ class Simulator:
                         self._front = (when, bucket)
                         self.now = bound
                         break
+                    # Events scheduled at ``when`` since it was parked
+                    # queue behind it (their heap entry goes stale).
+                    later = buckets.pop(when, None)
+                    if later is not None:
+                        bucket += later
                 else:
                     if not times:
                         break
@@ -696,6 +713,7 @@ class Simulator:
                     bucket = buckets.pop(when, None)
                     if bucket is None:
                         continue  # stale heap entry (compaction/duplicate)
+                adopted += 1
                 if bucket[0]._cancelled:
                     # Strip leading cancelled events *before* committing
                     # the clock: a bucket holding only cancelled events
@@ -713,13 +731,14 @@ class Simulator:
                     raise SimulationError(
                         f"time travel: event at {when} < now {now}")
                 self.now = now = when
-                if single and len(bucket) > 1:
+                if not single:
+                    buckets[when] = self._draining = bucket
+                elif len(bucket) > 1:
                     # step(): isolate the first live event and park the
                     # rest, so the hot loop below needs no per-event
                     # limit check on behalf of the cold caller.
                     self._front = (when, bucket[1:])
                     bucket = bucket[:1]
-                blen = len(bucket)
                 bskip = 0
                 it = iter(bucket)
                 # -- drain it (the per-event hot path) --------------------
@@ -739,43 +758,49 @@ class Simulator:
                 it = None
                 # Fired/skip counts are tallied per bucket, not per
                 # event: the hot loop stays free of counter bumps.
-                fired += blen - bskip
+                fired += len(bucket) - bskip
                 if bskip:
                     self._cancelled_pending -= bskip
                     self._retired += bskip
                     skipped += bskip
                 if single:
                     break
+                del buckets[when]
                 if profiler is not None and fired - mark >= batch:
                     t_now = clock()
                     record("engine.dispatch", t_now - t_mark, fired - mark)
                     t_mark = t_now
                     mark = fired
         finally:
-            self.event_count += fired
             if it is not None:
                 # A callback raised mid-bucket: park the unfired
-                # remainder so the next call resumes in place, and
-                # reconstruct this bucket's tallies (everything consumed
-                # from the iterator either fired or was skipped).
+                # remainder, events appended during the drain included,
+                # so the next call resumes in place, and reconstruct
+                # this bucket's tallies (everything consumed from the
+                # iterator either fired or was skipped).
                 rest = list(it)
-                fired += blen - bskip - len(rest)
+                fired += len(bucket) - bskip - len(rest)
                 if bskip:
                     self._cancelled_pending -= bskip
                     self._retired += bskip
                     skipped += bskip
+                if bucket is self._draining:
+                    del buckets[now]
                 if rest:
                     self._front = (now, rest)
+            self._draining = None
+            self.event_count += fired
             if profiler is not None:
                 if fired > mark:
                     record("engine.dispatch", clock() - t_mark, fired - mark)
                 record("engine.run", clock() - t_run)
                 profiler.count("engine.events", fired)
-                # Events scheduled during this call, reconstructed from
-                # conservation: every entry that entered the calendar
-                # either fired, was retired as cancelled, or is still
-                # queued.  (The schedule sites themselves stay free of
-                # profiling bookkeeping.)
+                profiler.count("engine.buckets", adopted)
+                # Calendar entries scheduled during this call,
+                # reconstructed from conservation: every entry that
+                # entered the calendar either fired, was retired as
+                # cancelled, or is still queued.  (The schedule sites
+                # themselves stay free of profiling bookkeeping.)
                 profiler.count("engine.heap_pushes",
                                fired + (self._retired - retired0)
                                + self._queue_entries() - entries0)
@@ -786,16 +811,20 @@ class Simulator:
     def _compact(self) -> None:
         """Sweep lazily-deleted events out of the calendar, in place.
 
-        Mutates ``_times`` and the bucket lists via their existing
-        objects/keys so a dispatch loop holding local bindings stays
-        coherent; a parked front bucket is not in ``_buckets`` and is
-        left alone (its cancelled entries are skip-counted at drain).
+        Mutates ``_times`` and ``_buckets`` in place so a dispatch loop
+        holding local bindings stays coherent.  The bucket being drained
+        is left alone — the loop iterates that very list — and so is a
+        parked front bucket, which is not in ``_buckets``; their
+        cancelled entries are skip-counted at drain.
         """
         buckets = self._buckets
+        draining = self._draining
         removed = 0
         kept = 0
         for when in list(buckets):
             old = buckets[when]
+            if old is draining:
+                continue
             live = [event for event in old if not event._cancelled]
             dead = len(old) - len(live)
             kept += len(live)
@@ -813,9 +842,9 @@ class Simulator:
         heapify(times)
         # Re-arm once cancelled entries outnumber what this sweep kept
         # (amortized O(1) work per cancel), never below the fixed floor;
-        # the leftover term covers cancelled events parked in the front
-        # bucket, which this sweep cannot reach — without it they could
-        # re-trigger an empty sweep on the very next cancel.
+        # the leftover term covers cancelled events in the draining and
+        # front buckets, which this sweep cannot reach — without it they
+        # could re-trigger an empty sweep on the very next cancel.
         floor = kept if kept > COMPACT_THRESHOLD else COMPACT_THRESHOLD
         self._compact_at = floor + self._cancelled_pending
 
@@ -834,7 +863,13 @@ class Simulator:
 
         Lazily-deleted cancelled events still sitting in the calendar are
         excluded, so backlog metrics cannot over-report after fault
-        recovery retires its crash watchers.  O(number of distinct
-        pending timestamps) — an introspection aid, not a hot path.
+        recovery retires its crash watchers.  Read from a callback, it
+        counts the rest of the bucket being drained but not its fired
+        prefix.  O(number of distinct pending timestamps plus the
+        draining bucket) — an introspection aid, not a hot path.
         """
-        return self._queue_entries() - self._cancelled_pending
+        count = self._queue_entries() - self._cancelled_pending
+        draining = self._draining
+        if draining is not None:
+            count -= sum(event._processed for event in draining)
+        return count

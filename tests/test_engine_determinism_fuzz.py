@@ -7,7 +7,11 @@ original design, deliberately kept simple (tuple heap, list callbacks,
 no slots, no lazy-delete compaction), and the fuzz runs randomly
 generated process/timeout/interrupt/cancel programs over ~20 seeds
 against both engines, asserting the full ``(time, order)`` log of
-observable actions and a final-state digest match exactly.
+observable actions and a final-state digest match exactly.  Two ops
+target the calendar's same-time path: zero-delay callback chains shaped
+like the HDFS legs (they log ``pending`` at every link), and cancel
+bursts large enough to compact the calendar while a bucket drains.
+Every seed runs through both ``run()`` and ``step()``.
 
 The programs are pre-generated op scripts (pure functions of the seed),
 so any divergence is attributable to the engines, not to random draws
@@ -18,12 +22,14 @@ from __future__ import annotations
 
 import hashlib
 import random
+from functools import partial
 from heapq import heappop, heappush
 from itertools import count
 
 import pytest
 
-from repro.sim.engine import Interrupt, SimulationError, Simulator
+from repro.sim.engine import (COMPACT_THRESHOLD, Interrupt, SimulationError,
+                              Simulator)
 
 # -- the kept-simple reference engine ------------------------------------
 
@@ -141,6 +147,18 @@ class _RefSimulator:
     def process(self, gen):
         return _RefProcess(self, gen)
 
+    def schedule(self, callback, value=None):
+        ev = _RefEvent(self)
+        ev.triggered = True
+        ev.value = value
+        ev.callbacks.append(callback)
+        self._schedule(ev, 0.0)
+        return ev
+
+    @property
+    def pending(self):
+        return sum(1 for _, _, ev in self._heap if not ev.cancelled)
+
     def any_of(self, events):
         events = list(events)
         out = _RefEvent(self)
@@ -211,8 +229,15 @@ def _random_script(rng: random.Random, n_procs: int):
     ops = []
     for _ in range(rng.randrange(2, 7)):
         roll = rng.random()
-        if roll < 0.35:
+        if roll < 0.25:
             ops.append(("timeout", rng.choice(_DELAYS)))
+        elif roll < 0.33:
+            ops.append(("schedule", tuple(rng.randrange(0, 5)
+                                          for _ in range(rng.randrange(1, 4)))))
+        elif roll < 0.37:
+            ops.append(("burst", tuple(
+                rng.choice(_DELAYS)
+                for _ in range(COMPACT_THRESHOLD + rng.randrange(40)))))
         elif roll < 0.50:
             ops.append(("cancel", rng.choice(_DELAYS), rng.choice(_DELAYS)))
         elif roll < 0.65:
@@ -259,6 +284,47 @@ def _make_program(script, sim, pid, log, registry):
                     target.interrupt((pid, step))
                     log.append((sim.now, pid, step, "sent-interrupt",
                                 target.is_alive))
+                elif kind == "schedule":
+                    # Like the HDFS legs of one operation: each chain boots
+                    # from a zero-delay event, takes its steps as further
+                    # zero-delay events, then counts itself off a join.
+                    box = sim.event()
+                    left = [len(op[1])]
+
+                    def link(event, chain, k, length, box=box, left=left,
+                             step=step):
+                        log.append((sim.now, pid, step, "link", chain, k,
+                                    sim.pending))
+                        if k < length:
+                            sim.schedule(partial(link, chain=chain, k=k + 1,
+                                                 length=length))
+                            return
+                        left[0] -= 1
+                        if not left[0]:
+                            box.succeed(event.value)
+
+                    for chain, length in enumerate(op[1]):
+                        sim.schedule(partial(link, chain=chain, k=0,
+                                             length=length), chain)
+                    got = yield box
+                    log.append((sim.now, pid, step, "schedule", got))
+                elif kind == "burst":
+                    # Schedule and cancel enough events from inside one
+                    # callback to compact the calendar mid-bucket; some
+                    # victims land in the bucket being drained.
+                    box = sim.event()
+
+                    def burst(_event, box=box, delays=op[1], step=step):
+                        victims = [sim.timeout(d) for d in delays]
+                        for victim in victims:
+                            victim.cancel()
+                        log.append((sim.now, pid, step, "burst",
+                                    sim.pending))
+                        sim.schedule(lambda _e: box.succeed(len(delays)))
+
+                    sim.schedule(burst)
+                    got = yield box
+                    log.append((sim.now, pid, step, "burst-done", got))
                 elif kind == "succeed":
                     box = sim.event()
 
@@ -276,8 +342,12 @@ def _make_program(script, sim, pid, log, registry):
     return prog()
 
 
-def _run_seed(seed: int, sim_factory):
-    """Build and run one seeded random simulation; return (log, digest)."""
+def _run_seed(seed: int, sim_factory, stepped: bool = False):
+    """Build and run one seeded random simulation; return (log, digest).
+
+    *stepped* drives the engine one ``step()`` at a time instead of one
+    ``run()``.
+    """
     rng = random.Random(seed)
     n_procs = rng.randrange(3, 9)
     scripts = [_random_script(rng, n_procs) for _ in range(n_procs)]
@@ -287,7 +357,11 @@ def _run_seed(seed: int, sim_factory):
     for pid, script in enumerate(scripts):
         registry.append(sim.process(
             _make_program(script, sim, pid, log, registry)))
-    sim.run()
+    if stepped:
+        while sim.step():
+            pass
+    else:
+        sim.run()
     state = (tuple(log), sim.now, sim.event_count)
     digest = hashlib.sha256(repr(state).encode()).hexdigest()
     return log, digest
@@ -302,8 +376,26 @@ def test_engine_matches_reference_loop(seed):
     assert new_digest == ref_digest
 
 
-def test_fuzz_programs_actually_exercise_the_engine():
-    """Sanity: the generated programs are not trivially empty."""
+@pytest.mark.parametrize("seed", range(20))
+def test_stepped_engine_matches_reference_loop(seed):
+    """``step()`` at a time gives the same log and digest as the heap."""
+    ref_log, ref_digest = _run_seed(seed, _RefSimulator)
+    new_log, new_digest = _run_seed(seed, Simulator, stepped=True)
+    assert new_log == ref_log
+    assert new_digest == ref_digest
+
+
+def test_fuzz_programs_actually_exercise_the_engine(monkeypatch):
+    """Sanity: the generated programs are not trivially empty, and the
+    cancel bursts really compact the calendar while a bucket drains."""
+    mid_bucket = []
+    compact = Simulator._compact
+
+    def spy(sim):
+        mid_bucket.append(sim._draining is not None)
+        compact(sim)
+
+    monkeypatch.setattr(Simulator, "_compact", spy)
     total_entries = 0
     kinds = set()
     for seed in range(20):
@@ -311,5 +403,6 @@ def test_fuzz_programs_actually_exercise_the_engine():
         total_entries += len(log)
         kinds.update(entry[3] for entry in log)
     assert total_entries > 100
-    assert {"timeout", "cancel", "anyof", "allof",
-            "sent-interrupt"} <= kinds
+    assert {"timeout", "cancel", "anyof", "allof", "sent-interrupt",
+            "link", "schedule", "burst", "burst-done"} <= kinds
+    assert any(mid_bucket)

@@ -182,6 +182,21 @@ class TestInstrumentation:
         assert p.get("engine.dispatch").total == profiled_sim.event_count
         assert p.meta["engine.events"] == profiled_sim.event_count
 
+    def test_engine_buckets_count_each_timestamp_once(self):
+        def worker(sim):
+            for _ in range(5):
+                yield sim.timeout(1.0)
+
+        sim = Simulator()
+        sim.process(worker(sim))
+        with prof.profiled() as p:
+            sim.run()
+        # Seven events at six timestamps: the completion joins the last
+        # timeout's bucket while it drains.
+        assert p.meta["engine.events"] == 7
+        assert p.meta["engine.buckets"] == 6
+        assert p.meta["engine.heap_pushes"] == 6  # entries, not heap pushes
+
     def test_simulate_job_records_expected_phases(self):
         with prof.profiled() as p:
             result = simulate_job("atom", "wordcount",

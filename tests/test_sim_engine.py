@@ -421,6 +421,67 @@ class TestSimulator:
         assert order == [("process", 0.0), ("callback", 0.0)]
         assert sim.event_count == 4  # boot, callback, timeout, completion
 
+    def test_same_time_event_from_callback_fires_after_its_bucket(self):
+        sim = Simulator()
+        order = []
+
+        def first(_event):
+            order.append("first")
+            sim.schedule(lambda _e: order.append("appended"))
+
+        sim.schedule(first)
+        sim.schedule(lambda _e: order.append("second"))
+        sim.timeout(1.0, callback=lambda _e: order.append("later"))
+        sim.run()
+        assert order == ["first", "second", "appended", "later"]
+        assert sim.event_count == 4
+
+    def test_callback_raising_mid_bucket_parks_the_rest_in_order(self):
+        sim = Simulator()
+        order = []
+
+        def boom(_event):
+            sim.schedule(lambda _e: order.append("appended"))
+            raise RuntimeError("boom")
+
+        sim.schedule(lambda _e: order.append("before"))
+        sim.schedule(boom)
+        sim.schedule(lambda _e: order.append("rest"))
+        sim.timeout(1.0, callback=lambda _e: order.append("later"))
+        with pytest.raises(RuntimeError, match="boom"):
+            sim.run()
+        assert order == ["before"]
+        assert sim.now == 0.0
+        assert sim.event_count == 2   # "before" and the raising event
+        assert sim.pending == 3       # rest, appended, later
+        sim.schedule(lambda _e: order.append("after"))
+        sim.run()
+        assert order == ["before", "rest", "appended", "after", "later"]
+        assert sim.event_count == 6
+        assert sim.pending == 0
+
+    def test_pending_is_exact_inside_a_same_time_cascade(self):
+        sim = Simulator()
+        seen = []
+
+        def link(depth):
+            def fire(_event):
+                seen.append(sim.pending)
+                if depth:
+                    sim.schedule(link(depth - 1))
+            return fire
+
+        sim.schedule(link(2))
+        sim.schedule(lambda _e: (seen.append(sim.pending), doomed.cancel()))
+        doomed = sim.timeout(0.0)
+        sim.timeout(1.0)
+        sim.run()
+        # link(2) sees the reader, doomed and the t=1 timeout; the reader
+        # sees doomed, the timeout and the appended link(1); after the
+        # cancel, each later link sees only the timeout.
+        assert seen == [3, 3, 1, 1]
+        assert sim.pending == 0
+
     def test_fifo_among_simultaneous_events(self):
         sim = Simulator()
         order = []

@@ -106,12 +106,12 @@ class HDFS:
         The device chain and the CPU path pipeline against each other, so
         the elapsed time is the max of the two (plus queueing on both).
         """
-        legs = [_Leg(self, steps, task_id, phase).done]
+        join = _Join(self.sim, 1 + len(nodes))
+        _Leg(self, steps, task_id, phase, join)
         for node in nodes:
-            legs.append(_Leg(
-                self, [(node, node.iopath, "fw", nbytes * io_factor, "iopath")],
-                task_id, phase).done)
-        return self.sim.all_of(legs)
+            _Leg(self, [(node, node.iopath, "fw", nbytes * io_factor, "iopath")],
+                 task_id, phase, join)
+        return join
 
     def _spawn(self, start: Callable[[], Event]) -> Event:
         """Call *start* from a boot event at the current time; the
@@ -219,32 +219,49 @@ class HDFS:
         return join
 
 
+class _Join(Event):
+    """Fires once each of its :attr:`legs` has counted itself off."""
+
+    __slots__ = ("legs",)
+
+    def __init__(self, sim: Simulator, legs: int):
+        super().__init__(sim)
+        self.legs = legs
+
+    def count_off(self, _event: Event) -> None:
+        self.legs -= 1
+        if not self.legs:
+            self.succeed()
+
+
 class _Leg:
     """One leg of a data-path operation, run by callbacks.
 
     A leg boots from an event at the current time, runs its device steps
     one after another — recording each step's trace interval as it
-    completes — and then succeeds :attr:`done`.  It schedules the same
-    events, in the same order, as a process that ran the steps would:
-    a boot event, each step's device events, a completion event.
+    completes — and then counts itself off its join from a completion
+    event.  It schedules the same events, in the same order, as a
+    process that ran the steps would: a boot event, each step's device
+    events, a completion event.
     """
 
-    __slots__ = ("trace", "steps", "task_id", "phase", "done", "_next")
+    __slots__ = ("trace", "steps", "task_id", "phase", "join", "_next")
 
     def __init__(self, hdfs: HDFS, steps: List[_Step],
-                 task_id: Optional[str], phase: str):
+                 task_id: Optional[str], phase: str, join: _Join):
         self.trace = hdfs.cluster.trace
         self.steps = steps
         self.task_id = task_id
         self.phase = phase
-        self.done = Event(hdfs.sim)
+        self.join = join
         self._next = 0
         hdfs.sim.schedule(self._advance)
 
     def _advance(self, _event: Optional[Event] = None) -> None:
         i = self._next
         if i == len(self.steps):
-            self.done.succeed()
+            join = self.join
+            join.sim.schedule(join.count_off)
             return
         self._next = i + 1
         _node, device, _label, nbytes, _kind = self.steps[i]
@@ -253,7 +270,8 @@ class _Leg:
     def _step_done(self) -> None:
         node, device, label, nbytes, kind = self.steps[self._next - 1]
         end = device.sim.now
-        self.trace.add(end - device.service_time(nbytes), end, node.name,
-                       label, kind, activity=1.0, task_id=self.task_id,
-                       phase=self.phase)
+        # The service timeout's own expression, so the start is exact.
+        start = end - (device.latency + nbytes / device.bandwidth)
+        self.trace.add(start, end, node.name, label, kind, activity=1.0,
+                       task_id=self.task_id, phase=self.phase)
         self._advance()

@@ -36,7 +36,8 @@ class UsageStats:
         return self.total_wait / self.acquisitions if self.acquisitions else 0.0
 
     def utilization(self, makespan: float) -> float:
-        """Fraction of *makespan* the device was busy (per unit capacity)."""
+        """Busy time over *makespan*: summed across channels, so a
+        multi-channel device divides it by its channel count."""
         return self.busy_time / makespan if makespan > 0 else 0.0
 
 
@@ -68,6 +69,7 @@ class BandwidthDevice:
         self.sim = sim
         self.bandwidth = bandwidth
         self.latency = latency
+        self.channels = channels
         self.name = name
         self.stats = UsageStats()
         self.bytes_moved = 0.0
@@ -107,8 +109,7 @@ class BandwidthDevice:
         stats = self.stats
         stats.acquisitions += 1
         stats.total_wait += sim.now - requested
-        sim.timeout(self.latency + nbytes / self.bandwidth,
-                    job).add_callback(self._end)
+        sim.timeout(self.latency + nbytes / self.bandwidth, job, self._end)
 
     def _end(self, service: Timeout) -> None:
         nbytes, done, _requested = service.value
@@ -128,5 +129,5 @@ class BandwidthDevice:
         return len(self._waiting)
 
     def utilization(self, makespan: float) -> float:
-        """Fraction of *makespan* the device spent transferring."""
-        return self.stats.utilization(makespan)
+        """Fraction of *makespan* × ``channels`` spent transferring."""
+        return self.stats.utilization(makespan) / self.channels

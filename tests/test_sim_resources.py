@@ -187,6 +187,19 @@ class TestBandwidthDevice:
         assert dev.stats.busy_time == 5.0
         assert dev.utilization(sim.now) == pytest.approx(1.0)
 
+    def test_utilization_is_per_channel(self):
+        sim = Simulator()
+        dev = BandwidthDevice(sim, bandwidth=1.0, channels=2)
+        _start(sim, dev, 5.0)
+        _start(sim, dev, 5.0)
+        sim.run()
+        assert sim.now == 5.0
+        assert dev.stats.busy_time == 10.0
+        assert dev.utilization(sim.now) == pytest.approx(1.0)
+        _start(sim, dev, 5.0)
+        sim.run()
+        assert dev.utilization(sim.now) == pytest.approx(0.75)
+
     @given(st.lists(st.floats(min_value=1.0, max_value=1e6),
                     min_size=1, max_size=10))
     def test_serialized_makespan_is_sum_of_service(self, sizes):

@@ -22,8 +22,8 @@ rebase), and a final status.  Spans come from two directions:
   service's drain loop, which holds the admission queue and the process
   pool) attach externally timed windows via :meth:`RequestTrace.add_span`
   — that is how queue-wait and pool-execution land on the trace of the
-  request that triggered the computation, keyed by the trace id that is
-  threaded through ``service.submit`` and ``work.simulate_batch``.
+  request that triggered the computation: each admission-queue entry
+  carries its trace, and the pool returns results in queue order.
 
 A :class:`RequestTelemetry` instance owns the traces: a registry of
 in-flight requests plus a bounded ring buffer (``collections.deque``)

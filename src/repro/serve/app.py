@@ -24,6 +24,7 @@ trace id (when telemetry is on) in ``X-Repro-Request-Id``.
 
 from __future__ import annotations
 
+import math
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -66,7 +67,12 @@ def _coerce(name: str, value, kind: type):
     if kind is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise BadRequest(f"{name} must be a number, got {value!r}")
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:
+            raise BadRequest(f"{name} is too large for a float") from None
+        if not math.isfinite(value):
+            raise BadRequest(f"{name} must be finite, got {value!r}")
         if value <= 0:
             raise BadRequest(f"{name} must be positive, got {value!r}")
         return value

@@ -71,7 +71,7 @@ class Request:
             return {}
         try:
             return json.loads(self.body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except ValueError as exc:      # bad UTF-8, bad JSON, huge ints
             raise BadRequest(f"body is not valid JSON: {exc}") from exc
 
 

@@ -14,10 +14,12 @@ the service can be aggressive about sharing work:
 * **Sharded cache namespace** — entries spread over ``shards``
   subdirectory shards of the PR 1 content-addressed cache, so thousands
   of concurrent fills never pile every entry into one directory.
-* **Micro-batched admission** — admitted cells queue once; each of the
-  ``workers`` drain loops grabs everything immediately available (up to
-  ``batch_max``) and ships it to the pool as **one** submission,
-  amortizing the pickle/IPC round-trip under load.
+* **Micro-batched admission** — admitted cells queue once; a drain loop
+  that wakes takes its share of the queue, split evenly with the other
+  idle loops (at most ``batch_max`` cells), and ships it to the pool as
+  **one** submission.  Idle workers each get a batch of their own;
+  under backlog no loop is idle, so batches fill to ``batch_max`` and
+  amortize the pickle/IPC round-trip.
 * **Backpressure** — admission is bounded by ``queue_limit`` cells;
   beyond it requests are shed with 429 + ``Retry-After`` instead of
   growing an unbounded queue.  Waiters are bounded by
@@ -51,6 +53,12 @@ from .work import simulate_batch
 __all__ = ["ComputeError", "Overloaded", "RequestTimeout", "Draining",
            "ServiceConfig", "ServiceStats", "ShardedResultCache",
            "SimulationService"]
+
+
+#: An admission-queue entry: (key_hex, key, owning trace or None,
+#: enqueue perf-stamp or 0.0).  The trace lets the drain loop attribute
+#: queue-wait and pool-execution spans to the admitting request.
+_Entry = Tuple[str, RunKey, Optional[RequestTrace], float]
 
 
 class Overloaded(Exception):
@@ -235,12 +243,9 @@ class SimulationService:
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._inflight: Dict[str, asyncio.Future] = {}
         self._admitted = 0
-        # Queue entries are (key_hex, key, owning trace or None, enqueue
-        # perf-stamp or 0.0); the trace lets the drain loop attribute
-        # queue-wait and pool-execution spans to the admitting request.
-        self._queue: "asyncio.Queue[Tuple[str, RunKey, Optional[RequestTrace], float]]" = \
-            asyncio.Queue()
+        self._queue: "asyncio.Queue[_Entry]" = asyncio.Queue()
         self._drainers: List[asyncio.Task] = []
+        self._idle = 0      # drain loops blocked on an empty queue
 
     def sync_metrics(self) -> MetricsRegistry:
         """Refresh externally-tallied instruments; returns the registry.
@@ -426,42 +431,34 @@ class SimulationService:
     # -- the pool-facing side ---------------------------------------------
 
     async def _drain_loop(self) -> None:
-        """One of ``workers`` loops: admit a micro-batch, run it, fan out."""
+        """One of ``workers`` loops: take a share of the queue, run it, fan out."""
         assert self._loop is not None
         while True:
-            entry = await self._queue.get()
-            batch: List[Tuple[str, RunKey, Optional[RequestTrace], float]] = [entry]
-            while len(batch) < self.config.batch_max:
-                try:
-                    batch.append(self._queue.get_nowait())
-                except asyncio.QueueEmpty:
-                    break
+            self._idle += 1
+            try:
+                entry = await self._queue.get()
+            finally:
+                self._idle -= 1
+            # Split the queue evenly between this loop and the loops still
+            # idle, so each idle worker gets a batch of its own; with no
+            # idle loop the share is the whole queue (up to batch_max).
+            share = min(self.config.batch_max,
+                        -(-(1 + self._queue.qsize()) // (1 + self._idle)))
+            batch = [entry]
+            while len(batch) < share:
+                batch.append(self._queue.get_nowait())
             self.stats.submissions.inc()
             self.stats.cells.inc(len(batch))
             pickup = time.perf_counter()
-            # Traced cells carry their request id through the pool as an
-            # opaque tag (worker-side it is pass-through data, so the
-            # worker stays wall-clock-free); untraced batches keep the
-            # tagless 2-tuple protocol and its smaller pickle.
-            tags = None
-            if any(tr is not None for _, _, tr, _ in batch):
-                tags = tuple(
-                    tr.id if tr is not None else ""
-                    for _, _, tr, _ in batch)
-                for _, _, tr, enq_t in batch:
-                    if tr is not None:
-                        tr.add_span("queue.wait", enq_t, pickup)
+            for _, _, tr, enq_t in batch:
+                if tr is not None:
+                    tr.add_span("queue.wait", enq_t, pickup)
             profiler = prof.ACTIVE
             t0 = time.perf_counter() if profiler is not None else 0.0
             try:
-                if tags is None:
-                    pairs = await self._loop.run_in_executor(
-                        self._pool, simulate_batch,
-                        tuple(k for _, k, _, _ in batch), self.conf)
-                else:
-                    pairs = await self._loop.run_in_executor(
-                        self._pool, simulate_batch,
-                        tuple(k for _, k, _, _ in batch), self.conf, tags)
+                pairs = await self._loop.run_in_executor(
+                    self._pool, simulate_batch,
+                    tuple(k for _, k, _, _ in batch), self.conf)
             except asyncio.CancelledError:
                 self._fail_batch(batch, Draining("service stopped"))
                 raise
@@ -476,12 +473,10 @@ class SimulationService:
                 done = time.perf_counter()
                 if profiler is not None:
                     profiler.record("serve.executor.batch", done - t0)
-                for (k_hex, k, tr, _enq), computed in zip(batch, pairs):
-                    result = computed[1]
+                for (k_hex, k, tr, _enq), (_key, result) in zip(batch, pairs):
                     if tr is not None:
-                        tag = computed[2] if len(computed) > 2 else None
                         tr.add_span("pool.execute", pickup, done,
-                                    batch=len(batch), tag=tag)
+                                    batch=len(batch))
                     if self.cache is not None:
                         store_t = time.perf_counter() \
                             if tr is not None else 0.0
@@ -497,9 +492,7 @@ class SimulationService:
                     if future is not None and not future.done():
                         future.set_result(result)
 
-    def _fail_batch(self,
-                batch: Sequence[Tuple[str, RunKey,
-                                      Optional[RequestTrace], float]],
+    def _fail_batch(self, batch: Sequence[_Entry],
                     exc: BaseException) -> None:
         for k_hex, _k, _tr, _enq in batch:
             future = self._inflight.pop(k_hex, None)

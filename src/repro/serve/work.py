@@ -14,7 +14,7 @@ never the asyncio service.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from ..core.characterization import RunKey, simulate_cell
 from ..mapreduce.config import JobConf
@@ -23,24 +23,12 @@ from ..mapreduce.driver import JobResult
 __all__ = ["simulate_batch"]
 
 
-def simulate_batch(keys: Sequence[RunKey], conf: JobConf,
-                   tags: Optional[Sequence[str]] = None) -> List[Tuple]:
+def simulate_batch(keys: Sequence[RunKey],
+                   conf: JobConf) -> List[Tuple[RunKey, JobResult]]:
     """Simulate a micro-batch of cells in one worker round-trip.
 
     Results are returned in input order, paired with their keys, so the
     admission layer can fan them back out to the coalesced waiters
     without re-deriving cache keys in the worker.
-
-    *tags* (optional, one per key) are opaque caller strings — the
-    service passes request-trace ids — carried through the pool
-    round-trip untouched and returned as a third tuple element, so the
-    admission layer can attribute each computed cell back to the
-    request that owns it.  Tags never influence the computation: with
-    or without them, results are byte-identical (asserted in tests).
     """
-    if tags is None:
-        return [(key, simulate_cell(key, conf)) for key in keys]
-    if len(tags) != len(keys):
-        raise ValueError(f"got {len(tags)} tags for {len(keys)} keys")
-    return [(key, simulate_cell(key, conf), tag)
-            for key, tag in zip(keys, tags)]
+    return [(key, simulate_cell(key, conf)) for key in keys]

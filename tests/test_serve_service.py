@@ -17,7 +17,10 @@ from repro.analysis.executor import cache_key
 from repro.core.characterization import RunKey, simulate_cell
 from repro.core.metrics import edxp
 from repro.loadgen.client import _Connection
+from repro.obs import reqtrace
 from repro.obs.registry import parse_exposition
+from repro.serve.app import result_payload
+from repro.serve.http import Response
 from repro.serve.run import start_stack, stop_stack
 from repro.serve.service import (Draining, Overloaded, RequestTimeout,
                                  ServiceConfig, SimulationService)
@@ -28,6 +31,12 @@ KEY = RunKey(machine="atom", workload="wordcount", freq_ghz=1.2,
 BODY = json.dumps({"machine": "atom", "workload": "wordcount",
                    "freq_ghz": 1.2, "data_per_node_gb": 0.05,
                    "n_nodes": 2})
+# Four distinct tiny cells.  Submitted together, all four are enqueued
+# before any drain loop resumes, so how they split into batches is
+# deterministic.
+FOUR_KEYS = [RunKey(machine="atom", workload="wordcount", freq_ghz=f,
+                    data_per_node_gb=0.05, n_nodes=2)
+             for f in (1.2, 1.4, 1.6, 1.8)]
 
 
 def _config(tmp_path, **overrides):
@@ -106,12 +115,9 @@ def test_second_run_is_served_from_cache(tmp_path):
 
 def test_cache_shards_are_populated_on_disk(tmp_path):
     config = _config(tmp_path, shards=4)
-    keys = [RunKey(machine="atom", workload="wordcount", freq_ghz=f,
-                   data_per_node_gb=0.05, n_nodes=2)
-            for f in (1.2, 1.4, 1.6, 1.8)]
 
     async def scenario(service):
-        await asyncio.gather(*(service.submit(k) for k in keys))
+        await asyncio.gather(*(service.submit(k) for k in FOUR_KEYS))
 
     asyncio.run(_with_service(config, scenario))
     shard_dirs = sorted(p.name for p in (tmp_path / "cache").iterdir())
@@ -123,6 +129,112 @@ def test_cache_shards_are_populated_on_disk(tmp_path):
     assert len(shard_dirs) >= 2, "keys should spread over shards"
     entries = sum(1 for p in (tmp_path / "cache").rglob("*.pkl"))
     assert entries == 4
+
+
+def _batch_split(tmp_path, **overrides):
+    """(submissions, sorted batch size seen by each cell) for FOUR_KEYS."""
+    async def scenario(service):
+        tel = service.telemetry
+        traces = [tel.start("/simulate", "POST") for _ in FOUR_KEYS]
+
+        async def one(key, trace):
+            with reqtrace.use(trace):
+                await service.submit(key)
+
+        await asyncio.gather(*(one(k, tr)
+                               for k, tr in zip(FOUR_KEYS, traces)))
+        sizes = sorted(span.args["batch"] for trace in traces
+                       for span in trace.spans
+                       if span.name == "pool.execute")
+        return service.stats.submissions.value, sizes
+
+    return asyncio.run(_with_service(_config(tmp_path, **overrides),
+                                     scenario))
+
+
+def test_idle_workers_split_the_queue_between_them(tmp_path):
+    submissions, sizes = _batch_split(tmp_path, workers=2)
+    assert submissions == 2
+    assert sizes == [2, 2, 2, 2]
+
+
+def test_one_worker_takes_the_whole_queue(tmp_path):
+    submissions, sizes = _batch_split(tmp_path, workers=1)
+    assert submissions == 1
+    assert sizes == [4, 4, 4, 4]
+
+
+def test_batch_max_still_caps_the_share(tmp_path):
+    submissions, sizes = _batch_split(tmp_path, workers=2, batch_max=1)
+    assert submissions == 4
+    assert sizes == [1, 1, 1, 1]
+
+
+def test_split_batches_keep_results_and_bodies_byte_identical(tmp_path):
+    sweep = json.dumps({"machine": "atom", "workload": "wordcount",
+                        "freq_ghz": [1.2, 1.4, 1.6, 1.8],
+                        "data_per_node_gb": 0.05, "n_nodes": 2})
+    compare = json.dumps({"workload": "wordcount", "freq_ghz": 1.4,
+                          "data_per_node_gb": 0.05, "n_nodes": 2})
+
+    async def main(workers):
+        config = _config(tmp_path / f"w{workers}", workers=workers)
+        results = await _with_service(
+            config, lambda service: service.submit_many(FOUR_KEYS))
+        handle = await start_stack(
+            _config(tmp_path / f"http{workers}", workers=workers))
+        conn = _Connection(handle.host, handle.port)
+        try:
+            bodies = [await conn.request("POST", "/sweep", sweep),
+                      await conn.request("POST", "/compare", compare)]
+            return ([repr(result) for result, _source in results],
+                    bodies, handle.service.stats.submissions.value)
+        finally:
+            conn.close()
+            await stop_stack(handle, graceful=False)
+
+    one, two = asyncio.run(main(1)), asyncio.run(main(2))
+    direct = [simulate_cell(key) for key in FOUR_KEYS]
+    assert one[0] == two[0] == [repr(result) for result in direct]
+    assert one[1] == two[1]
+    assert [status for status, _body in two[1]] == [200, 200]
+    expected = Response.json({
+        "cells": 4,
+        "results": [result_payload(key, result)
+                    for key, result in zip(FOUR_KEYS, direct)]}).body
+    assert two[1][0][1] == expected
+    # The sweep went to the pool as 1 batch on one worker and as 2 on
+    # two; /compare adds 1 for its one uncached (xeon) cell.
+    assert (one[2], two[2]) == (2, 3)
+
+
+def test_idle_count_settles_through_load_and_cancellation(tmp_path):
+    # More drain loops than cores and every cell asked for twice: the
+    # idle count must read all loops while the queue is empty, and
+    # nothing once stop() cancels them blocked in Queue.get().
+    keys = [RunKey(machine=m, workload="wordcount", freq_ghz=f,
+                   data_per_node_gb=0.05, n_nodes=2)
+            for m in ("atom", "xeon") for f in (1.2, 1.4, 1.6, 1.8)]
+
+    async def main():
+        service = SimulationService(_config(tmp_path, workers=3))
+        await service.start()
+        try:
+            await asyncio.sleep(0)
+            before = service._idle
+            outcomes = await asyncio.wait_for(asyncio.gather(
+                *(service.submit(k) for k in keys * 2)), timeout=120)
+            after = service._idle
+        finally:
+            await service.stop()
+        return before, outcomes, after, service
+
+    before, outcomes, after, service = asyncio.run(main())
+    assert (before, after, service._idle) == (3, 3, 0)
+    assert sorted(s for _r, s in outcomes) == (["coalesced"] * 8
+                                               + ["computed"] * 8)
+    assert service.stats.cells.value == 8
+    assert service.inflight_cells == 0
 
 
 def test_admission_beyond_queue_limit_sheds(tmp_path):
@@ -266,6 +378,12 @@ def test_http_error_statuses(tmp_path):
                 json.dumps({"machine": "m5", "workload": "wordcount"}))
             out["missing"] = await conn.request(
                 "POST", "/simulate", json.dumps({"machine": "atom"}))
+            # An integer past the interpreter's digit limit fails inside
+            # json.loads with a plain ValueError, not a JSONDecodeError.
+            out["huge_int"] = await conn.request(
+                "POST", "/simulate",
+                '{"machine": "atom", "workload": "wordcount", '
+                '"n_nodes": 1' + "0" * 5000 + "}")
             out["not_found"] = await conn.request("POST", "/nope", "{}")
             out["method"] = await conn.request("GET", "/simulate")
             return out
@@ -279,8 +397,45 @@ def test_http_error_statuses(tmp_path):
     assert b"sauce" in out["unknown_field"][1]
     assert out["bad_machine"][0] == 400
     assert out["missing"][0] == 400
+    assert out["huge_int"][0] == 400
     assert out["not_found"][0] == 404
     assert out["method"][0] == 405
+
+
+def test_non_finite_numbers_are_rejected_on_every_route(tmp_path):
+    # json.loads turns NaN/Infinity/-Infinity and overflowing literals
+    # into non-finite floats; an infinite data size would make HDFS
+    # split its input forever in a pool worker.  The literals are
+    # spliced into the body text because JSON has no other spelling.
+    literals = ("NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400)
+    base = {"workload": "wordcount", "freq_ghz": 1.2,
+            "data_per_node_gb": 0.05, "n_nodes": 2}
+    bodies = []
+    for field in ("freq_ghz", "block_size_mb", "data_per_node_gb"):
+        for literal in literals:
+            for route, doc, value in (
+                    ("/simulate", dict(base, machine="atom"), "@"),
+                    ("/sweep", dict(base, machine="atom"), ["@", 1.4]),
+                    ("/compare", base, "@")):
+                text = json.dumps(dict(doc, **{field: value}))
+                bodies.append((route, text.replace('"@"', literal)))
+
+    async def main():
+        handle = await _stack(tmp_path)
+        conn = _Connection(handle.host, handle.port)
+        try:
+            statuses = [(await conn.request("POST", route, body))[0]
+                        for route, body in bodies]
+            _s, metrics = await conn.request("GET", "/metrics?format=json")
+            return statuses, json.loads(metrics)
+        finally:
+            conn.close()
+            await stop_stack(handle, graceful=False)
+
+    statuses, metrics = asyncio.run(main())
+    assert len(statuses) == 3 * 5 * 3
+    assert statuses == [400] * len(statuses)
+    assert metrics["executor_submissions_total"] == 0
 
 
 def test_sweep_expands_axes_in_order(tmp_path):

@@ -2,19 +2,20 @@
 
 The acceptance surface of the third observability pillar: a scraped
 ``/metrics`` passes the strict exposition parser, a computed request's
-trace carries coalesce-wait / queue-wait / pool-execution spans, trace
-ids survive the process-pool round-trip, shed and timeout produce
+trace carries coalesce-wait / queue-wait / pool-execution spans, the
+pool worker returns its results in input order, shed and timeout produce
 request-id-correlated structured log lines, and — the zero-cost rule —
 simulate bodies are byte-identical with telemetry on and off.
 """
 
 import asyncio
+import dataclasses
 import io
 import json
 
 import pytest
 
-from repro.core.characterization import RunKey
+from repro.core.characterization import RunKey, simulate_cell
 from repro.loadgen.client import _Connection, fetch_traces
 from repro.mapreduce.config import DEFAULT_CONF
 from repro.obs import reqtrace, slog
@@ -98,28 +99,24 @@ def test_computed_request_has_the_full_span_chain(tmp_path):
     assert {"http.parse", "route", "cache.get", "coalesce.wait",
             "queue.wait", "pool.execute", "cache.store"} \
         <= _span_names(trace)
-    # The admitting request's coalesce.wait is the joined=False side,
-    # and its pool-execution window carries its own id as the tag.
+    # The admitting request's coalesce.wait is the joined=False side.
     (wait,) = _spans(trace, "coalesce.wait")
     assert wait["meta"] == {"joined": False}
     (pool,) = _spans(trace, "pool.execute")
-    assert pool["meta"]["tag"] == request_id
-    assert pool["meta"]["batch"] == 1
+    assert pool["meta"] == {"batch": 1}
     (route,) = _spans(trace, "route")
     assert route["meta"] == {"handler": "simulate"}
 
 
-def test_trace_ids_survive_the_process_pool_roundtrip():
-    triples = simulate_batch([KEY, KEY], DEFAULT_CONF,
-                             tags=("id-a", "id-b"))
-    assert [t[2] for t in triples] == ["id-a", "id-b"]
-    pairs = simulate_batch([KEY], DEFAULT_CONF)
-    assert len(pairs[0]) == 2
-    # Tags are pass-through only: results identical with and without.
-    assert triples[0][1].execution_time_s == pairs[0][1].execution_time_s
-    assert triples[0][1].dynamic_energy_j == pairs[0][1].dynamic_energy_j
-    with pytest.raises(ValueError):
-        simulate_batch([KEY], DEFAULT_CONF, tags=("a", "b"))
+def test_simulate_batch_returns_pairs_in_input_order():
+    # The service fans results out by position, so the worker must keep
+    # the input order (duplicates included) and compute each cell
+    # exactly as the in-process path does.
+    keys = [KEY, dataclasses.replace(KEY, machine="xeon"), KEY]
+    pairs = simulate_batch(keys, DEFAULT_CONF)
+    assert [key for key, _result in pairs] == keys
+    assert [repr(result) for _key, result in pairs] == \
+        [repr(simulate_cell(key, DEFAULT_CONF)) for key in keys]
 
 
 def test_coalesced_requests_get_their_own_traces(tmp_path):

@@ -3,8 +3,10 @@
 Each ``benchmarks/test_*.py`` regenerates one figure/table of the paper:
 it times the experiment driver (one round — the drivers are deterministic
 simulations, not microbenchmarks), asserts the paper's qualitative
-shapes, prints the regenerated rows/series, and archives them under
-``benchmarks/results/``.
+shapes, prints the regenerated rows/series, and compares them byte for
+byte with the committed table under ``benchmarks/results/``.  The
+tables are regenerated only by ``python tests/test_paper_tables.py``,
+so a changed number is a review diff, never a silent overwrite.
 """
 
 from __future__ import annotations
@@ -35,16 +37,19 @@ def characterizer() -> Characterizer:
 
 @pytest.fixture()
 def run_experiment(benchmark, characterizer):
-    """Run a driver once under the benchmark timer; archive its output."""
+    """Run a driver once under the benchmark timer; check its output
+    against the committed table."""
 
     def _run(driver, *args, **kwargs):
         exp = benchmark.pedantic(driver, args=(characterizer, *args),
                                  kwargs=kwargs, rounds=1, iterations=1)
-        RESULTS_DIR.mkdir(exist_ok=True)
         text = exp.render()
-        (RESULTS_DIR / f"{exp.exp_id}.txt").write_text(text + "\n")
         print()
         print(text)
+        committed = (RESULTS_DIR / f"{exp.exp_id}.txt").read_text(
+            encoding="utf-8")
+        assert text + "\n" == committed, (
+            f"{exp.exp_id} differs from benchmarks/results/{exp.exp_id}.txt")
         return exp
 
     return _run

@@ -41,7 +41,8 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from ..core.characterization import RunKey, simulate_cell
+from ..core import characterization
+from ..core.characterization import Cell, RunKey
 from ..mapreduce.config import DEFAULT_CONF, JobConf
 from ..mapreduce.driver import JobResult
 from ..obs import prof
@@ -312,21 +313,25 @@ class ResultCache:
 
 def _simulate_worker(key: RunKey, conf: JobConf) -> JobResult:
     """Top-level worker (must be picklable for the process pool)."""
-    return simulate_cell(key, conf)
+    return characterization.simulate_cell(key, conf)
 
 
-def run_cells(keys: Sequence[RunKey],
+def run_cells(cells: Sequence[Cell],
               conf: JobConf = DEFAULT_CONF,
               jobs: Optional[int] = 1,
               cache: Optional[ResultCache] = None,
-              obs=None) -> Dict[RunKey, JobResult]:
+              obs=None) -> Dict[Cell, JobResult]:
     """Simulate a batch of cells, in parallel when ``jobs > 1``.
 
-    Results come back as an insertion-ordered dict following the *input*
-    order of ``keys`` (duplicates collapsed), never worker completion
-    order — so serial and parallel runs are exactly reproducible.
-    Cached cells are served from ``cache`` without touching the pool;
-    fresh cells are written back to it.
+    A cell is a :class:`RunKey`, simulated under *conf*, or a
+    ``(RunKey, JobConf)`` pair carrying its own conf.  Results come back
+    as an insertion-ordered dict following the *input* order of
+    ``cells`` (duplicates collapsed), never worker completion order — so
+    serial and parallel runs are exactly reproducible.  Cached cells are
+    served from ``cache`` without touching the pool; fresh cells are
+    written back to it.  The serial path calls
+    ``characterization.simulate_cell`` through its module, so a wrapper
+    installed there sees every cell.
 
     ``obs`` (a host-clock :class:`repro.obs.Tracer`) records per-cell
     wall-time spans, cache hit/miss tallies and the pool's in-flight
@@ -337,28 +342,31 @@ def run_cells(keys: Sequence[RunKey],
     failing cell.
     """
     jobs = resolve_jobs(jobs)
-    ordered: List[RunKey] = list(dict.fromkeys(keys))
-    results: Dict[RunKey, JobResult] = {}
-    pending: List[RunKey] = []
-    for key in ordered:
-        hit = cache.get(key, conf) if cache is not None else None
+    pairs = {cell: cell if isinstance(cell, tuple) else (cell, conf)
+             for cell in cells}
+    results: Dict[Cell, JobResult] = {}
+    pending: List[Cell] = []
+    for cell, (key, cell_conf) in pairs.items():
+        hit = cache.get(key, cell_conf) if cache is not None else None
         if hit is not None:
-            results[key] = hit
+            results[cell] = hit
             if obs is not None:
                 obs.count("cache.hits")
         else:
-            pending.append(key)
+            pending.append(cell)
             if obs is not None and cache is not None:
                 obs.count("cache.misses")
 
     profiler = prof.ACTIVE
     if jobs <= 1 or len(pending) <= 1:
-        for key in pending:
+        for cell in pending:
+            key, cell_conf = pairs[cell]
             span = (obs.begin(key.describe(), ("executor", "serial"),
                               cat="cell") if obs is not None else None)
             w0 = profiler.clock() if profiler is not None else 0.0
             try:
-                results[key] = simulate_cell(key, conf)
+                results[cell] = characterization.simulate_cell(key,
+                                                               cell_conf)
             except Exception as exc:
                 raise CellError(key, exc) from exc
             finally:
@@ -368,25 +376,26 @@ def run_cells(keys: Sequence[RunKey],
                 if span is not None:
                     obs.end(span)
             if cache is not None:
-                cache.put(key, conf, results[key])
+                cache.put(key, cell_conf, results[cell])
     else:
         inflight = (obs.counter("executor.inflight", "cells")
                     if obs is not None else None)
         with ProcessPoolExecutor(max_workers=min(jobs, len(pending))) as pool:
             w0 = profiler.clock() if profiler is not None else 0.0
-            futures = [(key, pool.submit(_simulate_worker, key, conf))
-                       for key in pending]
+            futures = [(cell, pool.submit(_simulate_worker, *pairs[cell]))
+                       for cell in pending]
             if profiler is not None:
                 profiler.record("executor.submit", profiler.clock() - w0,
                                 calls=len(futures))
             if inflight is not None:
                 inflight.set(obs.clock(), float(len(futures)))
-            for key, future in futures:
+            for cell, future in futures:
+                key, cell_conf = pairs[cell]
                 span = (obs.begin(key.describe(), ("executor", "pool"),
                                   cat="cell") if obs is not None else None)
                 w0 = profiler.clock() if profiler is not None else 0.0
                 try:
-                    results[key] = future.result()
+                    results[cell] = future.result()
                 except Exception as exc:
                     raise CellError(key, exc) from exc
                 finally:
@@ -398,6 +407,6 @@ def run_cells(keys: Sequence[RunKey],
                     if inflight is not None:
                         inflight.add(obs.clock(), -1.0)
                 if cache is not None:
-                    cache.put(key, conf, results[key])
+                    cache.put(key, cell_conf, results[cell])
 
-    return {key: results[key] for key in ordered}
+    return {cell: results[cell] for cell in pairs}

@@ -12,7 +12,7 @@ import io
 from typing import Iterable, Optional, Sequence
 
 from ..core.characterization import Characterizer
-from .experiments import ALL_EXPERIMENTS
+from .experiments import ALL_EXPERIMENTS, run_experiments
 from .validation import validate
 
 __all__ = ["generate_report"]
@@ -35,6 +35,7 @@ def generate_report(characterizer: Optional[Characterizer] = None,
     if unknown:
         raise KeyError(f"unknown experiment ids: {unknown}")
 
+    experiments = run_experiments(ch, ids)
     out = io.StringIO()
     out.write("# Reproduction report: Big vs little core for "
               "energy-efficient Hadoop computing\n\n")
@@ -48,8 +49,7 @@ def generate_report(characterizer: Optional[Characterizer] = None,
         out.write(report.render())
         out.write("\n```\n\n")
 
-    for exp_id in ids:
-        experiment = ALL_EXPERIMENTS[exp_id](ch)
+    for experiment in experiments:
         out.write(f"## {experiment.exp_id}: {experiment.title}\n\n")
         for section in experiment.sections:
             out.write("```\n")

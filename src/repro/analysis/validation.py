@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..arch.presets import ATOM_C2758, XEON_E5_2420
-from ..core.characterization import Characterizer, RunKey
+from ..core.characterization import Characterizer, RunKey, default_data_gb
 from ..core.metrics import edxp
 from ..workloads.base import MICRO_BENCHMARKS, REAL_WORLD
 from ..workloads.traditional import SPEC_CPU2006, suite_average_ipc
@@ -80,19 +80,15 @@ class ValidationReport:
         return f"{table}\n{self.passed}/{self.total} claims in band"
 
 
-def _gb(wl: str) -> float:
-    return 10.0 if wl in REAL_WORLD else 1.0
-
-
 def _ratio(ch: Characterizer, wl: str, **kw) -> float:
-    kw.setdefault("data_per_node_gb", _gb(wl))
+    kw.setdefault("data_per_node_gb", default_data_gb(wl))
     atom = ch.run(RunKey("atom", wl, **kw))
     xeon = ch.run(RunKey("xeon", wl, **kw))
     return atom.execution_time_s / xeon.execution_time_s
 
 
 def _edp_ratio(ch: Characterizer, wl: str, **kw) -> float:
-    kw.setdefault("data_per_node_gb", _gb(wl))
+    kw.setdefault("data_per_node_gb", default_data_gb(wl))
     atom = ch.run(RunKey("atom", wl, **kw))
     xeon = ch.run(RunKey("xeon", wl, **kw))
     return (edxp(atom.dynamic_energy_j, atom.execution_time_s, 1)
@@ -100,7 +96,8 @@ def _edp_ratio(ch: Characterizer, wl: str, **kw) -> float:
 
 
 def _hadoop_ipc(ch: Characterizer, machine: str) -> float:
-    values = [ch.run(RunKey(machine, wl, data_per_node_gb=_gb(wl))).ipc
+    values = [ch.run(RunKey(machine, wl,
+                            data_per_node_gb=default_data_gb(wl))).ipc
               for wl in MICRO_BENCHMARKS + REAL_WORLD]
     return sum(values) / len(values)
 

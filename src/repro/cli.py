@@ -34,7 +34,7 @@ import argparse
 import sys
 from typing import List, Optional
 
-from .analysis.experiments import ALL_EXPERIMENTS, warm_grid
+from .analysis.experiments import ALL_EXPERIMENTS, run_experiments
 from .analysis.executor import ResultCache, resolve_jobs
 from .cluster.scheduler import POLICY_NAMES
 from .core.characterization import Characterizer
@@ -418,12 +418,8 @@ def _cmd_run(ids: List[str], args: argparse.Namespace) -> int:
               f"valid: {sorted(ALL_EXPERIMENTS)}", file=sys.stderr)
         return 2
     characterizer = _make_characterizer(args)
-    if characterizer.jobs > 1:
-        # Fill the shared grid in parallel; the (serial) drivers below
-        # then find every cell memoized.
-        warm_grid(characterizer)
-    for exp_id in ids:
-        experiment = ALL_EXPERIMENTS[exp_id.upper()](characterizer)
+    for experiment in run_experiments(characterizer,
+                                      [i.upper() for i in ids]):
         print(experiment.render())
         print()
     _print_cache_summary(characterizer)

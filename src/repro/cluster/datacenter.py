@@ -38,7 +38,7 @@ from .arrivals import JobRequest
 from .scheduler import NodeDaemon, SchedulerPolicy, SlotLease, make_policy
 
 __all__ = ["RackSpec", "DatacenterSpec", "JobOutcome", "DatacenterRun",
-           "run_datacenter", "run_policies", "default_job_model"]
+           "run_datacenter", "run_policies", "default_job_model", "job_key"]
 
 #: job_model signature: (machine_pool, request) → inner-simulation result.
 JobModel = Callable[[str, JobRequest], JobResult]
@@ -272,22 +272,31 @@ class DatacenterRun:
         return rows
 
 
+def job_key(machine: str, request: JobRequest, freq_ghz: float = 1.8):
+    """The :class:`~repro.core.characterization.RunKey` cell that models
+    *request* on the *machine* pool."""
+    from ..core.characterization import RunKey
+    return RunKey(machine, request.workload, freq_ghz=freq_ghz,
+                  n_nodes=request.nodes,
+                  data_per_node_gb=request.data_per_node_gb)
+
+
 def default_job_model(characterizer=None, *,
                       freq_ghz: float = 1.8) -> JobModel:
     """Inner model backed by the characterization grid.
 
-    Each (pool, job shape) maps to one
-    :class:`~repro.core.characterization.RunKey` cell, so repeated
+    Each (pool, job shape) maps to one :func:`job_key` cell, so repeated
     shapes in the stream cost one simulation and results flow through
     the shared in-process memo and the on-disk result cache.
+    *characterizer* is any cell source: a
+    :class:`~repro.core.characterization.Characterizer`, or the
+    ``Results`` of a plan that holds every cell the stream can place.
     """
-    from ..core.characterization import Characterizer, RunKey
+    from ..core.characterization import Characterizer
     ch = characterizer if characterizer is not None else Characterizer()
 
     def model(machine: str, request: JobRequest) -> JobResult:
-        return ch.run(RunKey(machine, request.workload, freq_ghz=freq_ghz,
-                             n_nodes=request.nodes,
-                             data_per_node_gb=request.data_per_node_gb))
+        return ch.run(job_key(machine, request, freq_ghz))
 
     return model
 

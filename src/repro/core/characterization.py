@@ -10,14 +10,15 @@ consistent dataset instead of re-simulating.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from ..mapreduce.config import DEFAULT_CONF, JobConf
 from ..mapreduce.driver import JobResult, simulate_job
-from .metrics import CostPoint, edxp
+from .metrics import CostPoint
 
-__all__ = ["RunKey", "Characterizer", "simulate_cell", "PAPER_MICRO_GB",
+__all__ = ["RunKey", "Cell", "Characterizer", "Results", "simulate_cell",
+           "cost_point", "default_data_gb", "PAPER_MICRO_GB",
            "PAPER_REAL_GB"]
 
 #: Data sizes the paper uses by default: 1 GB/node for micro-benchmarks,
@@ -51,6 +52,34 @@ class RunKey:
         return (f"{self.workload} on {self.machine} @ {self.freq_ghz} GHz, "
                 f"{self.block_size_mb:g} MB blocks, "
                 f"{self.data_per_node_gb:g} GB/node, {cores} cores")
+
+
+#: A cell to simulate: a :class:`RunKey` under the runner's own
+#: :class:`JobConf`, or a ``(RunKey, JobConf)`` pair that brings its own
+#: (the fault sweep's per-rate fault plans).
+Cell = Union[RunKey, Tuple[RunKey, JobConf]]
+
+
+def default_data_gb(workload: str) -> float:
+    """The paper's default data size for a workload class."""
+    from ..workloads.base import REAL_WORLD
+    return PAPER_REAL_GB if workload in REAL_WORLD else PAPER_MICRO_GB
+
+
+def cost_point(key: RunKey, result: JobResult,
+               label: Optional[str] = None) -> CostPoint:
+    """Wrap a cell's result as a :class:`CostPoint` (EDxP/EDxAP).
+
+    The area charged is the die area prorated over the cores actually
+    allocated (§1.2 / Table 3 methodology).
+    """
+    from ..arch.presets import machine
+    spec = machine(key.machine)
+    cores = key.cores_per_node or spec.cores_per_node
+    return CostPoint(label=label or key.describe(),
+                     energy_j=result.dynamic_energy_j,
+                     delay_s=result.execution_time_s,
+                     area_mm2=spec.area_for_cores(cores))
 
 
 def simulate_cell(key: RunKey, conf: JobConf = DEFAULT_CONF) -> JobResult:
@@ -93,67 +122,35 @@ class Characterizer:
         self.conf = conf
         self.disk_cache = cache
         self.jobs = jobs
-        self._cache: Dict[RunKey, JobResult] = {}
+        self._cache: Dict[Tuple[RunKey, JobConf], JobResult] = {}
 
-    def run(self, key: RunKey) -> JobResult:
-        """Simulate one grid cell (memoized, then disk-cached)."""
-        result = self._cache.get(key)
-        if result is None and self.disk_cache is not None:
-            result = self.disk_cache.get(key, self.conf)
-            if result is not None:
-                self._cache[key] = result
-        if result is None:
-            result = simulate_cell(key, self.conf)
-            self._cache[key] = result
-            if self.disk_cache is not None:
-                self.disk_cache.put(key, self.conf, result)
-        return result
+    def _pair(self, cell: Cell) -> Tuple[RunKey, JobConf]:
+        return cell if isinstance(cell, tuple) else (cell, self.conf)
 
-    def run_many(self, keys: Iterable[RunKey],
+    def run(self, cell: Cell) -> JobResult:
+        """Simulate one cell (memoized, then disk-cached)."""
+        return self.run_many([cell])[0]
+
+    def run_many(self, cells: Iterable[Cell],
                  jobs: Optional[int] = None) -> List[JobResult]:
         """Run a batch of cells, fanning cache misses out over *jobs*
         worker processes (defaults to the instance's ``jobs``).
 
-        Results are returned in input order and are identical to calling
-        :meth:`run` serially; see :func:`repro.analysis.executor.run_cells`
-        for the ordering guarantee.
+        Results are returned in input order and are identical at any
+        worker count; see :func:`repro.analysis.executor.run_cells` for
+        the ordering guarantee.
         """
-        keys = list(keys)
-        jobs = self.jobs if jobs is None else jobs
-        missing = [k for k in dict.fromkeys(keys) if k not in self._cache]
+        pairs = [self._pair(cell) for cell in cells]
+        missing = [p for p in dict.fromkeys(pairs) if p not in self._cache]
         if missing:
             from ..analysis.executor import run_cells
-            self._cache.update(run_cells(missing, self.conf, jobs=jobs,
-                                         cache=self.disk_cache))
-        return [self._cache[key] for key in keys]
+            self._cache.update(run_cells(
+                missing, self.conf, jobs=self.jobs if jobs is None else jobs,
+                cache=self.disk_cache))
+        return [self._cache[pair] for pair in pairs]
 
     def __len__(self) -> int:
         return len(self._cache)
-
-    # -- derived quantities -------------------------------------------------
-    def default_data_gb(self, workload: str) -> float:
-        """The paper's default data size for a workload class."""
-        from ..workloads.base import REAL_WORLD
-        return PAPER_REAL_GB if workload in REAL_WORLD else PAPER_MICRO_GB
-
-    def cost_point(self, key: RunKey, label: Optional[str] = None
-                   ) -> CostPoint:
-        """Run a cell and wrap it as a :class:`CostPoint` (EDxP/EDxAP).
-
-        The area charged is the die area prorated over the cores actually
-        allocated (§1.2 / Table 3 methodology).
-        """
-        from ..arch.presets import machine
-        result = self.run(key)
-        spec = machine(key.machine)
-        cores = key.cores_per_node or spec.cores_per_node
-        area = spec.area_for_cores(cores)
-        return CostPoint(
-            label=label or key.describe(),
-            energy_j=result.dynamic_energy_j,
-            delay_s=result.execution_time_s,
-            area_mm2=area,
-        )
 
     def speedup_atom_to_xeon(self, workload: str, **kwargs) -> float:
         """Execution-time ratio Atom/Xeon for matched configurations."""
@@ -161,9 +158,17 @@ class Characterizer:
         xeon = self.run(RunKey("xeon", workload, **kwargs))
         return atom.execution_time_s / xeon.execution_time_s
 
-    def edxp_ratio(self, workload: str, x: int = 1, **kwargs) -> float:
-        """EDxP ratio Atom/Xeon (< 1 means the little core wins)."""
-        atom = self.run(RunKey("atom", workload, **kwargs))
-        xeon = self.run(RunKey("xeon", workload, **kwargs))
-        return (edxp(atom.dynamic_energy_j, atom.execution_time_s, x)
-                / edxp(xeon.dynamic_energy_j, xeon.execution_time_s, x))
+
+class Results(Dict[Cell, JobResult]):
+    """Finished cells of a plan: a cell source that never simulates.
+
+    Answers :meth:`run` and :meth:`run_many` as a :class:`Characterizer`
+    does, so the cost, tuning, scheduling and datacenter helpers render
+    from either; a cell outside the plan raises ``KeyError``.
+    """
+
+    def run(self, cell: Cell) -> JobResult:
+        return self[cell]
+
+    def run_many(self, cells: Iterable[Cell]) -> List[JobResult]:
+        return [self[cell] for cell in cells]

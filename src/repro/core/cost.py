@@ -10,13 +10,14 @@ for the spider graphs (Fig. 17).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .characterization import COST_STUDY_MICRO_GB, Characterizer, RunKey
+from .characterization import (COST_STUDY_MICRO_GB, PAPER_REAL_GB,
+                               Characterizer, RunKey, cost_point)
 from .metrics import CostPoint
 
 __all__ = ["PAPER_CORE_COUNTS", "COST_METRICS", "CostCell", "CostTable",
-           "cost_table", "spider_series"]
+           "cost_keys", "cost_table", "spider_series"]
 
 #: Core/mapper counts of Table 3.
 PAPER_CORE_COUNTS: Tuple[int, ...] = (2, 4, 6, 8)
@@ -61,45 +62,49 @@ class CostTable:
         return [self.cell(machine, m).metric(metric)
                 for m in PAPER_CORE_COUNTS]
 
-    def best_cores(self, metric: str, machine: str) -> int:
-        """Core count minimizing *metric* on *machine*."""
-        return min(PAPER_CORE_COUNTS,
-                   key=lambda m: self.cell(machine, m).metric(metric))
-
     def best_config(self, metric: str) -> CostCell:
         """The globally best (machine, cores) cell for *metric*."""
         return min(self.cells.values(), key=lambda c: c.metric(metric))
 
 
-def cost_table(workload: str, characterizer: Optional[Characterizer] = None,
-               core_counts: Sequence[int] = PAPER_CORE_COUNTS,
-               freq_ghz: float = 1.8, block_size_mb: float = 512.0,
-               data_per_node_gb: Optional[float] = None) -> CostTable:
-    """Build Table 3 for one workload.
+def cost_keys(workload: str,
+              core_counts: Sequence[int] = PAPER_CORE_COUNTS,
+              freq_ghz: float = 1.8, block_size_mb: float = 512.0,
+              data_per_node_gb: Optional[float] = None) -> List[RunKey]:
+    """Table 3's cells for one workload, per machine and core count.
 
     Follows the paper's setup: 512 MB HDFS blocks, 1.8 GHz, number of
     mappers equal to the number of cores.
     """
-    ch = characterizer if characterizer is not None else Characterizer()
     if data_per_node_gb is not None:
         gb = data_per_node_gb
     else:
         from ..workloads.base import REAL_WORLD
-        gb = (ch.default_data_gb(workload) if workload in REAL_WORLD
-              else COST_STUDY_MICRO_GB)
+        gb = PAPER_REAL_GB if workload in REAL_WORLD else COST_STUDY_MICRO_GB
+    return [RunKey(machine, workload, freq_ghz=freq_ghz,
+                   block_size_mb=block_size_mb, data_per_node_gb=gb,
+                   cores_per_node=cores, map_slots_per_node=cores)
+            for machine in ("atom", "xeon") for cores in core_counts]
+
+
+def cost_table(workload: str, characterizer: Optional[Characterizer] = None,
+               **grid) -> CostTable:
+    """Build Table 3 for one workload from its :func:`cost_keys` cells
+    (*grid* are that function's keywords), run in one batch.
+
+    *characterizer* is any cell source: a :class:`Characterizer`, or the
+    :class:`~repro.core.characterization.Results` of a plan.
+    """
+    ch = characterizer if characterizer is not None else Characterizer()
+    keys = cost_keys(workload, **grid)
     table = CostTable(workload=workload)
-    for machine in ("atom", "xeon"):
-        for cores in core_counts:
-            key = RunKey(machine, workload, freq_ghz=freq_ghz,
-                         block_size_mb=block_size_mb,
-                         data_per_node_gb=gb, cores_per_node=cores,
-                         map_slots_per_node=cores)
-            result = ch.run(key)
-            point = ch.cost_point(key, label=f"{machine}-M{cores}")
-            table.cells[(machine, cores)] = CostCell(
-                machine=machine, cores=cores,
-                execution_time_s=result.execution_time_s,
-                energy_j=result.dynamic_energy_j, point=point)
+    for key, result in zip(keys, ch.run_many(keys)):
+        machine, cores = key.machine, key.cores_per_node
+        table.cells[(machine, cores)] = CostCell(
+            machine=machine, cores=cores,
+            execution_time_s=result.execution_time_s,
+            energy_j=result.dynamic_energy_j,
+            point=cost_point(key, result, label=f"{machine}-M{cores}"))
     return table
 
 

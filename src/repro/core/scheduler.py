@@ -162,7 +162,9 @@ def evaluate_policies(workloads: Sequence[str],
     """Run the §3.5 case study: each policy places each job; report costs.
 
     Every policy sees the same characterization tables (one per
-    workload); costs are the realized goal metric of the chosen cell.
+    workload, from :func:`~repro.core.cost.cost_table`); costs are the
+    realized goal metric of the chosen cell.  *characterizer* is any
+    cell source, including the ``Results`` of a plan.
     """
     goal = _check_goal(goal)
     ch = characterizer if characterizer is not None else Characterizer()

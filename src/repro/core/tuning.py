@@ -12,12 +12,12 @@ configuration minimizing a cost goal, optionally under a deadline.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..arch.dvfs import PAPER_FREQUENCIES_GHZ
 from ..arch.presets import machine as machine_spec
 from ..hdfs.blocks import PAPER_BLOCK_SIZES_MB
-from .characterization import Characterizer, RunKey
+from .characterization import Characterizer, RunKey, default_data_gb
 from .metrics import edxp
 
 __all__ = ["TuningPoint", "TuningRecommendation", "TuningAdvisor"]
@@ -70,7 +70,11 @@ class TuningRecommendation:
 
 
 class TuningAdvisor:
-    """Searches the configuration grid for a workload on one machine."""
+    """Searches the configuration grid for a workload on one machine.
+
+    *characterizer* is any cell source: a :class:`Characterizer`, or the
+    :class:`~repro.core.characterization.Results` of a plan.
+    """
 
     def __init__(self, characterizer: Optional[Characterizer] = None,
                  freqs_ghz: Sequence[float] = PAPER_FREQUENCIES_GHZ,
@@ -86,28 +90,32 @@ class TuningAdvisor:
             return self.core_counts
         return (machine_spec(machine).cores_per_node,)
 
+    def keys(self, workload: str, machine: str,
+             data_per_node_gb: Optional[float] = None) -> List[RunKey]:
+        """The grid cells :meth:`evaluate` reads for (workload, machine)."""
+        gb = (data_per_node_gb if data_per_node_gb is not None
+              else default_data_gb(workload))
+        pinned = bool(self.core_counts)
+        return [RunKey(machine, workload, freq_ghz=freq, block_size_mb=block,
+                       data_per_node_gb=gb,
+                       cores_per_node=cores if pinned else None,
+                       map_slots_per_node=cores if pinned else None)
+                for cores in self._cores_for(machine)
+                for freq in self.freqs_ghz for block in self.blocks_mb]
+
     def evaluate(self, workload: str, machine: str,
                  data_per_node_gb: Optional[float] = None
                  ) -> List[TuningPoint]:
-        """Every grid point for (workload, machine)."""
-        ch = self.characterizer
-        gb = (data_per_node_gb if data_per_node_gb is not None
-              else ch.default_data_gb(workload))
-        points = []
-        for cores in self._cores_for(machine):
-            for freq in self.freqs_ghz:
-                for block in self.blocks_mb:
-                    result = ch.run(RunKey(
-                        machine, workload, freq_ghz=freq,
-                        block_size_mb=block, data_per_node_gb=gb,
-                        cores_per_node=cores if self.core_counts else None,
-                        map_slots_per_node=(cores if self.core_counts
-                                            else None)))
-                    points.append(TuningPoint(
-                        freq_ghz=freq, block_size_mb=block, cores=cores,
-                        execution_time_s=result.execution_time_s,
-                        energy_j=result.dynamic_energy_j))
-        return points
+        """Every grid point for (workload, machine), run in one batch."""
+        keys = self.keys(workload, machine, data_per_node_gb)
+        all_cores = machine_spec(machine).cores_per_node
+        return [TuningPoint(freq_ghz=key.freq_ghz,
+                            block_size_mb=key.block_size_mb,
+                            cores=key.cores_per_node or all_cores,
+                            execution_time_s=result.execution_time_s,
+                            energy_j=result.dynamic_energy_j)
+                for key, result in zip(
+                    keys, self.characterizer.run_many(keys))]
 
     def recommend(self, workload: str, machine: str, goal: str = "EDP",
                   deadline_s: Optional[float] = None,

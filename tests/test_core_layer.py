@@ -7,7 +7,8 @@ import pytest
 from repro.core.acceleration import (AccelConfig, accelerated_time,
                                      map_phase_speedup, speedup_ratio,
                                      sweep_acceleration)
-from repro.core.characterization import Characterizer, RunKey
+from repro.core.characterization import (Characterizer, RunKey, cost_point,
+                                         default_data_gb)
 from repro.core.classifier import (classification_agrees, classify_measured,
                                    classify_spec, resource_mix)
 from repro.core.cost import (PAPER_CORE_COUNTS, cost_table, spider_series)
@@ -28,12 +29,12 @@ class TestCharacterizer:
         assert a is not b
 
     def test_default_data_sizes(self, characterizer):
-        assert characterizer.default_data_gb("wordcount") == 1.0
-        assert characterizer.default_data_gb("naive_bayes") == 10.0
+        assert default_data_gb("wordcount") == 1.0
+        assert default_data_gb("naive_bayes") == 10.0
 
     def test_cost_point_area_prorated(self, characterizer):
-        point = characterizer.cost_point(
-            RunKey("atom", "wordcount", cores_per_node=4))
+        key = RunKey("atom", "wordcount", cores_per_node=4)
+        point = cost_point(key, characterizer.run(key))
         assert point.area_mm2 == pytest.approx(80.0)  # 4 * 20 mm^2
 
     def test_speedup_helper(self, characterizer):

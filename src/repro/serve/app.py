@@ -24,12 +24,15 @@ trace id (when telemetry is on) in ``X-Repro-Request-Id``.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..analysis.experiments import ALL_EXPERIMENTS
+from ..arch.dvfs import GHZ
 from ..arch.presets import MACHINES
-from ..core.characterization import RunKey
+from ..core.characterization import Characterizer, RunKey
 from ..core.metrics import edxp
 from ..mapreduce.driver import JobResult
 from ..obs import prof, reqtrace, slog
@@ -40,7 +43,8 @@ from .http import BadRequest, Request, Response
 from .service import (ComputeError, Draining, Overloaded, RequestTimeout,
                       SimulationService)
 
-__all__ = ["SimulationApp", "parse_run_key", "result_payload"]
+__all__ = ["SimulationApp", "parse_run_key", "plan_limits",
+           "result_payload"]
 
 #: RunKey fields accepted in request bodies, with (type, required).
 _KEY_FIELDS: Tuple[Tuple[str, type, bool], ...] = (
@@ -87,9 +91,58 @@ def _coerce(name: str, value, kind: type):
     return value
 
 
+@functools.lru_cache(maxsize=None)
+def plan_limits() -> Tuple[float, int, float]:
+    """The largest ``data_per_node_gb`` and ``n_nodes`` and the smallest
+    ``block_size_mb`` of any cell in the default experiment plans.
+
+    No paper table asks one cell for more work, so requests beyond them
+    are refused: one oversized cell would pin a pool worker and stall
+    every cell batched with it.
+    """
+    ch = Characterizer()
+    keys = [cell if isinstance(cell, RunKey) else cell[0]
+            for driver in ALL_EXPERIMENTS.values()
+            for cell in driver.plan(ch).cells]
+    return (max(key.data_per_node_gb for key in keys),
+            max(key.n_nodes for key in keys),
+            min(key.block_size_mb for key in keys))
+
+
+def _check_bounds(key: RunKey) -> None:
+    """Refuse a cell the model cannot run or that outgrows the plans."""
+    spec = MACHINES[key.machine]
+    if not spec.dvfs.supports(key.freq_ghz * GHZ):
+        freqs = spec.dvfs.frequencies_ghz
+        raise BadRequest(
+            f"freq_ghz {key.freq_ghz!r} is outside {key.machine}'s DVFS "
+            f"range {freqs[0]:g}..{freqs[-1]:g} GHz")
+    for name in ("cores_per_node", "map_slots_per_node"):
+        value = getattr(key, name)
+        if value is not None and value > spec.cores_per_node:
+            raise BadRequest(
+                f"{name} must be 1..{spec.cores_per_node} on "
+                f"{key.machine}, got {value}")
+    max_gb, max_nodes, min_block = plan_limits()
+    if key.data_per_node_gb > max_gb:
+        raise BadRequest(f"data_per_node_gb must be <= {max_gb:g}, "
+                         f"got {key.data_per_node_gb!r}")
+    if key.n_nodes > max_nodes:
+        raise BadRequest(f"n_nodes must be <= {max_nodes}, "
+                         f"got {key.n_nodes}")
+    if key.block_size_mb < min_block:
+        raise BadRequest(f"block_size_mb must be >= {min_block:g}, "
+                         f"got {key.block_size_mb!r}")
+
+
 def parse_run_key(doc: Dict[str, object],
                   extra_allowed: Sequence[str] = ()) -> RunKey:
-    """Validate a request document into a :class:`RunKey` (400 on error)."""
+    """Validate a request document into a :class:`RunKey` (400 on error).
+
+    Beyond types, a cell must be one the model can run (a frequency in
+    the machine's DVFS range, 1 to its core count of cores and map
+    slots) and no larger than :func:`plan_limits` allows.
+    """
     if not isinstance(doc, dict):
         raise BadRequest("body must be a JSON object")
     known = {name for name, _, _ in _KEY_FIELDS}
@@ -112,7 +165,9 @@ def parse_run_key(doc: Dict[str, object],
         raise BadRequest(
             f"unknown workload {kwargs['workload']!r}; "
             f"available: {sorted(all_workloads())}")
-    return RunKey(**kwargs)
+    key = RunKey(**kwargs)
+    _check_bounds(key)
+    return key
 
 
 def result_payload(key: RunKey, result: JobResult) -> Dict[str, object]:
@@ -159,6 +214,7 @@ class SimulationApp:
 
     def __init__(self, service: SimulationService):
         self.service = service
+        plan_limits()       # derive the request bounds before serving
         self._routes = {
             ("POST", "/simulate"): self._simulate,
             ("POST", "/sweep"): self._sweep,

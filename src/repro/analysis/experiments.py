@@ -8,8 +8,8 @@ cells of any number of plans in one deduplicated
 cached), then renders each from the finished
 :class:`~repro.core.characterization.Results`, which never simulate: a
 render reading an undeclared cell raises ``KeyError``.  Each driver
-``ALL_EXPERIMENTS[id](ch)`` runs its own plan so, and exposes the plan
-builder as ``driver.plan``.  ``benchmarks/`` calls the drivers
+``ALL_EXPERIMENTS[id](ch)`` runs its own plan so, and exposes the
+function that makes the plan as ``driver.plan``.  ``benchmarks/`` calls the drivers
 one-to-one and asserts the paper's qualitative shapes.
 """
 

@@ -66,9 +66,9 @@ class _Recording(Results):
 
 @pytest.fixture()
 def simulated(characterizer, rendered, monkeypatch):
-    """Replace simulation with a lookup into the session characterizer
-    (which holds every plan cell once ``rendered`` has run); returns the
-    list of cells "simulated" since."""
+    """Replace simulation with a lookup into the shared ``characterizer``
+    fixture (which holds every plan cell once ``rendered`` has run);
+    returns the list of cells "simulated" since."""
     calls = []
 
     def lookup(key, conf):

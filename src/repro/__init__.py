@@ -2,9 +2,9 @@
 computing" (Malik et al., DATE 2017 / JPDC 2018).
 
 A discrete-event Hadoop MapReduce cluster simulator with analytical
-big/little core, cache, DVFS, power and cost models, the paper's six
-applications at both functional and performance fidelity, and one
-experiment driver per figure/table of the evaluation.
+big/little core, cache, DVFS, power and cost models, performance
+profiles of the paper's six applications, and one experiment driver per
+figure/table of the evaluation.
 """
 
 __version__ = "1.0.0"

@@ -45,6 +45,19 @@ from .workloads.base import all_workloads
 __all__ = ["main", "build_parser"]
 
 
+def _worker_count(text: str) -> int:
+    """``--jobs`` value: an integer >= 0 (0 = one worker per CPU)."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if jobs < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be >= 0 (0 = one per CPU), got {jobs}")
+    return jobs
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-hadoop",
@@ -54,7 +67,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     # Shared by every command that simulates grid cells.
     perf = argparse.ArgumentParser(add_help=False)
-    perf.add_argument("--jobs", "-j", type=int, default=1, metavar="N",
+    perf.add_argument("--jobs", "-j", type=_worker_count, default=1,
+                      metavar="N",
                       help="worker processes for sweep cells "
                            "(default 1 = serial, 0 = one per CPU)")
     perf.add_argument("--no-cache", action="store_true",

@@ -1,17 +1,12 @@
-"""MapReduce substrate: configuration, task models, driver, runtime."""
+"""MapReduce substrate: configuration, task models, driver."""
 
 from .config import DEFAULT_CONF, JobConf
 from .driver import HadoopJobRunner, JobResult, StageTiming, simulate_job
-from .functional import (FunctionalJob, JobStats, LocalRuntime,
-                         hash_partitioner, identity_mapper, identity_reducer,
-                         run_pipeline)
 from .shuffle import MergePlan, SpillPlan, plan_reduce_merge, plan_spills
 from .tasks import MapTask, ReduceTask, RunCounters, TaskAttemptError
 
 __all__ = [
     "DEFAULT_CONF", "JobConf", "HadoopJobRunner", "JobResult", "StageTiming",
-    "simulate_job", "FunctionalJob", "JobStats", "LocalRuntime",
-    "hash_partitioner", "identity_mapper", "identity_reducer", "run_pipeline",
-    "MergePlan", "SpillPlan", "plan_reduce_merge", "plan_spills",
-    "MapTask", "ReduceTask", "RunCounters", "TaskAttemptError",
+    "simulate_job", "MergePlan", "SpillPlan", "plan_reduce_merge",
+    "plan_spills", "MapTask", "ReduceTask", "RunCounters", "TaskAttemptError",
 ]

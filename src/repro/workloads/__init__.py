@@ -3,33 +3,22 @@
 from .base import (EXTENSIONS, IO_PATH_PROFILE, MICRO_BENCHMARKS,
                    REAL_WORLD, Category, JobStage, WorkloadSpec,
                    all_workloads, register_workload, workload)
-from .kmeans import KMEANS, assign_cluster, generate_points, kmeans_fit
-from .datagen import (generate_labeled_documents, generate_records,
-                      generate_teragen_records, generate_text_lines,
-                      generate_transactions, zipf_vocabulary)
-from .fp_growth import (FP_GROWTH, FPTree, fp_growth_mine, item_frequencies,
-                        parallel_fp_growth)
-from .grep import GREP, grep_jobs
-from .naive_bayes import NAIVE_BAYES, NaiveBayesModel, train_naive_bayes
-from .sort import SORT, sort_job
-from .terasort import TERASORT, range_partitioner, sample_split_points, terasort_jobs
+from .kmeans import KMEANS
+from .fp_growth import FP_GROWTH
+from .grep import GREP
+from .naive_bayes import NAIVE_BAYES
+from .sort import SORT
+from .terasort import TERASORT
 from .traditional import (PARSEC_21, SPEC_CPU2006, TraditionalResult,
                           run_traditional, suite_average_ipc,
                           suite_average_result)
-from .wordcount import WORDCOUNT, wordcount_job
+from .wordcount import WORDCOUNT
 
 __all__ = [
-    "EXTENSIONS", "KMEANS", "assign_cluster", "generate_points",
-    "kmeans_fit", "IO_PATH_PROFILE", "MICRO_BENCHMARKS", "REAL_WORLD",
-    "Category",
-    "JobStage", "WorkloadSpec", "all_workloads", "register_workload",
-    "workload", "generate_labeled_documents", "generate_records",
-    "generate_teragen_records", "generate_text_lines",
-    "generate_transactions", "zipf_vocabulary", "FP_GROWTH", "FPTree",
-    "fp_growth_mine", "item_frequencies", "parallel_fp_growth", "GREP",
-    "grep_jobs", "NAIVE_BAYES", "NaiveBayesModel", "train_naive_bayes",
-    "SORT", "sort_job", "TERASORT", "range_partitioner",
-    "sample_split_points", "terasort_jobs", "PARSEC_21", "SPEC_CPU2006",
+    "EXTENSIONS", "IO_PATH_PROFILE", "MICRO_BENCHMARKS", "REAL_WORLD",
+    "Category", "JobStage", "WorkloadSpec", "all_workloads",
+    "register_workload", "workload", "FP_GROWTH", "GREP", "KMEANS",
+    "NAIVE_BAYES", "SORT", "TERASORT", "PARSEC_21", "SPEC_CPU2006",
     "TraditionalResult", "run_traditional", "suite_average_ipc",
-    "suite_average_result", "WORDCOUNT", "wordcount_job",
+    "suite_average_result", "WORDCOUNT",
 ]

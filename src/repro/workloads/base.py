@@ -1,25 +1,22 @@
 """Workload descriptions: what the simulator needs to know about an app.
 
-A Hadoop application is described at two levels:
-
-* **Functional** — real ``map(key, value)`` / ``reduce(key, values)``
-  Python functions, executed by :mod:`repro.mapreduce.functional` on real
-  (generated) data.  These validate semantics and supply measured
-  selectivities.
-* **Performance** — a :class:`WorkloadSpec`: per-stage instruction
-  densities, microarchitectural profiles (:class:`~repro.arch.cores.CpuProfile`)
-  and data-flow ratios that drive the cluster simulator at gigabyte scale.
+A Hadoop application is a :class:`WorkloadSpec`: per-stage instruction
+densities, microarchitectural profiles (:class:`~repro.arch.cores.CpuProfile`)
+and data-flow ratios that drive the cluster simulator at gigabyte scale.
+The data-flow ratios (``map_output_ratio``, ``reduce_output_ratio``) are
+calibration inputs, not measurements; docs/MODELING.md §6 says where
+they come from.
 
 The six applications of the paper's Table 2 (WordCount, Sort, Grep,
-TeraSort, Naive Bayes, FP-Growth) each provide both levels in their own
+TeraSort, Naive Bayes, FP-Growth) each define their spec in their own
 module; this module defines the shared vocabulary plus the CPU profile of
 the Hadoop I/O path itself.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Tuple
 
 from ..arch.cores import CpuProfile
 
@@ -132,12 +129,7 @@ class JobStage:
 
 @dataclass(frozen=True)
 class WorkloadSpec:
-    """A complete application: identity, classification, stages.
-
-    ``functional_factory`` (optional) returns the real map/reduce job
-    description consumed by the functional runtime, linking the two levels
-    of the model.
-    """
+    """A complete application: identity, classification, stages."""
 
     name: str
     full_name: str
@@ -145,7 +137,6 @@ class WorkloadSpec:
     data_source: str
     category: str
     stages: Tuple[JobStage, ...]
-    functional_factory: Optional[Callable[[], object]] = None
 
     def __post_init__(self):
         if self.category not in Category.ALL:

@@ -1,31 +1,20 @@
 """FP-Growth (FP): the paper's real-world association-rule-mining app.
 
-The paper runs Mahout's Parallel FP-Growth.  We implement the genuine
-algorithm:
-
-* a real :class:`FPTree` (header tables, node links, conditional pattern
-  bases, recursive mining), and
-* the two-job Parallel FP-Growth (PFP) structure — a counting pass, then
-  a group-dependent-transaction pass whose reducers each mine the
-  FP-tree of their item group — expressed as functional MapReduce jobs.
-
-Performance level: FP-Growth is the paper's longest-running, most
-compute-intensive application (its Table 3 EDP values dwarf everything
-else); the map profile is pointer-chasing tree construction with poor
-ILP, so it leans hardest toward the little core for energy efficiency.
+The paper runs Mahout's Parallel FP-Growth (PFP), two jobs: a counting
+pass, then a group-dependent-transaction pass whose reducers each mine
+the FP-tree of their item group.  FP-Growth is the paper's
+longest-running, most compute-intensive application (its Table 3 EDP
+values dwarf everything else); the map profile is pointer-chasing tree
+construction with poor ILP, so it leans hardest toward the little core
+for energy efficiency.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
-
 from ..arch.cores import CpuProfile
 from .base import Category, JobStage, WorkloadSpec, register_workload
 
-__all__ = ["FP_GROWTH", "FPTree", "fp_growth_mine", "parallel_fp_growth",
-           "item_frequencies"]
+__all__ = ["FP_GROWTH"]
 
 MAP_PROFILE = CpuProfile.characterized(
     "fp-map",
@@ -82,220 +71,4 @@ FP_GROWTH = register_workload(WorkloadSpec(
             io_path_factor=0.35,
         ),
     ),
-    functional_factory=lambda: None,  # PFP needs the two-step driver below
 ))
-
-
-# -- FP-tree ------------------------------------------------------------------
-
-class _FPNode:
-    """One node of an FP-tree."""
-
-    __slots__ = ("item", "count", "parent", "children", "link")
-
-    def __init__(self, item: Optional[str], parent: Optional["_FPNode"]):
-        self.item = item
-        self.count = 0
-        self.parent = parent
-        self.children: Dict[str, "_FPNode"] = {}
-        self.link: Optional["_FPNode"] = None
-
-
-class FPTree:
-    """A frequent-pattern tree with header-table node links."""
-
-    def __init__(self):
-        self.root = _FPNode(None, None)
-        self.header: Dict[str, _FPNode] = {}
-        self._tails: Dict[str, _FPNode] = {}
-        self.transactions = 0
-
-    def insert(self, items: Sequence[str], count: int = 1) -> None:
-        """Insert an (already ordered) item sequence with multiplicity."""
-        if count < 1:
-            raise ValueError("count must be >= 1")
-        self.transactions += count
-        node = self.root
-        for item in items:
-            child = node.children.get(item)
-            if child is None:
-                child = _FPNode(item, node)
-                node.children[item] = child
-                if item not in self.header:
-                    self.header[item] = child
-                else:
-                    self._tails[item].link = child
-                self._tails[item] = child
-            child.count += count
-            node = child
-
-    def item_support(self, item: str) -> int:
-        """Total count of *item* across the tree."""
-        node = self.header.get(item)
-        total = 0
-        while node is not None:
-            total += node.count
-            node = node.link
-        return total
-
-    def prefix_paths(self, item: str) -> List[Tuple[List[str], int]]:
-        """Conditional pattern base: (path up to root, count) per node."""
-        paths: List[Tuple[List[str], int]] = []
-        node = self.header.get(item)
-        while node is not None:
-            path: List[str] = []
-            parent = node.parent
-            while parent is not None and parent.item is not None:
-                path.append(parent.item)
-                parent = parent.parent
-            path.reverse()
-            if path:
-                paths.append((path, node.count))
-            node = node.link
-        return paths
-
-    def items(self) -> List[str]:
-        return sorted(self.header)
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.root.children
-
-
-def item_frequencies(transactions: Iterable[Sequence[str]]) -> Dict[str, int]:
-    """Support count of every item (the PFP counting job's result)."""
-    counts: Dict[str, int] = defaultdict(int)
-    for transaction in transactions:
-        for item in set(transaction):
-            counts[item] += 1
-    return dict(counts)
-
-
-def _ordered_filtered(transaction: Sequence[str], freq: Dict[str, int],
-                      min_support: int) -> List[str]:
-    """Keep frequent items, order by descending support (ties by name)."""
-    kept = [i for i in set(transaction) if freq.get(i, 0) >= min_support]
-    kept.sort(key=lambda i: (-freq[i], i))
-    return kept
-
-
-def _mine(tree: FPTree, suffix: Tuple[str, ...], min_support: int,
-          results: Dict[FrozenSet[str], int]) -> None:
-    for item in tree.items():
-        support = tree.item_support(item)
-        if support < min_support:
-            continue
-        itemset = frozenset(suffix + (item,))
-        existing = results.get(itemset)
-        if existing is None or support > existing:
-            results[itemset] = support
-        paths = tree.prefix_paths(item)
-        conditional = FPTree()
-        cond_freq: Dict[str, int] = defaultdict(int)
-        for path, count in paths:
-            for path_item in path:
-                cond_freq[path_item] += count
-        for path, count in paths:
-            kept = [p for p in path if cond_freq[p] >= min_support]
-            if kept:
-                conditional.insert(kept, count)
-        if not conditional.is_empty:
-            _mine(conditional, suffix + (item,), min_support, results)
-
-
-def fp_growth_mine(transactions: Sequence[Sequence[str]], min_support: int
-                   ) -> Dict[FrozenSet[str], int]:
-    """Classic single-machine FP-Growth: all frequent itemsets + support."""
-    if min_support < 1:
-        raise ValueError("min_support must be >= 1")
-    freq = item_frequencies(transactions)
-    tree = FPTree()
-    for transaction in transactions:
-        ordered = _ordered_filtered(transaction, freq, min_support)
-        if ordered:
-            tree.insert(ordered)
-    results: Dict[FrozenSet[str], int] = {}
-    _mine(tree, (), min_support, results)
-    return results
-
-
-# -- Parallel FP-Growth (the Mahout structure the paper runs) -----------------
-
-def parallel_fp_growth(transactions: Sequence[Sequence[str]],
-                       min_support: int, num_groups: int = 4,
-                       num_mappers: int = 4
-                       ) -> Dict[FrozenSet[str], int]:
-    """PFP: counting job, then group-dependent transactions job.
-
-    Job 1 (count) computes item supports through the functional runtime.
-    Job 2 shards frequent items into *num_groups* groups; mappers emit,
-    per group, the transaction prefix relevant to that group; each
-    reducer builds and mines the FP-tree of its group.  The union of the
-    per-group results equals single-machine FP-Growth (a property the
-    tests assert).
-    """
-    from ..mapreduce.functional import FunctionalJob, LocalRuntime
-    if min_support < 1:
-        raise ValueError("min_support must be >= 1")
-    if num_groups < 1:
-        raise ValueError("need at least one group")
-    runtime = LocalRuntime(num_mappers=num_mappers)
-
-    # --- Job 1: item counting -------------------------------------------
-    def count_mapper(_key, transaction: Sequence[str]):
-        # sorted(): string-set iteration order is PYTHONHASHSEED-salted,
-        # and the emit order flows into the shuffle (DET004).
-        for item in sorted(set(transaction)):
-            yield (item, 1)
-
-    def count_reducer(item, counts: List[int]):
-        yield (item, sum(counts))
-
-    records = [(i, t) for i, t in enumerate(transactions)]
-    counted, _ = runtime.run(FunctionalJob(
-        name="pfp-count", mapper=count_mapper, reducer=count_reducer,
-        combiner=count_reducer, num_reducers=2), records)
-    freq = {item: count for item, count in counted}
-    frequent = sorted((i for i, c in freq.items() if c >= min_support),
-                      key=lambda i: (-freq[i], i))
-    if not frequent:
-        return {}
-    group_of = {item: idx % num_groups for idx, item in enumerate(frequent)}
-
-    # --- Job 2: group-dependent transactions + per-group mining ----------
-    def gdt_mapper(_key, transaction: Sequence[str]):
-        ordered = _ordered_filtered(transaction, freq, min_support)
-        emitted = set()
-        # Walk the ordered transaction from the tail: for each group, emit
-        # the shortest prefix containing that group's deepest item.
-        for pos in range(len(ordered) - 1, -1, -1):
-            group = group_of[ordered[pos]]
-            if group not in emitted:
-                emitted.add(group)
-                yield (group, tuple(ordered[: pos + 1]))
-
-    def gdt_reducer(group: int, prefixes: List[Tuple[str, ...]]):
-        tree = FPTree()
-        for prefix in prefixes:
-            tree.insert(list(prefix))
-        results: Dict[FrozenSet[str], int] = {}
-        _mine(tree, (), min_support, results)
-        for itemset, support in results.items():
-            # Each group only owns itemsets whose deepest item (last in
-            # the global frequency ordering) belongs to it, preventing
-            # cross-group duplicates.
-            owner = max(itemset, key=lambda i: (-freq[i], i))
-            if group_of[owner] == group:
-                yield (itemset, support)
-
-    mined, _ = runtime.run(FunctionalJob(
-        name="pfp-mine", mapper=gdt_mapper, reducer=gdt_reducer,
-        num_reducers=num_groups,
-        partitioner=lambda key, n: key % n), records)
-    out: Dict[FrozenSet[str], int] = {}
-    for itemset, support in mined:
-        if support >= min_support:
-            existing = out.get(itemset)
-            if existing is None or support > existing:
-                out[itemset] = support
-    return out

@@ -10,14 +10,10 @@ for the single-job benchmarks — the paper points this out in §3.4.
 
 from __future__ import annotations
 
-import re
-from typing import Iterable, List, Tuple
-
 from ..arch.cores import CpuProfile
 from .base import Category, JobStage, WorkloadSpec, register_workload
 
-__all__ = ["GREP", "grep_jobs", "grep_search_mapper", "grep_count_reducer",
-           "grep_sort_mapper", "grep_sort_reducer"]
+__all__ = ["GREP"]
 
 #: Regex scanning: predictable streaming with high ILP in the DFA loop.
 SEARCH_PROFILE = CpuProfile.characterized(
@@ -88,52 +84,4 @@ GREP = register_workload(WorkloadSpec(
             io_path_factor=0.5,
         ),
     ),
-    functional_factory=lambda: grep_jobs(),
 ))
-
-
-# -- functional implementation -----------------------------------------------
-
-def grep_search_mapper(pattern: str):
-    """Build the search-stage mapper for a regex *pattern*."""
-    compiled = re.compile(pattern)
-
-    def mapper(_key, line: str) -> Iterable[Tuple[str, int]]:
-        for match in compiled.findall(line):
-            yield (match, 1)
-    return mapper
-
-
-def grep_count_reducer(match: str, counts: List[int]
-                       ) -> Iterable[Tuple[str, int]]:
-    yield (match, sum(counts))
-
-
-def grep_sort_mapper(match: str, count: int) -> Iterable[Tuple[int, str]]:
-    """Invert to (−count, match) so the sorted output is by frequency."""
-    yield (-count, match)
-
-
-def grep_sort_reducer(neg_count: int, matches: List[str]
-                      ) -> Iterable[Tuple[str, int]]:
-    for match in sorted(matches):
-        yield (match, -neg_count)
-
-
-def grep_jobs(pattern: str = r"[a-z]*ing", num_reducers: int = 2):
-    """The two chained functional jobs (search, then sort-by-frequency)."""
-    from ..mapreduce.functional import FunctionalJob
-    search = FunctionalJob(
-        name="grep-search",
-        mapper=grep_search_mapper(pattern),
-        reducer=grep_count_reducer,
-        combiner=grep_count_reducer,
-        num_reducers=num_reducers,
-    )
-    freq_sort = FunctionalJob(
-        name="grep-sort",
-        mapper=grep_sort_mapper,
-        reducer=grep_sort_reducer,
-        num_reducers=1,
-    )
-    return [search, freq_sort]

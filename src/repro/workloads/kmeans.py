@@ -6,28 +6,20 @@ ref. [9]), and heterogeneity-aware schedulers are routinely evaluated on
 it — so the reproduction ships it as a seventh, clearly-marked extension
 application.
 
-Functional level: genuine Lloyd's algorithm as iterated MapReduce —
-map assigns each point to its nearest centroid (the compute hotspot),
-a combiner pre-aggregates partial sums, and the reduce recomputes
-centroids; iterations repeat until the centroids converge.
-
-Performance level: an iterative job — each iteration re-scans the full
-input (``input_source="original"``) with a highly compute-dense,
-cache-friendly map (distance kernels) and a tiny shuffle, making KM the
-most little-core-friendly workload in the registry.
+Lloyd's algorithm as iterated MapReduce: map assigns each point to its
+nearest centroid (the compute hotspot), a combiner pre-aggregates
+partial sums, and the reduce recomputes centroids.  Each iteration
+re-scans the full input (``input_source="original"``) with a highly
+compute-dense, cache-friendly map (distance kernels) and a tiny shuffle,
+making KM the most little-core-friendly workload in the registry.
 """
 
 from __future__ import annotations
 
-import math
-import random
-from typing import Dict, Iterable, List, Sequence, Tuple
-
 from ..arch.cores import CpuProfile
 from .base import Category, JobStage, WorkloadSpec, register_workload
 
-__all__ = ["KMEANS", "KMEANS_ITERATIONS", "generate_points",
-           "kmeans_iteration_job", "kmeans_fit", "assign_cluster"]
+__all__ = ["KMEANS", "KMEANS_ITERATIONS"]
 
 #: Iterations encoded in the performance spec (typical k-means runs
 #: converge within a handful of scans at Hadoop granularity).
@@ -81,113 +73,4 @@ KMEANS = register_workload(WorkloadSpec(
     data_source="table",
     category=Category.COMPUTE,
     stages=tuple(_iteration_stage(i) for i in range(KMEANS_ITERATIONS)),
-    functional_factory=lambda: kmeans_iteration_job,
 ))
-
-
-# -- functional implementation ------------------------------------------------
-
-Point = Tuple[float, ...]
-
-
-def generate_points(n_points: int, n_clusters: int = 4, dims: int = 2,
-                    spread: float = 0.6, seed: int = 29
-                    ) -> Tuple[List[Point], List[Point]]:
-    """Gaussian blobs around *n_clusters* well-separated centres.
-
-    Returns ``(points, true_centres)`` so tests can check recovery.
-    """
-    if n_points < 0 or n_clusters < 1 or dims < 1:
-        raise ValueError("invalid point-cloud shape")
-    rng = random.Random(seed)
-    centres = [tuple(rng.uniform(-10, 10) for _ in range(dims))
-               for _ in range(n_clusters)]
-    points = []
-    for i in range(n_points):
-        centre = centres[i % n_clusters]
-        points.append(tuple(c + rng.gauss(0, spread) for c in centre))
-    return points, centres
-
-
-def _distance2(a: Point, b: Point) -> float:
-    return sum((x - y) ** 2 for x, y in zip(a, b))
-
-
-def assign_cluster(point: Point, centroids: Sequence[Point]) -> int:
-    """Index of the nearest centroid (the map function's kernel)."""
-    if not centroids:
-        raise ValueError("need at least one centroid")
-    return min(range(len(centroids)),
-               key=lambda i: _distance2(point, centroids[i]))
-
-
-def kmeans_iteration_job(centroids: Sequence[Point], num_reducers: int = 2):
-    """One Lloyd iteration as a MapReduce job over the current centroids."""
-    from ..mapreduce.functional import FunctionalJob
-    frozen = [tuple(c) for c in centroids]
-
-    def mapper(_key, point: Point) -> Iterable[Tuple[int, Tuple]]:
-        yield (assign_cluster(point, frozen), (point, 1))
-
-    def combiner(cluster: int, partials: List[Tuple]):
-        total = None
-        count = 0
-        for point, n in partials:
-            if total is None:
-                total = list(point)
-            else:
-                for d, value in enumerate(point):
-                    total[d] += value
-            count += n
-        yield (cluster, (tuple(total), count))
-
-    def reducer(cluster: int, partials: List[Tuple]):
-        total = None
-        count = 0
-        for point, n in partials:
-            if total is None:
-                total = list(point)
-            else:
-                for d, value in enumerate(point):
-                    total[d] += value
-            count += n
-        yield (cluster, tuple(v / count for v in total))
-
-    return FunctionalJob(
-        name="kmeans-iter",
-        mapper=mapper,
-        reducer=reducer,
-        combiner=combiner,
-        partitioner=lambda key, n: key % n,
-        num_reducers=num_reducers,
-    )
-
-
-def kmeans_fit(points: Sequence[Point], k: int, max_iterations: int = 20,
-               tolerance: float = 1e-4, num_mappers: int = 4,
-               seed: int = 31) -> Tuple[List[Point], int]:
-    """Full Lloyd's algorithm through the functional MapReduce runtime.
-
-    Returns ``(centroids, iterations_used)``.
-    """
-    from ..mapreduce.functional import LocalRuntime
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if not points:
-        raise ValueError("need at least one point")
-    rng = random.Random(seed)
-    centroids: List[Point] = [tuple(p) for p in
-                              rng.sample(list(points), min(k, len(points)))]
-    runtime = LocalRuntime(num_mappers=num_mappers)
-    records = [(i, tuple(p)) for i, p in enumerate(points)]
-    for iteration in range(1, max_iterations + 1):
-        output, _ = runtime.run(kmeans_iteration_job(centroids), records)
-        new_centroids = list(centroids)
-        for cluster, centre in output:
-            new_centroids[cluster] = centre
-        shift = max(math.sqrt(_distance2(a, b))
-                    for a, b in zip(centroids, new_centroids))
-        centroids = new_centroids
-        if shift < tolerance:
-            return centroids, iteration
-    return centroids, max_iterations

@@ -1,29 +1,19 @@
 """Naive Bayes (NB): the paper's real-world classification application.
 
-The paper trains Mahout's Naive Bayes over 10 GB/node of text.  We
-implement multinomial Naive Bayes training as a genuine MapReduce job
-(map: per-class token counts; reduce: aggregate into the model) plus a
-:class:`NaiveBayesModel` with Laplace-smoothed log-likelihood
-classification, so correctness is testable end to end.
-
-Performance level: training maps are compute-heavy tokenization/counting
-(Atom-friendly), while the reduce aggregates large count tables —
-DRAM-bound work whose EDP *rises* with frequency and prefers the big
-core, the paper's headline reduce-phase observation for NB (Fig. 8a).
+The paper trains Mahout's Naive Bayes over 10 GB/node of text: map emits
+per-class token counts, reduce aggregates them into the model.  Training
+maps are compute-heavy tokenization/counting (Atom-friendly), while the
+reduce aggregates large count tables — DRAM-bound work whose EDP *rises*
+with frequency and prefers the big core, the paper's headline
+reduce-phase observation for NB (Fig. 8a).
 """
 
 from __future__ import annotations
 
-import math
-from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence, Tuple
-
 from ..arch.cores import CpuProfile
 from .base import Category, JobStage, WorkloadSpec, register_workload
 
-__all__ = ["NAIVE_BAYES", "NaiveBayesModel", "nb_train_mapper",
-           "nb_train_reducer", "naive_bayes_job", "train_naive_bayes"]
+__all__ = ["NAIVE_BAYES"]
 
 MAP_PROFILE = CpuProfile.characterized(
     "nb-map",
@@ -68,109 +58,4 @@ NAIVE_BAYES = register_workload(WorkloadSpec(
             io_path_factor=0.40,
         ),
     ),
-    functional_factory=lambda: naive_bayes_job(),
 ))
-
-
-# -- functional implementation ------------------------------------------------
-
-def nb_train_mapper(label: str, document: str
-                    ) -> Iterable[Tuple[Tuple[str, str], int]]:
-    """Emit ((class, token), 1) per token plus a per-class doc counter."""
-    yield ((label, "__docs__"), 1)
-    for token in document.split():
-        yield ((label, token), 1)
-
-
-def nb_train_reducer(key: Tuple[str, str], counts: List[int]
-                     ) -> Iterable[Tuple[Tuple[str, str], int]]:
-    yield (key, sum(counts))
-
-
-def naive_bayes_job(num_reducers: int = 2):
-    from ..mapreduce.functional import FunctionalJob
-    return FunctionalJob(
-        name="naive-bayes-train",
-        mapper=nb_train_mapper,
-        reducer=nb_train_reducer,
-        combiner=nb_train_reducer,
-        num_reducers=num_reducers,
-    )
-
-
-@dataclass
-class NaiveBayesModel:
-    """Multinomial Naive Bayes with Laplace smoothing."""
-
-    class_doc_counts: Dict[str, int] = field(default_factory=dict)
-    token_counts: Dict[str, Dict[str, int]] = field(default_factory=dict)
-
-    @classmethod
-    def from_counts(cls, counts: Iterable[Tuple[Tuple[str, str], int]]
-                    ) -> "NaiveBayesModel":
-        """Build a model from the reduce output of the training job."""
-        model = cls()
-        for (label, token), count in counts:
-            if token == "__docs__":
-                model.class_doc_counts[label] = (
-                    model.class_doc_counts.get(label, 0) + count)
-            else:
-                model.token_counts.setdefault(label, {})
-                model.token_counts[label][token] = (
-                    model.token_counts[label].get(token, 0) + count)
-        return model
-
-    @property
-    def classes(self) -> List[str]:
-        return sorted(set(self.class_doc_counts) | set(self.token_counts))
-
-    @property
-    def vocabulary(self) -> List[str]:
-        vocab = set()
-        for table in self.token_counts.values():
-            vocab.update(table)
-        return sorted(vocab)
-
-    def log_prior(self, label: str) -> float:
-        total = sum(self.class_doc_counts.values())
-        if total == 0:
-            raise ValueError("model has no training documents")
-        count = self.class_doc_counts.get(label, 0)
-        # Laplace smoothing over classes keeps unseen classes finite.
-        return math.log((count + 1) / (total + len(self.classes)))
-
-    def log_likelihood(self, label: str, token: str) -> float:
-        table = self.token_counts.get(label, {})
-        total = sum(table.values())
-        vocab_size = max(1, len(self.vocabulary))
-        return math.log((table.get(token, 0) + 1) / (total + vocab_size))
-
-    def classify(self, document: str) -> str:
-        """Most probable class of *document* under the model."""
-        if not self.classes:
-            raise ValueError("cannot classify with an empty model")
-        best_label, best_score = None, -math.inf
-        for label in self.classes:
-            score = self.log_prior(label)
-            for token in document.split():
-                score += self.log_likelihood(label, token)
-            if score > best_score:
-                best_label, best_score = label, score
-        return best_label
-
-    def accuracy(self, labeled_docs: Sequence[Tuple[str, str]]) -> float:
-        if not labeled_docs:
-            raise ValueError("need at least one document")
-        hits = sum(1 for label, doc in labeled_docs
-                   if self.classify(doc) == label)
-        return hits / len(labeled_docs)
-
-
-def train_naive_bayes(labeled_docs: Sequence[Tuple[str, str]],
-                      num_mappers: int = 4, num_reducers: int = 2
-                      ) -> NaiveBayesModel:
-    """End-to-end training through the functional MapReduce runtime."""
-    from ..mapreduce.functional import LocalRuntime
-    runtime = LocalRuntime(num_mappers=num_mappers)
-    output, _stats = runtime.run(naive_bayes_job(num_reducers), labeled_docs)
-    return NaiveBayesModel.from_counts(output)

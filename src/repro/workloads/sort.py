@@ -16,7 +16,7 @@ from __future__ import annotations
 from ..arch.cores import CpuProfile
 from .base import Category, JobStage, WorkloadSpec, register_workload
 
-__all__ = ["SORT", "sort_job"]
+__all__ = ["SORT"]
 
 #: Identity map over serialized records: pure streaming, negligible reuse.
 MAP_PROFILE = CpuProfile.characterized(
@@ -48,22 +48,4 @@ SORT = register_workload(WorkloadSpec(
             io_path_factor=2.2,
         ),
     ),
-    functional_factory=lambda: sort_job(),
 ))
-
-
-def sort_job(num_reducers: int = 2):
-    """Functional Sort: identity map, framework shuffle-sort, identity out.
-
-    The functional runtime *does* route records through reducers so the
-    output is globally collected; sorting itself happens in the
-    shuffle/sort machinery, exactly as in Hadoop.
-    """
-    from ..mapreduce.functional import (FunctionalJob, identity_mapper,
-                                        identity_reducer)
-    return FunctionalJob(
-        name="sort",
-        mapper=identity_mapper,
-        reducer=identity_reducer,
-        num_reducers=num_reducers,
-    )

@@ -11,13 +11,10 @@ Atom-vs-Xeon choice (Fig. 14).
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
-
 from ..arch.cores import CpuProfile
 from .base import Category, JobStage, WorkloadSpec, register_workload
 
-__all__ = ["TERASORT", "terasort_jobs", "sample_split_points",
-           "range_partitioner"]
+__all__ = ["TERASORT"]
 
 SAMPLE_PROFILE = CpuProfile.characterized(
     "ts-sample",
@@ -88,69 +85,4 @@ TERASORT = register_workload(WorkloadSpec(
             output_replication=1,
         ),
     ),
-    functional_factory=lambda: terasort_jobs(),
 ))
-
-
-# -- functional implementation ------------------------------------------------
-
-def sample_split_points(keys: Sequence, num_reducers: int) -> List:
-    """Quantile split points from a key sample (TeraSort's sampler).
-
-    Returns ``num_reducers - 1`` sorted boundaries: reducer *r* receives
-    keys in ``(split[r-1], split[r]]``.
-    """
-    if num_reducers < 1:
-        raise ValueError("need at least one reducer")
-    ordered = sorted(keys)
-    if num_reducers == 1 or not ordered:
-        return []
-    splits = []
-    for r in range(1, num_reducers):
-        index = min(len(ordered) - 1, r * len(ordered) // num_reducers)
-        splits.append(ordered[index])
-    return splits
-
-
-def range_partitioner(splits: Sequence):
-    """Partitioner sending each key to its quantile range."""
-    def partition(key, num_reducers: int) -> int:
-        lo, hi = 0, len(splits)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if key > splits[mid]:
-                lo = mid + 1
-            else:
-                hi = mid
-        return min(lo, num_reducers - 1)
-    return partition
-
-
-def terasort_jobs(num_reducers: int = 4, sample_fraction: float = 0.1):
-    """Build the runnable TeraSort as a closure over a sampling step.
-
-    Returns ``(prepare, job)`` where ``prepare(records)`` must run first
-    to compute the split points (the real TeraSort does this client-side
-    before submitting the job).
-    """
-    from ..mapreduce.functional import (FunctionalJob, identity_mapper,
-                                        identity_reducer)
-    state = {"splits": []}
-
-    def prepare(records: Sequence[Tuple]) -> List:
-        step = max(1, int(1.0 / max(sample_fraction, 1e-9)))
-        sample = [records[i][0] for i in range(0, len(records), step)]
-        state["splits"] = sample_split_points(sample, num_reducers)
-        return state["splits"]
-
-    def partitioner(key, n: int) -> int:
-        return range_partitioner(state["splits"])(key, n)
-
-    job = FunctionalJob(
-        name="terasort",
-        mapper=identity_mapper,
-        reducer=identity_reducer,
-        partitioner=partitioner,
-        num_reducers=num_reducers,
-    )
-    return prepare, job

@@ -1,21 +1,18 @@
 """WordCount (WC): the paper's canonical CPU-intensive micro-benchmark.
 
-Functional level: the classic tokenize/emit/sum job with a combiner.
-Performance level: a compute-heavy map profile (hashing and string
-handling, decent locality), a tiny map-output ratio thanks to the
-combiner, and a light reduce — so on both servers the map phase dominates
-and the Xeon/Atom gap stays small (the paper's ~1.74×).
+A tokenize/emit/sum job with a combiner, modelled as a compute-heavy map
+profile (hashing and string handling, decent locality), a tiny
+map-output ratio thanks to the combiner, and a light reduce — so on both
+servers the map phase dominates and the Xeon/Atom gap stays small (the
+paper's ~1.74×).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Tuple
-
 from ..arch.cores import CpuProfile
 from .base import Category, JobStage, WorkloadSpec, register_workload
 
-__all__ = ["WORDCOUNT", "wordcount_job", "wordcount_mapper",
-           "wordcount_reducer"]
+__all__ = ["WORDCOUNT"]
 
 #: Tokenization + hash aggregation: branchy integer/string code with a
 #: modest working set (the in-map combiner's hash table).
@@ -61,31 +58,4 @@ WORDCOUNT = register_workload(WorkloadSpec(
             io_path_factor=0.40,
         ),
     ),
-    functional_factory=lambda: wordcount_job(),
 ))
-
-
-# -- functional implementation ------------------------------------------------
-
-def wordcount_mapper(_key, line: str) -> Iterable[Tuple[str, int]]:
-    """Emit (word, 1) for every token of the line."""
-    for word in line.split():
-        yield (word, 1)
-
-
-def wordcount_reducer(word: str, counts: List[int]
-                      ) -> Iterable[Tuple[str, int]]:
-    """Sum the counts of one word (also used as the combiner)."""
-    yield (word, sum(counts))
-
-
-def wordcount_job(num_reducers: int = 2):
-    """The runnable WordCount job for the functional runtime."""
-    from ..mapreduce.functional import FunctionalJob
-    return FunctionalJob(
-        name="wordcount",
-        mapper=wordcount_mapper,
-        reducer=wordcount_reducer,
-        combiner=wordcount_reducer,
-        num_reducers=num_reducers,
-    )

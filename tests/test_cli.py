@@ -30,6 +30,19 @@ class TestParser:
         args = build_parser().parse_args(["run", "F1"])
         assert args.jobs == 1 and args.no_cache is False
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "F1"], ["faults"], ["datacenter"], ["validate"], ["report"],
+        ["trace", "wordcount"]], ids=lambda argv: argv[0])
+    def test_negative_jobs_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv + ["--jobs", "-1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "must be >= 0" in err
+
+    def test_zero_jobs_still_means_one_per_cpu(self):
+        assert build_parser().parse_args(["run", "F1", "-j", "0"]).jobs == 0
+
     def test_validate_accepts_perf_flags(self):
         args = build_parser().parse_args(
             ["validate", "-j", "2", "--cache-dir", "/tmp/x"])

@@ -1,9 +1,5 @@
-"""Cross-layer integration tests.
-
-These tie the functional layer (real map/reduce code on real records) to
-the performance layer (the simulator's data-flow ratios), and exercise
-whole-pipeline paths that no unit test covers.
-"""
+"""Cross-layer integration tests: whole-pipeline paths that no unit test
+covers."""
 
 from __future__ import annotations
 
@@ -15,34 +11,8 @@ from repro.cluster.server import Cluster
 from repro.core.characterization import RunKey
 from repro.mapreduce.config import DEFAULT_CONF
 from repro.mapreduce.driver import HadoopJobRunner
-from repro.mapreduce.functional import LocalRuntime
 from repro.sim.engine import Simulator
 from repro.workloads.base import workload
-from repro.workloads.datagen import generate_text_lines
-from repro.workloads.wordcount import wordcount_job
-
-
-class TestFunctionalVsPerformanceModel:
-    def test_wordcount_selectivity_direction(self):
-        """The functional combiner really shrinks map output, which is
-        what the performance model's map_output_ratio < 1 encodes."""
-        lines = generate_text_lines(300, seed=21)
-        records = [(i, l) for i, l in enumerate(lines)]
-        _out, stats = LocalRuntime(num_mappers=4).run(wordcount_job(),
-                                                      records)
-        spec_ratio = workload("wordcount").stages[0].map_output_ratio
-        assert spec_ratio < 1.0
-        assert stats.combine_output_records < stats.map_output_records
-
-    def test_sort_moves_everything(self):
-        """Sort's spec says map_output_ratio == 1; functional Sort indeed
-        emits one output record per input record."""
-        from repro.workloads.datagen import generate_records
-        from repro.workloads.sort import sort_job
-        records = generate_records(100, seed=22)
-        out, stats = LocalRuntime().run(sort_job(), records)
-        assert stats.map_selectivity == pytest.approx(1.0)
-        assert workload("sort").stages[0].map_output_ratio == 1.0
 
 
 class TestMeterAgainstIntegrator:

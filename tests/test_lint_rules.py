@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import io
 import json
-import subprocess
 import sys
 import textwrap
 from pathlib import Path
@@ -971,52 +970,19 @@ class TestSelfCheck:
             f.render() for f in new)
 
     def test_seeded_hazard_fails_the_gate(self, tmp_path):
-        # Acceptance check from the issue: a reintroduced bare hash()
-        # in mapreduce/functional.py must exit non-zero.
-        target = ROOT / "src" / "repro" / "mapreduce" / "functional.py"
+        # A bare hash() back in the NameNode's replica spread (once
+        # the cause of X1's table differing between processes) must
+        # exit non-zero.
+        target = ROOT / "src" / "repro" / "hdfs" / "namenode.py"
         sabotaged = target.read_text().replace(
-            "zlib.crc32(repr(key).encode()) % num_reducers",
-            "hash(key) % num_reducers")
+            'zlib.crc32(f"{block.block_id}:{reader}".encode())',
+            "hash((block.block_id, reader))")
         assert sabotaged != target.read_text(), \
-            "partitioner changed; update this fixture"
-        mirror = tmp_path / "src" / "repro" / "mapreduce"
+            "replica spread changed; update this fixture"
+        mirror = tmp_path / "src" / "repro" / "hdfs"
         mirror.mkdir(parents=True)
         (tmp_path / "pyproject.toml").write_text("[project]\nname='x'\n")
-        (mirror / "functional.py").write_text(sabotaged)
+        (mirror / "namenode.py").write_text(sabotaged)
         out = io.StringIO()
         code = run_lint(root=str(tmp_path), stdout=out)
         assert code == 1 and "DET001" in out.getvalue()
-
-
-class TestFPGrowthDeterminismRegression:
-    """PR 5 fix: the PFP count mapper iterated `set(transaction)`.
-
-    String-set iteration order is PYTHONHASHSEED-salted, so the emitted
-    pair stream — and everything downstream of the shuffle — depended
-    on the process's hash seed.  The mapper now iterates
-    ``sorted(set(...))``; this proves the whole PFP result (content
-    *and* iteration order) is hash-seed independent.
-    """
-
-    SCRIPT = textwrap.dedent("""\
-        from repro.workloads.fp_growth import parallel_fp_growth
-        txs = [["milk", "bread", "beer"], ["bread", "butter"],
-               ["milk", "bread", "butter"], ["beer", "diapers"],
-               ["milk", "beer", "diapers", "bread"]] * 3
-        result = parallel_fp_growth(txs, min_support=3, num_groups=3)
-        print([(sorted(k), v) for k, v in result.items()])
-        """)
-
-    def _run(self, hashseed: str) -> str:
-        env = {"PYTHONPATH": str(ROOT / "src"),
-               "PYTHONHASHSEED": hashseed, "PATH": "/usr/bin:/bin"}
-        proc = subprocess.run(
-            [sys.executable, "-c", self.SCRIPT], env=env,
-            capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        return proc.stdout
-
-    def test_output_identical_across_hash_seeds(self):
-        outputs = {self._run(seed) for seed in ("0", "1", "4242")}
-        assert len(outputs) == 1
-        assert "milk" in outputs.pop()

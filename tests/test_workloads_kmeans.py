@@ -2,91 +2,10 @@
 
 from __future__ import annotations
 
-import math
-
-import pytest
-from hypothesis import given, settings, strategies as st
-
 from repro.core.characterization import RunKey
 from repro.core.metrics import edp
 from repro.workloads.base import workload
-from repro.workloads.kmeans import (KMEANS_ITERATIONS, assign_cluster,
-                                    generate_points, kmeans_fit,
-                                    kmeans_iteration_job)
-
-
-class TestGeneratePoints:
-    def test_shape(self):
-        points, centres = generate_points(120, n_clusters=3, dims=2)
-        assert len(points) == 120
-        assert len(centres) == 3
-        assert all(len(p) == 2 for p in points)
-
-    def test_deterministic(self):
-        assert generate_points(50, seed=1) == generate_points(50, seed=1)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            generate_points(-1)
-        with pytest.raises(ValueError):
-            generate_points(10, n_clusters=0)
-
-
-class TestAssignCluster:
-    def test_nearest_wins(self):
-        centroids = [(0.0, 0.0), (10.0, 10.0)]
-        assert assign_cluster((1.0, 1.0), centroids) == 0
-        assert assign_cluster((9.0, 9.0), centroids) == 1
-
-    def test_no_centroids_rejected(self):
-        with pytest.raises(ValueError):
-            assign_cluster((0.0,), [])
-
-    @given(st.lists(st.tuples(st.floats(-100, 100), st.floats(-100, 100)),
-                    min_size=1, max_size=8),
-           st.tuples(st.floats(-100, 100), st.floats(-100, 100)))
-    @settings(max_examples=40)
-    def test_assignment_is_argmin(self, centroids, point):
-        chosen = assign_cluster(point, centroids)
-        d_chosen = sum((a - b) ** 2 for a, b in zip(point, centroids[chosen]))
-        for c in centroids:
-            d = sum((a - b) ** 2 for a, b in zip(point, c))
-            assert d_chosen <= d + 1e-9
-
-
-class TestLloydViaMapReduce:
-    def test_recovers_planted_centres(self):
-        points, truth = generate_points(240, n_clusters=3, spread=0.3,
-                                        seed=5)
-        centroids, iterations = kmeans_fit(points, 3, seed=7)
-        assert iterations >= 1
-        # Every true centre has a recovered centroid within a tight radius.
-        for centre in truth:
-            best = min(math.dist(centre, c) for c in centroids)
-            assert best < 1.5
-
-    def test_single_iteration_moves_toward_means(self):
-        from repro.mapreduce.functional import LocalRuntime
-        points = [(0.0, 0.0), (0.2, 0.0), (10.0, 10.0), (10.2, 10.0)]
-        records = [(i, p) for i, p in enumerate(points)]
-        job = kmeans_iteration_job([(1.0, 1.0), (9.0, 9.0)])
-        output, _ = LocalRuntime(num_mappers=1).run(job, records)
-        result = dict(output)
-        assert result[0] == pytest.approx((0.1, 0.0))
-        assert result[1] == pytest.approx((10.1, 10.0))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            kmeans_fit([], 2)
-        with pytest.raises(ValueError):
-            kmeans_fit([(0.0, 0.0)], 0)
-
-    def test_convergence_is_stable(self):
-        points, _ = generate_points(150, n_clusters=2, spread=0.2, seed=9)
-        c1, _ = kmeans_fit(points, 2, seed=11)
-        # Re-running one more iteration from the fixpoint changes nothing.
-        c2, iters = kmeans_fit(points, 2, seed=11)
-        assert c1 == c2
+from repro.workloads.kmeans import KMEANS_ITERATIONS
 
 
 class TestPerformanceSpec:

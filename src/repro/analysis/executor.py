@@ -100,9 +100,17 @@ def default_cache_dir() -> Path:
 
 
 def resolve_jobs(jobs: Optional[int]) -> int:
-    """Normalize a ``--jobs`` value: None -> $REPRO_JOBS or 1, 0 -> CPUs."""
+    """Normalize a ``--jobs`` value: None -> $REPRO_JOBS or 1, 0 -> CPUs.
+
+    A ``$REPRO_JOBS`` that is not a non-negative integer raises
+    ``ValueError``, as a negative ``--jobs`` does.
+    """
     if jobs is None:
-        jobs = int(os.environ.get("REPRO_JOBS", "1") or "1")
+        env = os.environ.get("REPRO_JOBS") or "1"
+        if not env.isdecimal():
+            raise ValueError(f"REPRO_JOBS must be a non-negative integer, "
+                             f"got {env!r}")
+        jobs = int(env)
     if jobs <= 0:
         jobs = os.cpu_count() or 1
     return jobs

@@ -1,27 +1,25 @@
-"""Continuous benchmark harness: host-side performance trajectory.
+"""Benchmark harness: what running the reproduction costs the host.
 
-``repro.bench`` measures what the *reproduction itself* costs to run —
-engine event throughput, single-job simulation wall time, sweep executor
-cold/warm cost, trace-export cost, profiler overhead — as a pinned
-scenario suite executed median-of-k with warmup, emitting a
+``repro.bench`` times the *reproduction itself* — engine event
+dispatch, single-job simulation, the datacenter scheduling loop,
+trace export, whole-tree lint, profiler overhead — as a pinned
+scenario suite executed median-of-k with warmup, and writes a
 schema-versioned ``BENCH_<timestamp>.json`` (git rev, host info,
-per-scenario stats, embedded profiler phase breakdown) and a compare
-gate (``repro-hadoop bench compare OLD NEW``) that exits non-zero on
-regression.  See ``docs/OBSERVABILITY.md`` §Profiling & benchmarking.
+per-scenario wall times and exact work counts).  Wall times are for
+reading; the gate is ``tests/test_bench.py``, which pins each
+scenario's work counts exactly.  See ``docs/OBSERVABILITY.md``
+§Profiling & benchmarking.
 
 The simulated results are never touched: benchmarking only *times*
 existing entry points, so a bench run can never change a figure.
 """
 
-from .compare import (ComparisonRow, compare_reports, load_report,
-                      render_comparison)
 from .runner import (BENCH_SCHEMA, BENCH_SCHEMA_VERSION, default_output_path,
-                     run_suite, write_report)
+                     run_suite, scenario_counts, write_report)
 from .scenarios import SCENARIOS, Scenario, ScenarioContext
 
 __all__ = [
     "Scenario", "ScenarioContext", "SCENARIOS",
     "BENCH_SCHEMA", "BENCH_SCHEMA_VERSION",
-    "run_suite", "write_report", "default_output_path",
-    "ComparisonRow", "compare_reports", "load_report", "render_comparison",
+    "run_suite", "scenario_counts", "write_report", "default_output_path",
 ]

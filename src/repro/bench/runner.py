@@ -1,18 +1,22 @@
-"""Suite runner: median-of-k timing and the ``BENCH_*.json`` report.
+"""Suite runner: median-of-k timing, exact work counts, the report.
 
-Each scenario runs *warmup* throwaway repetitions (they also build the
-memoized fixtures) followed by *repeat* timed ones; the report records
-every rep plus median/min/max/mean, so downstream tooling can judge
-noise, and :mod:`repro.bench.compare` gates on the median.
+Each scenario's ``setup`` builds its fixtures first; then *warmup*
+throwaway repetitions run, followed by *repeat* timed ones.  The report
+records every rep plus median/min/max/mean, so a reader can judge the
+noise; wall times are host-specific and nothing gates on them.
+
+What is gated is each row's ``counts``: one untimed call of the
+scenario with the wall-clock profiler installed, giving the scenario's
+metrics plus the profiler's meta counters (engine events by kind) and
+every phase's call count.  These are exact and the same on any host;
+``tests/test_bench.py`` pins them through :func:`scenario_counts`, the
+function the runner calls, so a change in the work a scenario does is
+a review diff that names the scenario and the count.
 
 The report is schema-versioned (:data:`BENCH_SCHEMA`,
-:data:`BENCH_SCHEMA_VERSION`): consumers refuse files they do not
-understand instead of mis-parsing them, and the version bumps on any
-breaking layout change.  Alongside the numbers it embeds the git
-revision, host facts, and — from a dedicated post-measurement pass with
-the wall-clock profiler installed — the per-phase breakdown of where a
-simulated job actually spends host time, so every ``BENCH_*.json`` in
-the trajectory doubles as a profile snapshot.
+:data:`BENCH_SCHEMA_VERSION`), and the version bumps on any breaking
+layout change.  Alongside the numbers it embeds the git revision and
+host facts, so a report says where it was measured.
 """
 
 from __future__ import annotations
@@ -32,15 +36,14 @@ from .scenarios import (SCENARIOS, Scenario, cleanup_context, make_context,
                         scenario_names)
 
 __all__ = ["BENCH_SCHEMA", "BENCH_SCHEMA_VERSION", "run_suite",
-           "write_report", "default_output_path"]
+           "scenario_counts", "write_report", "default_output_path"]
 
 BENCH_SCHEMA = "repro-hadoop-bench"
 #: Bump on any breaking change to the report layout.
-BENCH_SCHEMA_VERSION = 1
+BENCH_SCHEMA_VERSION = 2
 
-#: Default repetition counts: full (local) and --quick (CI).
+#: Default repetition counts.
 DEFAULT_REPEAT, DEFAULT_WARMUP = 7, 2
-QUICK_REPEAT, QUICK_WARMUP = 3, 1
 
 
 def git_info() -> Dict[str, object]:
@@ -69,18 +72,34 @@ def host_info() -> Dict[str, object]:
     }
 
 
+def scenario_counts(scenario: Scenario, ctx) -> Dict[str, float]:
+    """The scenario's exact work counts, from one profiled call.
+
+    The scenario's metrics, the profiler's meta counters and each
+    phase's call count as ``<phase>.calls``.  The setup runs first, so
+    a count never depends on which call built a fixture.
+    """
+    if scenario.setup is not None:
+        scenario.setup(ctx)
+    with prof.profiled() as profiler:
+        counts = dict(scenario.fn(ctx))
+    counts.update(profiler.meta)
+    counts.update((f"{name}.calls", hist.total)
+                  for name, hist in profiler.phases.items())
+    return dict(sorted(counts.items()))
+
+
 def _time_scenario(scenario: Scenario, ctx, repeat: int, warmup: int
                    ) -> Dict[str, object]:
-    metrics: Dict[str, float] = {}
+    if scenario.setup is not None:
+        scenario.setup(ctx)
     for _ in range(warmup):
         scenario.fn(ctx)
     reps: List[float] = []
     for _ in range(repeat):
         t0 = time.perf_counter()
-        extra = scenario.fn(ctx)
+        metrics = scenario.fn(ctx)
         reps.append(time.perf_counter() - t0)
-        if extra:
-            metrics = dict(extra)   # metrics of the last timed rep
     return {
         "kind": scenario.kind,
         "description": scenario.description,
@@ -92,31 +111,22 @@ def _time_scenario(scenario: Scenario, ctx, repeat: int, warmup: int
         "min_s": min(reps),
         "max_s": max(reps),
         "mean_s": statistics.fmean(reps),
-        "metrics": metrics,
+        "metrics": metrics,             # of the last timed rep
     }
-
-
-def _profile_pass(chosen: Sequence[Scenario], ctx) -> Dict[str, object]:
-    """One untimed pass of the profilable scenarios, profiler installed."""
-    with prof.profiled() as profiler:
-        for scenario in chosen:
-            if scenario.profile:
-                scenario.fn(ctx)
-    return profiler.to_dict()
 
 
 def run_suite(names: Optional[Sequence[str]] = None,
               repeat: Optional[int] = None,
               warmup: Optional[int] = None,
-              quick: bool = False,
               profile: bool = True,
               progress: Optional[Callable[[str], None]] = None
               ) -> Dict[str, object]:
     """Run the (selected) scenario suite and return the report dict.
 
-    *quick* switches to the CI repetition counts; explicit *repeat* /
-    *warmup* override either default.  Unknown *names* raise
-    ``ValueError`` before anything runs.
+    *repeat* and *warmup* default to :data:`DEFAULT_REPEAT` and
+    :data:`DEFAULT_WARMUP`.  With *profile* each counted scenario's row
+    carries its :func:`scenario_counts`; without, ``counts`` is
+    ``None``.  Unknown *names* raise ``ValueError`` before anything runs.
     """
     if names:
         known = set(scenario_names())
@@ -127,10 +137,8 @@ def run_suite(names: Optional[Sequence[str]] = None,
         chosen = [s for s in SCENARIOS if s.name in set(names)]
     else:
         chosen = list(SCENARIOS)
-    repeat = repeat if repeat is not None else (
-        QUICK_REPEAT if quick else DEFAULT_REPEAT)
-    warmup = warmup if warmup is not None else (
-        QUICK_WARMUP if quick else DEFAULT_WARMUP)
+    repeat = DEFAULT_REPEAT if repeat is None else repeat
+    warmup = DEFAULT_WARMUP if warmup is None else warmup
     if repeat < 1:
         raise ValueError(f"repeat must be >= 1, got {repeat}")
     if warmup < 0:
@@ -143,9 +151,10 @@ def run_suite(names: Optional[Sequence[str]] = None,
         for scenario in chosen:
             say(f"bench: {scenario.name} ({repeat} reps, "
                 f"{warmup} warmup) ...")
-            scenarios[scenario.name] = _time_scenario(
-                scenario, ctx, repeat, warmup)
-        profile_dict = (_profile_pass(chosen, ctx) if profile else None)
+            row = _time_scenario(scenario, ctx, repeat, warmup)
+            row["counts"] = (scenario_counts(scenario, ctx)
+                             if profile and scenario.counted else None)
+            scenarios[scenario.name] = row
     finally:
         cleanup_context(ctx)
 
@@ -155,10 +164,9 @@ def run_suite(names: Optional[Sequence[str]] = None,
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "git": git_info(),
         "host": host_info(),
-        "config": {"repeat": repeat, "warmup": warmup, "quick": quick,
+        "config": {"repeat": repeat, "warmup": warmup,
                    "argv": list(sys.argv)},
         "scenarios": scenarios,
-        "profile": profile_dict,
     }
 
 

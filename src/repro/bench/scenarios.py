@@ -1,36 +1,29 @@
 """The pinned benchmark scenarios.
 
 Every scenario is a named, fixed-configuration measurement of one hot
-path of the reproduction.  Configurations are **pinned** — quick mode
-changes repetition counts, never workloads or data sizes — so any two
-``BENCH_*.json`` files measure the same work and their medians compare
-meaningfully across commits.
+path of the reproduction.  Configurations are **pinned**, so any two
+``BENCH_*.json`` files measure the same work.
 
-A scenario is a callable taking a :class:`ScenarioContext` (scratch
-directory plus memoized expensive fixtures) and returning an optional
-dict of extra metrics; the runner times the call.  Set-up that must not
-be timed (building the traced run for the export scenario, warming the
-sweep cache) lives in context accessors that scenarios call during the
-warmup repetitions.
+A scenario is a callable taking a :class:`ScenarioContext` (memoized
+expensive fixtures) and returning a dict of metrics; the runner times
+the call.  Metrics are work counts and simulated outputs, never host
+rates, so they are the same on every host (the profiler self-check,
+whose outputs are timings, is the exception).  Set-up that must not be
+timed or counted (building the traced run for the export scenario,
+pre-simulating the datacenter's inner cells) is the scenario's
+``setup``, which the runner calls before any repetition.
 """
 
 from __future__ import annotations
 
-import asyncio
-import json
-import shutil
-import tempfile
 import time
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
-from ..analysis.executor import ResultCache, cache_key, run_cells
 from ..cluster.arrivals import ArrivalConfig, poisson_stream
 from ..cluster.datacenter import (DatacenterSpec, default_job_model,
                                   run_policies)
-from ..core.characterization import Characterizer, RunKey
-from ..mapreduce.config import DEFAULT_CONF
+from ..core.characterization import Characterizer
 from ..mapreduce.driver import simulate_job
 from ..obs import Tracer, perfetto_json, prof, text_summary, timeline_csv
 from ..sim.engine import Simulator
@@ -46,28 +39,13 @@ _ENGINE_TIMEOUTS = 10
 #: timer noise, small enough for median-of-k in CI).
 _JOB_GB = {"wordcount": 4.0, "terasort": 4.0, "kmeans": 2.0}
 
-#: Pinned sweep grid for the cold/warm executor scenarios.
-_SWEEP_KEYS = tuple(
-    RunKey(machine, workload, data_per_node_gb=0.25)
-    for machine in ("atom", "xeon")
-    for workload in ("wordcount", "terasort"))
-
 #: Fixed workload for the profiler-overhead self-check.
 _OVERHEAD_GB = 2.0
 _OVERHEAD_BEST_OF = 5
 
-#: Pinned serve scenario: boot the full what-if stack on loopback and
-#: replay a fixed 64-request closed-loop trace against a fully warm
-#: sharded cache, so the timed work is the service path (HTTP parse,
-#: coalescing map, cache probe, canonical JSON) and never a simulation.
-_SERVE_REQUESTS = 64
-_SERVE_CONCURRENCY = 16
-_SERVE_SHARDS = 4
-_SERVE_SEED = 5
-
 #: Pinned datacenter scenario: a small mixed cluster replaying a fixed
 #: 12-job stream under two policies.  The inner per-job cells are
-#: pre-simulated in a context accessor, so the timed repetitions
+#: pre-simulated by the scenario's setup, so the timed repetitions
 #: measure the outer scheduling layer (arrivals, leasing, policy loop).
 _DC_NODES = 16
 _DC_RACK = 8
@@ -79,21 +57,10 @@ _DC_ARRIVALS = ArrivalConfig(seed=3, n_jobs=12, jobs_per_1000s=150.0,
 
 @dataclass
 class ScenarioContext:
-    """Scratch space and memoized fixtures shared by one suite run."""
+    """Memoized fixtures shared by one suite run."""
 
-    tmp: Path
     _tracer: Optional[Tracer] = None
-    _warm_cache_dir: Optional[Path] = None
-    _serve_cache_dir: Optional[Path] = None
     _dc_model: Optional[Callable] = None
-    _counter: int = 0
-
-    def fresh_dir(self, prefix: str) -> Path:
-        """A new empty directory under the suite's scratch space."""
-        self._counter += 1
-        path = self.tmp / f"{prefix}-{self._counter}"
-        path.mkdir(parents=True)
-        return path
 
     def traced_run(self) -> Tracer:
         """A traced terasort run (built once, export scenarios reuse it)."""
@@ -103,27 +70,6 @@ class ScenarioContext:
                          obs=tracer)
             self._tracer = tracer
         return self._tracer
-
-    def warm_cache(self) -> ResultCache:
-        """A result cache pre-populated with the pinned sweep grid."""
-        if self._warm_cache_dir is None:
-            self._warm_cache_dir = self.fresh_dir("warm-cache")
-            run_cells(list(_SWEEP_KEYS), jobs=1,
-                      cache=ResultCache(self._warm_cache_dir))
-        return ResultCache(self._warm_cache_dir)
-
-    def serve_cache_dir(self) -> Path:
-        """A sharded result cache pre-filled with the serve trace's cells."""
-        if self._serve_cache_dir is None:
-            from ..serve.service import ShardedResultCache
-            self._serve_cache_dir = self.fresh_dir("serve-cache")
-            keys = _serve_trace_keys()
-            results = run_cells(keys, jobs=1)
-            sharded = ShardedResultCache(str(self._serve_cache_dir),
-                                         shards=_SERVE_SHARDS)
-            for key, result in results.items():
-                sharded.put(cache_key(key), key, DEFAULT_CONF, result)
-        return self._serve_cache_dir
 
     def datacenter_model(self):
         """A job model with every pinned-stream cell pre-simulated."""
@@ -143,10 +89,13 @@ class Scenario:
     name: str
     kind: str          #: ``micro`` | ``macro`` | ``self``
     description: str
-    fn: Callable[[ScenarioContext], Optional[Dict[str, float]]]
-    #: Included in the post-suite profiled pass that fills the bench
-    #: JSON's phase breakdown (self-checks and micro loops are skipped).
-    profile: bool = True
+    fn: Callable[[ScenarioContext], Dict[str, float]]
+    #: Builds the memoized fixtures ``fn`` reads, before it is timed or
+    #: counted, so no repetition and no count includes their cost.
+    setup: Optional[Callable[[ScenarioContext], object]] = None
+    #: Profiled on its own for the report's ``counts`` (the overhead
+    #: self-check installs its own profiler and returns timings).
+    counted: bool = True
 
 
 # -- scenario bodies ------------------------------------------------------
@@ -160,11 +109,8 @@ def engine_throughput(ctx: ScenarioContext) -> Dict[str, float]:
     sim = Simulator()
     for i in range(_ENGINE_PROCS):
         sim.process(_engine_worker(sim, 0.5 + (i % 7) * 0.25))
-    t0 = time.perf_counter()
     sim.run()
-    elapsed = time.perf_counter() - t0
-    return {"events": float(sim.event_count),
-            "events_per_s": sim.event_count / elapsed if elapsed else 0.0}
+    return {"events": float(sim.event_count)}
 
 
 def _job_scenario(workload: str) -> Callable[[ScenarioContext],
@@ -180,28 +126,8 @@ def _job_scenario(workload: str) -> Callable[[ScenarioContext],
     return run
 
 
-def sweep_cold(ctx: ScenarioContext) -> Dict[str, float]:
-    cache = ResultCache(ctx.fresh_dir("cold-cache"))
-    run_cells(list(_SWEEP_KEYS), jobs=1, cache=cache)
-    return {"cells": float(len(_SWEEP_KEYS)),
-            "stores": float(cache.stores)}
-
-
-def sweep_warm(ctx: ScenarioContext) -> Dict[str, float]:
-    cache = ctx.warm_cache()
-    run_cells(list(_SWEEP_KEYS), jobs=1, cache=cache)
-    stats = cache.stats()
-    # Cache effectiveness rides along in the bench trajectory: a change
-    # that silently breaks cache keying shows up as hit_rate < 1 here
-    # long before anyone notices `run all` got slow.
-    return {"cells": float(len(_SWEEP_KEYS)),
-            "cache_hits": float(stats.hits),
-            "cache_misses": float(stats.misses),
-            "cache_hit_rate": stats.hit_rate}
-
-
 def trace_export(ctx: ScenarioContext) -> Dict[str, float]:
-    tracer = ctx.traced_run()          # memoized: built during warmup
+    tracer = ctx.traced_run()          # memoized: built by the setup
     json_text = perfetto_json(tracer)
     csv_text = timeline_csv(tracer.job)
     summary = text_summary(tracer)
@@ -209,67 +135,6 @@ def trace_export(ctx: ScenarioContext) -> Dict[str, float]:
             "csv_bytes": float(len(csv_text)),
             "summary_bytes": float(len(summary)),
             "spans": float(len(tracer.spans))}
-
-
-def _serve_load_config():
-    from ..loadgen import LoadConfig
-    return LoadConfig(seed=_SERVE_SEED, n_requests=_SERVE_REQUESTS,
-                      compare_fraction=0.5,
-                      workloads=("wordcount", "terasort"),
-                      freqs_ghz=(1.2, 1.8), sizes_gb=(0.1,))
-
-
-def _serve_trace_keys() -> List[RunKey]:
-    """Every distinct grid cell the pinned serve trace can touch."""
-    from ..loadgen import build_trace
-    keys: List[RunKey] = []
-    for query in build_trace(_serve_load_config()):
-        doc = json.loads(query.body)
-        doc.pop("goal", None)
-        if query.path == "/compare":
-            for machine in ("atom", "xeon"):
-                keys.append(RunKey(machine=machine, **doc))
-        else:
-            keys.append(RunKey(**doc))
-    return list(dict.fromkeys(keys))
-
-
-def serve_qps(ctx: ScenarioContext) -> Dict[str, float]:
-    """Boot the what-if API, replay the pinned trace, tear down.
-
-    Measures the full service path end to end — TCP accept, HTTP
-    parse, coalescing probe, sharded cache read, canonical JSON
-    encode — against a fully warm cache, so a regression here is a
-    serving-layer regression, never a simulation slowdown.
-    """
-    from ..loadgen import build_trace, run_load
-    from ..serve.run import start_stack, stop_stack
-    from ..serve.service import ServiceConfig
-
-    cache_dir = ctx.serve_cache_dir()     # memoized: built during warmup
-    trace = build_trace(_serve_load_config())
-
-    async def _run():
-        # Telemetry off: the scenario gates the untelemetered hot path,
-        # so a tracing-cost regression shows up in serve.qps history
-        # as a deliberate choice, not ambient drift.
-        handle = await start_stack(ServiceConfig(
-            workers=2, shards=_SERVE_SHARDS, cache_dir=str(cache_dir),
-            telemetry=False))
-        try:
-            return await run_load(handle.host, handle.port, trace,
-                                  concurrency=_SERVE_CONCURRENCY,
-                                  timeout_s=60.0)
-        finally:
-            await stop_stack(handle, graceful=True)
-
-    report = asyncio.run(_run())
-    return {"qps": report.qps,
-            "p50_ms": report.latency.quantile(0.5) * 1000.0,
-            "p99_ms": report.latency.quantile(0.99) * 1000.0,
-            "requests": float(report.requests),
-            "errors": float(report.errors),
-            "cache_hits": float(report.cache_hits)}
 
 
 def datacenter_small(ctx: ScenarioContext) -> Dict[str, float]:
@@ -293,7 +158,7 @@ def lint_tree_scenario(ctx: ScenarioContext) -> Dict[str, float]:
     enforced — a fixpoint blow-up or an accidentally quadratic rule
     shows up here before it shows up in every CI run.
     The measured tree is the live checkout, so ``files`` drifts as the
-    repo grows; the gate judges the median wall time, not the counts.
+    repo grows; its counts describe the checkout and are not pinned.
     """
     from ..lint.engine import find_repo_root, lint_tree
 
@@ -310,7 +175,7 @@ def profiler_overhead(ctx: ScenarioContext) -> Dict[str, float]:
     estimator for a deterministic workload — with the off/on runs
     *interleaved*, so load or frequency drift on a busy host lands on
     both sides equally and the reported overhead is instrumentation
-    cost, not scheduler jitter.  The bench gate asserts this stays
+    cost, not scheduler jitter.  A tier-1 test asserts this stays
     small (< 10% of the post-campaign engine — the same absolute cost
     as 5% of the pre-campaign one); the profiler's whole design
     (coarse phases, batched engine timing) exists to keep it there.
@@ -338,7 +203,7 @@ def profiler_overhead(ctx: ScenarioContext) -> Dict[str, float]:
 SCENARIOS: List[Scenario] = [
     Scenario("engine.throughput", "micro",
              "dispatch ~30k timeout events through a bare Simulator",
-             engine_throughput, profile=False),
+             engine_throughput),
     Scenario("job.wordcount", "macro",
              f"single wordcount job, atom, {_JOB_GB['wordcount']:g} GB/node",
              _job_scenario("wordcount")),
@@ -348,29 +213,19 @@ SCENARIOS: List[Scenario] = [
     Scenario("job.kmeans", "macro",
              f"single k-means job, atom, {_JOB_GB['kmeans']:g} GB/node",
              _job_scenario("kmeans")),
-    Scenario("sweep.cold", "macro",
-             f"{len(_SWEEP_KEYS)}-cell sweep, empty result cache",
-             sweep_cold),
-    Scenario("sweep.warm", "macro",
-             f"{len(_SWEEP_KEYS)}-cell sweep, fully warm result cache",
-             sweep_warm),
     Scenario("datacenter.small", "macro",
              f"{_DC_NODES}-node mixed cluster, {_DC_ARRIVALS.n_jobs}-job "
              f"stream under {' + '.join(_DC_POLICIES)} (warm inner cells)",
-             datacenter_small),
-    Scenario("serve.qps", "macro",
-             f"what-if API: {_SERVE_REQUESTS}-request closed-loop trace, "
-             f"{_SERVE_CONCURRENCY} outstanding, warm sharded cache",
-             serve_qps, profile=False),
+             datacenter_small, setup=ScenarioContext.datacenter_model),
     Scenario("trace.export", "macro",
              "Perfetto JSON + timeline CSV + text summary of a traced run",
-             trace_export, profile=False),
+             trace_export, setup=ScenarioContext.traced_run),
     Scenario("lint.tree", "macro",
              "full-tree determinism/architecture lint (dataflow + ARCH001)",
-             lint_tree_scenario, profile=False),
+             lint_tree_scenario),
     Scenario("prof.overhead", "self",
              "profiler-overhead self-check (same job, profiling off vs on)",
-             profiler_overhead, profile=False),
+             profiler_overhead, counted=False),
 ]
 
 
@@ -379,9 +234,10 @@ def scenario_names() -> List[str]:
 
 
 def make_context() -> ScenarioContext:
-    """Create a context with a self-cleaning scratch directory."""
-    return ScenarioContext(tmp=Path(tempfile.mkdtemp(prefix="repro-bench-")))
+    """A context with no fixture built yet."""
+    return ScenarioContext()
 
 
 def cleanup_context(ctx: ScenarioContext) -> None:
-    shutil.rmtree(ctx.tmp, ignore_errors=True)
+    """Drop the context's fixtures (a traced run, pre-simulated cells)."""
+    ctx._tracer = ctx._dc_model = None

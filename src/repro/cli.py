@@ -16,8 +16,7 @@ Examples::
     repro-hadoop cache clear
     repro-hadoop serve --port 8008           # async what-if API
     repro-hadoop loadtest --requests 1000 --concurrency 64 --seed 1
-    repro-hadoop bench --quick               # host-perf suite -> BENCH_*.json
-    repro-hadoop bench compare OLD NEW       # perf-regression gate
+    repro-hadoop bench                       # host-perf suite -> BENCH_*.json
     repro-hadoop lint                        # determinism/purity linter
     repro-hadoop lint --format json -o lint-report.json
 
@@ -337,15 +336,11 @@ def build_parser() -> argparse.ArgumentParser:
                             "superseded model fingerprints")
 
     # Run flags shared between `bench` and `bench run`, so both
-    # `bench --quick` and `bench run --quick` work (argparse only applies
-    # a subparser default when the parent has not already set the attr).
+    # `bench --repeat 3` and `bench run --repeat 3` work (argparse only
+    # applies a subparser default when the parent has not set the attr).
     bench_flags = argparse.ArgumentParser(add_help=False)
-    bench_flags.add_argument("--quick", action="store_true",
-                             help="CI repetition counts (fewer reps/warmup; "
-                                  "scenario workloads are unchanged)")
     bench_flags.add_argument("--repeat", type=int, default=None, metavar="K",
-                             help="timed repetitions per scenario "
-                                  "(overrides --quick's default)")
+                             help="timed repetitions per scenario")
     bench_flags.add_argument("--warmup", type=int, default=None, metavar="K",
                              help="untimed warmup repetitions per scenario")
     bench_flags.add_argument("--scenario", action="append", default=None,
@@ -356,8 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
                              help="report path (default "
                                   "BENCH_<timestamp>.json in cwd)")
     bench_flags.add_argument("--no-profile", action="store_true",
-                             help="skip the profiled pass (no phase "
-                                  "breakdown in the report)")
+                             help="skip the profiled pass (no work counts "
+                                  "in the report)")
 
     bench = sub.add_parser(
         "bench", parents=[bench_flags],
@@ -366,25 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench_sub.add_parser("run", parents=[bench_flags],
                          help="run the scenario suite (the default)")
     bench_sub.add_parser("list", help="list benchmark scenarios")
-    bench_compare = bench_sub.add_parser(
-        "compare", help="compare two BENCH_*.json reports; exit 1 "
-                        "if any scenario regressed")
-    bench_compare.add_argument("old", help="baseline report (JSON)")
-    bench_compare.add_argument("new", help="candidate report (JSON)")
-    bench_compare.add_argument("--threshold", type=float, default=10.0,
-                               metavar="PCT",
-                               help="median-regression tolerance in percent "
-                                    "(default 10)")
-    bench_compare.add_argument("--min-delta-ms", type=float, default=1.0,
-                               metavar="MS",
-                               help="noise floor: ignore median moves "
-                                    "smaller than this many milliseconds, "
-                                    "whatever the percentage (default 1)")
-    bench_compare.add_argument("--scenario-threshold", action="append",
-                               default=None, metavar="NAME=PCT",
-                               help="per-scenario override of --threshold "
-                                    "(e.g. engine.throughput=10); "
-                                    "repeatable")
     return parser
 
 
@@ -569,29 +545,10 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_scenario_thresholds(specs):
-    """``["name=PCT", ...]`` → ``{name: pct}`` for ``bench compare``."""
-    overrides = {}
-    for spec in specs or []:
-        name, sep, pct = spec.partition("=")
-        if not sep or not name:
-            raise ValueError(
-                f"bad --scenario-threshold {spec!r} (expected NAME=PCT)")
-        try:
-            overrides[name] = float(pct)
-        except ValueError:
-            raise ValueError(
-                f"bad --scenario-threshold {spec!r} "
-                f"(threshold {pct!r} is not a number)") from None
-    return overrides
-
-
 def _cmd_bench(args: argparse.Namespace) -> int:
     from pathlib import Path
 
-    from .bench import (SCENARIOS, compare_reports, default_output_path,
-                        load_report, render_comparison, run_suite,
-                        write_report)
+    from .bench import SCENARIOS, default_output_path, run_suite, write_report
     from .bench.runner import render_report
 
     command = args.bench_command or "run"
@@ -600,23 +557,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             print(f"  {scenario.name:20s} [{scenario.kind}] "
                   f"{scenario.description}")
         return 0
-    if command == "compare":
-        try:
-            old = load_report(Path(args.old))
-            new = load_report(Path(args.new))
-            overrides = _parse_scenario_thresholds(args.scenario_threshold)
-            rows = compare_reports(old, new, threshold_pct=args.threshold,
-                                   min_abs_delta_s=args.min_delta_ms / 1000.0,
-                                   scenario_thresholds=overrides)
-        except (OSError, ValueError) as exc:
-            print(f"repro-hadoop: error: {exc}", file=sys.stderr)
-            return 2
-        print(render_comparison(rows, threshold_pct=args.threshold))
-        return 1 if any(row.fails for row in rows) else 0
     try:
         report = run_suite(
             names=args.scenario, repeat=args.repeat, warmup=args.warmup,
-            quick=args.quick, profile=not args.no_profile,
+            profile=not args.no_profile,
             progress=lambda msg: print(msg, file=sys.stderr))
     except ValueError as exc:
         print(f"repro-hadoop: error: {exc}", file=sys.stderr)

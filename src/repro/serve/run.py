@@ -2,8 +2,9 @@
 
 One canonical way to stand the service up, shared by the CLI
 (``repro-hadoop serve``), the in-process spawn mode of
-``repro-hadoop loadtest --spawn``, the ``serve.qps`` bench scenario,
-and the tests — so every consumer gets the same drain semantics.
+``repro-hadoop loadtest --spawn``, the repo benchmark's what-if
+workloads and the tests — so every consumer gets the same drain
+semantics.
 """
 
 from __future__ import annotations

@@ -1,25 +1,169 @@
-"""Tests for the benchmark harness: suite, report schema, compare gate."""
+"""Tests for the benchmark harness: suite, report schema, work-count pin.
+
+``COUNTS`` pins the exact work counts of every counted scenario whose
+counts describe the program (``lint.tree``'s describe the checkout):
+the scenario's metrics, the profiler's meta counters and each phase's
+call count, as :func:`repro.bench.scenario_counts` reports them in a
+``BENCH_*.json`` row.  A change that makes a scenario do more or less
+work fails here with the scenario, the count and both values; wall
+times are not gated anywhere.
+
+Print the current counts with ``PYTHONPATH=src python
+tests/test_bench.py``.  Re-pin only together with a change that is
+meant to move the work the simulator does.
+"""
 
 from __future__ import annotations
 
-import copy
 import json
 
 import pytest
 
 from repro.bench import (BENCH_SCHEMA, BENCH_SCHEMA_VERSION, SCENARIOS,
-                         compare_reports, load_report, render_comparison,
-                         run_suite, write_report)
+                         run_suite, scenario_counts, write_report)
 from repro.bench.runner import render_report
 from repro.bench.scenarios import (cleanup_context, make_context,
                                    profiler_overhead, scenario_names)
 from repro.cli import main
 
+#: scenario -> exact work counts.
+COUNTS = {
+    "engine.throughput": {
+        "engine.buckets": 39,
+        "engine.dispatch.calls": 30000,
+        "engine.events": 30000,
+        "engine.heap_pushes": 27500,
+        "engine.run.calls": 1,
+        "events": 30000.0,
+    },
+    "job.wordcount": {
+        "driver.energy.calls": 1,
+        "driver.run.calls": 1,
+        "driver.stage.cleanup.calls": 1,
+        "driver.stage.map.calls": 1,
+        "driver.stage.reduce.calls": 1,
+        "driver.stage.setup.calls": 1,
+        "driver.uncore.calls": 1,
+        "engine.buckets": 641,
+        "engine.dispatch.calls": 5507,
+        "engine.events": 5507,
+        "engine.heap_pushes": 5506,
+        "engine.run.calls": 1,
+        "hdfs.load_input.calls": 1,
+        "hdfs.place_block.calls": 99,
+        "map_attempts": 96.0,
+        "reduce_attempts": 3.0,
+        "sim_makespan_s": 475.01871739560175,
+    },
+    "job.terasort": {
+        "driver.energy.calls": 1,
+        "driver.run.calls": 1,
+        "driver.stage.cleanup.calls": 2,
+        "driver.stage.map.calls": 2,
+        "driver.stage.reduce.calls": 1,
+        "driver.stage.setup.calls": 2,
+        "driver.uncore.calls": 1,
+        "engine.buckets": 832,
+        "engine.dispatch.calls": 6475,
+        "engine.events": 6475,
+        "engine.heap_pushes": 6474,
+        "engine.run.calls": 1,
+        "hdfs.load_input.calls": 2,
+        "hdfs.place_block.calls": 116,
+        "map_attempts": 101.0,
+        "reduce_attempts": 12.0,
+        "sim_makespan_s": 488.6997444401842,
+    },
+    "job.kmeans": {
+        "driver.energy.calls": 1,
+        "driver.run.calls": 1,
+        "driver.stage.cleanup.calls": 4,
+        "driver.stage.map.calls": 4,
+        "driver.stage.reduce.calls": 4,
+        "driver.stage.setup.calls": 4,
+        "driver.uncore.calls": 1,
+        "engine.buckets": 1329,
+        "engine.dispatch.calls": 11606,
+        "engine.events": 11606,
+        "engine.heap_pushes": 11605,
+        "engine.run.calls": 1,
+        "hdfs.load_input.calls": 4,
+        "hdfs.place_block.calls": 204,
+        "map_attempts": 192.0,
+        "reduce_attempts": 12.0,
+        "sim_makespan_s": 417.3305480007749,
+    },
+    "datacenter.small": {
+        "datacenter.inner.calls": 2,
+        "datacenter.outer.calls": 2,
+        "engine.buckets": 50,
+        "engine.dispatch.calls": 152,
+        "engine.events": 152,
+        "engine.heap_pushes": 148,
+        "engine.run.calls": 2,
+        "fifo_makespan_s": 168.9202624639289,
+        "hetero_edp_vs_fifo": 0.807566311090048,
+        "jobs_scheduled": 24.0,
+    },
+    "trace.export": {
+        "csv_bytes": 38104.0,
+        "json_bytes": 255227.0,
+        "spans": 59.0,
+        "summary_bytes": 1894.0,
+    },
+}
+
+#: Counted scenarios left out of ``COUNTS``: the lint counts describe
+#: the checkout, and the lint job already gates its findings.
+UNPINNED = ("lint.tree",)
+
+BY_NAME = {s.name: s for s in SCENARIOS}
+
 
 @pytest.fixture(scope="module")
 def small_report():
     """One real (tiny) suite run shared by the schema tests."""
-    return run_suite(names=["sweep.warm"], repeat=2, warmup=1)
+    return run_suite(names=["engine.throughput"], repeat=2, warmup=1)
+
+
+@pytest.fixture(scope="module")
+def ctx():
+    context = make_context()
+    yield context
+    cleanup_context(context)
+
+
+def moved_counts(name: str, counts) -> list:
+    """``key: old -> new`` for every count that differs from the pin."""
+    pinned = COUNTS[name]
+    return [f"{key}: {pinned.get(key)!r} -> {counts.get(key)!r}"
+            for key in sorted(set(pinned) | set(counts))
+            if pinned.get(key) != counts.get(key)]
+
+
+class TestWorkCounts:
+    def test_every_counted_scenario_is_pinned(self):
+        counted = [s.name for s in SCENARIOS
+                   if s.counted and s.name not in UNPINNED]
+        assert sorted(COUNTS) == sorted(counted)
+
+    @pytest.mark.parametrize("name", sorted(COUNTS))
+    def test_work_counts_unchanged(self, name, ctx):
+        moved = moved_counts(name, scenario_counts(BY_NAME[name], ctx))
+        assert not moved, f"{name} work counts moved: " + "; ".join(moved)
+
+    def test_counts_do_not_depend_on_which_call_built_a_fixture(self):
+        # The runner counts after the timed reps, the pin above on a
+        # context whose fixtures the counting call's setup built.
+        warm = make_context()
+        try:
+            for name in ("datacenter.small", "trace.export"):
+                BY_NAME[name].setup(warm)
+                BY_NAME[name].fn(warm)
+                assert not moved_counts(name,
+                                        scenario_counts(BY_NAME[name], warm))
+        finally:
+            cleanup_context(warm)
 
 
 class TestScenarios:
@@ -36,9 +180,9 @@ class TestScenarios:
 
     def test_bad_counts_rejected(self):
         with pytest.raises(ValueError):
-            run_suite(names=["sweep.warm"], repeat=0)
+            run_suite(names=["engine.throughput"], repeat=0)
         with pytest.raises(ValueError):
-            run_suite(names=["sweep.warm"], warmup=-1)
+            run_suite(names=["engine.throughput"], warmup=-1)
 
 
 class TestReportSchema:
@@ -51,116 +195,23 @@ class TestReportSchema:
         assert small_report["config"]["repeat"] == 2
 
     def test_scenario_stats(self, small_report):
-        row = small_report["scenarios"]["sweep.warm"]
+        row = small_report["scenarios"]["engine.throughput"]
         assert len(row["reps_s"]) == 2
         assert row["min_s"] <= row["median_s"] <= row["max_s"]
-        # Satellite: cache effectiveness rides along in the bench JSON.
-        assert row["metrics"]["cache_hit_rate"] == 1.0
-        assert row["metrics"]["cache_misses"] == 0.0
 
     def test_profile_breakdown_embedded(self, small_report):
-        phases = small_report["profile"]["phases"]
-        assert "cache.get" in phases
-        assert phases["cache.get"]["calls"] >= 1
+        # The report row carries the very counts the pin checks.
+        counts = small_report["scenarios"]["engine.throughput"]["counts"]
+        assert counts == COUNTS["engine.throughput"]
+        assert counts["engine.dispatch.calls"] == counts["events"]
 
     def test_write_then_load_roundtrip(self, small_report, tmp_path):
         path = write_report(small_report, tmp_path / "BENCH_test.json")
-        loaded = load_report(path)
-        assert loaded["scenarios"].keys() == small_report["scenarios"].keys()
-
-    def test_load_rejects_foreign_and_future_files(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{\"schema\": \"something-else\"}")
-        with pytest.raises(ValueError, match="not a"):
-            load_report(bad)
-        future = tmp_path / "future.json"
-        future.write_text(json.dumps(
-            {"schema": BENCH_SCHEMA, "schema_version": 99}))
-        with pytest.raises(ValueError, match="unsupported"):
-            load_report(future)
-        garbage = tmp_path / "garbage.json"
-        garbage.write_text("not json")
-        with pytest.raises(ValueError, match="not valid JSON"):
-            load_report(garbage)
+        loaded = json.loads(path.read_text(encoding="utf-8"))
+        assert loaded == small_report
 
     def test_render_report_mentions_every_scenario(self, small_report):
-        assert "sweep.warm" in render_report(small_report)
-
-
-def _fake_report(**medians):
-    return {
-        "schema": BENCH_SCHEMA,
-        "schema_version": BENCH_SCHEMA_VERSION,
-        "scenarios": {name: {"median_s": m} for name, m in medians.items()},
-    }
-
-
-class TestCompare:
-    def test_injected_regression_fails_the_gate(self):
-        old = _fake_report(**{"a": 0.100, "b": 0.050})
-        new = _fake_report(**{"a": 0.100, "b": 0.080})  # +60%
-        rows = compare_reports(old, new, threshold_pct=25.0)
-        by_name = {r.name: r for r in rows}
-        assert by_name["a"].status == "ok" and not by_name["a"].fails
-        assert by_name["b"].status == "regression" and by_name["b"].fails
-        assert by_name["b"].delta_pct == pytest.approx(60.0)
-        assert "FAIL" in render_comparison(rows, threshold_pct=25.0)
-
-    def test_improvement_is_reported_but_never_fails(self):
-        rows = compare_reports(_fake_report(a=0.2), _fake_report(a=0.1),
-                               threshold_pct=25.0)
-        assert rows[0].status == "improved" and not rows[0].fails
-
-    def test_missing_scenario_fails_only_when_dropped(self):
-        old = _fake_report(kept=0.1, dropped=0.1)
-        new = _fake_report(kept=0.1, added=0.1)
-        by_name = {r.name: r for r in compare_reports(old, new)}
-        assert by_name["dropped"].status == "missing"
-        assert by_name["dropped"].fails           # vanished from new
-        assert by_name["added"].status == "missing"
-        assert not by_name["added"].fails         # baselines lag new ones
-
-    def test_threshold_validated(self):
-        with pytest.raises(ValueError):
-            compare_reports(_fake_report(a=1.0), _fake_report(a=1.0),
-                            threshold_pct=-1.0)
-        with pytest.raises(ValueError):
-            compare_reports(_fake_report(a=1.0), _fake_report(a=1.0),
-                            min_abs_delta_s=-0.001)
-
-    def test_scenario_threshold_overrides_global(self):
-        old = _fake_report(engine=0.100, macro=0.100)
-        new = _fake_report(engine=0.115, macro=0.115)   # both +15%
-        rows = compare_reports(old, new, threshold_pct=25.0,
-                               scenario_thresholds={"engine": 10.0})
-        by_name = {r.name: r for r in rows}
-        assert by_name["macro"].status == "ok"
-        assert by_name["engine"].status == "regression"
-        assert by_name["engine"].fails
-
-    def test_scenario_threshold_validated(self):
-        with pytest.raises(ValueError, match="engine"):
-            compare_reports(_fake_report(a=1.0), _fake_report(a=1.0),
-                            scenario_thresholds={"engine": -5.0})
-
-    def test_sub_floor_jitter_is_ok_whatever_the_percentage(self):
-        # One timer tick on a 0.3 ms scenario reads as +33%; the 1 ms
-        # noise floor keeps it from failing the gate.
-        rows = compare_reports(_fake_report(tiny=0.0003),
-                               _fake_report(tiny=0.0004),
-                               threshold_pct=25.0)
-        assert rows[0].status == "ok" and not rows[0].fails
-        # ... and the same move does not count as an "improvement" either.
-        rows = compare_reports(_fake_report(tiny=0.0004),
-                               _fake_report(tiny=0.0003),
-                               threshold_pct=25.0)
-        assert rows[0].status == "ok"
-
-    def test_zero_floor_gates_on_percentage_alone(self):
-        rows = compare_reports(_fake_report(tiny=0.0003),
-                               _fake_report(tiny=0.0004),
-                               threshold_pct=25.0, min_abs_delta_s=0.0)
-        assert rows[0].status == "regression" and rows[0].fails
+        assert "engine.throughput" in render_report(small_report)
 
 
 class TestCli:
@@ -172,50 +223,21 @@ class TestCli:
 
     def test_bench_run_writes_report(self, tmp_path, capsys):
         out_file = tmp_path / "BENCH_cli.json"
-        assert main(["bench", "--scenario", "sweep.warm", "--repeat", "1",
-                     "--warmup", "0", "--no-profile",
+        assert main(["bench", "--scenario", "engine.throughput",
+                     "--repeat", "1", "--warmup", "0", "--no-profile",
                      "-o", str(out_file)]) == 0
         assert "wrote" in capsys.readouterr().out
-        report = load_report(out_file)
-        assert list(report["scenarios"]) == ["sweep.warm"]
-        assert report["profile"] is None
+        report = json.loads(out_file.read_text(encoding="utf-8"))
+        assert list(report["scenarios"]) == ["engine.throughput"]
+        assert report["scenarios"]["engine.throughput"]["counts"] is None
 
     def test_bench_run_subcommand_takes_same_flags(self, tmp_path, capsys):
         out_file = tmp_path / "BENCH_sub.json"
-        assert main(["bench", "run", "--scenario", "sweep.warm",
+        assert main(["bench", "run", "--scenario", "engine.throughput",
                      "--repeat", "1", "--warmup", "0", "--no-profile",
                      "-o", str(out_file)]) == 0
         capsys.readouterr()
         assert out_file.exists()
-
-    def test_bench_compare_exit_codes(self, tmp_path, capsys):
-        old = tmp_path / "old.json"
-        new = tmp_path / "new.json"
-        report = _fake_report(a=0.1, b=0.1)
-        old.write_text(json.dumps(report))
-        regressed = copy.deepcopy(report)
-        regressed["scenarios"]["b"]["median_s"] = 0.2
-        new.write_text(json.dumps(regressed))
-        assert main(["bench", "compare", str(old), str(old)]) == 0
-        assert main(["bench", "compare", str(old), str(new),
-                     "--threshold", "25"]) == 1
-        assert main(["bench", "compare", str(old), "/nonexistent.json"]) == 2
-        capsys.readouterr()
-
-    def test_bench_compare_scenario_threshold_flag(self, tmp_path, capsys):
-        old = tmp_path / "old.json"
-        new = tmp_path / "new.json"
-        report = _fake_report(engine=0.1, macro=0.1)
-        old.write_text(json.dumps(report))
-        moved = copy.deepcopy(report)
-        moved["scenarios"]["engine"]["median_s"] = 0.115   # +15%
-        new.write_text(json.dumps(moved))
-        base = ["bench", "compare", str(old), str(new), "--threshold", "25"]
-        assert main(base) == 0
-        assert main(base + ["--scenario-threshold", "engine=10"]) == 1
-        assert main(base + ["--scenario-threshold", "no-equals"]) == 2
-        assert main(base + ["--scenario-threshold", "engine=abc"]) == 2
-        capsys.readouterr()
 
     def test_unknown_scenario_is_a_clean_error(self, capsys):
         assert main(["bench", "--scenario", "bogus"]) == 2
@@ -251,3 +273,15 @@ class TestProfilerOverhead:
             if metrics["overhead_pct"] < 10.0:
                 break
         assert metrics["overhead_pct"] < 10.0
+
+
+if __name__ == "__main__":
+    context = make_context()
+    print("COUNTS = {")
+    for scenario in SCENARIOS:
+        if scenario.counted and scenario.name not in UNPINNED:
+            print(f'    "{scenario.name}": {{')
+            for key, value in scenario_counts(scenario, context).items():
+                print(f'        "{key}": {value!r},')
+            print("    },")
+    print("}")

@@ -190,3 +190,7 @@ class TestResolveJobs:
         assert resolve_jobs(None) == 5
         monkeypatch.delenv("REPRO_JOBS")
         assert resolve_jobs(None) == 1
+        for bad in ("-2", "abc"):
+            monkeypatch.setenv("REPRO_JOBS", bad)
+            with pytest.raises(ValueError, match="REPRO_JOBS"):
+                resolve_jobs(None)

@@ -1,8 +1,7 @@
 """Tests for the benchmark harness: suite, report schema, work-count pin.
 
-``COUNTS`` pins the exact work counts of every counted scenario whose
-counts describe the program (``lint.tree``'s describe the checkout):
-the scenario's metrics, the profiler's meta counters and each phase's
+``COUNTS`` pins the exact work counts of every counted scenario: the
+scenario's metrics, the profiler's meta counters and each phase's
 call count, as :func:`repro.bench.scenario_counts` reports them in a
 ``BENCH_*.json`` row.  A change that makes a scenario do more or less
 work fails here with the scenario, the count and both values; wall
@@ -113,10 +112,6 @@ COUNTS = {
     },
 }
 
-#: Counted scenarios left out of ``COUNTS``: the lint counts describe
-#: the checkout, and the lint job already gates its findings.
-UNPINNED = ("lint.tree",)
-
 BY_NAME = {s.name: s for s in SCENARIOS}
 
 
@@ -143,9 +138,8 @@ def moved_counts(name: str, counts) -> list:
 
 class TestWorkCounts:
     def test_every_counted_scenario_is_pinned(self):
-        counted = [s.name for s in SCENARIOS
-                   if s.counted and s.name not in UNPINNED]
-        assert sorted(COUNTS) == sorted(counted)
+        assert sorted(COUNTS) == sorted(s.name for s in SCENARIOS
+                                        if s.counted)
 
     @pytest.mark.parametrize("name", sorted(COUNTS))
     def test_work_counts_unchanged(self, name, ctx):
@@ -279,7 +273,7 @@ if __name__ == "__main__":
     context = make_context()
     print("COUNTS = {")
     for scenario in SCENARIOS:
-        if scenario.counted and scenario.name not in UNPINNED:
+        if scenario.counted:
             print(f'    "{scenario.name}": {{')
             for key, value in scenario_counts(scenario, context).items():
                 print(f'        "{key}": {value!r},')

@@ -15,17 +15,26 @@ the simulator:
 
 Energy is attributed to MapReduce phases through the ``phase`` tag each
 interval carries, which is what Figs. 7/8/13 (map vs reduce EDP) consume.
+
+The fold itself lives in :class:`~repro.sim.trace.TraceRecorder`: a
+recorder built with :func:`node_uplift` folds each activity as it is
+recorded and keeps no row.  That is how an untraced
+:func:`~repro.mapreduce.driver.simulate_job` records, since nothing but
+the energy reads its trace; :func:`integrate_energy` then reads the
+finished sums.  A trace that keeps its rows (a traced run, or any
+caller that built its own cluster) is replayed through the same fold.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping, Optional
+from typing import Callable, Dict, Iterable, Mapping, Optional
 
 from ..sim.trace import Interval, TraceRecorder
 from .dvfs import GHZ, DvfsTable, OperatingPoint
 
-__all__ = ["PowerSpec", "NodePower", "EnergyBreakdown", "integrate_energy"]
+__all__ = ["PowerSpec", "NodePower", "EnergyBreakdown", "node_uplift",
+           "integrate_energy"]
 
 
 @dataclass(frozen=True)
@@ -131,41 +140,48 @@ class EnergyBreakdown:
         return self.by_phase.get(phase, 0.0)
 
 
+def node_uplift(node_power: Mapping[str, NodePower]
+                ) -> Callable[[str, str, float], float]:
+    """``uplift(node, device, activity)`` over *node_power*: the watts one
+    recorded activity adds over the idle floor, as a folding
+    :class:`~repro.sim.trace.TraceRecorder` takes it."""
+    return lambda node, device, activity: node_power[node].device_uplift(
+        device, activity)
+
+
 def integrate_energy(trace: TraceRecorder,
                      node_power: Mapping[str, NodePower],
                      makespan: Optional[float] = None) -> EnergyBreakdown:
     """Fold node power models over a recorded activity trace.
 
+    A trace that folded its rows as they were recorded (see
+    :class:`~repro.sim.trace.TraceRecorder`) already holds the sums; its
+    uplift came from the same nodes' power models, so *node_power*
+    supplies only the idle floor.  A trace that kept its rows is
+    replayed into a folding recorder here, so both paths run the one
+    fold and give bit-identical results.
+
     Args:
         trace: intervals recorded by the cluster simulation.
         node_power: node name → :class:`NodePower` for that node.
-        makespan: wall-clock duration of the run; defaults to the trace span.
+        makespan: wall-clock duration of the run; defaults to the trace
+            span, which only a trace that keeps its rows has.
 
     Returns:
         An :class:`EnergyBreakdown` with dynamic joules split by phase,
         device class and node.
     """
     out = EnergyBreakdown()
-    start, end = trace.span()
-    out.makespan = makespan if makespan is not None else end - start
+    if makespan is None:
+        start, end = trace.span()
+        makespan = end - start
+    out.makespan = makespan
     out.idle_watts = sum(np.idle_watts for np in node_power.values())
-    by_phase, by_device, by_node = out.by_phase, out.by_device, out.by_node
-    # Traces repeat a handful of (node, device, activity) combinations
-    # thousands of times; memoizing the uplift keeps the fold at one
-    # multiply-add per row instead of re-deriving V²f power each time.
-    uplifts = {}
-    dynamic = 0.0
-    for row in trace.rows:
-        tstart, tend, node, device, _kind, activity, _task, phase = row
-        key = (node, device, activity)
-        uplift = uplifts.get(key)
-        if uplift is None:
-            uplift = uplifts[key] = node_power[node].device_uplift(
-                device, activity)
-        joules = uplift * (tend - tstart)
-        dynamic += joules
-        by_phase[phase] = by_phase.get(phase, 0.0) + joules
-        by_device[device] = by_device.get(device, 0.0) + joules
-        by_node[node] = by_node.get(node, 0.0) + joules
-    out.dynamic_joules = dynamic
+    if not trace.folds:
+        folded = TraceRecorder(uplift=node_uplift(node_power))
+        for row in trace.rows:
+            folded.add(*row)
+        trace = folded
+    (out.dynamic_joules, out.by_phase, out.by_device,
+     out.by_node) = trace.energy_fold()
     return out

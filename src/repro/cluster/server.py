@@ -16,7 +16,7 @@ from typing import Dict, Iterable, List, Optional, Sequence
 
 from ..arch.cores import CorePerf, CpuProfile
 from ..arch.dvfs import GHZ, OperatingPoint
-from ..arch.power import NodePower
+from ..arch.power import NodePower, node_uplift
 from ..arch.presets import MachineSpec
 from ..sim.engine import SimulationError, Simulator
 from ..sim.resources import BandwidthDevice
@@ -64,6 +64,11 @@ class ServerNode:
         #: is evaluated once; both types are frozen, so equal-valued
         #: profiles share an entry.
         self._perf: Dict[CpuProfile, CorePerf] = {}
+        #: The task model's CPU bills for processing a byte count, by
+        #: the model's own key.  Like ``_perf`` they depend only on the
+        #: core and the operating point besides the key, and every full
+        #: chunk of a job repeats one.
+        self.io_bills: Dict[tuple, tuple] = {}
         #: Up/down state for the fault model: a crashed node stops
         #: accepting tasks and is excluded from replica selection.
         self.alive = True
@@ -118,9 +123,16 @@ class ServerNode:
 
 
 class Cluster:
-    """A set of server nodes sharing a simulator and a trace recorder."""
+    """A set of server nodes sharing a simulator and a trace recorder.
 
-    def __init__(self, sim: Simulator, nodes: Sequence[ServerNode]):
+    The trace keeps its rows unless *keep_rows* is false.  Then it folds
+    each row into energy with the nodes' power models as it is recorded
+    and keeps none — for an owner that reads nothing but the energy
+    (:func:`~repro.mapreduce.driver.simulate_job` without a tracer).
+    """
+
+    def __init__(self, sim: Simulator, nodes: Sequence[ServerNode],
+                 keep_rows: bool = True):
         if not nodes:
             raise SimulationError("cluster needs at least one node")
         names = [n.name for n in nodes]
@@ -128,20 +140,21 @@ class Cluster:
             raise SimulationError("duplicate node names in cluster")
         self.sim = sim
         self.nodes: List[ServerNode] = list(nodes)
-        self.trace = TraceRecorder()
+        self.trace = TraceRecorder(
+            uplift=None if keep_rows else node_uplift(self.node_power()))
 
     # -- constructors ------------------------------------------------------
     @classmethod
     def homogeneous(cls, sim: Simulator, spec: MachineSpec, n_nodes: int,
-                    freq_ghz: float, cores_per_node: Optional[int] = None
-                    ) -> "Cluster":
+                    freq_ghz: float, cores_per_node: Optional[int] = None,
+                    keep_rows: bool = True) -> "Cluster":
         """The paper's standard setup: n identical nodes (3 by default)."""
         if n_nodes < 1:
             raise SimulationError("need at least one node")
         nodes = [ServerNode(sim, spec, f"{spec.name}{i}", freq_ghz,
                             cores=cores_per_node)
                  for i in range(n_nodes)]
-        return cls(sim, nodes)
+        return cls(sim, nodes, keep_rows=keep_rows)
 
     @classmethod
     def heterogeneous(cls, sim: Simulator,

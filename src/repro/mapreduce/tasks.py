@@ -46,6 +46,12 @@ _REDUCE_WS_REF_BYTES = 128 * 1024 * 1024
 #: CPU-coupled I/O path than HDFS reads/writes of the same size.
 _SPILL_IO_FACTOR = 0.4
 
+#: Trace kinds of the wait and compute intervals of each overlapped
+#: transfer kind, built once rather than per chunk.
+_IO_KINDS = {kind: (kind + ".iowait", kind + ".compute") for kind in (
+    "map.read", "map.spill", "map.merge", "shuffle", "reduce.spill",
+    "reduce.merge", "reduce.write")}
+
 
 class TaskAttemptError(RuntimeError):
     """An injected task-attempt failure (the attempt, not the job).
@@ -188,8 +194,23 @@ class _TaskBase:
         """(instructions, cpu_seconds, blended_activity) to process *nbytes*.
 
         Combines the framework I/O path (checksum/deserialize, scaled by
-        the core's ``io_path_overhead``) with optional user code.
+        the core's ``io_path_overhead``) with optional user code.  The
+        bill depends only on the node, the stage's ``io_ipb`` and the
+        arguments, so it is priced once per distinct value and kept in
+        the node's ``io_bills``; the attempt's slowdown is applied by
+        the caller.
         """
+        key = (self.stage.io_ipb, nbytes, user_ipb, user_profile)
+        bills = self.node.io_bills
+        bill = bills.get(key)
+        if bill is None:
+            bill = bills[key] = self._price_io(nbytes, user_ipb,
+                                               user_profile)
+        return bill
+
+    def _price_io(self, nbytes: float, user_ipb: float,
+                  user_profile: Optional[CpuProfile]):
+        """The bill of :meth:`_io_cpu_bill`, computed."""
         core = self.node.spec.core
         io_instr = nbytes * self.stage.io_ipb * core.io_path_overhead
         io_perf = self.node.core_perf(IO_PATH_PROFILE)
@@ -207,23 +228,22 @@ class _TaskBase:
         activity = act_weight / t_cpu if t_cpu > 0 else 0.0
         return instr, t_cpu, activity
 
-    def _overlapped_io(self, transfer: Event, nbytes: float, kind: str,
-                       user_ipb: float = 0.0,
-                       user_profile: Optional[CpuProfile] = None
+    def _overlapped_io(self, transfer: Event, kind: str, bill: tuple
                        ) -> Generator:
         """Wait for a byte transfer and run its CPU bill with overlap credit.
 
-        *transfer* is the event of an HDFS call moving *nbytes* (disk
-        and/or NIC), started just now; the CPU cost of processing those
-        bytes is partially hidden behind the transfer according to the
-        core's ``io_overlap``.
+        *transfer* is the event of an HDFS call moving some bytes (disk
+        and/or NIC), started just now, and *bill* the
+        :meth:`_io_cpu_bill` of processing them; that CPU cost is
+        partially hidden behind the transfer according to the core's
+        ``io_overlap``.
         """
         core = self.node.spec.core
+        wait_kind, compute_kind = _IO_KINDS[kind]
         t0 = self.sim.now
         yield transfer
         t_wait = self.sim.now - t0
-        instr, t_cpu, activity = self._io_cpu_bill(nbytes, user_ipb,
-                                                   user_profile)
+        instr, t_cpu, activity = bill
         t_cpu *= self._slow()
         residual = max(0.0, t_cpu - core.io_overlap * t_wait)
         # Activity during the wait window accounts for the compute that
@@ -232,13 +252,13 @@ class _TaskBase:
         if t_wait > 0:
             wait_act = min(1.0, _WAIT_ACTIVITY + (hidden / t_wait) * activity)
             self.trace.add(t0, self.sim.now, self.node.name, "core",
-                           kind + ".iowait", activity=wait_act,
+                           wait_kind, activity=wait_act,
                            task_id=self.task_id, phase=self.phase)
         if residual > 0:
             start = self.sim.now
             yield self.sim.timeout(residual)
             self.trace.add(start, self.sim.now, self.node.name, "core",
-                           kind + ".compute", activity=activity,
+                           compute_kind, activity=activity,
                            task_id=self.task_id, phase=self.phase)
         self.counters.charge(instr, t_cpu * self.node.freq_hz)
         return None
@@ -277,17 +297,21 @@ class MapTask(_TaskBase):
         # covers progress 0 → 0.9; sort/spill/merge is the final 10%.
         total = self.block.size_bytes
         remaining = total
+        stage = self.stage
+        chunk_bytes = self.conf.chunk_bytes
+        full_bill = self._io_cpu_bill(chunk_bytes, stage.map_ipb,
+                                      stage.map_profile)
         while remaining > 0:
-            chunk = min(self.conf.chunk_bytes, remaining)
+            chunk = min(chunk_bytes, remaining)
             remaining -= chunk
             transfer = self.hdfs.read_span(source, self.node, chunk,
                                            task_id=self.task_id,
                                            phase=self.phase,
-                                           io_factor=self.stage.io_path_factor)
-            yield from self._overlapped_io(
-                transfer, chunk, "map.read",
-                user_ipb=self.stage.map_ipb,
-                user_profile=self.stage.map_profile)
+                                           io_factor=stage.io_path_factor)
+            bill = (full_bill if chunk == chunk_bytes else
+                    self._io_cpu_bill(chunk, stage.map_ipb,
+                                      stage.map_profile))
+            yield from self._overlapped_io(transfer, "map.read", bill)
             self._progress_to(0.9 * (total - remaining) / total)
         self.counters.input_bytes += self.block.size_bytes
 
@@ -307,17 +331,17 @@ class MapTask(_TaskBase):
                     self.node, plan.disk_write_bytes, task_id=self.task_id,
                     phase=self.phase, kind="map.spill",
                     io_factor=self.stage.io_path_factor * _SPILL_IO_FACTOR)
-                yield from self._overlapped_io(transfer,
-                                               plan.disk_write_bytes,
-                                               "map.spill")
+                yield from self._overlapped_io(
+                    transfer, "map.spill",
+                    self._io_cpu_bill(plan.disk_write_bytes))
             if plan.disk_read_bytes > 0:
                 transfer = self.hdfs.read_local(
                     self.node, plan.disk_read_bytes, task_id=self.task_id,
                     phase=self.phase, kind="map.merge",
                     io_factor=self.stage.io_path_factor * _SPILL_IO_FACTOR)
-                yield from self._overlapped_io(transfer,
-                                               plan.disk_read_bytes,
-                                               "map.merge")
+                yield from self._overlapped_io(
+                    transfer, "map.merge",
+                    self._io_cpu_bill(plan.disk_read_bytes))
         self._progress_to(1.0)
         self.counters.map_tasks += 1
         return self.output_bytes
@@ -353,7 +377,8 @@ class ReduceTask(_TaskBase):
                                            task_id=self.task_id,
                                            phase=self.phase,
                                            io_factor=self.stage.io_path_factor)
-            yield from self._overlapped_io(transfer, nbytes, "shuffle")
+            yield from self._overlapped_io(transfer, "shuffle",
+                                           self._io_cpu_bill(nbytes))
             fetched += nbytes
             if partition > 0:
                 self._progress_to(0.6 * fetched / partition)
@@ -369,14 +394,16 @@ class ReduceTask(_TaskBase):
                 self.node, merge.disk_write_bytes, task_id=self.task_id,
                 phase=self.phase, kind="reduce.spill",
                 io_factor=self.stage.io_path_factor * _SPILL_IO_FACTOR)
-            yield from self._overlapped_io(transfer, merge.disk_write_bytes,
-                                           "reduce.spill")
+            yield from self._overlapped_io(
+                transfer, "reduce.spill",
+                self._io_cpu_bill(merge.disk_write_bytes))
             transfer = self.hdfs.read_local(
                 self.node, merge.disk_read_bytes, task_id=self.task_id,
                 phase=self.phase, kind="reduce.merge.read",
                 io_factor=self.stage.io_path_factor * _SPILL_IO_FACTOR)
-            yield from self._overlapped_io(transfer, merge.disk_read_bytes,
-                                           "reduce.merge")
+            yield from self._overlapped_io(
+                transfer, "reduce.merge",
+                self._io_cpu_bill(merge.disk_read_bytes))
         self._progress_to(0.8)
 
         # User reduce function.  Aggregation state (count tables, merge
@@ -401,7 +428,8 @@ class ReduceTask(_TaskBase):
                                        task_id=self.task_id, phase=self.phase,
                                        io_factor=self.stage.io_path_factor,
                                        replication=self.stage.output_replication)
-            yield from self._overlapped_io(transfer, out, "reduce.write")
+            yield from self._overlapped_io(transfer, "reduce.write",
+                                           self._io_cpu_bill(out))
         self._progress_to(1.0)
         self.counters.reduce_tasks += 1
         return self.output_bytes

@@ -1,18 +1,27 @@
 """Interval trace recorder.
 
-The cluster simulation does not compute power on the fly; instead every
+The cluster simulation's timing code never computes power; instead every
 activity (a core computing, a core stalled on memory, a disk transfer, a
 network transfer, a framework overhead) is recorded as a timestamped
-interval.  The power model then folds a power level over the recorded
-timeline, and the phase accountant derives map/reduce/other breakdowns
+interval.  The power model folds a power level over the recorded
+activity, and the phase accountant derives map/reduce/other breakdowns
 from the same data.  Keeping timing and power strictly separated makes
 both independently testable.
+
+A recorder either keeps its rows or folds them.  A recorder built with
+an *uplift* callable keeps no rows: :meth:`TraceRecorder.add` folds each
+one into dynamic joules, split by phase, device and node, as it arrives.
+That is for a run whose rows nothing reads but the energy integrator
+(:func:`repro.arch.power.integrate_energy`), which then reads the
+finished fold; it replays a kept trace's rows through the same fold, so
+both kinds of recorder give bit-identical breakdowns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
+                    Tuple)
 
 __all__ = ["Interval", "TraceRecorder", "merge_intervals", "total_overlap",
            "complement"]
@@ -66,20 +75,46 @@ class TraceRecorder:
     is materialized lazily (and cached) the first time a query needs it;
     aggregate queries (:meth:`busy_time`, :meth:`span`, ...) and the
     power integrator read the raw rows directly and never materialize.
+    Marks are kept either way.
+
+    With *uplift* — ``uplift(node, device, activity)`` → watts over the
+    idle floor — the recorder folds instead: each record adds
+    ``uplift × duration`` joules to :meth:`energy_fold`'s totals and
+    keeps no row, so ``len()`` stays 0 and every row query raises.
+    A trace repeats a handful of ``(node, device, activity, phase)``
+    combinations thousands of times, so each combination is resolved
+    once: its uplift and the four running sums it adds to, each held in
+    a one-element list.  A record then costs one lookup and four float
+    additions, made in record order.
     """
 
-    __slots__ = ("_rows", "_cache", "marks")
+    __slots__ = ("_rows", "_cache", "marks", "_uplift", "_targets",
+                 "_joules", "_by_phase", "_by_device", "_by_node")
 
-    def __init__(self):
+    def __init__(self, uplift: Optional[Callable[[str, str, float], float]]
+                 = None):
         #: Raw rows in Interval field order:
         #: ``(start, end, node, device, kind, activity, task_id, phase)``.
         self._rows: List[tuple] = []
         self._cache: List[Interval] = []
         self.marks: List[Tuple[float, str]] = []
+        self._uplift = uplift
+        #: (node, device, activity, phase) -> (uplift, total, phase sum,
+        #: device sum, node sum); each sum is a one-element list.
+        self._targets: Dict[tuple, tuple] = {}
+        self._joules = [0.0]
+        self._by_phase: Dict[str, List[float]] = {}
+        self._by_device: Dict[str, List[float]] = {}
+        self._by_node: Dict[str, List[float]] = {}
 
     # -- recording -------------------------------------------------------
     def record(self, interval: Interval) -> None:
         """Record an already-built (hence already-validated) interval."""
+        if self._uplift is not None:
+            self.add(interval.start, interval.end, interval.node,
+                     interval.device, interval.kind, interval.activity,
+                     interval.task_id, interval.phase)
+            return
         if len(self._cache) == len(self._rows):
             self._cache.append(interval)
         self._rows.append((interval.start, interval.end, interval.node,
@@ -94,12 +129,58 @@ class TraceRecorder:
             # Invalid record: build the Interval so the caller gets the
             # canonical validation error with the full record in it.
             Interval(start, end, node, device, kind, activity, task_id, phase)
-        self._rows.append((start, end, node, device, kind, activity,
-                           task_id, phase))
+        if self._uplift is None:
+            self._rows.append((start, end, node, device, kind, activity,
+                               task_id, phase))
+            return
+        key = (node, device, activity, phase)
+        targets = self._targets.get(key)
+        if targets is None:
+            targets = self._targets[key] = self._resolve(key)
+        uplift, total, by_phase, by_device, by_node = targets
+        joules = uplift * (end - start)
+        total[0] += joules
+        by_phase[0] += joules
+        by_device[0] += joules
+        by_node[0] += joules
+
+    def _resolve(self, key: tuple) -> tuple:
+        """The uplift and running sums a new combination adds to.
+
+        A node, device or phase gets its sum at its first record, so the
+        splits come out in first-recorded order.
+        """
+        node, device, activity, phase = key
+        return (self._uplift(node, device, activity), self._joules,
+                self._by_phase.setdefault(phase, [0.0]),
+                self._by_device.setdefault(device, [0.0]),
+                self._by_node.setdefault(node, [0.0]))
 
     def mark(self, time: float, label: str) -> None:
         """Record a point event (job submitted, phase boundary...)."""
         self.marks.append((time, label))
+
+    # -- the energy fold -------------------------------------------------
+    @property
+    def folds(self) -> bool:
+        """True if this recorder folds energy instead of keeping rows."""
+        return self._uplift is not None
+
+    def energy_fold(self) -> Tuple[float, Dict[str, float], Dict[str, float],
+                                   Dict[str, float]]:
+        """``(joules, by_phase, by_device, by_node)`` folded so far.
+
+        The dicts are copies, in first-recorded order.
+
+        Raises:
+            ValueError: if the recorder keeps rows instead.
+        """
+        if self._uplift is None:
+            raise ValueError("this trace keeps rows; it has no energy fold")
+        return (self._joules[0],
+                {phase: sum_[0] for phase, sum_ in self._by_phase.items()},
+                {device: sum_[0] for device, sum_ in self._by_device.items()},
+                {node: sum_[0] for node, sum_ in self._by_node.items()})
 
     # -- queries ---------------------------------------------------------
     def __len__(self) -> int:
@@ -110,12 +191,18 @@ class TraceRecorder:
 
     @property
     def rows(self) -> List[tuple]:
-        """The raw rows, in record order — read-only; do not mutate."""
+        """The raw rows, in record order — read-only; do not mutate.
+
+        Raises:
+            ValueError: if the recorder folds energy and keeps no rows.
+        """
+        if self._uplift is not None:
+            raise ValueError("this trace folds energy and keeps no rows")
         return self._rows
 
     def _materialize(self) -> List[Interval]:
         """The cached :class:`Interval` view, extended to cover new rows."""
-        cache, rows = self._cache, self._rows
+        cache, rows = self._cache, self.rows
         if len(cache) != len(rows):
             cache.extend(Interval(*row) for row in rows[len(cache):])
         return cache
@@ -124,7 +211,7 @@ class TraceRecorder:
                        device: Optional[str] = None,
                        kind: Optional[str] = None,
                        phase: Optional[str] = None) -> Iterator[tuple]:
-        for row in self._rows:
+        for row in self.rows:
             if node is not None and row[2] != node:
                 continue
             if device is not None and row[3] != device:
@@ -158,7 +245,7 @@ class TraceRecorder:
 
     def span(self) -> Tuple[float, float]:
         """(earliest start, latest end) over all intervals; (0, 0) if empty."""
-        rows = self._rows
+        rows = self.rows
         if not rows:
             return (0.0, 0.0)
         return (min(row[0] for row in rows), max(row[1] for row in rows))
@@ -175,7 +262,7 @@ class TraceRecorder:
     def phase_window(self, phase: str) -> Tuple[float, float]:
         """Wall-clock window ``[first start, last end]`` of a phase."""
         lo = hi = None
-        for row in self._rows:
+        for row in self.rows:
             if row[7] != phase:
                 continue
             if lo is None:

@@ -6,7 +6,7 @@ import pytest
 
 from repro.arch.dvfs import OperatingPoint
 from repro.arch.power import (EnergyBreakdown, NodePower, PowerSpec,
-                              integrate_energy)
+                              integrate_energy, node_uplift)
 from repro.sim.trace import Interval, TraceRecorder
 
 
@@ -112,3 +112,56 @@ class TestIntegrateEnergy:
         breakdown = integrate_energy(TraceRecorder(), {"n0": _power()})
         assert breakdown.dynamic_joules == 0.0
         assert breakdown.average_dynamic_watts == 0.0
+
+
+class TestStreamingFold:
+    """A recorder built with an uplift folds as it records; the result
+    must equal integrating the same rows afterwards, to the last bit."""
+
+    RECORDS = (
+        (0.0, 10.0, "n0", "disk", "read", 1.0, "t1", "map"),
+        (0.0, 4.0, "n0", "core", "compute", 0.7, "t1", "map"),
+        (0.1, 3.3, "n1", "fw", "startup", 1.0, None, "other"),
+        (10.0, 14.0, "n1", "nic", "shuffle", 1.0, "t2", "reduce"),
+        (4.0, 9.5, "n0", "core", "compute", 0.7, "t1", "map"),
+        (0.0, 14.0, "n1", "uncore", "job.active", 1.0, None, "other"),
+    )
+
+    def _pair(self):
+        power = {"n0": _power(), "n1": _power(freq_ghz=1.2, voltage=0.9)}
+        kept = TraceRecorder()
+        folded = TraceRecorder(uplift=node_uplift(power))
+        for tr in (kept, folded):
+            for record in self.RECORDS[:-1]:
+                tr.add(*record)
+            tr.record(Interval(*self.RECORDS[-1]))
+        return power, kept, folded
+
+    def test_fold_equals_integrated_rows(self):
+        power, kept, folded = self._pair()
+        assert repr(integrate_energy(folded, power, makespan=14.0)) == repr(
+            integrate_energy(kept, power, makespan=14.0))
+
+    def test_fold_keeps_no_rows(self):
+        power, kept, folded = self._pair()
+        assert len(kept) == len(self.RECORDS)
+        assert len(folded) == 0
+        assert folded.folds and not kept.folds
+        with pytest.raises(ValueError, match="keeps no rows"):
+            folded.span()
+        with pytest.raises(ValueError, match="keeps no rows"):
+            integrate_energy(folded, power)   # no span to default to
+        with pytest.raises(ValueError, match="no energy fold"):
+            kept.energy_fold()
+
+    def test_fold_still_validates_records(self):
+        _, _, folded = self._pair()
+        with pytest.raises(ValueError, match="ends before it starts"):
+            folded.add(2.0, 1.0, "n0", "core", "bad")
+
+    def test_fold_result_does_not_alias_the_recorder(self):
+        power, _, folded = self._pair()
+        before = integrate_energy(folded, power, makespan=14.0)
+        snapshot = repr(before)
+        folded.add(14.0, 15.0, "n0", "disk", "late", phase="map")
+        assert repr(before) == snapshot

@@ -242,20 +242,19 @@ class TestProfilerOverhead:
     def test_overhead_self_check_under_budget(self):
         """The acceptance bar: profiling adds < 10% wall time.
 
-        Best-of-N on both sides makes this a property of the
-        instrumentation (guarded sites, batched engine timing), not of
-        scheduler noise.  The budget is relative, so the engine
-        throughput campaign — which roughly halved the unprofiled
-        denominator without touching instrumentation cost — moved the
-        equivalent of the original 5%-of-slow-engine bar to ~10% of the
-        fast one; the absolute guard (about 2 ms on this workload) is
-        unchanged.
+        The scenario reports the median of paired on/off ratios, each
+        run after a fresh ``gc.collect()``, so the figure is a property
+        of the instrumentation (guarded sites, batched engine timing),
+        not of where a collection happened to land.  The budget is
+        relative, so the engine throughput campaign — which roughly
+        halved the unprofiled denominator without touching
+        instrumentation cost — moved the equivalent of the original
+        5%-of-slow-engine bar to ~10% of the fast one.
 
-        Interleaving defends against drift but not against a noise
-        burst that spans one whole measurement (a few hundred ms on a
-        shared 1-CPU runner), so the check retries up to three times: a
-        real instrumentation regression fails every attempt, a burst
-        fails at most one.
+        The median shrugs off a noise burst that hits a few pairs, not
+        one that spans the whole measurement (about 0.7 s), so the
+        check retries up to three times: a real instrumentation
+        regression fails every attempt, a burst fails at most one.
         """
         for attempt in range(3):
             ctx = make_context()

@@ -168,6 +168,56 @@ class TestUncoreAccounting:
                 assert o_end <= b_start + 1e-9 or o_start >= b_end - 1e-9
 
 
+class TestTraceRows:
+    """Only simulate_job without a tracer stops keeping trace rows."""
+
+    def _clusters(self, monkeypatch):
+        from repro.cluster.server import Cluster
+        clusters = []
+        init = Cluster.__init__
+
+        def spy(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            clusters.append(self)
+
+        monkeypatch.setattr(Cluster, "__init__", spy)
+        return clusters
+
+    def test_untraced_simulate_job_keeps_no_rows(self, monkeypatch):
+        clusters = self._clusters(monkeypatch)
+        result = simulate_job("atom", "grep", data_per_node_gb=0.25)
+        (cluster,) = clusters
+        assert cluster.trace.folds and len(cluster.trace) == 0
+        assert result.energy.dynamic_joules > 0
+
+    def test_traced_simulate_job_keeps_rows(self, monkeypatch):
+        from repro.obs import Tracer
+        clusters = self._clusters(monkeypatch)
+        tracer = Tracer()
+        simulate_job("atom", "grep", data_per_node_gb=0.25, obs=tracer)
+        (cluster,) = clusters
+        assert not cluster.trace.folds
+        assert len(tracer.job.intervals) == len(cluster.trace) > 0
+
+    def test_directly_built_runner_keeps_rows(self):
+        from repro.arch.power import integrate_energy
+        from repro.arch.presets import machine
+        from repro.cluster.server import Cluster
+        from repro.mapreduce.driver import HadoopJobRunner
+        from repro.sim.engine import Simulator
+        from repro.workloads.base import workload as get_workload
+
+        cluster = Cluster.homogeneous(Simulator(), machine("atom"), 3, 1.8)
+        result = HadoopJobRunner(cluster, get_workload("grep"), DEFAULT_CONF,
+                                 0.25 * GB).run()
+        assert not cluster.trace.folds and len(cluster.trace) > 0
+        assert repr(integrate_energy(
+            cluster.trace, cluster.node_power(),
+            result.execution_time_s)) == repr(result.energy)
+        assert repr(result) == repr(simulate_job(
+            "atom", "grep", data_per_node_gb=0.25))
+
+
 class TestConfiguration:
     def test_more_data_takes_longer(self, characterizer):
         small = characterizer.run(RunKey("xeon", "wordcount",

@@ -19,6 +19,11 @@ The cases cover the three ways a node's cores are driven:
 * map-only ``sort``, whose output goes through the driver's replicated
   HDFS write fan-out, and ``grep``.
 
+Every case also runs twice more, once with each cluster's trace keeping
+its rows and once folding energy as rows are recorded (the path an
+untraced :func:`~repro.mapreduce.driver.simulate_job` takes); both must
+give the pinned digest and the same energy breakdowns.
+
 Traced runs also pin ``events_dispatched`` from the tracer's
 ``JobTrace.engine`` — a deterministic count of the work the engine did
 — and the digest of the Perfetto export.
@@ -36,6 +41,8 @@ from typing import Callable, Dict
 
 import pytest
 
+from repro.arch.power import integrate_energy
+from repro.cluster.server import Cluster
 from repro.core.characterization import RunKey, simulate_cell
 from repro.core.phase_scheduler import compare_phase_placements
 from repro.mapreduce.config import DEFAULT_CONF
@@ -163,6 +170,37 @@ def test_output_digest_unchanged(label):
 @pytest.mark.parametrize("label", sorted(CRASH_CASES))
 def test_crash_cases_lose_a_node(label):
     assert CASES[label]().counters.node_crashes == 1
+
+
+def _run_forcing_rows(label: str, keep_rows: bool, monkeypatch):
+    """Run one case with every cluster's trace forced to keep its rows
+    (or to fold); returns the result and the clusters, in build order."""
+    clusters = []
+    init = Cluster.__init__
+
+    def forced(self, sim, nodes, **_requested):
+        init(self, sim, nodes, keep_rows=keep_rows)
+        clusters.append(self)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Cluster, "__init__", forced)
+        result = CASES[label]()
+    return result, clusters
+
+
+@pytest.mark.parametrize("label", sorted(CASES))
+def test_energy_fold_matches_kept_rows(label, monkeypatch):
+    kept, kept_clusters = _run_forcing_rows(label, True, monkeypatch)
+    folded, folded_clusters = _run_forcing_rows(label, False, monkeypatch)
+    assert digest(kept) == digest(folded) == DIGESTS[label]
+    if hasattr(kept, "energy"):
+        assert repr(kept.energy) == repr(folded.energy)
+    assert len(kept_clusters) == len(folded_clusters) > 0
+    for k, f in zip(kept_clusters, folded_clusters):
+        assert len(k.trace) > 0 and len(f.trace) == 0
+        from_rows = integrate_energy(k.trace, k.node_power(), k.sim.now)
+        from_fold = integrate_energy(f.trace, f.node_power(), f.sim.now)
+        assert repr(from_rows) == repr(from_fold)
 
 
 def test_traced_cases_are_all_pinned():

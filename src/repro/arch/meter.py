@@ -7,6 +7,11 @@ module reconstructs the instantaneous power waveform P(t) from the
 simulation's activity trace, samples it at the meter's cadence, and
 applies exactly the same estimator — so the reproduction inherits the
 measurement methodology, quantization and all.
+
+The meter reads the trace's rows, so it needs a trace that keeps them:
+an untraced :class:`~repro.cluster.server.Cluster` folds energy instead,
+unless its ``trace`` is set to a plain :class:`TraceRecorder` before
+anything records.
 """
 
 from __future__ import annotations

@@ -18,11 +18,11 @@ interval carries, which is what Figs. 7/8/13 (map vs reduce EDP) consume.
 
 The fold itself lives in :class:`~repro.sim.trace.TraceRecorder`: a
 recorder built with :func:`node_uplift` folds each activity as it is
-recorded and keeps no row.  That is how an untraced
-:func:`~repro.mapreduce.driver.simulate_job` records, since nothing but
-the energy reads its trace; :func:`integrate_energy` then reads the
-finished sums.  A trace that keeps its rows (a traced run, or any
-caller that built its own cluster) is replayed through the same fold.
+recorded and keeps no row.  That is how a cluster records unless a
+tracer is attached to its simulator, since nothing else reads the rows
+of a run; :func:`integrate_energy` then reads the finished sums.  A
+trace that keeps its rows (a traced run, or a plain recorder a caller
+put in place to read them) is replayed through the same fold.
 """
 
 from __future__ import annotations

@@ -125,14 +125,15 @@ class ServerNode:
 class Cluster:
     """A set of server nodes sharing a simulator and a trace recorder.
 
-    The trace keeps its rows unless *keep_rows* is false.  Then it folds
-    each row into energy with the nodes' power models as it is recorded
-    and keeps none — for an owner that reads nothing but the energy
-    (:func:`~repro.mapreduce.driver.simulate_job` without a tracer).
+    The trace keeps its rows only when a tracer is attached to *sim*
+    (``sim.obs``), which reads them into its job trace.  Otherwise it
+    folds each row into energy with the nodes' power models as it is
+    recorded and keeps none.  Code that reads the rows of an untraced
+    run replaces ``cluster.trace`` with a plain
+    :class:`~repro.sim.trace.TraceRecorder` before anything records.
     """
 
-    def __init__(self, sim: Simulator, nodes: Sequence[ServerNode],
-                 keep_rows: bool = True):
+    def __init__(self, sim: Simulator, nodes: Sequence[ServerNode]):
         if not nodes:
             raise SimulationError("cluster needs at least one node")
         names = [n.name for n in nodes]
@@ -141,20 +142,21 @@ class Cluster:
         self.sim = sim
         self.nodes: List[ServerNode] = list(nodes)
         self.trace = TraceRecorder(
-            uplift=None if keep_rows else node_uplift(self.node_power()))
+            uplift=None if sim.obs is not None else node_uplift(
+                self.node_power()))
 
     # -- constructors ------------------------------------------------------
     @classmethod
     def homogeneous(cls, sim: Simulator, spec: MachineSpec, n_nodes: int,
-                    freq_ghz: float, cores_per_node: Optional[int] = None,
-                    keep_rows: bool = True) -> "Cluster":
+                    freq_ghz: float, cores_per_node: Optional[int] = None
+                    ) -> "Cluster":
         """The paper's standard setup: n identical nodes (3 by default)."""
         if n_nodes < 1:
             raise SimulationError("need at least one node")
         nodes = [ServerNode(sim, spec, f"{spec.name}{i}", freq_ghz,
                             cores=cores_per_node)
                  for i in range(n_nodes)]
-        return cls(sim, nodes, keep_rows=keep_rows)
+        return cls(sim, nodes)
 
     @classmethod
     def heterogeneous(cls, sim: Simulator,

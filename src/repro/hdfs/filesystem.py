@@ -19,7 +19,7 @@ callbacks, and records the activity intervals the power model consumes.
 from __future__ import annotations
 
 from functools import partial
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
 from ..cluster.server import Cluster, ServerNode
 from ..obs import prof
@@ -59,9 +59,6 @@ class HDFS:
         self.page_cache_hit = page_cache_hit
         self.namenode = NameNode([n.name for n in cluster.nodes],
                                  replication=replication, seed=seed)
-        #: The legs of each distinct replica read (legs never change
-        #: their steps, so one list serves every read with its key).
-        self._read_legs: Dict[tuple, List[List[_Step]]] = {}
 
     # -- metadata -----------------------------------------------------------
     def load_input(self, file: str, total_bytes: float) -> List[Block]:
@@ -100,35 +97,21 @@ class HDFS:
         nbytes *= (1.0 - self.page_cache_hit)
         return [(node, node.disk, "disk", nbytes, kind)] if nbytes > 0 else []
 
-    @staticmethod
-    def _legs(nodes: List[ServerNode], nbytes: float, steps: List[_Step],
-              io_factor: float) -> List[List[_Step]]:
-        """The device *steps* as one leg, then each node's I/O-path
-        transit as a leg of its own.
-
-        The device chain and the CPU path pipeline against each other, so
-        the elapsed time is the max of the two (plus queueing on both).
-        """
-        return [steps] + [
-            [(node, node.iopath, "fw", nbytes * io_factor, "iopath")]
-            for node in nodes]
-
-    def _run_legs(self, legs: List[List[_Step]], task_id: Optional[str],
-                  phase: str) -> Event:
-        """Start *legs* concurrently; the returned event fires when all
-        have finished."""
-        join = _Join(self.sim, len(legs))
-        for steps in legs:
-            _Leg(self, steps, task_id, phase, join)
-        return join
-
     def _with_iopath(self, nodes: List[ServerNode], nbytes: float,
                      steps: List[_Step], task_id: Optional[str],
                      phase: str, io_factor: float = 1.0) -> Event:
         """Run the device *steps* concurrently with each node's I/O-path
-        transit (see :meth:`_legs`)."""
-        return self._run_legs(self._legs(nodes, nbytes, steps, io_factor),
-                              task_id, phase)
+        transit; the returned event fires when all have finished.
+
+        The device chain and the CPU path pipeline against each other, so
+        the elapsed time is the max of the two (plus queueing on both).
+        """
+        join = _Join(self.sim, 1 + len(nodes))
+        _Leg(self, steps, task_id, phase, join)
+        for node in nodes:
+            _Leg(self, [(node, node.iopath, "fw", nbytes * io_factor, "iopath")],
+                 task_id, phase, join)
+        return join
 
     def _spawn(self, start: Callable[[], Event]) -> Event:
         """Call *start* from a boot event at the current time; the
@@ -154,21 +137,16 @@ class HDFS:
             obs.count("hdfs.read_bytes", nbytes)
             if source_name != reader.name:
                 obs.count("hdfs.remote_reads")
-        key = (source_name, reader.name, nbytes, io_factor)
-        legs = self._read_legs.get(key)
-        if legs is None:
-            if source_name == reader.name:
-                legs = self._legs([reader], nbytes,
-                                  self._disk(reader, nbytes, "hdfs.read"),
-                                  io_factor)
-            else:
-                source = self.cluster.node(source_name)
-                steps = self._disk(source, nbytes, "hdfs.read.remote")
-                steps.append((source, source.nic, "nic", nbytes, "hdfs.xmit"))
-                steps.append((reader, reader.nic, "nic", nbytes, "hdfs.recv"))
-                legs = self._legs([source, reader], nbytes, steps, io_factor)
-            self._read_legs[key] = legs
-        return self._run_legs(legs, task_id, phase)
+        if source_name == reader.name:
+            return self._with_iopath(
+                [reader], nbytes, self._disk(reader, nbytes, "hdfs.read"),
+                task_id, phase, io_factor)
+        source = self.cluster.node(source_name)
+        steps = self._disk(source, nbytes, "hdfs.read.remote")
+        steps.append((source, source.nic, "nic", nbytes, "hdfs.xmit"))
+        steps.append((reader, reader.nic, "nic", nbytes, "hdfs.recv"))
+        return self._with_iopath([source, reader], nbytes, steps, task_id,
+                                 phase, io_factor)
 
     def read_block(self, block: Block, reader: ServerNode,
                    task_id: Optional[str] = None, phase: str = "map",

@@ -1036,11 +1036,8 @@ def simulate_job(machine_spec: Union[str, MachineSpec],
     sim = Simulator()
     if obs is not None:
         obs.attach(sim)
-    # The trace's rows are read only by a tracer; without one the
-    # trace folds energy as it records and keeps no rows.
     cluster = Cluster.homogeneous(sim, mspec, n_nodes, freq_ghz,
-                                  cores_per_node=cores_per_node,
-                                  keep_rows=obs is not None)
+                                  cores_per_node=cores_per_node)
     runner = HadoopJobRunner(cluster, wspec, conf,
                              data_per_node_gb * GB,
                              map_slots_per_node=map_slots_per_node,

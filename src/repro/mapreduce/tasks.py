@@ -228,22 +228,24 @@ class _TaskBase:
         activity = act_weight / t_cpu if t_cpu > 0 else 0.0
         return instr, t_cpu, activity
 
-    def _overlapped_io(self, transfer: Event, kind: str, bill: tuple
+    def _overlapped_io(self, transfer: Event, nbytes: float, kind: str,
+                       user_ipb: float = 0.0,
+                       user_profile: Optional[CpuProfile] = None
                        ) -> Generator:
         """Wait for a byte transfer and run its CPU bill with overlap credit.
 
-        *transfer* is the event of an HDFS call moving some bytes (disk
-        and/or NIC), started just now, and *bill* the
-        :meth:`_io_cpu_bill` of processing them; that CPU cost is
-        partially hidden behind the transfer according to the core's
-        ``io_overlap``.
+        *transfer* is the event of an HDFS call moving *nbytes* (disk
+        and/or NIC), started just now; the CPU cost of processing those
+        bytes is partially hidden behind the transfer according to the
+        core's ``io_overlap``.
         """
         core = self.node.spec.core
         wait_kind, compute_kind = _IO_KINDS[kind]
         t0 = self.sim.now
         yield transfer
         t_wait = self.sim.now - t0
-        instr, t_cpu, activity = bill
+        instr, t_cpu, activity = self._io_cpu_bill(nbytes, user_ipb,
+                                                   user_profile)
         t_cpu *= self._slow()
         residual = max(0.0, t_cpu - core.io_overlap * t_wait)
         # Activity during the wait window accounts for the compute that
@@ -297,21 +299,17 @@ class MapTask(_TaskBase):
         # covers progress 0 → 0.9; sort/spill/merge is the final 10%.
         total = self.block.size_bytes
         remaining = total
-        stage = self.stage
-        chunk_bytes = self.conf.chunk_bytes
-        full_bill = self._io_cpu_bill(chunk_bytes, stage.map_ipb,
-                                      stage.map_profile)
         while remaining > 0:
-            chunk = min(chunk_bytes, remaining)
+            chunk = min(self.conf.chunk_bytes, remaining)
             remaining -= chunk
             transfer = self.hdfs.read_span(source, self.node, chunk,
                                            task_id=self.task_id,
                                            phase=self.phase,
-                                           io_factor=stage.io_path_factor)
-            bill = (full_bill if chunk == chunk_bytes else
-                    self._io_cpu_bill(chunk, stage.map_ipb,
-                                      stage.map_profile))
-            yield from self._overlapped_io(transfer, "map.read", bill)
+                                           io_factor=self.stage.io_path_factor)
+            yield from self._overlapped_io(
+                transfer, chunk, "map.read",
+                user_ipb=self.stage.map_ipb,
+                user_profile=self.stage.map_profile)
             self._progress_to(0.9 * (total - remaining) / total)
         self.counters.input_bytes += self.block.size_bytes
 
@@ -331,17 +329,17 @@ class MapTask(_TaskBase):
                     self.node, plan.disk_write_bytes, task_id=self.task_id,
                     phase=self.phase, kind="map.spill",
                     io_factor=self.stage.io_path_factor * _SPILL_IO_FACTOR)
-                yield from self._overlapped_io(
-                    transfer, "map.spill",
-                    self._io_cpu_bill(plan.disk_write_bytes))
+                yield from self._overlapped_io(transfer,
+                                               plan.disk_write_bytes,
+                                               "map.spill")
             if plan.disk_read_bytes > 0:
                 transfer = self.hdfs.read_local(
                     self.node, plan.disk_read_bytes, task_id=self.task_id,
                     phase=self.phase, kind="map.merge",
                     io_factor=self.stage.io_path_factor * _SPILL_IO_FACTOR)
-                yield from self._overlapped_io(
-                    transfer, "map.merge",
-                    self._io_cpu_bill(plan.disk_read_bytes))
+                yield from self._overlapped_io(transfer,
+                                               plan.disk_read_bytes,
+                                               "map.merge")
         self._progress_to(1.0)
         self.counters.map_tasks += 1
         return self.output_bytes
@@ -377,8 +375,7 @@ class ReduceTask(_TaskBase):
                                            task_id=self.task_id,
                                            phase=self.phase,
                                            io_factor=self.stage.io_path_factor)
-            yield from self._overlapped_io(transfer, "shuffle",
-                                           self._io_cpu_bill(nbytes))
+            yield from self._overlapped_io(transfer, nbytes, "shuffle")
             fetched += nbytes
             if partition > 0:
                 self._progress_to(0.6 * fetched / partition)
@@ -394,16 +391,14 @@ class ReduceTask(_TaskBase):
                 self.node, merge.disk_write_bytes, task_id=self.task_id,
                 phase=self.phase, kind="reduce.spill",
                 io_factor=self.stage.io_path_factor * _SPILL_IO_FACTOR)
-            yield from self._overlapped_io(
-                transfer, "reduce.spill",
-                self._io_cpu_bill(merge.disk_write_bytes))
+            yield from self._overlapped_io(transfer, merge.disk_write_bytes,
+                                           "reduce.spill")
             transfer = self.hdfs.read_local(
                 self.node, merge.disk_read_bytes, task_id=self.task_id,
                 phase=self.phase, kind="reduce.merge.read",
                 io_factor=self.stage.io_path_factor * _SPILL_IO_FACTOR)
-            yield from self._overlapped_io(
-                transfer, "reduce.merge",
-                self._io_cpu_bill(merge.disk_read_bytes))
+            yield from self._overlapped_io(transfer, merge.disk_read_bytes,
+                                           "reduce.merge")
         self._progress_to(0.8)
 
         # User reduce function.  Aggregation state (count tables, merge
@@ -428,8 +423,7 @@ class ReduceTask(_TaskBase):
                                        task_id=self.task_id, phase=self.phase,
                                        io_factor=self.stage.io_path_factor,
                                        replication=self.stage.output_replication)
-            yield from self._overlapped_io(transfer, "reduce.write",
-                                           self._io_cpu_bill(out))
+            yield from self._overlapped_io(transfer, out, "reduce.write")
         self._progress_to(1.0)
         self.counters.reduce_tasks += 1
         return self.output_bytes

@@ -11,10 +11,11 @@ both independently testable.
 A recorder either keeps its rows or folds them.  A recorder built with
 an *uplift* callable keeps no rows: :meth:`TraceRecorder.add` folds each
 one into dynamic joules, split by phase, device and node, as it arrives.
-That is for a run whose rows nothing reads but the energy integrator
-(:func:`repro.arch.power.integrate_energy`), which then reads the
-finished fold; it replays a kept trace's rows through the same fold, so
-both kinds of recorder give bit-identical breakdowns.
+A cluster records this way unless a tracer is attached to its
+simulator: then nothing reads its rows but the energy integrator
+(:func:`repro.arch.power.integrate_energy`), which reads the finished
+fold.  The integrator replays a kept trace's rows through the same
+fold, so both kinds of recorder give bit-identical breakdowns.
 """
 
 from __future__ import annotations

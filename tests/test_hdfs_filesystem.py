@@ -11,13 +11,16 @@ from repro.cluster.server import Cluster
 from repro.hdfs import filesystem
 from repro.hdfs.filesystem import HDFS
 from repro.sim.engine import SimulationError, Simulator
+from repro.sim.trace import TraceRecorder
 
 MB = 1024 * 1024
 
 
 def _cluster(spec=XEON_E5_2420, n=3, freq=1.8):
     sim = Simulator()
-    return sim, Cluster.homogeneous(sim, spec, n, freq)
+    cluster = Cluster.homogeneous(sim, spec, n, freq)
+    cluster.trace = TraceRecorder()   # the tests read its rows
+    return sim, cluster
 
 
 def _drive(sim, transfer):

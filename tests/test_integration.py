@@ -12,6 +12,7 @@ from repro.core.characterization import RunKey
 from repro.mapreduce.config import DEFAULT_CONF
 from repro.mapreduce.driver import HadoopJobRunner
 from repro.sim.engine import Simulator
+from repro.sim.trace import TraceRecorder
 from repro.workloads.base import workload
 
 
@@ -20,6 +21,7 @@ class TestMeterAgainstIntegrator:
         """The 1 Hz wall meter and the exact integrator must agree."""
         sim = Simulator()
         cluster = Cluster.homogeneous(sim, XEON_E5_2420, 3, 1.8)
+        cluster.trace = TraceRecorder()   # the meter samples its rows
         runner = HadoopJobRunner(cluster, workload("wordcount"),
                                  DEFAULT_CONF, 2 ** 30)
         result = runner.run()
@@ -43,6 +45,7 @@ class TestHeterogeneousCluster:
             {"spec": XEON_E5_2420, "n_nodes": 1, "freq_ghz": 1.8},
             {"spec": ATOM_C2758, "n_nodes": 2, "freq_ghz": 1.8},
         ])
+        cluster.trace = TraceRecorder()   # the test reads its rows
         runner = HadoopJobRunner(cluster, workload("wordcount"),
                                  DEFAULT_CONF, 2 ** 30)
         result = runner.run()

@@ -128,10 +128,12 @@ class TestUncoreAccounting:
         from repro.cluster.server import Cluster
         from repro.mapreduce.driver import HadoopJobRunner
         from repro.sim.engine import Simulator
+        from repro.sim.trace import TraceRecorder
         from repro.workloads.base import workload as get_workload
 
         sim = Simulator()
         cluster = Cluster.homogeneous(sim, machine("xeon"), 3, 1.8)
+        cluster.trace = TraceRecorder()   # the tests read its rows
         runner = HadoopJobRunner(cluster, get_workload(workload),
                                  DEFAULT_CONF, 0.5 * GB)
         result = runner.run()
@@ -169,7 +171,8 @@ class TestUncoreAccounting:
 
 
 class TestTraceRows:
-    """Only simulate_job without a tracer stops keeping trace rows."""
+    """A cluster keeps trace rows only under a tracer, or when its trace
+    is replaced by a plain recorder before the run."""
 
     def _clusters(self, monkeypatch):
         from repro.cluster.server import Cluster
@@ -199,23 +202,33 @@ class TestTraceRows:
         assert not cluster.trace.folds
         assert len(tracer.job.intervals) == len(cluster.trace) > 0
 
-    def test_directly_built_runner_keeps_rows(self):
+    def test_replaced_trace_keeps_rows(self):
         from repro.arch.power import integrate_energy
         from repro.arch.presets import machine
         from repro.cluster.server import Cluster
         from repro.mapreduce.driver import HadoopJobRunner
         from repro.sim.engine import Simulator
+        from repro.sim.trace import TraceRecorder
         from repro.workloads.base import workload as get_workload
 
-        cluster = Cluster.homogeneous(Simulator(), machine("atom"), 3, 1.8)
-        result = HadoopJobRunner(cluster, get_workload("grep"), DEFAULT_CONF,
-                                 0.25 * GB).run()
-        assert not cluster.trace.folds and len(cluster.trace) > 0
+        def run(keep_rows):
+            cluster = Cluster.homogeneous(Simulator(), machine("atom"), 3,
+                                          1.8)
+            if keep_rows:
+                cluster.trace = TraceRecorder()
+            result = HadoopJobRunner(cluster, get_workload("grep"),
+                                     DEFAULT_CONF, 0.25 * GB).run()
+            return cluster, result
+
+        folded, folded_result = run(keep_rows=False)
+        kept, kept_result = run(keep_rows=True)
+        assert folded.trace.folds and len(folded.trace) == 0
+        assert not kept.trace.folds and len(kept.trace) > 0
         assert repr(integrate_energy(
-            cluster.trace, cluster.node_power(),
-            result.execution_time_s)) == repr(result.energy)
-        assert repr(result) == repr(simulate_job(
-            "atom", "grep", data_per_node_gb=0.25))
+            kept.trace, kept.node_power(),
+            kept_result.execution_time_s)) == repr(kept_result.energy)
+        assert repr(kept_result) == repr(folded_result) == repr(
+            simulate_job("atom", "grep", data_per_node_gb=0.25))
 
 
 class TestConfiguration:

@@ -11,6 +11,7 @@ from repro.hdfs.filesystem import HDFS
 from repro.mapreduce.config import DEFAULT_CONF
 from repro.mapreduce.tasks import MapTask, ReduceTask, RunCounters
 from repro.sim.engine import Simulator
+from repro.sim.trace import TraceRecorder
 from repro.workloads.base import workload
 
 MB = 1024 * 1024
@@ -19,6 +20,7 @@ MB = 1024 * 1024
 def _setup(spec=XEON_E5_2420, freq=1.8, block_mb=64):
     sim = Simulator()
     cluster = Cluster.homogeneous(sim, spec, 3, freq)
+    cluster.trace = TraceRecorder()   # the tests read its rows
     hdfs = HDFS(cluster, block_mb * MB)
     return sim, cluster, hdfs
 

@@ -19,10 +19,10 @@ The cases cover the three ways a node's cores are driven:
 * map-only ``sort``, whose output goes through the driver's replicated
   HDFS write fan-out, and ``grep``.
 
-Every case also runs twice more, once with each cluster's trace keeping
-its rows and once folding energy as rows are recorded (the path an
-untraced :func:`~repro.mapreduce.driver.simulate_job` takes); both must
-give the pinned digest and the same energy breakdowns.
+Every case also runs twice more, once folding energy as rows are
+recorded (what an untraced cluster does) and once with each cluster's
+trace replaced by a recorder that keeps its rows; both must give the
+pinned digest and the same energy breakdowns.
 
 Traced runs also pin ``events_dispatched`` from the tracer's
 ``JobTrace.engine`` — a deterministic count of the work the engine did
@@ -49,6 +49,7 @@ from repro.mapreduce.config import DEFAULT_CONF
 from repro.mapreduce.driver import simulate_job
 from repro.obs import Tracer, perfetto_json
 from repro.sim.faults import FaultPlan, NodeFault
+from repro.sim.trace import TraceRecorder
 
 FAULT_PLAN = FaultPlan(
     seed=3,
@@ -172,32 +173,38 @@ def test_crash_cases_lose_a_node(label):
     assert CASES[label]().counters.node_crashes == 1
 
 
-def _run_forcing_rows(label: str, keep_rows: bool, monkeypatch):
-    """Run one case with every cluster's trace forced to keep its rows
-    (or to fold); returns the result and the clusters, in build order."""
+def _run_recording_clusters(label: str, keep_rows: bool, monkeypatch):
+    """Run one case; returns the result and its clusters, in build order.
+
+    With *keep_rows*, each cluster's folding trace is replaced by a plain
+    recorder before anything records, so the run keeps every row.
+    """
     clusters = []
     init = Cluster.__init__
 
-    def forced(self, sim, nodes, **_requested):
-        init(self, sim, nodes, keep_rows=keep_rows)
+    def spy(self, sim, nodes):
+        init(self, sim, nodes)
+        if keep_rows:
+            self.trace = TraceRecorder()
         clusters.append(self)
 
     with monkeypatch.context() as patch:
-        patch.setattr(Cluster, "__init__", forced)
+        patch.setattr(Cluster, "__init__", spy)
         result = CASES[label]()
     return result, clusters
 
 
 @pytest.mark.parametrize("label", sorted(CASES))
 def test_energy_fold_matches_kept_rows(label, monkeypatch):
-    kept, kept_clusters = _run_forcing_rows(label, True, monkeypatch)
-    folded, folded_clusters = _run_forcing_rows(label, False, monkeypatch)
+    kept, kept_clusters = _run_recording_clusters(label, True, monkeypatch)
+    folded, folded_clusters = _run_recording_clusters(label, False,
+                                                      monkeypatch)
     assert digest(kept) == digest(folded) == DIGESTS[label]
     if hasattr(kept, "energy"):
         assert repr(kept.energy) == repr(folded.energy)
     assert len(kept_clusters) == len(folded_clusters) > 0
     for k, f in zip(kept_clusters, folded_clusters):
-        assert len(k.trace) > 0 and len(f.trace) == 0
+        assert len(k.trace) > 0 and f.trace.folds and len(f.trace) == 0
         from_rows = integrate_energy(k.trace, k.node_power(), k.sim.now)
         from_fold = integrate_energy(f.trace, f.node_power(), f.sim.now)
         assert repr(from_rows) == repr(from_fold)

@@ -13,6 +13,7 @@ from repro.core.phase_scheduler import (PHASE_PLACEMENTS,
 from repro.mapreduce.config import DEFAULT_CONF
 from repro.mapreduce.driver import HadoopJobRunner
 from repro.sim.engine import Simulator
+from repro.sim.trace import TraceRecorder
 from repro.workloads.base import workload
 
 
@@ -25,10 +26,12 @@ def nb_results():
 class TestDriverFilters:
     def _cluster(self):
         sim = Simulator()
-        return Cluster.heterogeneous(sim, [
+        cluster = Cluster.heterogeneous(sim, [
             {"spec": XEON_E5_2420, "n_nodes": 1, "freq_ghz": 1.8},
             {"spec": ATOM_C2758, "n_nodes": 2, "freq_ghz": 1.8},
         ])
+        cluster.trace = TraceRecorder()   # the tests read its rows
+        return cluster
 
     def test_map_machines_respected(self):
         cluster = self._cluster()

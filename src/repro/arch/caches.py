@@ -141,10 +141,6 @@ class CacheHierarchy:
     def depth(self) -> int:
         return len(self.levels)
 
-    @property
-    def last_level(self) -> CacheLevel:
-        return self.levels[-1]
-
     def hit_distribution(self, curve: MissCurve) -> List[Tuple[str, float]]:
         """Per-level fraction of accesses *served* by each level and DRAM.
 

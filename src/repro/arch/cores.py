@@ -224,10 +224,6 @@ class CorePerf:
         """Useful-issue fraction of cycles; feeds the dynamic-power model."""
         return self.cpi_base / self.cpi
 
-    @property
-    def instructions_per_second(self) -> float:
-        return self.freq_hz / self.cpi
-
     def seconds_for(self, instructions: float) -> float:
         """Wall time to retire *instructions* on one core."""
         if instructions < 0:

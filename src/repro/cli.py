@@ -196,14 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--format", choices=["text", "json"], default="text",
                       dest="output_format",
                       help="report format on stdout (default text)")
-    lint.add_argument("--baseline", default=None, metavar="PATH",
-                      help="baseline file (default lint-baseline.json at "
-                           "the repo root)")
-    lint.add_argument("--update-baseline", action="store_true",
-                      help="rewrite the baseline from the current tree "
-                           "and exit 0")
-    lint.add_argument("--no-baseline", action="store_true",
-                      help="ignore the baseline; every finding gates")
     lint.add_argument("--root", default=None, metavar="DIR",
                       help="repo root (default: auto-detected)")
     lint.add_argument("--output", "-o", default=None, metavar="FILE",
@@ -211,10 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "(for CI artifacts)")
     lint.add_argument("--list-rules", action="store_true",
                       help="print the rule catalog and exit")
-    lint.add_argument("--changed", action="store_true",
-                      help="lint only files changed since "
-                           "merge-base(HEAD, origin/main); falls back "
-                           "to the full tree outside a git repo")
     lint.add_argument("--graph", choices=["dot", "json"], default=None,
                       help="dump the src/repro import graph (with tier "
                            "assignments from import-contract.json) and "
@@ -756,11 +744,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         from .lint.cli import run_lint
         return run_lint(
             paths=args.paths, output_format=args.output_format,
-            baseline_path=args.baseline,
-            update_baseline=args.update_baseline,
-            no_baseline=args.no_baseline, root=args.root,
-            output=args.output, list_rules=args.list_rules,
-            changed=args.changed, graph=args.graph)
+            root=args.root, output=args.output,
+            list_rules=args.list_rules, graph=args.graph)
     if args.command == "serve":
         return _cmd_serve(args)
     if args.command == "loadtest":

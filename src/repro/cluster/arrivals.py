@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 from ..sim.faults import unit_draw
-from ..workloads.base import MICRO_BENCHMARKS, REAL_WORLD
 
 __all__ = ["JobRequest", "ArrivalConfig", "poisson_stream", "parse_trace",
            "trace_csv"]
@@ -215,8 +214,3 @@ def parse_trace(text: str) -> Tuple[JobRequest, ...]:
            for a, b in zip(jobs, jobs[1:])):
         raise ValueError("trace must be sorted by submit_s")
     return tuple(jobs)
-
-
-def known_workloads() -> Tuple[str, ...]:
-    """The workload names a stream may reference (paper Table 2 set)."""
-    return MICRO_BENCHMARKS + REAL_WORLD

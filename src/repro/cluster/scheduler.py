@@ -81,11 +81,6 @@ class SlotLease:
     def n_nodes(self) -> int:
         return len(self.node_names)
 
-    @property
-    def node_seconds_per_s(self) -> int:
-        """Node-seconds this lease consumes per second held."""
-        return self.n_nodes
-
     def slot_plan(self) -> Dict[str, int]:
         """Per-node slot counts, in the driver's ``slot_plan`` shape."""
         return {name: self.cores_per_node for name in self.node_names}

@@ -63,11 +63,6 @@ class TuningRecommendation:
         """Goal-metric ratio default/best (>1 = tuning helped)."""
         return self.default.metric(self.goal) / self.best.metric(self.goal)
 
-    @property
-    def frequency_relief_ghz(self) -> float:
-        """How far below the maximum frequency the best point sits."""
-        return max(PAPER_FREQUENCIES_GHZ) - self.best.freq_ghz
-
 
 class TuningAdvisor:
     """Searches the configuration grid for a workload on one machine.

@@ -21,11 +21,10 @@ Entry points:
   the snippet harness the rule tests use.
 * :func:`all_rules` / :class:`Rule` — the registry, for adding rules.
 
-See ``docs/LINTING.md`` for the rule catalog, suppression syntax
-(``# detlint: disable=RULE``) and the baseline workflow.
+See ``docs/LINTING.md`` for the rule catalog and the inline
+suppression syntax, the one way to accept a finding.
 """
 
-from .baseline import Baseline, load_baseline, split_findings
 from .engine import (LintResult, discover_files, find_repo_root,
                      lint_source, lint_tree)
 from .findings import Finding
@@ -36,10 +35,9 @@ from .suppress import parse_suppressions
 from .taint import ModuleDataflow, analyze, dataflow_of
 
 __all__ = [
-    "Baseline", "Contract", "FileContext", "Finding", "LintResult",
+    "Contract", "FileContext", "Finding", "LintResult",
     "ModuleDataflow", "ModuleGraph", "ProjectContext", "Rule",
     "all_rules", "analyze", "dataflow_of", "discover_files",
-    "find_repo_root",
-    "get_rule", "lint_source", "lint_tree", "load_baseline",
-    "load_contract", "parse_suppressions", "register", "split_findings",
+    "find_repo_root", "get_rule", "lint_source", "lint_tree",
+    "load_contract", "parse_suppressions", "register",
 ]

@@ -1,18 +1,20 @@
 """``repro-hadoop lint`` implementation.
 
-Exit codes: 0 — no findings beyond the baseline; 1 — new findings (or
-``--update-baseline`` rewrote the file); 2 — usage/environment errors.
-Output formats: ``text`` (one line per finding, gcc-style) and ``json``
-(schema below, also written to ``--output`` for CI artifacts)::
+Exit codes: 0 — no ``error`` findings; 1 — at least one; 2 —
+usage/environment errors.  A finding is accepted only by an inline
+suppression comment on its line (see :mod:`repro.lint.suppress`).
+Output formats: ``text`` (one line per finding, gcc-style) and
+``json`` (schema below, also written to ``--output`` for CI
+artifacts)::
 
     {
-      "version": 1,
+      "version": 2,
       "root": "/abs/path",
       "files_checked": 57,
-      "counts": {"total": N, "new": N, "baselined": N, "suppressed": N},
+      "counts": {"total": N, "suppressed": N},
       "findings": [
         {"rule": "DET001", "path": "src/...", "line": 10, "col": 4,
-         "message": "...", "severity": "error", "new": true},
+         "message": "...", "severity": "error"},
         ...
       ]
     }
@@ -21,98 +23,44 @@ Output formats: ``text`` (one line per finding, gcc-style) and ``json``
 from __future__ import annotations
 
 import json
-import subprocess
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
-from .baseline import Baseline, load_baseline, split_findings
-from .engine import find_repo_root, lint_tree
-from .findings import Finding
+from .engine import LintResult, find_repo_root, lint_tree
 from .registry import all_rules
 
-__all__ = ["run_lint", "DEFAULT_BASELINE_NAME"]
+__all__ = ["run_lint"]
 
-DEFAULT_BASELINE_NAME = "lint-baseline.json"
-_SCHEMA_VERSION = 1
+_SCHEMA_VERSION = 2
 
 
-def _report_dict(root: Path, files_checked: int, suppressed: int,
-                 new: Sequence[Finding], old: Sequence[Finding]) -> dict:
-    tagged = ([(f, True) for f in new] + [(f, False) for f in old])
-    tagged.sort(key=lambda pair: pair[0].sort_key)
+def _report_dict(root: Path, result: LintResult) -> dict:
     return {
         "version": _SCHEMA_VERSION,
         "root": str(root),
-        "files_checked": files_checked,
+        "files_checked": result.files_checked,
         "counts": {
-            "total": len(new) + len(old),
-            "new": len(new),
-            "baselined": len(old),
-            "suppressed": suppressed,
+            "total": len(result.findings),
+            "suppressed": result.suppressed,
         },
-        "findings": [dict(f.to_dict(), new=is_new) for f, is_new in tagged],
+        "findings": [f.to_dict() for f in result.findings],
     }
 
 
-def _render_text(report: dict) -> str:
-    lines: List[str] = []
-    for entry in report["findings"]:
-        marker = "" if entry["new"] else " (baselined)"
-        lines.append(f"{entry['path']}:{entry['line']}:{entry['col'] + 1}: "
-                     f"{entry['rule']} [{entry['severity']}] "
-                     f"{entry['message']}{marker}")
-    counts = report["counts"]
-    lines.append(f"lint: {report['files_checked']} files, "
-                 f"{counts['new']} new finding(s), "
-                 f"{counts['baselined']} baselined, "
-                 f"{counts['suppressed']} suppressed")
+def _render_text(result: LintResult) -> str:
+    lines = [f.render() for f in result.findings]
+    lines.append(f"lint: {result.files_checked} files, "
+                 f"{len(result.findings)} finding(s), "
+                 f"{result.suppressed} suppressed")
     return "\n".join(lines)
-
-
-def changed_files(root: Path) -> Optional[List[str]]:
-    """Repo-relative paths differing from ``merge-base(HEAD, origin/main)``.
-
-    Returns ``None`` when git is unavailable, *root* is not a work
-    tree, or ``origin/main`` is unknown (shallow clone without the
-    remote ref) — callers fall back to the full tree.  Covers
-    committed, staged and unstaged changes relative to the merge base.
-    """
-    def git(*argv: str) -> Optional[str]:
-        try:
-            proc = subprocess.run(
-                ["git", "-C", str(root), *argv],
-                capture_output=True, text=True, timeout=30)
-        except (OSError, subprocess.TimeoutExpired):
-            return None
-        if proc.returncode != 0:
-            return None
-        return proc.stdout
-
-    base = git("merge-base", "HEAD", "origin/main")
-    if base is None:
-        # Local clones (and CI on the default branch) may lack the
-        # remote-tracking ref; a bare HEAD diff still covers the
-        # uncommitted working set.
-        base = git("rev-parse", "HEAD")
-    if base is None:
-        return None
-    diff = git("diff", "--name-only", base.strip())
-    if diff is None:
-        return None
-    return sorted({line.strip() for line in diff.splitlines()
-                   if line.strip()})
 
 
 def run_lint(paths: Sequence[str] = (),
              output_format: str = "text",
-             baseline_path: Optional[str] = None,
-             update_baseline: bool = False,
-             no_baseline: bool = False,
              root: Optional[str] = None,
              output: Optional[str] = None,
              list_rules: bool = False,
-             changed: bool = False,
              graph: Optional[str] = None,
              stdout=None) -> int:
     """Run the linter; returns the process exit code."""
@@ -142,51 +90,12 @@ def run_lint(paths: Sequence[str] = (),
             out.write("\n")
         return 0
 
-    lint_paths: Optional[List[str]] = list(paths) or None
-    if changed:
-        subset = changed_files(repo_root)
-        if subset is None:
-            print("lint: --changed: not a git repo (or no "
-                  "origin/main); linting the full tree", file=out)
-        else:
-            lintable = [p for p in subset
-                        if p.endswith((".py", ".md"))
-                        and (repo_root / p).exists()]
-            if not lintable:
-                print("lint: --changed: no lintable files differ from "
-                      "the merge base", file=out)
-                return 0
-            print(f"lint: --changed: {len(lintable)} file(s) since "
-                  f"the merge base", file=out)
-            lint_paths = lintable
-
-    result = lint_tree(repo_root, paths=lint_paths)
-
-    baseline_file = (Path(baseline_path) if baseline_path is not None
-                     else repo_root / DEFAULT_BASELINE_NAME)
-    if update_baseline:
-        Baseline.from_findings(result.findings).save(baseline_file)
-        print(f"wrote {baseline_file} "
-              f"({len(result.findings)} finding(s) baselined)", file=out)
-        return 0
-
-    if no_baseline:
-        baseline = Baseline.empty()
-    else:
-        try:
-            baseline = load_baseline(baseline_file)
-        except ValueError as exc:
-            print(f"repro-hadoop lint: error: {exc}", file=sys.stderr)
-            return 2
-    new, old = split_findings(result.findings, baseline)
-
-    report = _report_dict(repo_root, result.files_checked,
-                          result.suppressed, new, old)
+    result = lint_tree(repo_root, paths=list(paths) or None)
+    report = _report_dict(repo_root, result)
     rendered = (json.dumps(report, indent=2) if output_format == "json"
-                else _render_text(report))
+                else _render_text(result))
     print(rendered, file=out)
     if output is not None:
         Path(output).write_text(json.dumps(report, indent=2) + "\n",
                                 encoding="utf-8")
-    gating = [f for f in new if f.severity == "error"]
-    return 1 if gating else 0
+    return 1 if any(f.severity == "error" for f in result.findings) else 0

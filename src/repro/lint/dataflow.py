@@ -30,16 +30,18 @@ them structurally:
 * :class:`Taint` — a *value* fact ("this value came from the wall
   clock"), carrying the source line and a human description so a
   finding at the sink can point back at the source.
-* :class:`Shape` — a *container* fact ("this is a set", "this is a
-  dict with provably deterministic insertion order").  Shapes are
-  dropped by most value operations; taints propagate.
+* :class:`Shape` — a *container* fact ("this is a set", "this is an
+  unsorted directory listing").  Shapes are dropped by most value
+  operations; taints propagate.
+
+A dict is not a shape: Python dicts iterate in insertion order, so a
+dict (and each of its views) carries exactly the order taints of what
+built it — a comprehension over a set, say.
 
 Everything here is deliberately intraprocedural: a call to an unknown
 function propagates its arguments' value taints to its result (the
-conservative choice for taint, the optimistic one for shapes).  The
-one cross-module aid — resolving an imported name to a module-level
-dict literal — is delegated to the :class:`NameResolver` the caller
-passes in (see :class:`repro.lint.taint.ModuleConstantResolver`).
+conservative choice for taint, the optimistic one for shapes), and a
+name with no local binding has no facts.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from .astutil import dotted_name
 
 __all__ = ["Taint", "Shape", "Fact", "Facts", "EMPTY", "ORDER_KINDS",
            "VALUE_KINDS", "value_taints", "order_taints", "drop_shapes",
-           "join_envs", "NameResolver", "FunctionWalker"]
+           "join_envs", "FunctionWalker"]
 
 
 @dataclass(frozen=True, order=True)
@@ -76,9 +78,6 @@ class Taint:
 class Shape:
     """A structural fact about an abstract value.
 
-    ``det_dict``  dict with provably deterministic insertion order
-                  (display, ``**kwargs`` parameter, comprehension over
-                  a sorted/literal iterable, resolved module constant)
     ``set``       a set/frozenset — iteration is hash order
     ``listing``   an unsorted directory-listing result
     ``clock_fn``  a *reference* to a wall-clock function
@@ -127,18 +126,6 @@ def join_envs(a: Env, b: Env) -> Env:
     return out
 
 
-class NameResolver:
-    """Fallback lookup for names with no local definition.
-
-    The default resolver knows nothing; :mod:`repro.lint.taint`
-    provides one that resolves module-level constants (including
-    across imports) to shape facts.
-    """
-
-    def resolve(self, name: str) -> Facts:  # pragma: no cover - trivial
-        return EMPTY
-
-
 #: ``try`` and, from Python 3.11, ``try``/``except*`` walk alike.
 _TRY = (ast.Try, getattr(ast, "TryStar", ast.Try))
 
@@ -167,8 +154,7 @@ class FunctionWalker:
       unknown call / attribute store.
     """
 
-    def __init__(self, resolver: Optional[NameResolver] = None):
-        self.resolver = resolver if resolver is not None else NameResolver()
+    def __init__(self) -> None:
         #: ``for`` statements whose body is being walked, innermost last.
         self.loops: List[ast.AST] = []
 
@@ -207,18 +193,12 @@ class FunctionWalker:
 
     def run_function(self, fn: Union[ast.FunctionDef,
                                      ast.AsyncFunctionDef]) -> Env:
-        env: Env = {}
         args = fn.args
-        for arg in [*getattr(args, "posonlyargs", []), *args.args,
-                    *args.kwonlyargs]:
-            env[arg.arg] = self.param_facts(arg)
-        if args.vararg is not None:
-            env[args.vararg.arg] = self.param_facts(args.vararg)
-        if args.kwarg is not None:
-            # A ``**kwargs`` dict is created fresh by the call machinery
-            # with insertion order equal to the caller's keyword order —
-            # source order, hence deterministic.
-            env[args.kwarg.arg] = frozenset({Shape("det_dict")})
+        env: Env = {arg.arg: EMPTY
+                    for arg in [*getattr(args, "posonlyargs", []),
+                                *args.args, *args.kwonlyargs,
+                                args.vararg, args.kwarg]
+                    if arg is not None}
         # Default expressions are evaluated at def time in the enclosing
         # scope; walking them keeps source calls there visible.
         for default in [*args.defaults, *args.kw_defaults]:
@@ -229,9 +209,6 @@ class FunctionWalker:
     def run_body(self, scope: Union[ast.Module, ast.ClassDef]) -> Env:
         """Walk a module or class body (names bound there outlive it)."""
         return self.exec_block(scope.body, {})
-
-    def param_facts(self, arg: ast.arg) -> Facts:
-        return EMPTY
 
     # -- statement execution ----------------------------------------------
 
@@ -405,17 +382,11 @@ class FunctionWalker:
                 self.on_escape(target, facts)
         elif isinstance(target, ast.Subscript):
             # ``container[key] = value``: per-key lookups stay clean, so
-            # only *value* taints soak into the container.  An order-
-            # tainted key or value randomizes the container's insertion
-            # order, which forfeits any det_dict proof.
+            # only *value* taints soak into the container.
             if isinstance(target.value, ast.Name):
                 name = target.value.id
-                key_facts = self.eval(target.slice, env)
-                stored = env.get(name, EMPTY) | value_taints(facts)
-                if order_taints(facts) or order_taints(key_facts):
-                    stored = frozenset(f for f in stored
-                                       if f != Shape("det_dict"))
-                env[name] = stored
+                self.eval(target.slice, env)
+                env[name] = env.get(name, EMPTY) | value_taints(facts)
             else:
                 self.on_escape(target, facts)
 
@@ -435,9 +406,7 @@ class FunctionWalker:
         return drop_shapes(merged)
 
     def _eval_Name(self, node: ast.Name, env: Env) -> Facts:
-        if node.id in env:
-            return env[node.id]
-        return self.resolver.resolve(node.id)
+        return env.get(node.id, EMPTY)
 
     def _eval_Constant(self, node: ast.AST, env: Env) -> Facts:
         return EMPTY
@@ -464,8 +433,7 @@ class FunctionWalker:
         if isinstance(node.func, ast.Attribute):
             recv_facts = self.eval(node.func.value, env)
         elif isinstance(node.func, ast.Name):
-            recv_facts = env.get(node.func.id,
-                                 self.resolver.resolve(node.func.id))
+            recv_facts = env.get(node.func.id, EMPTY)
         arg_facts = [self.eval(arg, env) for arg in node.args]
         arg_facts += [self.eval(kw.value, env) for kw in node.keywords]
         return self.call_facts(node, dotted, recv_facts, arg_facts, env)
@@ -504,28 +472,16 @@ class FunctionWalker:
                 merged |= self.eval(key, env)
         for val in node.values:
             merged |= self.eval(val, env)
-        # A dict display inserts in source order: det_dict regardless of
-        # content — but ``{**other}`` splats inherit other's order.
-        facts = drop_shapes(merged)
-        has_splat = any(key is None for key in node.keys)
-        if not has_splat and not order_taints(merged):
-            facts |= frozenset({Shape("det_dict")})
-        return facts
+        # A display inserts in source order; ``{**other}`` splats keep
+        # other's order taints.
+        return drop_shapes(merged)
 
     def _eval_DictComp(self, node: ast.DictComp, env: Env) -> Facts:
         comp_env = self._bind_comprehension(node.generators, env)
         merged = self.eval(node.key, comp_env) \
             | self.eval(node.value, comp_env)
-        facts = drop_shapes(merged)
-        if not self._comp_order_tainted(node.generators, env):
-            facts |= frozenset({Shape("det_dict")})
-        else:
-            first = node.generators[0]
-            facts |= frozenset({Taint("setorder", node.lineno,
-                                      "dict comprehension over an "
-                                      "unordered iterable")}) \
-                if self._iter_is_setlike(first.iter, env) else EMPTY
-        return facts
+        # Insertion order is iteration order, as for a list.
+        return drop_shapes(merged) | self._generator_order(node, env)
 
     def _eval_ListComp(self, node: ast.ListComp, env: Env) -> Facts:
         return self._eval_comp_sequence(node, env)
@@ -536,9 +492,14 @@ class FunctionWalker:
     def _eval_comp_sequence(self, node, env: Env) -> Facts:
         comp_env = self._bind_comprehension(node.generators, env)
         facts = drop_shapes(self.eval(node.elt, comp_env))
+        return facts | self._generator_order(node, env)
+
+    def _generator_order(self, node, env: Env) -> Facts:
+        """Order taints a comprehension inherits from its iterables."""
+        facts = EMPTY
         for gen in node.generators:
             iter_facts = self.eval(gen.iter, env)
-            facts |= taints(iter_facts) - value_taints(iter_facts)
+            facts |= order_taints(iter_facts)
             if Shape("set") in iter_facts:
                 facts |= frozenset({Taint(
                     "setorder", node.lineno,
@@ -558,17 +519,6 @@ class FunctionWalker:
             for cond in gen.ifs:
                 self.eval(cond, comp_env)
         return comp_env
-
-    def _comp_order_tainted(self, generators, env: Env) -> bool:
-        for gen in generators:
-            facts = self.eval(gen.iter, env)
-            if (Shape("set") in facts or Shape("listing") in facts
-                    or order_taints(facts)):
-                return True
-        return False
-
-    def _iter_is_setlike(self, iter_node: ast.AST, env: Env) -> bool:
-        return Shape("set") in self.eval(iter_node, env)
 
     def _eval_Yield(self, node: ast.Yield, env: Env) -> Facts:
         facts = self.eval(node.value, env) if node.value is not None \

@@ -2,7 +2,7 @@
 
 The pipeline is ``file -> FileContext (one parse) -> per-rule check ->
 Finding`` with inline suppressions applied last, so a suppressed
-finding never reaches the baseline or the gate.  Findings come back
+finding never reaches the gate.  Findings come back
 sorted by ``(path, line, col, rule)`` — deterministic output is not
 optional for the tool that enforces determinism.
 """
@@ -32,7 +32,7 @@ MD_EXCLUDE = frozenset({"PAPERS.md", "SNIPPETS.md", "ISSUE.md",
 
 @dataclass
 class LintResult:
-    """Outcome of one lint run (before baseline splitting)."""
+    """Outcome of one lint run."""
 
     findings: List[Finding] = field(default_factory=list)
     files_checked: int = 0

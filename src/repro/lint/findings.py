@@ -1,10 +1,6 @@
 """Finding records produced by lint rules.
 
-A :class:`Finding` pins one rule violation to a file position.  Its
-*baseline key* deliberately excludes the line/column: baselined findings
-keep matching after unrelated edits shift them around, and only genuinely
-*new* occurrences of ``(rule, path, message)`` fail the gate (see
-:mod:`repro.lint.baseline`).
+A :class:`Finding` pins one rule violation to a file position.
 """
 
 from __future__ import annotations
@@ -35,11 +31,6 @@ class Finding:
             raise ValueError(f"unknown severity {self.severity!r}")
 
     @property
-    def baseline_key(self) -> Tuple[str, str, str]:
-        """Line-insensitive identity used for baseline matching."""
-        return (self.rule_id, self.path, self.message)
-
-    @property
     def sort_key(self) -> Tuple[str, int, int, str]:
         return (self.path, self.line, self.col, self.rule_id)
 
@@ -56,10 +47,3 @@ class Finding:
             "message": self.message,
             "severity": self.severity,
         }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "Finding":
-        return cls(rule_id=str(data["rule"]), path=str(data["path"]),
-                   line=int(data["line"]), col=int(data["col"]),
-                   message=str(data["message"]),
-                   severity=str(data.get("severity", "error")))

@@ -1,8 +1,6 @@
 """Import-layer contract checker: module graph, tiers, cycles (ARCH001).
 
-The repo's layering has so far been policed by hand-coded bans (OBS001
-forbids the result tier from importing the telemetry pillars).  This
-module generalizes that to a *declarative tier contract*:
+The repo's layering is a *declarative tier contract*:
 
 * :class:`ModuleGraph` parses every module under ``src/repro`` and
   records its imports of other repo modules — split into *runtime*
@@ -19,11 +17,10 @@ module generalizes that to a *declarative tier contract*:
   deferred import cannot deadlock module initialization, but a
   top-level cycle can.
 
-The checked-in contract lives at ``import-contract.json`` next to
-``lint-baseline.json``.  Rule ARCH001 (``rules/architecture.py``)
-reports violations through the normal lint pipeline; ``repro-hadoop
-lint --graph dot|json`` dumps the graph, and ``python -m
-repro.lint.layers --check`` is the standalone CI gate.
+The checked-in contract lives at ``import-contract.json`` at the repo
+root.  Rule ARCH001 (``rules/architecture.py``) reports violations and
+cycles through ``repro-hadoop lint``, the one gate;
+``repro-hadoop lint --graph dot|json`` dumps the graph.
 """
 
 from __future__ import annotations
@@ -35,7 +32,8 @@ from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 __all__ = ["ImportEdge", "ModuleGraph", "Contract", "Violation",
-           "CONTRACT_NAME", "load_contract", "module_name_for"]
+           "CONTRACT_NAME", "load_contract", "module_name_for",
+           "resolve_to_module"]
 
 #: Contract file name, repo-root-relative.
 CONTRACT_NAME = "import-contract.json"
@@ -157,7 +155,7 @@ class ModuleGraph:
                 continue
             for raw, lineno, deferred, tc in iter_import_edges(
                     tree, module, is_pkg):
-                target = _resolve_to_module(raw, known)
+                target = resolve_to_module(raw, known)
                 if target is None or target == module:
                     continue
                 # ``from . import sibling`` names the importer's own
@@ -297,7 +295,7 @@ class ModuleGraph:
         return "\n".join(lines) + "\n"
 
 
-def _resolve_to_module(raw: str, known: Set[str]) -> Optional[str]:
+def resolve_to_module(raw: str, known: Set[str]) -> Optional[str]:
     """Longest known-module prefix of a raw dotted import target."""
     candidate = raw
     while candidate:
@@ -413,56 +411,3 @@ def load_contract(root: Path) -> Optional[Contract]:
         return None
     return Contract.from_dict(doc)
 
-
-def _main(argv: Optional[Sequence[str]] = None) -> int:
-    """``python -m repro.lint.layers`` — the standalone CI gate."""
-    import argparse
-    import sys
-
-    from .engine import find_repo_root
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.lint.layers",
-        description="import graph + tier contract checker")
-    parser.add_argument("--root", type=Path, default=None,
-                        help="repo root (default: auto-detect)")
-    parser.add_argument("--format", choices=("dot", "json"), default=None,
-                        help="dump the graph instead of checking")
-    parser.add_argument("--check", action="store_true",
-                        help="exit 2 on an import cycle or a cross-tier "
-                             "edge missing from the contract")
-    args = parser.parse_args(argv)
-
-    root = find_repo_root(args.root)
-    graph = ModuleGraph.build(root)
-    contract = load_contract(root)
-
-    if args.format == "dot":
-        sys.stdout.write(graph.to_dot(contract))
-        return 0
-    if args.format == "json":
-        json.dump(graph.to_json(contract), sys.stdout, indent=2,
-                  sort_keys=True)
-        sys.stdout.write("\n")
-        return 0
-
-    failures = 0
-    for cycle in graph.cycles():
-        failures += 1
-        print("cycle: " + " -> ".join(cycle + [cycle[0]]))
-    if contract is None:
-        print(f"no {CONTRACT_NAME} at {root}; edge check skipped")
-    else:
-        for violation in contract.violations(graph):
-            failures += 1
-            print(violation.describe())
-    status = "OK" if not failures else f"{failures} failure(s)"
-    print(f"layers: {len(graph.modules)} modules, "
-          f"{len(graph.edges)} import edges, {status}")
-    if failures and args.check:
-        return 2
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via CI
-    raise SystemExit(_main())

@@ -75,7 +75,7 @@ class Rule:
     A rule with ``project = True`` additionally implements
     :meth:`check_project`, which the engine calls once per run with a
     :class:`ProjectContext` after the per-file pass; its findings go
-    through the same suppression/baseline pipeline keyed by each
+    through the same suppression pipeline keyed by each
     finding's ``path``.
     """
 

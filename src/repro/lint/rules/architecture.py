@@ -3,10 +3,11 @@
 The per-file half checks every import a module makes against the
 committed tier contract (``import-contract.json`` at the repo root):
 an edge between two different tiers must be whitelisted, or carried as
-an explicit grandfathered exception.  This generalizes OBS001's
-hand-coded "result tier must not import the telemetry pillars" ban to
-the whole architecture — the contract also pins serve/loadgen out of
-the model and keeps ``lint/`` free of model imports.
+an explicit grandfathered exception.  This is the repo's one
+import-boundary check: the contract keeps the wall-clock telemetry
+modules (``obs.registry``/``obs.reqtrace``/``obs.slog``) out of every
+model package, pins serve/loadgen out of the model and keeps ``lint/``
+free of model imports.
 
 The project half runs once over the whole tree and reports *runtime
 import cycles* (top-level, non-``TYPE_CHECKING`` imports only —
@@ -24,7 +25,7 @@ from typing import Dict, Iterable, Optional, Set, Tuple
 
 from ..findings import Finding
 from ..layers import (Contract, ModuleGraph, iter_import_edges,
-                      load_contract, module_name_for)
+                      load_contract, module_name_for, resolve_to_module)
 from ..registry import FileContext, ProjectContext, Rule, register
 
 __all__ = ["ImportContractRule"]
@@ -78,7 +79,7 @@ class ImportContractRule(Rule):
                 tree, module, is_pkg):
             if tc:
                 continue
-            target = _longest_known(raw, known)
+            target = resolve_to_module(raw, known)
             if target is None or target == module \
                     or module.startswith(target + "."):
                 continue
@@ -115,11 +116,3 @@ class ImportContractRule(Rule):
                          f"a deferred (function-level) import or by "
                          f"moving the shared piece down a tier"))
 
-
-def _longest_known(raw: str, known: Set[str]) -> Optional[str]:
-    candidate = raw
-    while candidate:
-        if candidate in known:
-            return candidate
-        candidate = candidate.rpartition(".")[0]
-    return None

@@ -14,9 +14,9 @@ All six rules read one analysis, :func:`repro.lint.taint.dataflow_of`:
   directory listings.  DET003 adds calls through a stored wall-clock
   reference; DET005 skips listings the flow proves are only ever
   counted or sorted.
-* DET004 reports unordered shapes (sets, dict views of unproven
-  insertion order) iterated into a sink, and their order taints
-  reaching a sink through variables.
+* DET004 reports sets iterated into a sink, and their order taints
+  reaching a sink through variables.  A dict view is ordered: it
+  carries only the order taints of its dict.
 * DET006 reports nondeterministic *values* — wall-clock reads, unseeded
   RNG draws, salted ``hash()`` — that reach a deterministic-output sink
   through any chain of local assignments.
@@ -112,28 +112,32 @@ class WallClockRule(_SourceRule):
 class UnsortedSetIterationRule(Rule):
     """DET004: unordered iteration must not feed ordered output.
 
-    Dict views whose receiver the analysis proves to have deterministic
-    insertion order (dict displays, ``**kwargs``, resolved module-level
-    dict constants) are not unordered.
+    Dicts iterate in insertion order, so a dict view is flagged only
+    when its dict carries a set's order (``{k: 1 for k in set(xs)}``).
+    One line reports once, the set itself first: ``return list(set(x))``
+    is the set materialized, not also the order taint reaching
+    ``return``.
     """
 
     id = "DET004"
     name = "unsorted-set-iteration"
-    description = ("iterating a set (hash order) or dict view (insertion "
-                   "order) into yield/append/join/writerow makes output "
+    description = ("iterating a set (hash order), or a dict built from "
+                   "one, into yield/append/join/writerow makes output "
                    "order depend on incidental state; wrap in sorted()")
     include = ("src/repro",)
 
     def check(self, ctx: FileContext) -> Iterable[Finding]:
         flow = dataflow_of(ctx)
-        for node, message in flow.unordered_uses:
-            yield self.finding(ctx, node, message)
-        for hit in flow.order_hits:
-            if hit.taint.kind == "setorder":
-                yield self.finding(
-                    ctx, hit.node,
-                    f"value ordered by {hit.taint.what} reaches {hit.sink} "
-                    f"through a variable; sort before emitting")
+        found = list(flow.unordered_uses)
+        found += [(hit.node, f"value ordered by {hit.taint.what} reaches "
+                             f"{hit.sink} through a variable; sort before "
+                             f"emitting")
+                  for hit in flow.order_hits if hit.taint.kind == "setorder"]
+        lines = set()
+        for node, message in found:
+            if node.lineno not in lines:
+                lines.add(node.lineno)
+                yield self.finding(ctx, node, message)
 
 
 @register

@@ -16,15 +16,9 @@ idioms (``profiler = prof.ACTIVE`` + ``if profiler is not None``, span
 handles like ``if setup_span is not None: obs.end(setup_span)``) while
 still catching the dangerous case: a completely unguarded call.
 
-The rule also enforces a *tier* boundary: the request-telemetry types
-(:class:`~repro.obs.registry.MetricsRegistry`,
-:class:`~repro.obs.reqtrace.RequestTelemetry`,
-:class:`~repro.obs.slog.StructuredLog`) carry **wall-clock**
-observations, so any reference to them — import or use, guarded or not
-— inside a result-computing package (``sim``, ``mapreduce``, ``hdfs``,
-``arch``, ``cluster``) is flagged.  Those packages produce the numbers
-the paper reproduction stands on; host-time telemetry belongs to the
-serve/loadgen tier only (see DET003 for the raw wall-clock ban).
+Which packages may import the request-telemetry modules at all is not
+this rule's business: ARCH001 checks every import against the tier
+contract in ``import-contract.json``.
 """
 
 from __future__ import annotations
@@ -43,20 +37,6 @@ __all__ = ["UnguardedObsHandleRule"]
 #: deciding what is a handle (a ``with prof.profiled() as profiler``
 #: handle is non-None by construction and must not be flagged).
 _HANDLE_NAMES = frozenset({"obs", "profiler", "tel", "telemetry", "slog"})
-
-#: Packages whose outputs are simulation results; wall-clock telemetry
-#: types must never appear in them.
-_RESULT_TIER = ("src/repro/sim/", "src/repro/mapreduce/",
-                "src/repro/hdfs/", "src/repro/arch/", "src/repro/cluster/")
-
-#: Wall-clock telemetry types banned from the result tier.
-_TELEMETRY_TYPES = frozenset(
-    {"MetricsRegistry", "RequestTelemetry", "RequestTrace",
-     "StructuredLog"})
-
-#: Telemetry modules whose import marks a result-tier leak.
-_TELEMETRY_MODULES = frozenset(
-    {"repro.obs.registry", "repro.obs.reqtrace", "repro.obs.slog"})
 
 _ACTIVE_HANDLES = frozenset({
     "prof.ACTIVE", "repro.obs.prof.ACTIVE", "obs.prof.ACTIVE",
@@ -105,8 +85,6 @@ class UnguardedObsHandleRule(Rule):
         tree = ctx.tree
         if tree is None:
             return
-        if any(ctx.relpath.startswith(prefix) for prefix in _RESULT_TIER):
-            yield from self._check_result_tier(ctx, tree)
         parents: Optional[Dict[ast.AST, ast.AST]] = None
         aliases = self._handle_aliases(tree)
         for node in ast.walk(tree):
@@ -128,49 +106,6 @@ class UnguardedObsHandleRule(Rule):
                 f"call through observability handle {shown} without a "
                 f"None guard; assign it to a local and test "
                 f"`is not None` first (it is None on untraced runs)")
-
-    def _check_result_tier(self, ctx: FileContext,
-                           tree: ast.AST) -> Iterable[Finding]:
-        """Flag wall-clock telemetry leaking into result-computing code."""
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom):
-                # Relative imports drop the package prefix: both
-                # ``from repro.obs.reqtrace import ...`` and
-                # ``from ..obs.reqtrace import ...`` resolve here.
-                module = node.module or ""
-                is_telemetry_module = (
-                    module in _TELEMETRY_MODULES
-                    or any(module == m[len("repro."):]
-                           for m in _TELEMETRY_MODULES))
-                leaked = sorted(
-                    alias.name for alias in node.names
-                    if alias.name in _TELEMETRY_TYPES
-                    or (alias.name in ("reqtrace", "slog", "registry")
-                        and module.endswith("obs")))
-                if is_telemetry_module or leaked:
-                    what = ", ".join(leaked) if leaked else module
-                    yield self.finding(
-                        ctx, node,
-                        f"wall-clock telemetry ({what}) imported into a "
-                        f"result-computing package; request metrics, "
-                        f"traces, and structured logs belong to the "
-                        f"serve/loadgen tier only")
-            elif isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.name in _TELEMETRY_MODULES:
-                        yield self.finding(
-                            ctx, node,
-                            f"wall-clock telemetry module {alias.name} "
-                            f"imported into a result-computing package; "
-                            f"it belongs to the serve/loadgen tier only")
-            elif isinstance(node, ast.Name) and node.id in _TELEMETRY_TYPES \
-                    and isinstance(node.ctx, ast.Load):
-                yield self.finding(
-                    ctx, node,
-                    f"wall-clock telemetry type {node.id} used in a "
-                    f"result-computing package; request metrics, traces, "
-                    f"and structured logs belong to the serve/loadgen "
-                    f"tier only")
 
     @staticmethod
     def _handle_aliases(tree: ast.AST) -> Set[str]:

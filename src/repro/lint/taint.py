@@ -19,10 +19,12 @@ read that result.
     reads the clock too.
 
 **Unordered shapes**
-    Set displays and constructors, dict views of dicts not proven to
-    have deterministic insertion order, and directory listings.
-    Iterating one in a ``for``, a comprehension or ``list()``/
-    ``tuple()`` yields an order taint.
+    Set displays and constructors, and directory listings.  Iterating
+    one in a ``for``, a comprehension or ``list()``/``tuple()``/
+    ``dict()`` yields an order taint.  A dict iterates in insertion
+    order, so its views are not unordered shapes: ``d.keys()``,
+    ``d.values()`` and ``d.items()`` carry the order taints of ``d``
+    itself (a dict comprehension over a set has one).
 
 **Sanitizers / reducers** (facts leave the flow)
     ``sorted()`` erases order taints (sorting *defines* the order);
@@ -41,14 +43,9 @@ read that result.
     at the shape itself.
 
 **Proofs** (facts remove findings)
-    A dict display, a ``**kwargs`` parameter, a dict comprehension
-    over a deterministic iterable, or a module-level dict-literal
-    constant (resolved across imports by
-    :class:`ModuleConstantResolver`) is a ``det_dict``: its views
-    iterate in insertion order, which is source order, so they are not
-    unordered shapes.  A directory listing whose taint never reaches a
-    loop, sink, escape, or unknown call is only ever counted/reduced —
-    DET005 does not report it.
+    A directory listing whose taint never reaches a loop, sink, escape,
+    or unknown call is only ever counted/reduced — DET005 does not
+    report it.
 
 The per-file result is cached on the
 :class:`~repro.lint.registry.FileContext`, so all six rules share one
@@ -59,18 +56,16 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .astutil import dotted_name
-from .dataflow import (EMPTY, Facts, FunctionWalker, NameResolver, Shape,
-                       Taint, drop_shapes, order_taints, taints,
-                       value_taints)
+from .dataflow import (EMPTY, Facts, FunctionWalker, Shape, Taint,
+                       drop_shapes, order_taints, taints, value_taints)
 
 __all__ = ["ModuleDataflow", "Source", "SinkHit", "analyze", "dataflow_of",
-           "classify_call", "import_aliases", "ModuleConstantResolver",
-           "WALL_CLOCK_CALLS", "GLOBAL_RANDOM_FNS", "LISTING_CALLS",
-           "LISTING_METHODS", "SINK_METHODS", "ORDER_INSENSITIVE_CALLS"]
+           "classify_call", "import_aliases", "WALL_CLOCK_CALLS",
+           "GLOBAL_RANDOM_FNS", "LISTING_CALLS", "LISTING_METHODS",
+           "SINK_METHODS", "ORDER_INSENSITIVE_CALLS"]
 
 #: Wall-clock reads by dotted name.  ``datetime.now`` covers the
 #: ``from datetime import datetime`` spelling.
@@ -105,7 +100,7 @@ SINK_METHODS = frozenset({"append", "extend", "insert", "write",
 #: additionally erases value taints (a count depends on neither).
 ORDER_INSENSITIVE_CALLS = frozenset({
     "sorted", "len", "sum", "min", "max", "any", "all", "set",
-    "frozenset", "Counter", "collections.Counter", "dict",
+    "frozenset", "Counter", "collections.Counter",
     "statistics.mean", "statistics.median", "math.fsum",
 })
 
@@ -113,18 +108,21 @@ ORDER_INSENSITIVE_CALLS = frozenset({
 #: into an ordered value — materializing a set here is the hazard.
 _MATERIALIZING = frozenset({"list", "tuple"})
 
+#: ``dict()`` bakes its argument's order into the insertion order too,
+#: but a dict is mostly read by key: the order becomes a taint of the
+#: dict, and only reaching a sink reports it.
+_ORDERED_CONTAINERS = _MATERIALIZING | {"dict"}
+
 #: Lazy wrappers that pass iteration order through without consuming
 #: it: the result is exactly as (un)ordered as the argument, so shapes
 #: and taints both survive and any later loop/sink still sees them.
 _LAZY_WRAPPERS = frozenset({"reversed", "enumerate", "zip", "iter",
                             "filter", "map"})
 
-_DET_DICT = Shape("det_dict")
 _SET = Shape("set")
 _LISTING = Shape("listing")
-_DICT_VIEW = Shape("dict_view")
 _CLOCK_FN = Shape("clock_fn")
-_UNORDERED = frozenset({_SET, _DICT_VIEW, _LISTING})
+_UNORDERED = frozenset({_SET, _LISTING})
 
 
 # -- the source table -----------------------------------------------------
@@ -260,12 +258,10 @@ class ModuleDataflow:
     #: Unordered shapes iterated straight into a sink, as (anchor,
     #: message) — DET004.
     unordered_uses: List[Tuple[ast.AST, str]] = field(default_factory=list)
-    #: ``for`` nodes -> facts of their (Name/Attribute) iterable when it
-    #: holds an unordered shape or order taint.
+    #: ``for`` nodes -> facts of their iterable when it holds an
+    #: unordered shape or order taint (and is not a fresh set).
     loop_iter_facts: Dict[int, Tuple[ast.AST, Facts]] = \
         field(default_factory=dict)
-    #: ``d.values()/keys()/items()`` call id -> receiver proven det_dict.
-    proven_views: Set[int] = field(default_factory=set)
     #: Listing-call ids whose result provably never leaks order (only
     #: counted/reduced/sorted) — DET005 skips them.
     safe_listings: Set[int] = field(default_factory=set)
@@ -283,197 +279,12 @@ class ModuleDataflow:
     _sunk_loops: Set[int] = field(default_factory=set)
 
 
-# -- module-level constant resolution -------------------------------------
-
-#: Cross-module summaries: resolved path -> (stat signature, det-dict
-#: constant names).  Keyed on (mtime_ns, size) so editors and test
-#: fixtures that rewrite files invalidate naturally.
-_SUMMARY_CACHE: Dict[str, Tuple[Tuple[int, int], Set[str]]] = {}
-
-_MAX_RESOLVE_DEPTH = 3
-
-_DICT_MUTATORS = frozenset({"update", "pop", "popitem", "setdefault",
-                            "clear", "__setitem__"})
-
-
-def _det_dict_value(node: ast.AST) -> bool:
-    """Is *node* an expression that builds a det-insertion-order dict?"""
-    if isinstance(node, ast.Dict):
-        return not any(key is None for key in node.keys)  # no ** splat
-    if isinstance(node, ast.Call):
-        name = dotted_name(node.func)
-        if name == "dict":
-            return all(not isinstance(arg, (ast.Set, ast.SetComp))
-                       for arg in node.args)
-    if isinstance(node, ast.DictComp):
-        iters = [gen.iter for gen in node.generators]
-        return not any(isinstance(i, (ast.Set, ast.SetComp)) for i in iters)
-    return False
-
-
-def _module_dict_constants(tree: ast.Module) -> Set[str]:
-    """Module-level names bound exactly once to a det-dict expression
-    and never mutated anywhere in the module."""
-    candidates: Dict[str, int] = {}
-    for stmt in tree.body:
-        target: Optional[ast.AST] = None
-        value: Optional[ast.AST] = None
-        if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
-            target, value = stmt.targets[0], stmt.value
-        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-            target, value = stmt.target, stmt.value
-        if isinstance(target, ast.Name) and value is not None \
-                and _det_dict_value(value):
-            candidates[target.id] = candidates.get(target.id, 0) + 1
-    names = {name for name, count in candidates.items() if count == 1}
-    if not names:
-        return names
-    # Disqualify names that are re-bound or mutated anywhere.
-    stores: Dict[str, int] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and isinstance(node.ctx,
-                                                     (ast.Store, ast.Del)):
-            stores[node.id] = stores.get(node.id, 0) + 1
-        elif isinstance(node, ast.Subscript) \
-                and isinstance(node.ctx, (ast.Store, ast.Del)) \
-                and isinstance(node.value, ast.Name):
-            names.discard(node.value.id)
-        elif (isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in _DICT_MUTATORS
-                and isinstance(node.func.value, ast.Name)):
-            names.discard(node.func.value.id)
-    return {name for name in names if stores.get(name, 0) == 1}
-
-
-def _module_name(relpath: str) -> str:
-    """``src/repro/analysis/sweep.py`` -> ``repro.analysis.sweep``."""
-    parts = Path(relpath).with_suffix("").parts
-    if parts and parts[0] == "src":
-        parts = parts[1:]
-    if parts and parts[-1] == "__init__":
-        parts = parts[:-1]
-    return ".".join(parts)
-
-
-def _resolve_import_module(mod: str, is_pkg: bool,
-                           node: ast.ImportFrom) -> Optional[str]:
-    """Absolute module named by a (possibly relative) ``from`` import."""
-    if node.level == 0:
-        return node.module
-    parts = mod.split(".")
-    anchor = parts[:len(parts) - node.level + (1 if is_pkg else 0)]
-    if node.level > len(parts):
-        return None
-    return ".".join(anchor + ([node.module] if node.module else []))
-
-
-class ModuleConstantResolver(NameResolver):
-    """Resolve free names to facts via module-level constants.
-
-    Local module constants come from the file's own top level; imported
-    names are chased into their defining module (depth-capped, cycle-
-    guarded) when the repo root is known.  Only *positive* proofs are
-    produced: an unresolvable name simply has no facts.
-    """
-
-    def __init__(self, tree: ast.Module, relpath: str,
-                 root: Optional[Path]):
-        self.root = root
-        self.local = _module_dict_constants(tree)
-        self.imported: Dict[str, Tuple[str, str]] = {}
-        mod = _module_name(relpath)
-        is_pkg = relpath.endswith("__init__.py")
-        for stmt in tree.body:
-            if isinstance(stmt, ast.ImportFrom):
-                source = _resolve_import_module(mod, is_pkg, stmt)
-                if source is None:
-                    continue
-                for alias in stmt.names:
-                    self.imported[alias.asname or alias.name] = \
-                        (source, alias.name)
-
-    def resolve(self, name: str) -> Facts:
-        if name in self.local:
-            return frozenset({_DET_DICT})
-        if name in self.imported and self.root is not None:
-            source, original = self.imported[name]
-            if self._is_det_dict_in(source, original, depth=0,
-                                    seen=set()):
-                return frozenset({_DET_DICT})
-        return EMPTY
-
-    def _is_det_dict_in(self, module: str, name: str, depth: int,
-                        seen: Set[str]) -> bool:
-        if depth > _MAX_RESOLVE_DEPTH or module in seen:
-            return False
-        seen.add(module)
-        summary = self._summary(module)
-        if summary is None:
-            return False
-        constants, reexports = summary
-        if name in constants:
-            return True
-        if name in reexports:
-            source, original = reexports[name]
-            return self._is_det_dict_in(source, original, depth + 1, seen)
-        return False
-
-    def _module_path(self, module: str) -> Optional[Path]:
-        assert self.root is not None
-        rel = Path("src", *module.split("."))
-        for candidate in (self.root / rel / "__init__.py",
-                          self.root / rel.with_suffix(".py")):
-            if candidate.is_file():
-                return candidate
-        return None
-
-    def _summary(self, module: str):
-        path = self._module_path(module)
-        if path is None:
-            return None
-        key = str(path)
-        try:
-            stat = path.stat()
-            sig = (stat.st_mtime_ns, stat.st_size)
-        except OSError:
-            return None
-        cached = _SUMMARY_CACHE.get(key)
-        if cached is not None and cached[0] == sig:
-            return cached[1]
-        try:
-            tree = ast.parse(path.read_text(encoding="utf-8-sig"))
-        except (OSError, SyntaxError):
-            return None
-        constants = _module_dict_constants(tree)
-        reexports: Dict[str, Tuple[str, str]] = {}
-        mod_name = _module_name(
-            path.relative_to(self.root).as_posix())
-        is_pkg = path.name == "__init__.py"
-        for stmt in tree.body:
-            if isinstance(stmt, ast.ImportFrom):
-                source = _resolve_import_module(mod_name, is_pkg, stmt)
-                if source is None:
-                    continue
-                for alias in stmt.names:
-                    reexports[alias.asname or alias.name] = \
-                        (source, alias.name)
-        summary = (constants, reexports)
-        _SUMMARY_CACHE[key] = (sig, summary)
-        return summary
-
-
 # -- the determinism walker -----------------------------------------------
 
-#: How a variable-held iterable is described, most specific first.
-_HELD_DESC = ((_SET, "a set (hash order)"),
-              (_DICT_VIEW, "a dict view of unproven insertion order"))
-
-
 def _held_desc(facts: Facts) -> Optional[str]:
-    for shape, desc in _HELD_DESC:
-        if shape in facts:
-            return desc
+    """How a variable-held iterable is described, most specific first."""
+    if _SET in facts:
+        return "a set (hash order)"
     if any(t.kind == "setorder" for t in order_taints(facts)):
         return "a set-ordered sequence"
     return None
@@ -482,16 +293,16 @@ def _held_desc(facts: Facts) -> Optional[str]:
 class TaintWalker(FunctionWalker):
     """One scope's worth of determinism dataflow."""
 
-    def __init__(self, result: ModuleDataflow, resolver: NameResolver,
-                 sources: Dict[int, Source], aliases: Dict[str, str]):
-        super().__init__(resolver)
+    def __init__(self, result: ModuleDataflow, sources: Dict[int, Source],
+                 aliases: Dict[str, str]):
+        super().__init__()
         self.result = result
         self.sources = sources
         self.aliases = aliases
         #: dirorder taints born in this walk that stayed provably tame.
         self.tame_listings: Dict[Tuple[int, str], int] = {}
         #: Expression id -> description, for expressions that *create*
-        #: an unordered set or dict view (not one read from a variable).
+        #: an unordered set (not one read from a variable).
         self.created: Dict[int, str] = {}
 
     def _spend(self, facts: Facts) -> None:
@@ -565,12 +376,8 @@ class TaintWalker(FunctionWalker):
             attr = node.func.attr
             if attr in ("values", "keys", "items") and not node.args \
                     and not node.keywords:
-                if _DET_DICT in recv_facts:
-                    self.result.proven_views.add(id(node))
-                    return EMPTY
-                if attr != "items":
-                    self.created[id(node)] = f"dict.{attr}()"
-                return frozenset({_DICT_VIEW}) | value_taints(recv_facts)
+                # A view iterates in its dict's insertion order.
+                return taints(recv_facts)
             if attr in SINK_METHODS:
                 sink = f".{attr}()"
                 self._argument_uses(node.args, sink)
@@ -585,12 +392,6 @@ class TaintWalker(FunctionWalker):
                 if name in env:
                     env[name] = value_taints(env[name])
                 return EMPTY
-            if attr in _DICT_MUTATORS and isinstance(node.func.value,
-                                                     ast.Name):
-                name = node.func.value.id
-                if name in env and order_taints(merged):
-                    env[name] = frozenset(f for f in env[name]
-                                          if f != _DET_DICT)
 
         if dotted is not None:
             base = dotted.rsplit(".", 1)[-1]
@@ -602,21 +403,16 @@ class TaintWalker(FunctionWalker):
                 if dotted in ("set", "frozenset"):
                     self.created[id(node)] = dotted
                     return value_taints(merged) | frozenset({_SET})
-                if dotted == "dict":
-                    facts = value_taints(merged)
-                    if not order_taints(merged) \
-                            and not (merged & _UNORDERED):
-                        facts |= frozenset({_DET_DICT})
-                    return facts
                 # sorted/sum/min/max/any/all/...: order is consumed.
                 return value_taints(merged)
-            if dotted in _MATERIALIZING:
-                self._argument_uses(node.args, f"{dotted}()")
+            if dotted in _ORDERED_CONTAINERS:
+                if dotted in _MATERIALIZING:
+                    self._argument_uses(node.args, f"{dotted}()")
                 facts = taints(merged)
-                if _SET in merged or _DICT_VIEW in merged:
+                if _SET in merged:
                     facts |= frozenset({Taint(
                         "setorder", node.lineno,
-                        "materialized set/dict-view iteration")})
+                        "materialized set iteration")})
                     self._spend(facts)
                 if _LISTING in merged:
                     facts |= merged & frozenset({_LISTING})
@@ -676,15 +472,16 @@ class TaintWalker(FunctionWalker):
             self.result._loops[id(node)] = (
                 node.iter, f"loop over unordered {what} feeds an "
                            f"order-sensitive sink; iterate sorted({what})")
-        elif isinstance(node.iter, (ast.Name, ast.Attribute)) \
-                and (iter_facts & _UNORDERED or order_taints(iter_facts)):
+        elif iter_facts & _UNORDERED or order_taints(iter_facts):
             prior = self.result.loop_iter_facts.get(id(node))
             merged = iter_facts | (prior[1] if prior is not None else EMPTY)
             self.result.loop_iter_facts[id(node)] = (node, merged)
             held = _held_desc(merged)
             if held is not None:
+                named = isinstance(node.iter, (ast.Name, ast.Attribute))
+                where = "a variable" if named else "an expression"
                 self.result._loops[id(node)] = (
-                    node.iter, f"loop over a variable holding {held} "
+                    node.iter, f"loop over {where} holding {held} "
                                f"feeds an order-sensitive sink; iterate "
                                f"sorted(...) instead")
         self._spend(iter_facts)
@@ -720,8 +517,7 @@ class TaintWalker(FunctionWalker):
 _SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
-def analyze(tree: ast.Module, relpath: str,
-            root: Optional[Path] = None) -> ModuleDataflow:
+def analyze(tree: ast.Module) -> ModuleDataflow:
     """Run the determinism analysis over every scope of one module."""
     result = ModuleDataflow()
     aliases = import_aliases(tree)
@@ -736,9 +532,8 @@ def analyze(tree: ast.Module, relpath: str,
         elif isinstance(node, _SCOPES):
             scopes.append(node)
 
-    resolver = ModuleConstantResolver(tree, relpath, root)
     for scope in scopes:
-        walker = TaintWalker(result, resolver, sources, aliases)
+        walker = TaintWalker(result, sources, aliases)
         if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
             walker.run_function(scope)
         else:
@@ -762,6 +557,6 @@ def dataflow_of(ctx) -> ModuleDataflow:
         if tree is None:
             cached = ModuleDataflow()
         else:
-            cached = analyze(tree, ctx.relpath, ctx.root)
+            cached = analyze(tree)
         ctx._dataflow = cached
     return cached

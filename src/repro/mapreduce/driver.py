@@ -92,10 +92,6 @@ class JobResult:
     stages: List[StageTiming] = field(default_factory=list)
 
     @property
-    def total_input_bytes(self) -> float:
-        return self.data_per_node_bytes * self.n_nodes
-
-    @property
     def dynamic_energy_j(self) -> float:
         """Dynamic energy — the paper's (avg power − idle) × time."""
         return self.energy.dynamic_joules
@@ -406,7 +402,7 @@ class _PhaseRunner:
         # Attempt dicts fill in simulated-event order, which is fixed
         # under a seed; interrupt delivery must follow that order, not
         # an alphabetical one (audited for PR 5, see docs/LINTING.md).
-        for loser in list(rec.running.values()):  # detlint: disable=DET004 -- insertion order is event order
+        for loser in list(rec.running.values()):
             loser.process.interrupt("lost the speculation race")
         self.log.append(rec)
         self.outstanding -= 1

@@ -10,24 +10,27 @@ One substrate, three uses told apart by clock and scope.  There is one
 span record (:class:`SpanRecord`), one Chrome trace exporter
 (:mod:`repro.obs.export`), one histogram (:class:`LogHistogram`, which
 carries its own running sum) and one metrics registry
-(:class:`MetricsRegistry`):
+(:mod:`repro.obs.registry`):
 
 * :class:`Tracer` (attached) records spans in *simulated* time and
   describes the modeled cluster;
 * :class:`Profiler` (:mod:`repro.obs.prof`) keeps one histogram per
   phase of *wall* time and describes what the reproduction costs the
   host;
-* :class:`RequestTrace` (:mod:`repro.obs.reqtrace`) records spans in
-  *wall* time for one serve-tier request, :class:`MetricsRegistry`
-  renders the serve tier's Prometheus metrics, and
-  :class:`StructuredLog` writes JSON-lines events correlated by request
-  id.
+* ``RequestTrace`` (:mod:`repro.obs.reqtrace`) records spans in
+  *wall* time for one serve-tier request, ``MetricsRegistry``
+  (:mod:`repro.obs.registry`) renders the serve tier's Prometheus
+  metrics, and ``StructuredLog`` (:mod:`repro.obs.slog`) writes
+  JSON-lines events correlated by request id.
 
-The clock split is enforced by the ARCH001/OBS001 lint rules: wall-clock
-telemetry never reaches the result-computing packages.
+The three request-telemetry modules are imported by their own names
+(``from repro.obs.registry import MetricsRegistry``), never through this
+package, so a model process loads none of them and the ARCH001 lint
+rule sees every such import as an edge into the ``telemetry`` tier:
+wall-clock telemetry never reaches the result-computing packages.
 """
 
-from . import prof, reqtrace, slog
+from . import prof
 from .export import (perfetto_json, perfetto_trace, request_json,
                      request_trace, text_summary, timeline_csv,
                      write_trace_files)
@@ -35,18 +38,12 @@ from .invariants import (InvariantReport, TraceInvariantError, Violation,
                          check_intervals, check_job, verify_job)
 from .metrics import Counter, LogHistogram
 from .prof import Profiler
-from .registry import (ExpositionError, MetricsRegistry, parse_exposition)
-from .reqtrace import RequestTelemetry, RequestTrace
-from .slog import StructuredLog
 from .spans import EventRecord, JobTrace, NodeInfo, SpanRecord, Tracer
 
 __all__ = [
     "Tracer", "JobTrace", "NodeInfo", "SpanRecord", "EventRecord",
     "Counter", "LogHistogram",
     "prof", "Profiler",
-    "reqtrace", "RequestTelemetry", "RequestTrace",
-    "slog", "StructuredLog",
-    "MetricsRegistry", "ExpositionError", "parse_exposition",
     "check_intervals", "check_job", "verify_job",
     "InvariantReport", "Violation", "TraceInvariantError",
     "perfetto_trace", "perfetto_json", "request_trace", "request_json",

@@ -32,8 +32,9 @@ validates a scraped document from the command line.
 
 Wall-clock policy: the registry itself never reads any clock — callers
 observe durations and hand them in — but it exists to carry *wall*
-observations, so the OBS001 lint rule bans it (alongside request traces
-and structured logs) from every result-computing package.
+observations, so the import contract (lint rule ARCH001) puts it in the
+``telemetry`` tier, with request traces and structured logs, which no
+model package may import.
 """
 
 from __future__ import annotations

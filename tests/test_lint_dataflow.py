@@ -3,15 +3,14 @@
 The rule-level behavior (which findings DET003-006 emit) lives in
 ``test_lint_rules.py``; this file pins the *engine* semantics the rules
 build on — propagation through unpacking, branches and loop fixpoints,
-sanitizer effects, shape tracking through lazy wrappers, the det-dict
-and tame-listing proofs, and the cross-module constant resolver.
+sanitizer effects, shape tracking through lazy wrappers, dict views
+carrying their dict's order, and the tame-listing proof.
 """
 
 from __future__ import annotations
 
 import ast
 import textwrap
-from pathlib import Path
 
 from repro.lint.registry import FileContext
 from repro.lint.taint import analyze, dataflow_of
@@ -19,9 +18,8 @@ from repro.lint.taint import analyze, dataflow_of
 ANY = "src/repro/analysis/example.py"
 
 
-def flow(source: str, relpath: str = ANY, root=None):
-    source = textwrap.dedent(source)
-    return analyze(ast.parse(source), relpath, root)
+def flow(source: str):
+    return analyze(ast.parse(textwrap.dedent(source)))
 
 
 class TestValuePropagation:
@@ -145,12 +143,13 @@ class TestShapes:
         assert result.order_hits == []
 
     def test_kwargs_views_are_proven(self):
+        # Dicts iterate in insertion order: keyword order here.
         result = flow("""\
             def f(**kw):
                 return tuple(kw.keys())
             """)
-        assert len(result.proven_views) == 1
         assert result.order_hits == []
+        assert result.unordered_uses == []
 
     def test_local_dict_display_views_are_proven(self):
         result = flow("""\
@@ -158,17 +157,32 @@ class TestShapes:
                 d = {"atom": 1, "xeon": 2}
                 return list(d.values())
             """)
-        assert len(result.proven_views) == 1
+        assert result.order_hits == []
+        assert result.unordered_uses == []
 
-    def test_mutated_module_dict_is_not_proven(self):
+    def test_dict_views_of_plain_dicts_carry_no_order_taint(self):
+        # Whatever order the program inserted in is deterministic
+        # unless a set supplied it: a mutated module constant and a
+        # parameter are no hazard.
         result = flow("""\
             TABLE = {"a": 1}
             def g():
                 TABLE["x"] = 2
-            def f():
-                return list(TABLE.values())
+            def f(d):
+                return list(TABLE.values()), list(d.items())
             """)
-        assert result.proven_views == set()
+        assert result.order_hits == []
+        assert result.unordered_uses == []
+
+    def test_dict_view_carries_its_dicts_set_order(self):
+        result = flow("""\
+            def f(xs):
+                table = {k: 1 for k in set(xs)}
+                view = table.values()
+                return list(view)
+            """)
+        assert [h.taint.kind for h in result.order_hits] == ["setorder"]
+        assert result.order_hits[0].sink == "return"
 
 
 class TestListings:
@@ -214,55 +228,6 @@ class TestClockAliases:
         assert result.clock_alias_calls[0][1] == "clock"
         # The call's value is a wall-clock taint reaching `return`.
         assert [h.taint.kind for h in result.value_hits] == ["wallclock"]
-
-
-class TestCrossModuleConstants:
-    def _write(self, root: Path, relpath: str, source: str) -> None:
-        path = root / relpath
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(textwrap.dedent(source), encoding="utf-8")
-
-    def test_imported_dict_constant_is_proven(self, tmp_path):
-        self._write(tmp_path, "src/repro/analysis/tables.py", """\
-            SUITE = {"bzip2": 1.0, "mcf": 2.0}
-            """)
-        self._write(tmp_path, "src/repro/analysis/user.py", """\
-            from .tables import SUITE
-            def f():
-                return list(SUITE.values())
-            """)
-        user = (tmp_path / "src/repro/analysis/user.py").read_text()
-        result = analyze(ast.parse(user), "src/repro/analysis/user.py",
-                         tmp_path)
-        assert len(result.proven_views) == 1
-
-    def test_reexported_constant_is_chased(self, tmp_path):
-        self._write(tmp_path, "src/repro/analysis/tables.py", """\
-            SUITE = {"bzip2": 1.0}
-            """)
-        self._write(tmp_path, "src/repro/analysis/__init__.py", """\
-            from .tables import SUITE
-            """)
-        self._write(tmp_path, "src/repro/core/user.py", """\
-            from repro.analysis import SUITE
-            def f():
-                return list(SUITE.values())
-            """)
-        user = (tmp_path / "src/repro/core/user.py").read_text()
-        result = analyze(ast.parse(user), "src/repro/core/user.py",
-                         tmp_path)
-        assert len(result.proven_views) == 1
-
-    def test_unresolvable_import_yields_no_proof(self, tmp_path):
-        self._write(tmp_path, "src/repro/analysis/user.py", """\
-            from .missing import SUITE
-            def f():
-                return list(SUITE.values())
-            """)
-        user = (tmp_path / "src/repro/analysis/user.py").read_text()
-        result = analyze(ast.parse(user), "src/repro/analysis/user.py",
-                         tmp_path)
-        assert result.proven_views == set()
 
 
 class TestCaching:

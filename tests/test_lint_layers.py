@@ -11,8 +11,13 @@ from __future__ import annotations
 import ast
 import io
 import json
+import os
+import subprocess
+import sys
 import textwrap
 from pathlib import Path
+
+import pytest
 
 from repro.lint.cli import run_lint
 from repro.lint.layers import (Contract, ModuleGraph, iter_import_edges,
@@ -244,6 +249,84 @@ class TestARCH001:
         assert run_lint(root=str(root), stdout=io.StringIO()) == 0
 
 
+class TestARCH001TelemetryTier:
+    """The committed contract keeps wall-clock telemetry out of the model.
+
+    Each fixture lints one module against a copy of the real
+    ``import-contract.json``, beside stub ``repro.obs`` modules.
+    """
+
+    def _lint(self, tmp_path, relpath, source):
+        root = _fixture_repo(tmp_path)
+        _write(root, "import-contract.json",
+               (ROOT / "import-contract.json").read_text(encoding="utf-8"))
+        for name in ("__init__", "prof", "registry", "reqtrace", "slog"):
+            _write(root, f"src/repro/obs/{name}.py", "x = 1\n")
+        _write(root, relpath, source)
+        out = io.StringIO()
+        code = run_lint(root=str(root), output_format="json", stdout=out)
+        return code, [f for f in json.loads(out.getvalue())["findings"]
+                      if f["rule"] == "ARCH001"]
+
+    @pytest.mark.parametrize("relpath, source, target", [
+        ("src/repro/sim/example.py",
+         "def f():\n    from ..obs.registry import MetricsRegistry\n",
+         "repro.obs.registry"),
+        ("src/repro/mapreduce/example.py",
+         "from ..obs.reqtrace import RequestTelemetry\n",
+         "repro.obs.reqtrace"),
+        ("src/repro/cluster/example.py",
+         "from ..obs import slog\n", "repro.obs.slog"),
+    ], ids=["sim", "mapreduce", "cluster"])
+    def test_model_import_fails(
+            self, tmp_path, relpath, source, target):
+        code, found = self._lint(tmp_path, relpath, source)
+        assert code == 1 and len(found) == 1
+        assert f"{target} (telemetry tier)" in found[0]["message"]
+        assert found[0]["path"] == relpath
+
+    def test_same_import_in_serve_tier_passes(self, tmp_path):
+        code, found = self._lint(
+            tmp_path, "src/repro/serve/example.py",
+            "from repro.obs.registry import MetricsRegistry\n")
+        assert code == 0 and found == []
+
+    def test_prof_import_still_allowed_in_model(self, tmp_path):
+        # The per-phase profiler is sanctioned in the model packages;
+        # only the request-telemetry trio is tier-restricted.
+        code, found = self._lint(
+            tmp_path, "src/repro/sim/example.py",
+            "from ..obs import prof\n")
+        assert code == 0 and found == []
+
+
+class TestTelemetryOutOfModelProcesses:
+    """``repro.obs`` must not drag the telemetry modules into a model
+    process: importing them by name is what ARCH001 can check."""
+
+    def test_no_telemetry_module_loaded(self):
+        probe = textwrap.dedent("""\
+            import json, sys
+            import repro.core.characterization
+            loaded = sorted(m for m in sys.modules
+                            if m.startswith("repro.obs."))
+            try:
+                from repro.obs import MetricsRegistry
+                exported = True
+            except ImportError:
+                exported = False
+            print(json.dumps([loaded, exported]))
+            """)
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, check=True)
+        loaded, exported = json.loads(proc.stdout)
+        assert "repro.obs.prof" in loaded  # the probe saw the package
+        assert not {"repro.obs.registry", "repro.obs.reqtrace",
+                    "repro.obs.slog"} & set(loaded)
+        assert exported is False
+
+
 class TestGraphCli:
     def _repo(self, tmp_path):
         root = _fixture_repo(tmp_path)
@@ -264,12 +347,6 @@ class TestGraphCli:
         assert run_lint(root=str(self._repo(tmp_path)), graph="dot",
                         stdout=out) == 0
         assert out.getvalue().startswith("digraph repro_imports {")
-
-    def test_changed_outside_git_falls_back_to_full_tree(self, tmp_path):
-        root = self._repo(tmp_path)
-        out = io.StringIO()
-        assert run_lint(root=str(root), changed=True, stdout=out) == 0
-        assert "full tree" in out.getvalue()
 
 
 class TestCommittedTreeSelfCheck:

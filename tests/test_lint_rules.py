@@ -343,6 +343,27 @@ class TestDET004UnsortedSetIteration:
                     rows.append(loser)
             """)
 
+    def test_positive_values_into_list(self):
+        # list() keeps the view's order: a dict filled from a set hands
+        # its hash order on to whatever the list reaches.
+        found = hits("DET004", """\
+            def f(jobs, rows):
+                running = {job: 0 for job in set(jobs)}
+                snapshot = list(running.values())
+                rows.extend(snapshot)
+            """)
+        assert [f.line for f in found] == [4]
+        assert ".extend()" in found[0].message
+
+    def test_positive_module_level_keys_into_tuple(self):
+        # Module-level code is walked like a function body.
+        found = hits("DET004", """\
+            registry = {name: 1 for name in set(raw)}
+            names = tuple(registry.keys())
+            header = ",".join(names)
+            """)
+        assert len(found) == 1 and ".join()" in found[0].message
+
     def test_positive_dict_comp_over_set_values(self):
         # The view carries the order its dict was filled in.
         found = hits("DET004", """\

@@ -45,7 +45,6 @@ from ..core import characterization
 from ..core.characterization import Cell, RunKey
 from ..mapreduce.config import DEFAULT_CONF, JobConf
 from ..mapreduce.driver import JobResult
-from ..obs import prof
 
 __all__ = ["CellError", "CacheStats", "ResultCache", "cache_key",
            "default_cache_dir", "model_fingerprint", "resolve_jobs",
@@ -201,13 +200,6 @@ class ResultCache:
     def get(self, key: RunKey, conf: JobConf = DEFAULT_CONF
             ) -> Optional[JobResult]:
         """Return the cached result for a cell, or None (counted a miss)."""
-        profiler = prof.ACTIVE
-        if profiler is not None:
-            with profiler.phase("cache.get"):
-                return self._get(key, conf)
-        return self._get(key, conf)
-
-    def _get(self, key: RunKey, conf: JobConf) -> Optional[JobResult]:
         entry = self._entry(key, conf)
         try:
             with open(entry, "rb") as fh:
@@ -239,14 +231,6 @@ class ResultCache:
 
     def put(self, key: RunKey, conf: JobConf, result: JobResult) -> None:
         """Persist one cell atomically."""
-        profiler = prof.ACTIVE
-        if profiler is not None:
-            with profiler.phase("cache.put"):
-                self._put(key, conf, result)
-            return
-        self._put(key, conf, result)
-
-    def _put(self, key: RunKey, conf: JobConf, result: JobResult) -> None:
         self._bucket.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=self._bucket, suffix=".tmp")
         try:
@@ -327,8 +311,8 @@ def _simulate_worker(key: RunKey, conf: JobConf) -> JobResult:
 def run_cells(cells: Sequence[Cell],
               conf: JobConf = DEFAULT_CONF,
               jobs: Optional[int] = 1,
-              cache: Optional[ResultCache] = None,
-              obs=None) -> Dict[Cell, JobResult]:
+              cache: Optional[ResultCache] = None
+              ) -> Dict[Cell, JobResult]:
     """Simulate a batch of cells, in parallel when ``jobs > 1``.
 
     A cell is a :class:`RunKey`, simulated under *conf*, or a
@@ -340,11 +324,6 @@ def run_cells(cells: Sequence[Cell],
     written back to it.  The serial path calls
     ``characterization.simulate_cell`` through its module, so a wrapper
     installed there sees every cell.
-
-    ``obs`` (a host-clock :class:`repro.obs.Tracer`) records per-cell
-    wall-time spans, cache hit/miss tallies and the pool's in-flight
-    occupancy.  This is *host-side* instrumentation — wall-clock
-    timestamps, never deterministic, never part of a job trace.
 
     Raises :class:`CellError` (with the cell's coordinates) on the first
     failing cell.
@@ -358,62 +337,29 @@ def run_cells(cells: Sequence[Cell],
         hit = cache.get(key, cell_conf) if cache is not None else None
         if hit is not None:
             results[cell] = hit
-            if obs is not None:
-                obs.count("cache.hits")
         else:
             pending.append(cell)
-            if obs is not None and cache is not None:
-                obs.count("cache.misses")
 
-    profiler = prof.ACTIVE
     if jobs <= 1 or len(pending) <= 1:
         for cell in pending:
             key, cell_conf = pairs[cell]
-            span = (obs.begin(key.describe(), ("executor", "serial"),
-                              cat="cell") if obs is not None else None)
-            w0 = profiler.clock() if profiler is not None else 0.0
             try:
                 results[cell] = characterization.simulate_cell(key,
                                                                cell_conf)
             except Exception as exc:
                 raise CellError(key, exc) from exc
-            finally:
-                if profiler is not None:
-                    profiler.record("executor.simulate",
-                                    profiler.clock() - w0)
-                if span is not None:
-                    obs.end(span)
             if cache is not None:
                 cache.put(key, cell_conf, results[cell])
     else:
-        inflight = (obs.counter("executor.inflight", "cells")
-                    if obs is not None else None)
         with ProcessPoolExecutor(max_workers=min(jobs, len(pending))) as pool:
-            w0 = profiler.clock() if profiler is not None else 0.0
             futures = [(cell, pool.submit(_simulate_worker, *pairs[cell]))
                        for cell in pending]
-            if profiler is not None:
-                profiler.record("executor.submit", profiler.clock() - w0,
-                                calls=len(futures))
-            if inflight is not None:
-                inflight.set(obs.clock(), float(len(futures)))
             for cell, future in futures:
                 key, cell_conf = pairs[cell]
-                span = (obs.begin(key.describe(), ("executor", "pool"),
-                                  cat="cell") if obs is not None else None)
-                w0 = profiler.clock() if profiler is not None else 0.0
                 try:
                     results[cell] = future.result()
                 except Exception as exc:
                     raise CellError(key, exc) from exc
-                finally:
-                    if profiler is not None:
-                        profiler.record("executor.drain",
-                                        profiler.clock() - w0)
-                    if span is not None:
-                        obs.end(span)
-                    if inflight is not None:
-                        inflight.add(obs.clock(), -1.0)
                 if cache is not None:
                     cache.put(key, cell_conf, results[cell])
 

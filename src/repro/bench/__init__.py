@@ -2,7 +2,7 @@
 
 ``repro.bench`` times the *reproduction itself* — engine event
 dispatch, single-job simulation, the datacenter scheduling loop,
-trace export, whole-tree lint, profiler overhead — as a pinned
+trace export, whole-tree lint — as a pinned
 scenario suite executed median-of-k with warmup, and writes a
 schema-versioned ``BENCH_<timestamp>.json`` (git rev, host info,
 per-scenario wall times and exact work counts).  Wall times are for

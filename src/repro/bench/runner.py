@@ -6,12 +6,12 @@ records every rep plus median/min/max/mean, so a reader can judge the
 noise; wall times are host-specific and nothing gates on them.
 
 What is gated is each row's ``counts``: one untimed call of the
-scenario with the wall-clock profiler installed, giving the scenario's
-metrics plus the profiler's meta counters (engine events by kind) and
-every phase's call count.  These are exact and the same on any host;
-``tests/test_bench.py`` pins them through :func:`scenario_counts`, the
-function the runner calls, so a change in the work a scenario does is
-a review diff that names the scenario and the count.
+scenario with a work counter installed (:mod:`repro.obs.prof`), giving
+the scenario's metrics plus the counter's tallies (engine events,
+driver stages, HDFS placements).  These are exact and the same on any
+host; ``tests/test_bench.py`` pins them through :func:`scenario_counts`,
+the function the runner calls, so a change in the work a scenario does
+is a review diff that names the scenario and the count.
 
 The report is schema-versioned (:data:`BENCH_SCHEMA`,
 :data:`BENCH_SCHEMA_VERSION`), and the version bumps on any breaking
@@ -73,19 +73,16 @@ def host_info() -> Dict[str, object]:
 
 
 def scenario_counts(scenario: Scenario, ctx) -> Dict[str, float]:
-    """The scenario's exact work counts, from one profiled call.
+    """The scenario's exact work counts, from one counted call.
 
-    The scenario's metrics, the profiler's meta counters and each
-    phase's call count as ``<phase>.calls``.  The setup runs first, so
-    a count never depends on which call built a fixture.
+    The scenario's metrics plus the work counter's tallies.  The setup
+    runs first, so a count never depends on which call built a fixture.
     """
     if scenario.setup is not None:
         scenario.setup(ctx)
     with prof.profiled() as profiler:
         counts = dict(scenario.fn(ctx))
-    counts.update(profiler.meta)
-    counts.update((f"{name}.calls", hist.total)
-                  for name, hist in profiler.phases.items())
+    counts.update(profiler.counts)
     return dict(sorted(counts.items()))
 
 
@@ -118,15 +115,14 @@ def _time_scenario(scenario: Scenario, ctx, repeat: int, warmup: int
 def run_suite(names: Optional[Sequence[str]] = None,
               repeat: Optional[int] = None,
               warmup: Optional[int] = None,
-              profile: bool = True,
               progress: Optional[Callable[[str], None]] = None
               ) -> Dict[str, object]:
     """Run the (selected) scenario suite and return the report dict.
 
     *repeat* and *warmup* default to :data:`DEFAULT_REPEAT` and
-    :data:`DEFAULT_WARMUP`.  With *profile* each counted scenario's row
-    carries its :func:`scenario_counts`; without, ``counts`` is
-    ``None``.  Unknown *names* raise ``ValueError`` before anything runs.
+    :data:`DEFAULT_WARMUP`.  Each counted scenario's row carries its
+    :func:`scenario_counts`; an uncounted one's ``counts`` is ``None``.
+    Unknown *names* raise ``ValueError`` before anything runs.
     """
     if names:
         known = set(scenario_names())
@@ -153,7 +149,7 @@ def run_suite(names: Optional[Sequence[str]] = None,
                 f"{warmup} warmup) ...")
             row = _time_scenario(scenario, ctx, repeat, warmup)
             row["counts"] = (scenario_counts(scenario, ctx)
-                             if profile and scenario.counted else None)
+                             if scenario.counted else None)
             scenarios[scenario.name] = row
     finally:
         cleanup_context(ctx)

@@ -7,8 +7,7 @@ path of the reproduction.  Configurations are **pinned**, so any two
 A scenario is a callable taking a :class:`ScenarioContext` (memoized
 expensive fixtures) and returning a dict of metrics; the runner times
 the call.  Metrics are work counts and simulated outputs, never host
-rates, so they are the same on every host (the profiler self-check,
-whose outputs are timings, is the exception).  Set-up that must not be
+rates, so they are the same on every host.  Set-up that must not be
 timed or counted (building the traced run for the export scenario,
 pre-simulating the datacenter's inner cells) is the scenario's
 ``setup``, which the runner calls before any repetition.
@@ -16,9 +15,6 @@ pre-simulating the datacenter's inner cells) is the scenario's
 
 from __future__ import annotations
 
-import gc
-import statistics
-import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
@@ -27,7 +23,7 @@ from ..cluster.datacenter import (DatacenterSpec, default_job_model,
                                   run_policies)
 from ..core.characterization import Characterizer
 from ..mapreduce.driver import simulate_job
-from ..obs import Tracer, perfetto_json, prof, text_summary, timeline_csv
+from ..obs import Tracer, perfetto_json, text_summary, timeline_csv
 from ..sim.engine import Simulator
 
 __all__ = ["Scenario", "ScenarioContext", "SCENARIOS", "scenario_names"]
@@ -40,11 +36,6 @@ _ENGINE_TIMEOUTS = 10
 #: scaled up so one run takes tens of milliseconds — enough to dwarf
 #: timer noise, small enough for median-of-k in CI).
 _JOB_GB = {"wordcount": 4.0, "terasort": 4.0, "kmeans": 2.0}
-
-#: Fixed workload for the profiler-overhead self-check, and the number
-#: of timed off/on pairs it takes the median ratio of.
-_OVERHEAD_GB = 2.0
-_OVERHEAD_PAIRS = 21
 
 #: Pinned datacenter scenario: a small mixed cluster replaying a fixed
 #: 12-job stream under two policies.  The inner per-job cells are
@@ -90,16 +81,15 @@ class Scenario:
     """One pinned measurement: the runner times ``fn(ctx)``."""
 
     name: str
-    kind: str          #: ``micro`` | ``macro`` | ``self``
+    kind: str          #: ``micro`` | ``macro``
     description: str
     fn: Callable[[ScenarioContext], Dict[str, float]]
     #: Builds the memoized fixtures ``fn`` reads, before it is timed or
     #: counted, so no repetition and no count includes their cost.
     setup: Optional[Callable[[ScenarioContext], object]] = None
-    #: Profiled on its own for the report's ``counts``, which
+    #: Counted on its own for the report's ``counts``, which
     #: ``tests/test_bench.py`` pins.  Off for whole-tree lint, whose
-    #: counts describe the checkout (the lint job gates its findings),
-    #: and for the overhead self-check, whose outputs are timings.
+    #: counts describe the checkout (the lint job gates its findings).
     counted: bool = True
 
 
@@ -173,44 +163,6 @@ def lint_tree_scenario(ctx: ScenarioContext) -> Dict[str, float]:
             "suppressed": float(result.suppressed)}
 
 
-def profiler_overhead(ctx: ScenarioContext) -> Dict[str, float]:
-    """Self-check: wall cost of the same job with profiling off vs on.
-
-    Times :data:`_OVERHEAD_PAIRS` off/on pairs, alternating which side
-    runs first so drift lands on both, and reports the median of the
-    pairs' on/off ratios: a noise burst moves a pair or two, not the
-    median.  Each timed run starts from a fresh ``gc.collect()`` so that
-    a collection cannot land in one side at random, which on this ~8 ms
-    job was the largest source of noise.  A tier-1 test asserts the
-    overhead stays under 10%; the profiler's whole design (coarse
-    phases, batched engine timing) exists to keep it there.
-    """
-    def once(profiled: bool) -> float:
-        gc.collect()
-        t0 = time.perf_counter()
-        if profiled:
-            with prof.profiled():
-                simulate_job("atom", "wordcount",
-                             data_per_node_gb=_OVERHEAD_GB)
-        else:
-            simulate_job("atom", "wordcount", data_per_node_gb=_OVERHEAD_GB)
-        return time.perf_counter() - t0
-
-    once(False), once(True)   # untimed warmup pair: absorb cold-start cost
-    offs, ons = [], []
-    for i in range(_OVERHEAD_PAIRS):
-        if i % 2:
-            ons.append(once(True))
-            offs.append(once(False))
-        else:
-            offs.append(once(False))
-            ons.append(once(True))
-    ratio = statistics.median(on / off for off, on in zip(offs, ons))
-    return {"baseline_s": statistics.median(offs),
-            "profiled_s": statistics.median(ons),
-            "overhead_pct": (ratio - 1.0) * 100.0}
-
-
 #: The pinned suite, in execution order.
 SCENARIOS: List[Scenario] = [
     Scenario("engine.throughput", "micro",
@@ -235,9 +187,6 @@ SCENARIOS: List[Scenario] = [
     Scenario("lint.tree", "macro",
              "full-tree determinism/architecture lint (dataflow + ARCH001)",
              lint_tree_scenario, counted=False),
-    Scenario("prof.overhead", "self",
-             "profiler-overhead self-check (same job, profiling off vs on)",
-             profiler_overhead, counted=False),
 ]
 
 

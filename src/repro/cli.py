@@ -338,9 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench_flags.add_argument("--out", "-o", default=None, metavar="FILE",
                              help="report path (default "
                                   "BENCH_<timestamp>.json in cwd)")
-    bench_flags.add_argument("--no-profile", action="store_true",
-                             help="skip the profiled pass (no work counts "
-                                  "in the report)")
 
     bench = sub.add_parser(
         "bench", parents=[bench_flags],
@@ -548,7 +545,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     try:
         report = run_suite(
             names=args.scenario, repeat=args.repeat, warmup=args.warmup,
-            profile=not args.no_profile,
             progress=lambda msg: print(msg, file=sys.stderr))
     except ValueError as exc:
         print(f"repro-hadoop: error: {exc}", file=sys.stderr)

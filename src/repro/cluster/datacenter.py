@@ -21,9 +21,8 @@ times the stream repeats them.  What that equivalence deliberately does
 
 The observability hooks mirror the per-job driver: pass a
 :class:`repro.obs.Tracer` and the run records per-job wait/run spans,
-queue-depth and busy-node counters on the outer simulated clock, while
-:mod:`repro.obs.prof` phases separate outer-loop cost from inner-model
-cost.
+queue-depth and busy-node counters on the outer simulated clock, and
+:mod:`repro.obs.prof` counts the runs.
 """
 
 from __future__ import annotations
@@ -325,8 +324,6 @@ def run_datacenter(spec: DatacenterSpec, stream: Sequence[JobRequest],
     per-job simulator.
     """
     _validate(spec, stream)
-    profiler = prof.ACTIVE
-    w_run = profiler.clock() if profiler is not None else 0.0
     model = (job_model if job_model is not None
              else default_job_model(freq_ghz=spec.freq_ghz))
     sim = Simulator()
@@ -342,7 +339,7 @@ def run_datacenter(spec: DatacenterSpec, stream: Sequence[JobRequest],
 
     run = DatacenterRun(policy=policy.name, spec=spec)
     queue: List[JobRequest] = []
-    state = {"done": 0, "inner_s": 0.0}
+    state = {"done": 0}
     wake: List = [sim.event()]
 
     def _wake() -> None:
@@ -409,10 +406,7 @@ def run_datacenter(spec: DatacenterSpec, stream: Sequence[JobRequest],
         free[pool] -= request.nodes
         policy.on_start(request, lease, sim.now)
         queue.remove(request)
-        w0 = profiler.clock() if profiler is not None else 0.0
         result = model(pool, request)
-        if profiler is not None:
-            state["inner_s"] += profiler.clock() - w0
         span = None
         if obs is not None:
             span = obs.begin(
@@ -445,10 +439,9 @@ def run_datacenter(spec: DatacenterSpec, stream: Sequence[JobRequest],
     if obs is not None:
         obs.count("dc.grants", len(stream))
         obs.meta["dc.makespan_s"] = run.makespan_s
+    profiler = prof.ACTIVE
     if profiler is not None:
-        total = profiler.clock() - w_run
-        profiler.record("datacenter.inner", state["inner_s"])
-        profiler.record("datacenter.outer", total - state["inner_s"])
+        profiler.count("datacenter.outer.calls")
     return run
 
 

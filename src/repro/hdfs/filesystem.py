@@ -69,10 +69,7 @@ class HDFS:
         """
         profiler = prof.ACTIVE
         if profiler is not None:
-            with profiler.phase("hdfs.load_input"):
-                blocks = split_input(file, total_bytes,
-                                     self.block_size_bytes)
-                return self.namenode.register_file(file, blocks)
+            profiler.count("hdfs.load_input.calls")
         blocks = split_input(file, total_bytes, self.block_size_bytes)
         return self.namenode.register_file(file, blocks)
 

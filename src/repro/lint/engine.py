@@ -135,11 +135,6 @@ def _check_file(root: Path, relpath: str, rules: Sequence[Rule],
         return
     suppressions = parse_suppressions(text)
     suppressions_by_path[relpath] = suppressions
-    if kind == "python":
-        # Markdown legitimately *documents* directive syntax with
-        # placeholder ids; only real sources get typo validation.
-        for warning in suppressions.directive_warnings(relpath):
-            result.findings.append(warning)
     for rule in applicable:
         for finding in rule.check(ctx):
             if suppressions.is_suppressed(finding.rule_id, finding.line):
@@ -177,6 +172,14 @@ def lint_tree(root: Path, paths: Optional[Sequence[str]] = None,
                     result.suppressed += 1
                 else:
                     result.findings.append(finding)
+    # Every rule has run, so a directive that suppressed nothing by now
+    # never will.  Markdown legitimately *documents* directive syntax
+    # with placeholder ids; only real sources are validated.
+    ran = {rule.id for rule in rules}
+    for relpath, suppressions in suppressions_by_path.items():
+        if relpath.endswith(".py"):
+            result.findings.extend(
+                suppressions.directive_warnings(relpath, ran))
     result.findings.sort(key=lambda f: f.sort_key)
     return result
 

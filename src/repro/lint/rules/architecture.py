@@ -1,6 +1,8 @@
 """Architecture rule (ARCH001): the import-layer tier contract.
 
-The per-file half checks every import a module makes against the
+Both halves run once per lint run, over the whole tree, so an edit to
+the contract or to the module set is seen by the next run in the same
+process.  The edge half checks every import a module makes against the
 committed tier contract (``import-contract.json`` at the repo root):
 an edge between two different tiers must be whitelisted, or carried as
 an explicit grandfathered exception.  This is the repo's one
@@ -9,9 +11,9 @@ modules (``obs.registry``/``obs.reqtrace``/``obs.slog``) out of every
 model package, pins serve/loadgen out of the model and keeps ``lint/``
 free of model imports.
 
-The project half runs once over the whole tree and reports *runtime
-import cycles* (top-level, non-``TYPE_CHECKING`` imports only —
-deferred imports cannot deadlock module initialization).
+The cycle half reports *runtime import cycles* (top-level,
+non-``TYPE_CHECKING`` imports only — deferred imports cannot deadlock
+module initialization).
 
 Without a contract file (in-memory fixtures with no root, or a
 checkout that deleted it) the edge check is silent; the cycle check
@@ -20,8 +22,7 @@ needs no contract and always runs.
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import Dict, Iterable, Optional, Set, Tuple
+from typing import Dict, Iterable, Set, Tuple
 
 from ..findings import Finding
 from ..layers import (Contract, ModuleGraph, iter_import_edges,
@@ -44,35 +45,49 @@ class ImportContractRule(Rule):
     include = ("src/repro",)
     project = True
 
-    def __init__(self) -> None:
-        #: Per-root caches; keyed on resolved root path.
-        self._contracts: Dict[str, Optional[Contract]] = {}
-        self._known: Dict[str, Set[str]] = {}
-
-    def _contract(self, root: Path) -> Optional[Contract]:
-        key = str(root)
-        if key not in self._contracts:
-            self._contracts[key] = load_contract(root)
-        return self._contracts[key]
-
-    def _known_modules(self, root: Path) -> Set[str]:
-        key = str(root)
-        if key not in self._known:
-            base = root / "src" / "repro"
-            self._known[key] = {
-                module_name_for(p.relative_to(root).as_posix())
-                for p in base.rglob("*.py")}
-        return self._known[key]
-
     def check(self, ctx: FileContext) -> Iterable[Finding]:
-        tree = ctx.tree
-        if tree is None or ctx.root is None:
+        # Both halves read the whole tree, so both run in
+        # :meth:`check_project`, once per lint run.
+        return ()
+
+    def check_project(self,
+                      project: ProjectContext) -> Iterable[Finding]:
+        contexts = [ctx for ctx in project.python_contexts()
+                    if ctx.relpath.startswith("src/repro")]
+        if not contexts:
             return
-        contract = self._contract(ctx.root)
-        if contract is None:
+        root = project.root
+        contract = load_contract(root) if root is not None else None
+        if contract is not None:
+            known = {module_name_for(p.relative_to(root).as_posix())
+                     for p in (root / "src" / "repro").rglob("*.py")}
+            for ctx in contexts:
+                yield from self._edge_findings(ctx, contract, known)
+        items = []
+        paths: Dict[str, str] = {}
+        for ctx in contexts:
+            module = module_name_for(ctx.relpath)
+            items.append((module, ctx.tree,
+                          ctx.relpath.endswith("__init__.py")))
+            paths[module] = ctx.relpath
+        graph = ModuleGraph.from_trees(items)
+        for cycle in graph.cycles():
+            anchor = cycle[0]
+            loop = " -> ".join(cycle + [cycle[0]])
+            yield Finding(
+                rule_id=self.id, path=paths.get(anchor, anchor), line=1,
+                col=0, severity=self.severity,
+                message=(f"runtime import cycle: {loop}; break it with "
+                         f"a deferred (function-level) import or by "
+                         f"moving the shared piece down a tier"))
+
+    def _edge_findings(self, ctx: FileContext, contract: Contract,
+                       known: Set[str]) -> Iterable[Finding]:
+        """Every import in *ctx* that crosses tiers off the contract."""
+        tree = ctx.tree
+        if tree is None:
             return
         module = module_name_for(ctx.relpath)
-        known = self._known_modules(ctx.root)
         is_pkg = ctx.relpath.endswith("__init__.py")
         seen: Set[Tuple[str, str]] = set()
         for raw, lineno, deferred, tc in iter_import_edges(
@@ -91,28 +106,3 @@ class ImportContractRule(Rule):
             if violation is not None:
                 yield self.finding_at(ctx, lineno, 0,
                                       violation.describe())
-
-    def check_project(self,
-                      project: ProjectContext) -> Iterable[Finding]:
-        items = []
-        paths: Dict[str, str] = {}
-        for ctx in project.python_contexts():
-            if not ctx.relpath.startswith("src/repro"):
-                continue
-            module = module_name_for(ctx.relpath)
-            items.append((module, ctx.tree,
-                          ctx.relpath.endswith("__init__.py")))
-            paths[module] = ctx.relpath
-        if not items:
-            return
-        graph = ModuleGraph.from_trees(items)
-        for cycle in graph.cycles():
-            anchor = cycle[0]
-            loop = " -> ".join(cycle + [cycle[0]])
-            yield Finding(
-                rule_id=self.id, path=paths.get(anchor, anchor), line=1,
-                col=0, severity=self.severity,
-                message=(f"runtime import cycle: {loop}; break it with "
-                         f"a deferred (function-level) import or by "
-                         f"moving the shared piece down a tier"))
-

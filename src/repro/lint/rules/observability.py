@@ -1,6 +1,6 @@
 """Observability-handle rule (OBS001).
 
-Tracing (``sim.obs``), profiling (``prof.ACTIVE``), and request
+Tracing (``sim.obs``), work counting (``prof.ACTIVE``), and request
 telemetry (``slog.ACTIVE``, the service's ``.telemetry`` attribute) are
 opt-in: the handle defaults to ``None``
 and every instrumentation site must guard on it, so an uninstrumented

@@ -20,10 +20,11 @@ Two forms, mirroring the ``# noqa`` / ``# pylint: disable`` convention:
 Everything after ``--`` in the directive is a free-form justification
 and is ignored by the parser (but expected by reviewers).
 
-A directive naming a rule id the registry does not know produces a
-LINT001 *warning* (it does not gate the run, but it does surface in
-the report): a typo in a suppression must not silently suppress
-nothing while looking load-bearing.
+A directive that suppresses nothing produces a LINT001 *warning* (it
+does not gate the run, but it does surface in the report): one naming
+a rule id the registry does not know (a typo), and one naming a rule
+that ran but found nothing to suppress (a stale directive).  Neither
+may look load-bearing while doing nothing.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ from __future__ import annotations
 import io
 import re
 import tokenize
-from typing import Dict, FrozenSet, Iterator, List, Tuple
+from typing import (AbstractSet, Dict, FrozenSet, Iterator, List, Optional,
+                    Set, Tuple)
 
 from .findings import Finding
 
@@ -49,44 +51,65 @@ _PSEUDO_RULES = frozenset({"LINT000", "LINT001"})
 class Suppressions:
     """Parsed suppression directives for one file."""
 
-    def __init__(self, by_line: Dict[int, FrozenSet[str]],
-                 file_wide: FrozenSet[str],
+    def __init__(self, by_line: Dict[int, Dict[str, int]],
+                 file_wide: Dict[str, int],
                  directives: Tuple[Tuple[int, FrozenSet[str]], ...] = ()):
+        #: line -> {rule id: line of the directive naming it}
         self._by_line = by_line
+        #: rule id -> line of the ``disable-file`` directive naming it
         self._file_wide = file_wide
         #: Raw ``(lineno, rule ids)`` pairs, for validation.
         self._directives = directives
+        #: ``(directive line, rule id)`` pairs that suppressed a finding.
+        self._used: Set[Tuple[int, str]] = set()
 
     @classmethod
     def empty(cls) -> "Suppressions":
-        return cls({}, frozenset())
+        return cls({}, {})
 
     def is_suppressed(self, rule_id: str, line: int) -> bool:
-        if ALL in self._file_wide or rule_id in self._file_wide:
-            return True
-        rules = self._by_line.get(line)
-        return rules is not None and (ALL in rules or rule_id in rules)
+        for scope in (self._file_wide, self._by_line.get(line, {})):
+            for name in (rule_id, ALL):
+                if name in scope:
+                    self._used.add((scope[name], name))
+                    return True
+        return False
 
-    def directive_warnings(self, relpath: str) -> List[Finding]:
-        """LINT001 warnings for directives naming unknown rule ids."""
-        unknown: List[Tuple[int, str]] = []
-        known = None
+    def directive_warnings(self, relpath: str,
+                           ran: Optional[AbstractSet[str]] = None
+                           ) -> List[Finding]:
+        """LINT001 warnings for directives that suppress nothing.
+
+        Always: rule ids the registry does not know.  With *ran* (the
+        ids of every rule the finished run applied), also each named
+        rule that ran but suppressed no finding; ``all`` is judged only
+        when every registered rule ran.
+        """
+        if not self._directives:
+            return []
+        from .registry import all_rules
+        known = {rule.id for rule in all_rules()}
+        ran = ran if ran is not None else frozenset()
+        warnings: List[Finding] = []
         for lineno, rules in self._directives:
             for rule_id in sorted(rules):
-                if rule_id == ALL or rule_id in _PSEUDO_RULES:
+                if rule_id in _PSEUDO_RULES or (lineno, rule_id) in self._used:
                     continue
-                if known is None:
-                    from .registry import all_rules
-                    known = {rule.id for rule in all_rules()}
-                if rule_id not in known:
-                    unknown.append((lineno, rule_id))
-        return [Finding(
-            rule_id="LINT001", path=relpath, line=lineno, col=0,
-            severity="warning",
-            message=(f"detlint directive names unknown rule id "
-                     f"'{rule_id}'; the suppression has no effect "
-                     f"(known ids are listed by `lint --list-rules`)"))
-            for lineno, rule_id in unknown]
+                if rule_id != ALL and rule_id not in known:
+                    message = (f"detlint directive names unknown rule id "
+                               f"'{rule_id}'; the suppression has no "
+                               f"effect (known ids are listed by "
+                               f"`lint --list-rules`)")
+                elif rule_id in ran or (rule_id == ALL and known <= ran):
+                    message = (f"detlint directive disables '{rule_id}' "
+                               f"but suppressed no finding; the "
+                               f"suppression has no effect")
+                else:
+                    continue
+                warnings.append(Finding(
+                    rule_id="LINT001", path=relpath, line=lineno, col=0,
+                    severity="warning", message=message))
+        return warnings
 
 
 def _parse_rule_list(raw: str) -> FrozenSet[str]:
@@ -146,8 +169,8 @@ def parse_suppressions(text: str) -> Suppressions:
     """Extract ``detlint`` directives from *text* (full file contents)."""
     if text.startswith("\ufeff"):  # BOM survives a plain utf-8 read
         text = text.lstrip("\ufeff")
-    by_line: Dict[int, FrozenSet[str]] = {}
-    file_wide: Tuple[str, ...] = ()
+    by_line: Dict[int, Dict[str, int]] = {}
+    file_wide: Dict[str, int] = {}
     directives: List[Tuple[int, FrozenSet[str]]] = []
     for first, last, line in _comment_spans(text):
         match = _DIRECTIVE_RE.search(line)
@@ -160,8 +183,9 @@ def parse_suppressions(text: str) -> Suppressions:
             continue
         directives.append((first, rules))
         if match.group(1) == "disable-file":
-            file_wide = tuple(set(file_wide) | rules)
+            file_wide.update(dict.fromkeys(rules, first))
         else:
             for lineno in range(first, last + 1):
-                by_line[lineno] = by_line.get(lineno, frozenset()) | rules
-    return Suppressions(by_line, frozenset(file_wide), tuple(directives))
+                by_line.setdefault(lineno, {}).update(
+                    dict.fromkeys(rules, first))
+    return Suppressions(by_line, file_wide, tuple(directives))

@@ -212,8 +212,8 @@ def classify_call(node: ast.Call,
         if name in WALL_CLOCK_CALLS:
             return _source(node, "wallclock", f"{name}()",
                            f"{name}() reads the host clock inside model "
-                           f"code; use sim.now for simulated time or the "
-                           f"obs/prof.py profiler for host cost")
+                           f"code; use sim.now for simulated time and "
+                           f"time host cost from outside the model")
         rng = _rng_source(node, name)
         if rng is not None:
             return rng

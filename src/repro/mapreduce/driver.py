@@ -716,17 +716,13 @@ class HadoopJobRunner:
         timing = StageTiming(stage=stage.name, input_bytes=input_bytes)
         self.stage_timings.append(timing)
         obs = self.sim.obs
-        # Wall-clock stage profiling: stages are sequential in simulated
-        # time and the engine is single-threaded, so the host seconds
-        # between a stage boundary's entry and exit are genuinely the
-        # cost of simulating that stage window (all its task processes
-        # included).  Captured once per stage; None keeps every site
-        # a single ``is not None`` test.
+        # Work counters: one bump per completed stage window.  Captured
+        # once per stage; None keeps every site a single ``is not None``
+        # test.
         profiler = prof.ACTIVE
 
         # Job setup ("others" in the breakdown figures).
         t0 = self.sim.now
-        w0 = profiler.clock() if profiler is not None else 0.0
         setup_span = (obs.begin(f"{stage.name}.setup", ("driver", "stages"),
                                 cat="stage") if obs is not None else None)
         yield from self._framework(self._master(),
@@ -736,7 +732,7 @@ class HadoopJobRunner:
         if setup_span is not None:
             obs.end(setup_span)
         if profiler is not None:
-            profiler.record("driver.stage.setup", profiler.clock() - w0)
+            profiler.count("driver.stage.setup.calls")
 
         # Input placement: instantaneous, mirrors pre-staged datasets.
         file = f"{self.spec.name}.s{stage_index}.in"
@@ -748,7 +744,6 @@ class HadoopJobRunner:
         # preferred core type, paying the remote-read cost).
         t_map = self.sim.now
         timing.map_start = t_map
-        w0 = profiler.clock() if profiler is not None else 0.0
         map_nodes = [n for n in self.cluster.live_nodes
                      if self._map_machines is None
                      or n.spec.name in self._map_machines]
@@ -781,7 +776,7 @@ class HadoopJobRunner:
         if map_span is not None:
             obs.end(map_span)
         if profiler is not None:
-            profiler.record("driver.stage.map", profiler.clock() - w0)
+            profiler.count("driver.stage.map.calls")
 
         # Replay the completion log in winning order so the float
         # accumulation matches the old inline bookkeeping bit for bit.
@@ -795,7 +790,6 @@ class HadoopJobRunner:
         if stage.has_reduce and total_map_out > 0:
             t_red = self.sim.now
             timing.reduce_start = t_red
-            w0 = profiler.clock() if profiler is not None else 0.0
             # Reducer count is provisioned with the container capacity
             # (YARN sizes the reduce wave to the cluster): the workload's
             # reduces_per_node is calibrated for the default four slots.
@@ -833,8 +827,7 @@ class HadoopJobRunner:
             if red_span is not None:
                 obs.end(red_span)
             if profiler is not None:
-                profiler.record("driver.stage.reduce",
-                                profiler.clock() - w0)
+                profiler.count("driver.stage.reduce.calls")
             stage_output = 0.0
             for rec in rphase.log:
                 stage_output += rec.completion[1]
@@ -859,7 +852,6 @@ class HadoopJobRunner:
 
         # Job cleanup.
         t1 = self.sim.now
-        w0 = profiler.clock() if profiler is not None else 0.0
         cleanup_span = (obs.begin(f"{stage.name}.cleanup",
                                   ("driver", "stages"), cat="stage")
                         if obs is not None else None)
@@ -870,7 +862,7 @@ class HadoopJobRunner:
         if cleanup_span is not None:
             obs.end(cleanup_span)
         if profiler is not None:
-            profiler.record("driver.stage.cleanup", profiler.clock() - w0)
+            profiler.count("driver.stage.cleanup.calls")
         timing.output_bytes = stage_output
         return stage_output
 
@@ -914,8 +906,6 @@ class HadoopJobRunner:
 
     # -- public ---------------------------------------------------------------
     def run(self) -> JobResult:
-        profiler = prof.ACTIVE
-        w_run = profiler.clock() if profiler is not None else 0.0
         for nf in self.plan.node_faults:
             if nf.crash_at_s is not None:
                 self.sim.process(self._crash_watcher(
@@ -929,17 +919,10 @@ class HadoopJobRunner:
         if not done.ok:
             raise RuntimeError("job process failed") from done.exception
         execution_time = self.sim.now
-        w0 = profiler.clock() if profiler is not None else 0.0
         self._record_uncore(execution_time)
-        if profiler is not None:
-            w1 = profiler.clock()
-            profiler.record("driver.uncore", w1 - w0)
-            w0 = w1
         energy = integrate_energy(self.cluster.trace,
                                   self.cluster.node_power(),
                                   makespan=execution_time)
-        if profiler is not None:
-            profiler.record("driver.energy", profiler.clock() - w0)
         obs = self.sim.obs
         if obs is not None:
             from ..obs.spans import JobTrace, NodeInfo
@@ -959,8 +942,9 @@ class HadoopJobRunner:
                 counters=self.counters,
                 energy=energy,
                 engine=engine_stats)
+        profiler = prof.ACTIVE
         if profiler is not None:
-            profiler.record("driver.run", profiler.clock() - w_run)
+            profiler.count("driver.run.calls")
         phase_seconds = {
             "map": sum(t.map_s for t in self.stage_timings),
             "reduce": sum(t.reduce_s for t in self.stage_timings),

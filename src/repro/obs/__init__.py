@@ -1,10 +1,10 @@
-"""Observability subsystem: tracing, metrics, profiling, exporters.
+"""Observability subsystem: tracing, metrics, work counters, exporters.
 
 ``repro.obs`` is strictly additive: nothing in the simulator imports it
 at module scope except through ``sim.obs`` attribute guards and the
 equally-guarded ``prof.ACTIVE`` handle, a run without a tracer or
-profiler records nothing, and scalar outputs are byte-identical with
-tracing/profiling on or off.  See ``docs/OBSERVABILITY.md``.
+work counter records nothing, and scalar outputs are byte-identical with
+tracing/counting on or off.  See ``docs/OBSERVABILITY.md``.
 
 One substrate, three uses told apart by clock and scope.  There is one
 span record (:class:`SpanRecord`), one Chrome trace exporter
@@ -14,9 +14,9 @@ carries its own running sum) and one metrics registry
 
 * :class:`Tracer` (attached) records spans in *simulated* time and
   describes the modeled cluster;
-* :class:`Profiler` (:mod:`repro.obs.prof`) keeps one histogram per
-  phase of *wall* time and describes what the reproduction costs the
-  host;
+* :class:`Profiler` (:mod:`repro.obs.prof`) keeps exact tallies of
+  the work the reproduction does (events, stages, placements), with no
+  clock at all;
 * ``RequestTrace`` (:mod:`repro.obs.reqtrace`) records spans in
   *wall* time for one serve-tier request, ``MetricsRegistry``
   (:mod:`repro.obs.registry`) renders the serve tier's Prometheus

@@ -15,9 +15,8 @@ job trace.
 
 A :class:`LogHistogram` is the distribution companion, and the one
 histogram type in ``repro.obs``: fixed log-scale buckets over positive
-durations plus a running sum, so the wall-clock profiler
-(:mod:`repro.obs.prof`), the ``/metrics`` registry
-(:mod:`repro.obs.registry`) and the load generator all report
+durations plus a running sum, so the ``/metrics`` registry
+(:mod:`repro.obs.registry`) and the load generator both report
 p50/p95/p99 latencies, totals and means with O(1) recording cost and a
 bounded, mergeable memory footprint.
 """
@@ -89,13 +88,13 @@ class LogHistogram:
 
     Buckets span :data:`MIN_VALUE` × ``BASE**i`` for ``i`` in
     ``[0, N_BUCKETS)``; with ``BASE = sqrt(2)`` that is ~6.6 buckets per
-    decade from 0.1 µs up past 1000 s — wide enough for anything a
-    profiler phase can record, with ≤ ~19% relative quantization error
+    decade from 0.1 µs up past 1000 s — wide enough for any request
+    latency, with ≤ ~19% relative quantization error
     per bucket (percentiles return the bucket's geometric midpoint).
     Values outside the range clamp to the edge buckets; exact ``min`` /
     ``max`` are tracked separately so clamping never hides an outlier,
-    and ``sum`` keeps the exact running total (a profiler phase's
-    ``total_s``, a Prometheus histogram's ``_sum``).
+    and ``sum`` keeps the exact running total (a Prometheus
+    histogram's ``_sum``).
     """
 
     MIN_VALUE = 1e-7
@@ -124,8 +123,8 @@ class LogHistogram:
         """Index of the bucket *value* falls into (clamped to range).
 
         A right-bisect over the precomputed edge table: exact at every
-        boundary and branch-free on the recording hot path (the
-        profiler calls this once per phase observation).
+        boundary and branch-free on the recording hot path (every
+        observation calls it once).
         """
         if value <= self.MIN_VALUE:
             return 0
@@ -138,20 +137,13 @@ class LogHistogram:
         never disagree about which bucket owns a boundary."""
         return self._EDGES[index], self._EDGES[index + 1]
 
-    def record(self, value: float, count: int = 1,
-               total: Optional[float] = None) -> None:
-        """Record *count* observations of *value* (seconds).
-
-        *total* is their exact sum when the caller timed the batch as
-        one window and *value* is its mean (how the engine loop reports
-        per-event dispatch cost without a clock read per event); it
-        defaults to ``value * count``.
-        """
+    def record(self, value: float, count: int = 1) -> None:
+        """Record *count* observations of *value* (seconds)."""
         if count <= 0:
             return
         self.counts[self.bucket_of(value)] += count
         self.total += count
-        self.sum += value * count if total is None else total
+        self.sum += value * count
         if self.min is None or value < self.min:
             self.min = value
         if self.max is None or value > self.max:

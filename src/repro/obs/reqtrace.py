@@ -1,8 +1,8 @@
 """Request-scoped wall-clock tracing for the serve/loadgen tier.
 
 Where the :class:`~repro.obs.spans.Tracer` records *simulated* time
-inside one job and :mod:`repro.obs.prof` aggregates *wall* time across a
-whole process, this module answers the per-request question the other
+inside one job and :mod:`repro.obs.prof` counts the work a whole
+process does, this module answers the per-request question the other
 two cannot: **where did this specific slow request spend its time** —
 HTTP parse, routing, coalesce wait, admission-queue wait, pool
 execution, or cache store?

@@ -20,8 +20,8 @@ byte-identical with tracing on or off (the exporter tests assert this).
 The tracer's clock is injected: :meth:`Tracer.attach` binds it to a
 :class:`~repro.sim.engine.Simulator`'s ``now`` so job traces advance in
 simulated seconds only (and are therefore reproducible bit for bit at
-any ``--jobs`` width), while a bare ``Tracer()`` uses the wall clock for
-host-side instrumentation such as the sweep executor.
+any ``--jobs`` width); a bare ``Tracer()`` reads ``time.perf_counter``
+until it is attached.
 
 :class:`SpanRecord` is the one span type in ``repro.obs``: the
 request-trace layer (:mod:`repro.obs.reqtrace`) records its wall-clock

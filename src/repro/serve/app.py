@@ -35,7 +35,7 @@ from ..arch.presets import MACHINES
 from ..core.characterization import Characterizer, RunKey
 from ..core.metrics import edxp
 from ..mapreduce.driver import JobResult
-from ..obs import prof, reqtrace, slog
+from ..obs import reqtrace, slog
 from ..obs.export import request_json
 from ..obs.reqtrace import RequestTrace
 from ..workloads.base import all_workloads
@@ -279,14 +279,9 @@ class SimulationApp:
                 route=route, status=str(response.status)).inc()
             return response
         t0 = time.perf_counter()
-        profiler = prof.ACTIVE
         config = self.service.config
         try:
-            if profiler is not None:
-                with profiler.phase(f"serve.handle{route}"):
-                    response = await self._invoke(handler, request, trace)
-            else:
-                response = await self._invoke(handler, request, trace)
+            response = await self._invoke(handler, request, trace)
         except BadRequest as exc:
             response = Response.error(exc.status, str(exc))
         except Overloaded as exc:

@@ -45,7 +45,7 @@ from ..analysis.executor import ResultCache, cache_key, model_fingerprint
 from ..core.characterization import RunKey
 from ..mapreduce.config import DEFAULT_CONF, JobConf
 from ..mapreduce.driver import JobResult
-from ..obs import prof, reqtrace
+from ..obs import reqtrace
 from ..obs.registry import MetricsRegistry
 from ..obs.reqtrace import RequestTelemetry, RequestTrace
 from .work import simulate_batch
@@ -366,15 +366,10 @@ class SimulationService:
 
     def _cache_get(self, key_hex: str, key: RunKey,
                    trace: Optional[RequestTrace]) -> Optional[JobResult]:
-        """Probe the persistent cache, timed on both wall-clock sinks."""
+        """Probe the persistent cache, timed on the request trace."""
         assert self.cache is not None
         t0 = time.perf_counter()
-        profiler = prof.ACTIVE
-        if profiler is not None:
-            with profiler.phase("serve.cache.get"):
-                hit = self.cache.get(key_hex, key, self.conf)
-        else:
-            hit = self.cache.get(key_hex, key, self.conf)
+        hit = self.cache.get(key_hex, key, self.conf)
         if trace is not None:
             trace.add_span("cache.get", t0, time.perf_counter(),
                            hit=hit is not None)
@@ -453,8 +448,6 @@ class SimulationService:
             for _, _, tr, enq_t in batch:
                 if tr is not None:
                     tr.add_span("queue.wait", enq_t, pickup)
-            profiler = prof.ACTIVE
-            t0 = time.perf_counter() if profiler is not None else 0.0
             try:
                 pairs = await self._loop.run_in_executor(
                     self._pool, simulate_batch,
@@ -471,8 +464,6 @@ class SimulationService:
                     else ComputeError(batch[0][1], exc))
             else:
                 done = time.perf_counter()
-                if profiler is not None:
-                    profiler.record("serve.executor.batch", done - t0)
                 for (k_hex, k, tr, _enq), (_key, result) in zip(batch, pairs):
                     if tr is not None:
                         tr.add_span("pool.execute", pickup, done,

@@ -39,10 +39,9 @@ calendar with retired crash watchers, :meth:`Event.cancel` triggers an
 in-place compaction sweep once cancelled entries both exceed a fixed
 threshold and outnumber live ones.
 
-``run()``, ``step()`` and profiled runs all execute the single loop body
-in :meth:`Simulator._dispatch`; the wall-clock profiler
-(:mod:`repro.obs.prof`) reads its clock once per
-:data:`~repro.obs.prof.DISPATCH_BATCH` events rather than per event.
+:meth:`Simulator.run` is the one loop body; with a work counter
+installed (:mod:`repro.obs.prof`) it tallies its events, buckets and
+calendar entries once per call, never per event.
 
 Example
 -------
@@ -484,7 +483,7 @@ class Simulator:
     it as read-only outside the engine.  Counters:
 
     * ``event_count`` — events dispatched (flushed per bucket, exact
-      whenever :meth:`run`/:meth:`step` is not mid-dispatch),
+      whenever :meth:`run` is not mid-dispatch),
     * ``pending`` — *live* scheduled-but-unfired events: lazily-deleted
       cancelled events are excluded, so backlog metrics do not
       over-report after fault recovery.
@@ -506,8 +505,8 @@ class Simulator:
         self._cancelled_pending = 0   # cancelled events still in a bucket
         self._retired = 0             # cancelled events removed again
         self._compact_at = COMPACT_THRESHOLD
-        #: Partially drained front bucket left by a limit/step() exit (or
-        #: a callback exception): ``(time, [unfired events])`` or None.
+        #: Partially drained front bucket left by a callback exception:
+        #: ``(time, [unfired events])`` or None.
         self._front = None
         #: The bucket ``run()`` is draining (still in ``_buckets``, so
         #: same-time events append to it), or None.
@@ -630,42 +629,24 @@ class Simulator:
     def run(self, until: Optional[float] = None) -> float:
         """Run until the queue drains or simulated time reaches *until*.
 
-        Returns the final simulated time.  With a wall-clock profiler
-        installed (``repro.obs.prof``) the same loop also records batched
-        dispatch timings — profiling can change timings of the host,
-        never of the model.
-        """
-        self._dispatch(_INF if until is None else until, False)
-        return self.now
-
-    def step(self, until: Optional[float] = None) -> bool:
-        """Process a single event; returns False when none fired.
-
-        Semantics match :meth:`run` exactly (same loop body): cancelled
-        events are skipped — and tallied into obs/prof counters — and an
-        *until* bound stops the clock there without firing later events.
-        """
-        return self._dispatch(_INF if until is None else until, True) > 0
-
-    def _dispatch(self, bound: float, single: bool) -> int:
-        """The single dispatch loop body behind ``run()`` and ``step()``.
-
         Drains calendar buckets in time order, firing each bucket's
         events in scheduling order — bit-for-bit the (time, seq) order of
-        the engine's original tuple heap.  *bound* stops the clock
-        (``inf`` = never); *single* fires at most one event (``step()``),
-        implemented by splitting the adopted bucket rather than checking
-        a limit per event.  Returns the number of events fired.
+        the engine's original tuple heap.  *until* stops the clock there
+        without firing later events.  Returns the final simulated time.
+        With a work counter installed (``repro.obs.prof``) the call also
+        tallies its events, buckets, calendar entries and cancel skips;
+        counting never changes the model.
 
         The bucket being drained stays in ``_buckets`` (see the module
-        docstring); ``step()`` does not register its split-off head.
+        docstring).
 
         Hot-path notes: everything touched per event is a local; the
         fired count flushes to ``event_count`` per call (``finally``);
         ``pending`` is exact at any time, inside callbacks too.  A
-        partially drained bucket (``step()``, or a callback raised) is
-        parked in ``_front`` so the next call resumes mid-bucket.
+        bucket a raising callback left partially drained is parked in
+        ``_front`` so the next call resumes mid-bucket.
         """
+        bound = _INF if until is None else until
         buckets = self._buckets
         times = self._times
         pop = heappop
@@ -677,11 +658,6 @@ class Simulator:
         bskip = 0
         now = self.now
         if profiler is not None:
-            clock = profiler.clock
-            record = profiler.record
-            batch = prof.DISPATCH_BATCH
-            t_run = t_mark = clock()
-            mark = 0
             retired0 = self._retired
             entries0 = self._queue_entries()
         front = self._front
@@ -731,14 +707,7 @@ class Simulator:
                     raise SimulationError(
                         f"time travel: event at {when} < now {now}")
                 self.now = now = when
-                if not single:
-                    buckets[when] = self._draining = bucket
-                elif len(bucket) > 1:
-                    # step(): isolate the first live event and park the
-                    # rest, so the hot loop below needs no per-event
-                    # limit check on behalf of the cold caller.
-                    self._front = (when, bucket[1:])
-                    bucket = bucket[:1]
+                buckets[when] = self._draining = bucket
                 bskip = 0
                 it = iter(bucket)
                 # -- drain it (the per-event hot path) --------------------
@@ -763,14 +732,7 @@ class Simulator:
                     self._cancelled_pending -= bskip
                     self._retired += bskip
                     skipped += bskip
-                if single:
-                    break
                 del buckets[when]
-                if profiler is not None and fired - mark >= batch:
-                    t_now = clock()
-                    record("engine.dispatch", t_now - t_mark, fired - mark)
-                    t_mark = t_now
-                    mark = fired
         finally:
             if it is not None:
                 # A callback raised mid-bucket: park the unfired
@@ -784,29 +746,27 @@ class Simulator:
                     self._cancelled_pending -= bskip
                     self._retired += bskip
                     skipped += bskip
-                if bucket is self._draining:
-                    del buckets[now]
+                del buckets[now]
                 if rest:
                     self._front = (now, rest)
             self._draining = None
             self.event_count += fired
             if profiler is not None:
-                if fired > mark:
-                    record("engine.dispatch", clock() - t_mark, fired - mark)
-                record("engine.run", clock() - t_run)
-                profiler.count("engine.events", fired)
-                profiler.count("engine.buckets", adopted)
+                count = profiler.count
+                count("engine.run.calls")
+                count("engine.events", fired)
+                count("engine.buckets", adopted)
                 # Calendar entries scheduled during this call,
                 # reconstructed from conservation: every entry that
                 # entered the calendar either fired, was retired as
                 # cancelled, or is still queued.  (The schedule sites
-                # themselves stay free of profiling bookkeeping.)
-                profiler.count("engine.heap_pushes",
-                               fired + (self._retired - retired0)
-                               + self._queue_entries() - entries0)
+                # themselves stay free of counting bookkeeping.)
+                count("engine.heap_pushes",
+                      fired + (self._retired - retired0)
+                      + self._queue_entries() - entries0)
                 if skipped:
-                    profiler.count("engine.cancel_skips", skipped)
-        return fired
+                    count("engine.cancel_skips", skipped)
+        return self.now
 
     def _compact(self) -> None:
         """Sweep lazily-deleted events out of the calendar, in place.

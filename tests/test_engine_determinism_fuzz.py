@@ -11,7 +11,8 @@ observable actions and a final-state digest match exactly.  Two ops
 target the calendar's same-time path: zero-delay callback chains shaped
 like the HDFS legs (they log ``pending`` at every link), and cancel
 bursts large enough to compact the calendar while a bucket drains.
-Every seed runs through both ``run()`` and ``step()``.
+Every seed runs through one ``run()`` and through a series of bounded
+``run(until=...)`` windows.
 
 The programs are pre-generated op scripts (pure functions of the seed),
 so any divergence is attributable to the engines, not to random draws
@@ -342,11 +343,23 @@ def _make_program(script, sim, pid, log, registry):
     return prog()
 
 
-def _run_seed(seed: int, sim_factory, stepped: bool = False):
-    """Build and run one seeded random simulation; return (log, digest).
+#: Window ends for the stepped drive.  Every delay is a multiple of
+#: 0.25 s, so these eighth-second bounds fall alternately on and between
+#: event times, through the end of the longest program (~11 s).
+_STEP_BOUNDS = tuple(i * 0.125 for i in range(1, 101))
 
-    *stepped* drives the engine one ``step()`` at a time instead of one
-    ``run()``.
+
+def _digest(sim, log) -> str:
+    state = (tuple(log), sim.now, sim.event_count)
+    return hashlib.sha256(repr(state).encode()).hexdigest()
+
+
+def _run_seed(seed: int, sim_factory, bounds=()):
+    """Build and run one seeded random simulation.
+
+    Returns ``(log, digest, final time)``.  *bounds* drives the engine
+    through one bounded ``run(until=...)`` window per bound before the
+    final unbounded ``run()``.
     """
     rng = random.Random(seed)
     n_procs = rng.randrange(3, 9)
@@ -357,30 +370,34 @@ def _run_seed(seed: int, sim_factory, stepped: bool = False):
     for pid, script in enumerate(scripts):
         registry.append(sim.process(
             _make_program(script, sim, pid, log, registry)))
-    if stepped:
-        while sim.step():
-            pass
-    else:
-        sim.run()
-    state = (tuple(log), sim.now, sim.event_count)
-    digest = hashlib.sha256(repr(state).encode()).hexdigest()
-    return log, digest
+    for bound in bounds:
+        sim.run(until=bound)
+    sim.run()
+    return log, _digest(sim, log), sim.now
 
 
 @pytest.mark.parametrize("seed", range(20))
 def test_engine_matches_reference_loop(seed):
     """Full firing order and final-state digest match the tuple heap."""
-    ref_log, ref_digest = _run_seed(seed, _RefSimulator)
-    new_log, new_digest = _run_seed(seed, Simulator)
+    ref_log, ref_digest, _ = _run_seed(seed, _RefSimulator)
+    new_log, new_digest, _ = _run_seed(seed, Simulator)
     assert new_log == ref_log
     assert new_digest == ref_digest
 
 
 @pytest.mark.parametrize("seed", range(20))
 def test_stepped_engine_matches_reference_loop(seed):
-    """``step()`` at a time gives the same log and digest as the heap."""
-    ref_log, ref_digest = _run_seed(seed, _RefSimulator)
-    new_log, new_digest = _run_seed(seed, Simulator, stepped=True)
+    """Bounded ``run(until=...)`` windows, resumed one after another,
+    give the same log and digest as the heap in one go.
+
+    The bounds stop short of the reference's final time: a bound past
+    the last live event would leave the clock at the bound whenever a
+    cancelled entry still lies beyond it.
+    """
+    ref_log, ref_digest, ref_end = _run_seed(seed, _RefSimulator)
+    bounds = [b for b in _STEP_BOUNDS if b < ref_end]
+    assert len(bounds) >= 8
+    new_log, new_digest, _ = _run_seed(seed, Simulator, bounds=bounds)
     assert new_log == ref_log
     assert new_digest == ref_digest
 
@@ -399,7 +416,7 @@ def test_fuzz_programs_actually_exercise_the_engine(monkeypatch):
     total_entries = 0
     kinds = set()
     for seed in range(20):
-        log, _ = _run_seed(seed, Simulator)
+        log, _, _ = _run_seed(seed, Simulator)
         total_entries += len(log)
         kinds.update(entry[3] for entry in log)
     assert total_entries > 100

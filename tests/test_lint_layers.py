@@ -238,6 +238,21 @@ class TestARCH001:
         assert "import cycle" in arch[0]["message"]
         assert "repro.a -> repro.b -> repro.a" in arch[0]["message"]
 
+    def test_contract_edit_seen_by_next_run_in_process(self, tmp_path):
+        # The rule instance lives as long as the registry; a second run
+        # must judge by the contract on disk, not a cached copy.
+        root = _fixture_repo(tmp_path)
+        contract = {"tiers": {"repro.sim": "model", "repro.serve": "serve"},
+                    "allowed_edges": [], "exceptions": []}
+        _write(root, "import-contract.json", json.dumps(contract))
+        _write(root, "src/repro/serve/service.py", "x = 1\n")
+        _write(root, "src/repro/sim/engine.py",
+               "from repro.serve import service\n")
+        assert run_lint(root=str(root), stdout=io.StringIO()) == 1
+        contract["allowed_edges"] = [["model", "serve"]]
+        _write(root, "import-contract.json", json.dumps(contract))
+        assert run_lint(root=str(root), stdout=io.StringIO()) == 0
+
     def test_clean_tree_passes(self, tmp_path):
         root = _fixture_repo(tmp_path)
         _write(root, "import-contract.json", json.dumps({
@@ -292,7 +307,7 @@ class TestARCH001TelemetryTier:
         assert code == 0 and found == []
 
     def test_prof_import_still_allowed_in_model(self, tmp_path):
-        # The per-phase profiler is sanctioned in the model packages;
+        # The work counter is sanctioned in the model packages;
         # only the request-telemetry trio is tier-restricted.
         code, found = self._lint(
             tmp_path, "src/repro/sim/example.py",

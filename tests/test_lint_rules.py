@@ -146,11 +146,18 @@ class TestDET003WallClock:
             """, relpath="src/repro/hdfs/example.py")
 
     def test_negative_outside_model_scope(self):
-        # Wall time is legitimate in the bench/ and obs/prof layers.
+        # Wall time is legitimate in the bench/ layer.
         assert not hits("DET003", """\
             import time
             t0 = time.time()
             """, relpath="src/repro/bench/example.py")
+
+    def test_positive_work_counter_module(self):
+        # obs/prof.py counts work; it is held to the model bar too.
+        assert hits("DET003", """\
+            import time
+            t0 = time.perf_counter()
+            """, relpath="src/repro/obs/prof.py")
 
     def test_positive_serve_pool_worker(self):
         # The one file in serve/ that computes simulation results is
@@ -626,7 +633,7 @@ class TestOBS001UnguardedHandle:
             from repro.obs import prof
             def f():
                 profiler = prof.ACTIVE
-                profiler.record("x", 1.0)
+                profiler.count("x")
             """)
 
     def test_positive_unguarded_sim_obs(self):
@@ -641,7 +648,7 @@ class TestOBS001UnguardedHandle:
             def f():
                 profiler = prof.ACTIVE
                 if profiler is not None:
-                    profiler.record("x", 1.0)
+                    profiler.count("x")
             """)
 
     def test_negative_guarded_attribute(self):
@@ -868,6 +875,37 @@ class TestCliAndJsonSchema:
         assert entry["rule"] == "LINT001"
         assert entry["severity"] == "warning"
         assert "DET999" in entry["message"]
+
+    def test_stale_suppression_warns_but_does_not_gate(self, tmp_path):
+        # DET001 runs over the file but finds nothing on the line, so
+        # the directive is dead weight; the live one beside it is not.
+        root = _make_tree(tmp_path, """\
+            x = 1  # detlint: disable=DET001 -- stale
+            y = hash('a')  # detlint: disable=DET001 -- live
+            """)
+        out = io.StringIO()
+        code = run_lint(root=str(root), output_format="json", stdout=out)
+        assert code == 0
+        report = json.loads(out.getvalue())
+        assert report["counts"]["suppressed"] == 1
+        (entry,) = report["findings"]
+        assert entry["rule"] == "LINT001"
+        assert entry["severity"] == "warning"
+        assert entry["line"] == 1
+        assert "DET001" in entry["message"]
+        assert "no effect" in entry["message"]
+
+    def test_stale_file_wide_and_blanket_directives_warn(self, tmp_path):
+        root = _make_tree(tmp_path, """\
+            # detlint: disable-file=DET004 -- stale
+            x = 1  # detlint: disable=all -- stale
+            """)
+        out = io.StringIO()
+        assert run_lint(root=str(root), output_format="json",
+                        stdout=out) == 0
+        found = json.loads(out.getvalue())["findings"]
+        assert [(f["rule"], f["line"]) for f in found] == \
+            [("LINT001", 1), ("LINT001", 2)]
 
     def test_bom_file_parses_and_suppresses(self, tmp_path):
         root = _make_tree(tmp_path, "x = 1\n")

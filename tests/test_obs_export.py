@@ -7,8 +7,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.executor import ResultCache, run_cells
-from repro.core.characterization import RunKey
 from repro.mapreduce.driver import simulate_job
 from repro.obs import (JobTrace, NodeInfo, Tracer, perfetto_json,
                        perfetto_trace, text_summary, timeline_csv,
@@ -210,24 +208,3 @@ class TestExporterEdgeCases:
         # The running-task chart renders a flat line from the single step.
         summary = text_summary(tracer)
         assert "running tasks" in summary and "peak 5" in summary
-
-
-class TestExecutorObservability:
-    def test_cache_hits_and_cell_spans_recorded(self, tmp_path):
-        key = RunKey("atom", "wordcount", data_per_node_gb=0.0625)
-        cache = ResultCache(tmp_path / "cache")
-        cold = Tracer()
-        run_cells([key], cache=cache, obs=cold)
-        assert cold.meta.get("cache.misses") == 1
-        assert "cache.hits" not in cold.meta
-        [span] = cold.spans_on("executor", "serial")
-        assert span.end is not None and "wordcount" in span.name
-        warm = Tracer()
-        run_cells([key], cache=cache, obs=warm)
-        assert warm.meta.get("cache.hits") == 1
-        assert warm.spans == []
-
-    def test_obs_none_is_default(self):
-        key = RunKey("atom", "wordcount", data_per_node_gb=0.0625)
-        results = run_cells([key])
-        assert results[key].execution_time_s > 0

@@ -8,8 +8,7 @@ observations and compares it byte for byte with a checked-in file under
 * :meth:`RequestTrace.to_dict` for a finished and an in-flight trace;
 * the ``/debug/requests`` JSON body and its ``?format=chrome`` download
   (served by the real app over a service whose telemetry runs on a fake
-  clock, so the test is independent of how the export is wired);
-* :meth:`Profiler.to_dict` and :meth:`Profiler.render`.
+  clock, so the test is independent of how the export is wired).
 
 Regenerate after an intentional format change with
 ``PYTHONPATH=src python tests/test_obs_golden.py`` and commit the
@@ -24,7 +23,6 @@ import sys
 from pathlib import Path
 from typing import Callable, Dict
 
-from repro.obs.prof import Profiler
 from repro.obs.registry import MetricsRegistry
 from repro.obs.reqtrace import RequestTelemetry
 from repro.serve.app import SimulationApp
@@ -132,26 +130,6 @@ def _debug_body(query: Dict[str, str], fill: bool = True) -> bytes:
     return asyncio.run(main())
 
 
-def _profiler() -> Profiler:
-    clock = _FakeClock(0.0)
-    p = Profiler(clock=clock)
-    with p.phase("driver.stage"):
-        clock.tick(0.75)
-    with p.phase("driver.stage"):
-        clock.tick(0.125)
-    p.record("engine.dispatch", 0.3, calls=3)
-    p.record("engine.dispatch", 0.1, calls=7)
-    p.record("hdfs.place_block", 2e-6)
-    p.count("engine.heap_pushes", 41)
-    p.count("engine.cancel_skips")
-    other = Profiler(clock=clock)
-    other.record("hdfs.place_block", 5e-6)
-    other.record("cache.get", 1e-3)
-    other.count("engine.heap_pushes", 1)
-    p.merge(other)
-    return p
-
-
 GOLDENS: Dict[str, Callable[[], bytes]] = {
     "metrics.prom": lambda: _registry().render_prometheus().encode("utf-8"),
     "metrics.json": lambda: _canonical(_registry().render_json()),
@@ -161,8 +139,6 @@ GOLDENS: Dict[str, Callable[[], bytes]] = {
         lambda: _debug_body({"format": "chrome"}) + b"\n",
     "requests_chrome_empty.json":
         lambda: _debug_body({"format": "chrome"}, fill=False) + b"\n",
-    "profile.json": lambda: _canonical(_profiler().to_dict()),
-    "profile.txt": lambda: (_profiler().render() + "\n").encode("utf-8"),
 }
 
 
@@ -197,14 +173,6 @@ def test_request_chrome_export_is_pinned():
 
 def test_empty_request_chrome_export_is_pinned():
     _check("requests_chrome_empty.json")
-
-
-def test_profiler_to_dict_is_pinned():
-    _check("profile.json")
-
-
-def test_profiler_render_is_pinned():
-    _check("profile.txt")
 
 
 if __name__ == "__main__":

@@ -1,8 +1,6 @@
-"""Tests for the wall-clock phase profiler and its histogram."""
+"""Tests for the work counter (``obs/prof``) and the log histogram."""
 
 from __future__ import annotations
-
-import threading
 
 import pytest
 
@@ -19,19 +17,6 @@ def _no_leaked_profiler():
     assert prof.ACTIVE is None
     yield
     prof.uninstall()
-
-
-class FakeClock:
-    """Deterministic monotonic clock for timing-free profiler tests."""
-
-    def __init__(self):
-        self.now = 0.0
-
-    def __call__(self) -> float:
-        return self.now
-
-    def advance(self, dt: float) -> None:
-        self.now += dt
 
 
 class TestLogHistogram:
@@ -80,76 +65,13 @@ class TestLogHistogram:
         assert list(d["buckets"].values()) == [7]
 
 
-class TestPhaseStat:
-    """A profiler phase is one LogHistogram: ``total`` counts its calls,
-    ``sum`` holds its seconds."""
-
-    def test_batched_record_attributes_mean_latency(self):
-        p = Profiler()
-        p.record("engine.dispatch", 0.256, calls=256)   # 1ms mean per call
-        stat = p.get("engine.dispatch")
-        assert stat.total == 256
-        assert stat.sum == 0.256        # the batch total, kept exactly
-        assert p.to_dict()["phases"]["engine.dispatch"]["mean_s"] == \
-            pytest.approx(1e-3)
-        assert stat.percentile(50.0) == pytest.approx(1e-3, rel=0.25)
-
-    def test_to_dict_shape(self):
-        p = Profiler()
-        p.record("x", 0.5)
-        d = p.to_dict()["phases"]["x"]
-        assert set(d) == {"calls", "total_s", "mean_s", "min_s", "max_s",
-                          "p50_s", "p95_s", "p99_s"}
-
-
 class TestProfiler:
-    def test_phase_context_manager_uses_injected_clock(self):
-        clock = FakeClock()
-        p = Profiler(clock=clock)
-        with p.phase("work"):
-            clock.advance(2.5)
-        stat = p.get("work")
-        assert stat.total == 1 and stat.sum == pytest.approx(2.5)
-
-    def test_to_dict_orders_phases_by_total_desc(self):
+    def test_count_tallies_exactly(self):
         p = Profiler()
-        p.record("small", 0.1)
-        p.record("big", 5.0)
-        assert list(p.to_dict()["phases"]) == ["big", "small"]
-
-    def test_merge_folds_phases_and_meta(self):
-        a, b = Profiler(), Profiler()
-        a.record("x", 1.0)
-        a.count("n", 2)
-        b.record("x", 3.0, calls=2)
-        b.count("n", 5)
-        a.merge(b)
-        assert a.get("x").total == 3
-        assert a.get("x").sum == pytest.approx(4.0)
-        assert a.meta["n"] == 7
-
-    def test_thread_safe_recording(self):
-        p = Profiler()
-
-        def worker():
-            for _ in range(500):
-                p.record("shared", 1e-6)
-                p.count("hits")
-
-        threads = [threading.Thread(target=worker) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert p.get("shared").total == 2000
-        assert p.meta["hits"] == 2000
-
-    def test_render_lists_hottest_first(self):
-        p = Profiler()
-        p.record("cool", 0.001)
-        p.record("hot", 9.0)
-        lines = p.render().splitlines()
-        assert "hot" in lines[1] and "cool" in lines[2]
+        p.count("engine.events", 5)
+        p.count("engine.events", 2)
+        p.count("driver.run.calls")
+        assert p.counts == {"engine.events": 7, "driver.run.calls": 1}
 
 
 class TestModuleApi:
@@ -178,9 +100,8 @@ class TestInstrumentation:
             profiled_sim.run()
         assert profiled_sim.now == plain.now
         assert profiled_sim.event_count == plain.event_count
-        assert p.get("engine.run").total == 1
-        assert p.get("engine.dispatch").total == profiled_sim.event_count
-        assert p.meta["engine.events"] == profiled_sim.event_count
+        assert p.counts["engine.run.calls"] == 1
+        assert p.counts["engine.events"] == profiled_sim.event_count
 
     def test_engine_buckets_count_each_timestamp_once(self):
         def worker(sim):
@@ -193,20 +114,21 @@ class TestInstrumentation:
             sim.run()
         # Seven events at six timestamps: the completion joins the last
         # timeout's bucket while it drains.
-        assert p.meta["engine.events"] == 7
-        assert p.meta["engine.buckets"] == 6
-        assert p.meta["engine.heap_pushes"] == 6  # entries, not heap pushes
+        assert p.counts["engine.events"] == 7
+        assert p.counts["engine.buckets"] == 6
+        assert p.counts["engine.heap_pushes"] == 6  # entries, not pushes
 
     def test_simulate_job_records_expected_phases(self):
         with prof.profiled() as p:
             result = simulate_job("atom", "wordcount",
                                   data_per_node_gb=0.0625)
         assert result.execution_time_s > 0
-        names = set(p.phases)
-        for expected in ("engine.run", "engine.dispatch", "driver.run",
-                         "driver.stage.map", "driver.stage.reduce",
-                         "hdfs.load_input", "hdfs.place_block"):
-            assert expected in names, f"missing phase {expected}"
+        names = set(p.counts)
+        for expected in ("engine.run.calls", "engine.events",
+                         "driver.run.calls", "driver.stage.map.calls",
+                         "driver.stage.reduce.calls",
+                         "hdfs.load_input.calls", "hdfs.place_block.calls"):
+            assert expected in names, f"missing count {expected}"
 
     def test_profiling_never_changes_results(self):
         baseline = simulate_job("atom", "terasort", data_per_node_gb=0.125)

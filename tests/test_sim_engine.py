@@ -286,13 +286,17 @@ class TestCancellation:
         assert t.processed
         assert not t.cancelled
 
-    def test_step_skips_cancelled_events(self):
+    def test_run_until_skips_cancelled_events(self):
+        # A bound past a cancelled-only bucket stops the clock at the
+        # bound: the cancelled event neither fires nor moves ``now``.
         sim = Simulator()
         t1 = sim.timeout(1.0)
         sim.timeout(2.0)
         t1.cancel()
-        assert sim.step()
-        assert sim.now == 2.0
+        assert sim.run(until=1.5) == 1.5
+        assert sim.event_count == 0
+        assert sim.run() == 2.0
+        assert sim.event_count == 1
 
 
 class TestFailurePaths:
@@ -394,17 +398,6 @@ class TestSimulator:
         assert sim.run(until=4.0) == 4.0
         assert sim.pending > 0
         assert sim.run() == 10.0
-
-    def test_step_processes_single_event(self):
-        sim = Simulator()
-        sim.timeout(1)
-        sim.timeout(2)
-        # Timeouts schedule themselves; two pending firings exist.
-        assert sim.step()
-        assert sim.now == 1.0
-        assert sim.step()
-        assert sim.now == 2.0
-        assert not sim.step()
 
     def test_schedule_fires_callback_in_fifo_position(self):
         sim = Simulator()
@@ -613,22 +606,21 @@ class TestEngineCampaignEdges:
         assert sim.pending == 1
         assert sim.run() == 0.5   # cancelled events never advance now
 
-    def test_step_respects_until_bound(self):
+    def test_run_respects_until_bound(self):
         sim = Simulator()
         sim.timeout(1.0)
-        assert not sim.step(until=0.5)   # next event beyond the bound
-        assert sim.now == 0.5
-        assert sim.step()                # without a bound it fires
-        assert sim.now == 1.0
+        assert sim.run(until=0.5) == 0.5   # next event beyond the bound
+        assert sim.event_count == 0
+        assert sim.run() == 1.0            # without a bound it fires
+        assert sim.event_count == 1
 
-    def test_step_tallies_cancel_skips_like_run(self):
+    def test_run_tallies_cancel_skips(self):
         from repro.obs import prof
         sim = Simulator()
         doomed = sim.timeout(1.0)
         sim.timeout(2.0)
         doomed.cancel()
         with prof.profiled() as profiler:
-            assert sim.step()
-        assert sim.now == 2.0
-        assert profiler.meta.get("engine.cancel_skips") == 1
-        assert profiler.meta.get("engine.events") == 1
+            assert sim.run() == 2.0
+        assert profiler.counts.get("engine.cancel_skips") == 1
+        assert profiler.counts.get("engine.events") == 1

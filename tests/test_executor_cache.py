@@ -43,6 +43,18 @@ class TestCacheKey:
         other = DEFAULT_CONF.override(replication=2)
         assert cache_key(KEY, DEFAULT_CONF) != cache_key(KEY, other)
 
+    def test_key_bytes_are_pinned(self):
+        # Entries on disk are addressed by these digests: a change to how
+        # the key is built must keep every byte, or it orphans every
+        # existing cache.
+        assert cache_key(KEY) == (
+            "7cd248c1cebbd419b393056c37bf63371d427e46beb315bab995cf23c314b9a3")
+        assert cache_key(KEY, DEFAULT_CONF.override(replication=2)) == (
+            "184996e50a769e10b2643a61b2ac9a9ed665f64244ce0b45211bd1b1db0091d5")
+        assert cache_key(RunKey("xeon", "terasort", freq_ghz=1.2,
+                                cores_per_node=4)) == (
+            "60c32dabb6d6ca856e3f75fbca23f584944d47a4ba53374f1b8601ff58e9cad1")
+
     def test_fingerprint_is_stable_and_hex(self):
         fp = model_fingerprint()
         assert fp == model_fingerprint()

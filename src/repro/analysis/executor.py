@@ -38,20 +38,25 @@ import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
+from operator import attrgetter
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from ..core import characterization
 from ..core.characterization import Cell, RunKey
 from ..mapreduce.config import DEFAULT_CONF, JobConf
 from ..mapreduce.driver import JobResult
 
-__all__ = ["CellError", "CacheStats", "ResultCache", "cache_key",
-           "default_cache_dir", "model_fingerprint", "resolve_jobs",
-           "run_cells"]
+__all__ = ["CellError", "CacheStats", "MEMORY_ENTRIES", "ResultCache",
+           "cache_key", "default_cache_dir", "model_fingerprint",
+           "resolve_jobs", "run_cells"]
 
 #: Bump when the on-disk entry layout changes (forces a cold cache).
 CACHE_FORMAT = 1
+
+#: Decoded results one :class:`ResultCache` keeps in process (about
+#: 3.5 KB each, so about 3.6 MB at the bound).
+MEMORY_ENTRIES = 1024
 
 #: Packages whose source determines simulation results.  ``analysis``
 #: (rendering, drivers) and the CLI cannot change a JobResult, so they
@@ -82,12 +87,23 @@ def model_fingerprint() -> str:
     return _fingerprint
 
 
+_RUNKEY_FIELDS = tuple(f.name for f in fields(RunKey))
+_CONF_FIELDS = tuple(f.name for f in fields(JobConf))
+#: ``machine=%r;...;conf.fault_plan=%r``: one ``name=repr(value)`` part
+#: per RunKey field, then per JobConf field, built once at import.
+_KEY_TEMPLATE = ";".join([f"{name}=%r" for name in _RUNKEY_FIELDS]
+                         + [f"conf.{name}=%r" for name in _CONF_FIELDS])
+_runkey_values = attrgetter(*_RUNKEY_FIELDS)
+_conf_values = attrgetter(*_CONF_FIELDS)
+
+
 def cache_key(key: RunKey, conf: JobConf = DEFAULT_CONF) -> str:
-    """Stable content hash of one cell's full input (RunKey + JobConf)."""
-    parts = [f"{f.name}={getattr(key, f.name)!r}" for f in fields(RunKey)]
-    parts += [f"conf.{f.name}={getattr(conf, f.name)!r}"
-              for f in fields(JobConf)]
-    return hashlib.sha256(";".join(parts).encode()).hexdigest()
+    """Stable content hash of one cell's full input (RunKey + JobConf).
+
+    The digest addresses entries on disk: its bytes must not change.
+    """
+    text = _KEY_TEMPLATE % (_runkey_values(key) + _conf_values(conf))
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def default_cache_dir() -> Path:
@@ -138,7 +154,7 @@ class CacheStats:
     entries: int          #: cells stored under the current fingerprint
     stale_entries: int    #: cells under superseded fingerprints
     size_bytes: int       #: total on-disk footprint, all fingerprints
-    hits: int             #: disk hits served by this process
+    hits: int             #: hits served by this process
     misses: int           #: lookups this process had to simulate
     stores: int           #: cells this process wrote
 
@@ -149,7 +165,7 @@ class CacheStats:
 
     @property
     def hit_rate(self) -> float:
-        """Fraction of this process's lookups served from disk (0..1)."""
+        """Fraction of this process's lookups served from cache (0..1)."""
         return self.hits / self.lookups if self.lookups else 0.0
 
     def render(self) -> str:
@@ -176,15 +192,32 @@ class ResultCache:
     namespace while ``cache clear`` can still reap the stale ones.
     Writes are atomic (temp file + ``os.replace``), and unreadable or
     corrupt entries are treated as misses and deleted.
+
+    In front of the disk sits an in-process tier of at most
+    *memory_entries* decoded results (:data:`MEMORY_ENTRIES` by
+    default).  It fills only on a validated disk hit, never on
+    :meth:`put` or a miss, evicts the oldest-inserted entry when full,
+    and :meth:`clear` empties it.  A tier hit counts in ``hits`` like a
+    disk hit.  Results are immutable by convention, so one decoded
+    result may be handed to many callers.
+
+    ``get`` and ``put`` take the cell's :func:`cache_key` as *key_hex*
+    when the caller has it already, so a cell is hashed once.
     """
 
     def __init__(self, path: Optional[os.PathLike] = None,
-                 fingerprint: Optional[str] = None):
+                 fingerprint: Optional[str] = None,
+                 memory_entries: int = MEMORY_ENTRIES):
         self.path = Path(path) if path is not None else default_cache_dir()
         if self.path.exists() and not self.path.is_dir():
             raise ValueError(
                 f"cache dir {self.path} exists and is not a directory")
         self.fingerprint = fingerprint or model_fingerprint()
+        self._prefix = os.path.join(self.path, self.fingerprint[:16], "")
+        if memory_entries < 1:
+            raise ValueError("memory_entries must be >= 1")
+        self.memory_entries = memory_entries
+        self._memory: Dict[str, JobResult] = {}
         self.hits = 0
         self.misses = 0
         self.stores = 0
@@ -194,13 +227,20 @@ class ResultCache:
     def _bucket(self) -> Path:
         return self.path / self.fingerprint[:16]
 
-    def _entry(self, key: RunKey, conf: JobConf) -> Path:
-        return self._bucket / f"{cache_key(key, conf)}.pkl"
+    def _entry(self, key_hex: str) -> str:
+        return f"{self._prefix}{key_hex}.pkl"
 
-    def get(self, key: RunKey, conf: JobConf = DEFAULT_CONF
-            ) -> Optional[JobResult]:
+    def get(self, key: RunKey, conf: JobConf = DEFAULT_CONF,
+            key_hex: Optional[str] = None) -> Optional[JobResult]:
         """Return the cached result for a cell, or None (counted a miss)."""
-        entry = self._entry(key, conf)
+        if key_hex is None:
+            key_hex = cache_key(key, conf)
+        memory = self._memory
+        result = memory.get(key_hex)
+        if result is not None:
+            self.hits += 1
+            return result
+        entry = self._entry(key_hex)
         try:
             with open(entry, "rb") as fh:
                 result = pickle.load(fh)
@@ -218,25 +258,31 @@ class ResultCache:
             # or foreign object must never masquerade as a cell result.
             self._drop_corrupt(entry)
             return None
+        if len(memory) >= self.memory_entries:
+            del memory[next(iter(memory))]
+        memory[key_hex] = result
         self.hits += 1
         return result
 
-    def _drop_corrupt(self, entry: Path) -> None:
+    def _drop_corrupt(self, entry: str) -> None:
         try:
-            entry.unlink(missing_ok=True)
+            os.unlink(entry)
         except OSError:
-            pass            # read-only cache: still served as a miss
+            pass            # gone already, or a read-only cache: a miss
         self.corrupt += 1
         self.misses += 1
 
-    def put(self, key: RunKey, conf: JobConf, result: JobResult) -> None:
+    def put(self, key: RunKey, conf: JobConf, result: JobResult,
+            key_hex: Optional[str] = None) -> None:
         """Persist one cell atomically."""
+        if key_hex is None:
+            key_hex = cache_key(key, conf)
         self._bucket.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=self._bucket, suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as fh:
                 pickle.dump(result, fh, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp, self._entry(key, conf))
+            os.replace(tmp, self._entry(key_hex))
         except BaseException:
             try:
                 os.unlink(tmp)
@@ -289,7 +335,12 @@ class ResultCache:
         return removed
 
     def clear(self, stale_only: bool = False) -> int:
-        """Delete cached entries; returns how many were removed."""
+        """Delete cached entries; returns how many were removed.
+
+        Empties the in-process tier too, so it never outlives the files
+        it was read from.
+        """
+        self._memory.clear()
         removed = 0
         if not self.path.is_dir():
             return 0
@@ -333,8 +384,12 @@ def run_cells(cells: Sequence[Cell],
              for cell in cells}
     results: Dict[Cell, JobResult] = {}
     pending: List[Cell] = []
+    hexes: Dict[Cell, str] = {}
     for cell, (key, cell_conf) in pairs.items():
-        hit = cache.get(key, cell_conf) if cache is not None else None
+        hit = None
+        if cache is not None:
+            hexes[cell] = key_hex = cache_key(key, cell_conf)
+            hit = cache.get(key, cell_conf, key_hex)
         if hit is not None:
             results[cell] = hit
         else:
@@ -349,7 +404,7 @@ def run_cells(cells: Sequence[Cell],
             except Exception as exc:
                 raise CellError(key, exc) from exc
             if cache is not None:
-                cache.put(key, cell_conf, results[cell])
+                cache.put(key, cell_conf, results[cell], hexes[cell])
     else:
         with ProcessPoolExecutor(max_workers=min(jobs, len(pending))) as pool:
             futures = [(cell, pool.submit(_simulate_worker, *pairs[cell]))
@@ -361,6 +416,6 @@ def run_cells(cells: Sequence[Cell],
                 except Exception as exc:
                     raise CellError(key, exc) from exc
                 if cache is not None:
-                    cache.put(key, cell_conf, results[cell])
+                    cache.put(key, cell_conf, results[cell], hexes[cell])
 
     return {cell: results[cell] for cell in pairs}

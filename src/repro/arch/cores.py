@@ -71,6 +71,27 @@ class CpuProfile:
         if self.apki < 0 or self.branch_mpki < 0 or self.frontend_mpki < 0:
             raise ValueError(f"{self.name}: event rates must be non-negative")
 
+    def __hash__(self) -> int:
+        # Profiles key every node's core_perf memo and the task I/O
+        # bills, so the generated dataclass hash (a fresh field tuple
+        # per call) is computed once per instance instead.  The value is
+        # salted per process (``name`` is a str): __getstate__ keeps it
+        # out of pickles.
+        try:
+            return self._hash
+        except AttributeError:
+            values = (self.name, self.ilp, self.apki, self.working_set_bytes,
+                      self.locality_alpha, self.branch_mpki,
+                      self.frontend_mpki)
+            object.__setattr__(  # detlint: disable=DET001 -- a dict key only
+                self, "_hash", hash(values))
+            return self._hash
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
     @property
     def miss_curve(self) -> MissCurve:
         return MissCurve(self.working_set_bytes, self.locality_alpha)

@@ -28,7 +28,7 @@ queue-depth and busy-node counters on the outer simulated clock, and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..mapreduce.driver import JobResult
 from ..obs import prof

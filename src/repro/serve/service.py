@@ -41,7 +41,8 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..analysis.executor import ResultCache, cache_key, model_fingerprint
+from ..analysis.executor import (MEMORY_ENTRIES, ResultCache, cache_key,
+                                 model_fingerprint)
 from ..core.characterization import RunKey
 from ..mapreduce.config import DEFAULT_CONF, JobConf
 from ..mapreduce.driver import JobResult
@@ -121,15 +122,21 @@ class ShardedResultCache:
     ``<path>/shard-XX``; a key's shard is its hash prefix modulo the
     shard count, so the mapping is stable across restarts and processes.
     Sharding keeps per-directory entry counts (and the rename traffic of
-    thousands of concurrent single-flight fills) bounded.
+    thousands of concurrent single-flight fills) bounded.  The shards
+    split :data:`~repro.analysis.executor.MEMORY_ENTRIES` between their
+    in-process tiers, so the whole service keeps at most that many
+    decoded results.  *key_hex* is the caller's ``cache_key``, passed
+    down so no shard hashes the cell again.
     """
 
     def __init__(self, path: Optional[str] = None, shards: int = 8):
         fingerprint = model_fingerprint()
         from ..analysis.executor import default_cache_dir
         root = default_cache_dir() if path is None else path
+        per_shard = max(1, MEMORY_ENTRIES // shards)
         self.shards: List[ResultCache] = [
-            ResultCache(f"{root}/shard-{i:02d}", fingerprint=fingerprint)
+            ResultCache(f"{root}/shard-{i:02d}", fingerprint=fingerprint,
+                        memory_entries=per_shard)
             for i in range(shards)
         ]
 
@@ -138,11 +145,11 @@ class ShardedResultCache:
 
     def get(self, key_hex: str, key: RunKey,
             conf: JobConf) -> Optional[JobResult]:
-        return self.shard_for(key_hex).get(key, conf)
+        return self.shard_for(key_hex).get(key, conf, key_hex)
 
     def put(self, key_hex: str, key: RunKey, conf: JobConf,
             result: JobResult) -> None:
-        self.shard_for(key_hex).put(key, conf, result)
+        self.shard_for(key_hex).put(key, conf, result, key_hex)
 
     def reap_orphans(self) -> int:
         return sum(s.reap_orphans() for s in self.shards)

@@ -632,7 +632,9 @@ class Simulator:
         Drains calendar buckets in time order, firing each bucket's
         events in scheduling order — bit-for-bit the (time, seq) order of
         the engine's original tuple heap.  *until* stops the clock there
-        without firing later events.  Returns the final simulated time.
+        without firing later events; if only cancelled entries lie past
+        it, the clock stays at the last fired event, as on an empty
+        queue.  Returns the final simulated time.
         With a work counter installed (``repro.obs.prof``) the call also
         tallies its events, buckets, calendar entries and cancel skips;
         counting never changes the model.
@@ -671,7 +673,8 @@ class Simulator:
                         # The parked bucket lies beyond the bound: mirror
                         # the next-event-beyond-until behaviour below.
                         self._front = (when, bucket)
-                        self.now = bound
+                        if self._queue_entries() > self._cancelled_pending:
+                            self.now = bound
                         break
                     # Events scheduled at ``when`` since it was parked
                     # queue behind it (their heap entry goes stale).
@@ -683,7 +686,12 @@ class Simulator:
                         break
                     when = times[0]
                     if when > bound:
-                        self.now = bound
+                        # Only live work past the bound moves the clock:
+                        # a cancelled-only remainder is an empty queue
+                        # (see Event.cancel).  Between buckets the
+                        # cancelled tally is exact; checked on exit only.
+                        if self._queue_entries() > self._cancelled_pending:
+                            self.now = bound
                         break
                     pop(times)
                     bucket = buckets.pop(when, None)

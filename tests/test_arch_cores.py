@@ -2,6 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
+import os
+import pickle
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,6 +18,7 @@ from repro.arch.cores import CoreSpec, CpuProfile, scale_profile
 from repro.arch.presets import ATOM_C2758, XEON_E5_2420
 
 GHZ = 1e9
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _profile(**overrides):
@@ -54,6 +63,38 @@ class TestCpuProfile:
         assert scaled.working_set_bytes == pytest.approx(
             4.0 * base.working_set_bytes)
         assert scaled.locality_alpha == base.locality_alpha
+
+    def test_hash_is_cached_but_never_pickled(self):
+        # The cached hash is salted per process: a pickled profile must
+        # recompute it on the far side, or a process with another
+        # PYTHONHASHSEED could not find it as a dict key.
+        profile = _profile()
+        assert hash(profile) == hash(_profile())
+        assert pickle.loads(pickle.dumps(profile)).__dict__ == {
+            f.name: getattr(profile, f.name)
+            for f in dataclasses.fields(profile)}
+        probe = textwrap.dedent("""
+            import pickle, sys
+            from repro.arch.cores import CpuProfile
+            shipped = pickle.loads(sys.stdin.buffer.read())
+            local = CpuProfile.characterized(
+                "test", ilp=2.0, apki=400.0, l1_miss_ratio=0.08,
+                locality_alpha=0.6, branch_mpki=4.0, frontend_mpki=2.0)
+            assert shipped == local
+            assert {local: "hit"}[shipped] == "hit"
+            assert {shipped: "hit"}[local] == "hit"
+            print(hash("test"))
+            """)
+        salts = set()
+        for seed in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-c", probe], input=pickle.dumps(profile),
+                capture_output=True, check=True,
+                env=dict(os.environ, PYTHONPATH=str(ROOT / "src"),
+                         PYTHONHASHSEED=seed))
+            salts.add(int(proc.stdout))
+        salts.add(hash("test"))
+        assert len(salts) >= 2      # at least one child hashed differently
 
     def test_scale_profile_validation(self):
         with pytest.raises(ValueError):

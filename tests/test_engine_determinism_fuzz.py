@@ -390,9 +390,8 @@ def test_stepped_engine_matches_reference_loop(seed):
     """Bounded ``run(until=...)`` windows, resumed one after another,
     give the same log and digest as the heap in one go.
 
-    The bounds stop short of the reference's final time: a bound past
-    the last live event would leave the clock at the bound whenever a
-    cancelled entry still lies beyond it.
+    The bounds stop short of the reference's final time, so every
+    window ends with live work still queued.
     """
     ref_log, ref_digest, ref_end = _run_seed(seed, _RefSimulator)
     bounds = [b for b in _STEP_BOUNDS if b < ref_end]

@@ -9,13 +9,15 @@ its coordinates rather than a bare worker traceback.
 from __future__ import annotations
 
 import pickle
+from pathlib import Path
 
 import pytest
 
-from repro.analysis.executor import (CACHE_FORMAT, CellError, ResultCache,
-                                     cache_key, default_cache_dir,
-                                     model_fingerprint, resolve_jobs,
-                                     run_cells)
+from repro.analysis import executor
+from repro.analysis.executor import (CACHE_FORMAT, MEMORY_ENTRIES, CellError,
+                                     ResultCache, cache_key,
+                                     default_cache_dir, model_fingerprint,
+                                     resolve_jobs, run_cells)
 from repro.core.characterization import Characterizer, RunKey, simulate_cell
 from repro.mapreduce.config import DEFAULT_CONF
 
@@ -27,6 +29,11 @@ KEY2 = RunKey("xeon", "wordcount", freq_ghz=1.2, data_per_node_gb=0.25)
 @pytest.fixture()
 def cache(tmp_path) -> ResultCache:
     return ResultCache(tmp_path)
+
+
+def _entry_path(cache: ResultCache, key: RunKey) -> Path:
+    """Where *cache* stores *key* under the default conf."""
+    return Path(cache._entry(cache_key(key)))
 
 
 class TestCacheKey:
@@ -83,7 +90,7 @@ class TestResultCache:
 
     def test_corrupt_entry_is_a_miss(self, cache):
         cache.put(KEY, DEFAULT_CONF, simulate_cell(KEY))
-        entry = cache._entry(KEY, DEFAULT_CONF)
+        entry = _entry_path(cache, KEY)
         entry.write_bytes(b"not a pickle")
         assert cache.get(KEY) is None
         assert not entry.exists()  # dropped, will be re-simulated
@@ -92,7 +99,7 @@ class TestResultCache:
     def test_wrong_type_pickle_is_dropped(self, cache):
         # A readable pickle that is not a JobResult (foreign writer,
         # stale schema) must never masquerade as a cell result.
-        entry = cache._entry(KEY, DEFAULT_CONF)
+        entry = _entry_path(cache, KEY)
         entry.parent.mkdir(parents=True, exist_ok=True)
         entry.write_bytes(pickle.dumps({"execution_time_s": 1.0}))
         assert cache.get(KEY) is None
@@ -101,7 +108,7 @@ class TestResultCache:
 
     def test_corrupt_entry_is_rewritten_on_next_put(self, cache):
         fresh = simulate_cell(KEY)
-        entry = cache._entry(KEY, DEFAULT_CONF)
+        entry = _entry_path(cache, KEY)
         entry.parent.mkdir(parents=True, exist_ok=True)
         entry.write_bytes(b"\x80garbage")
         assert cache.get(KEY) is None
@@ -144,6 +151,64 @@ class TestResultCache:
     def test_default_dir_honors_env(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "c"))
         assert default_cache_dir() == tmp_path / "c"
+
+
+class TestMemoryTier:
+    """The in-process tier inside :meth:`ResultCache.get`."""
+
+    def test_disk_hit_fills_tier_and_tier_hit_counts(self, cache):
+        fresh = simulate_cell(KEY)
+        cache.put(KEY, DEFAULT_CONF, fresh)
+        first = cache.get(KEY)
+        _entry_path(cache, KEY).unlink()      # only the tier can answer now
+        assert cache.get(KEY) is first
+        assert first == fresh
+        assert cache.hits == 2 and cache.misses == 0
+
+    def test_misses_puts_and_corrupt_entries_are_never_kept(self, cache):
+        assert cache.get(KEY) is None
+        cache.put(KEY, DEFAULT_CONF, simulate_cell(KEY))
+        assert cache._memory == {}
+        _entry_path(cache, KEY).write_bytes(b"not a pickle")
+        assert cache.get(KEY) is None
+        assert cache._memory == {}
+        assert cache.misses == 2 and cache.corrupt == 1
+
+    def test_tier_never_exceeds_its_bound(self, tmp_path):
+        assert ResultCache(tmp_path).memory_entries == MEMORY_ENTRIES
+        with pytest.raises(ValueError, match="memory_entries"):
+            ResultCache(tmp_path, memory_entries=0)
+        cache = ResultCache(tmp_path, memory_entries=2)
+        result = simulate_cell(KEY)
+        keys = [RunKey("atom", "wordcount", freq_ghz=f, data_per_node_gb=0.25)
+                for f in (1.2, 1.4, 1.6, 1.8)]
+        for key in keys:
+            cache.put(key, DEFAULT_CONF, result)
+            assert cache.get(key) is not None
+            assert len(cache._memory) <= 2
+        # Oldest-inserted goes first: the last two cells remain.
+        assert list(cache._memory) == [cache_key(k) for k in keys[2:]]
+        assert cache.hits == 4
+
+    def test_clear_empties_the_tier(self, cache):
+        cache.put(KEY, DEFAULT_CONF, simulate_cell(KEY))
+        assert cache.get(KEY) is not None and cache._memory
+        assert cache.clear() == 1
+        assert cache._memory == {}
+        assert cache.get(KEY) is None
+
+    def test_run_cells_hashes_each_cell_once(self, cache, monkeypatch):
+        calls = []
+
+        def counting(key, conf=DEFAULT_CONF):
+            calls.append(key)
+            return cache_key(key, conf)
+
+        monkeypatch.setattr(executor, "cache_key", counting)
+        run_cells([KEY, KEY2], cache=cache)             # get + put per cell
+        assert calls == [KEY, KEY2]
+        run_cells([KEY, KEY2], cache=ResultCache(cache.path))   # warm
+        assert calls == [KEY, KEY2] * 2
 
 
 class TestRunCells:

@@ -113,6 +113,35 @@ def test_second_run_is_served_from_cache(tmp_path):
     assert result.execution_time_s == simulate_cell(KEY).execution_time_s
 
 
+def test_submit_hashes_a_cell_once(tmp_path, monkeypatch):
+    from repro.analysis import executor
+    from repro.serve import service as service_mod
+    config = _config(tmp_path)
+    asyncio.run(_with_service(config, lambda service: service.submit(KEY)))
+    calls = []
+
+    def counting(key, conf):
+        calls.append(key)
+        return cache_key(key, conf)
+
+    monkeypatch.setattr(executor, "cache_key", counting)
+    monkeypatch.setattr(service_mod, "cache_key", counting)
+
+    async def warm(service):
+        return [(await service.submit(KEY))[1] for _ in range(2)]
+
+    assert asyncio.run(_with_service(config, warm)) == ["cache", "cache"]
+    assert calls == [KEY, KEY]
+
+
+def test_shards_split_the_memory_bound(tmp_path):
+    from repro.analysis.executor import MEMORY_ENTRIES
+    from repro.serve.service import ShardedResultCache
+    for shards in (1, 3, 8):
+        cache = ShardedResultCache(str(tmp_path), shards)
+        assert sum(s.memory_entries for s in cache.shards) <= MEMORY_ENTRIES
+
+
 def test_cache_shards_are_populated_on_disk(tmp_path):
     config = _config(tmp_path, shards=4)
 
@@ -359,6 +388,44 @@ def test_concurrent_identical_requests_get_byte_identical_bodies(tmp_path):
     payload = json.loads(bodies.pop())
     assert payload["result"]["machine"] == "atom"
     assert payload["result"]["execution_time_s"] > 0
+
+
+def test_memory_tier_hits_count_and_keep_bodies_byte_identical(tmp_path):
+    """A /simulate answered from the in-process tier counts as a cache
+    hit in /metrics, says so in X-Repro-Source, and returns the bytes a
+    disk hit and the original computation returned."""
+    async def serve(*deletions):
+        handle = await _stack(tmp_path)
+        conn = _Connection(handle.host, handle.port)
+        try:
+            seen = []
+            for delete in (None,) + deletions:
+                if delete is not None:
+                    delete()
+                status, body = await conn.request("POST", "/simulate",
+                                                  BODY)
+                seen.append((status, conn.last_headers["x-repro-source"],
+                             body))
+            metrics = json.loads((await conn.request(
+                "GET", "/metrics?format=json"))[1])
+            return seen, metrics
+        finally:
+            conn.close()
+            await stop_stack(handle, graceful=False)
+
+    def drop_entry():
+        (entry,) = (tmp_path / "cache").rglob("*.pkl")
+        entry.unlink()
+
+    (computed,), _ = asyncio.run(serve())
+    (disk, tier), metrics = asyncio.run(serve(drop_entry))
+    assert computed[:2] == (200, "computed")
+    assert disk[:2] == (200, "cache")
+    assert tier[:2] == (200, "cache")          # its file is gone
+    assert computed[2] == disk[2] == tier[2]
+    assert metrics["cache_hits_total"] == 2
+    assert metrics["cache_misses_total"] == 0
+    assert metrics["executor_submissions_total"] == 0
 
 
 def test_http_error_statuses(tmp_path):

@@ -614,6 +614,29 @@ class TestEngineCampaignEdges:
         assert sim.run() == 1.0            # without a bound it fires
         assert sim.event_count == 1
 
+    def test_bound_past_an_empty_queue_keeps_the_clock(self):
+        sim = Simulator()
+        sim.timeout(1.0)
+        assert sim.run(until=3.0) == 1.0
+
+    def test_bound_past_cancelled_only_entries_keeps_the_clock(self):
+        # A cancelled-only remainder is an empty queue: the clock stays
+        # at the last fired event (see ``Event.cancel``).
+        sim = Simulator()
+        sim.timeout(1.0)
+        sim.timeout(5.0).cancel()
+        assert sim.run(until=3.0) == 1.0
+        assert sim.pending == 0
+        assert sim.run() == 1.0
+
+    def test_bound_before_a_live_entry_moves_the_clock(self):
+        sim = Simulator()
+        sim.timeout(1.0)
+        sim.timeout(5.0).cancel()
+        sim.timeout(6.0)
+        assert sim.run(until=3.0) == 3.0
+        assert sim.run() == 6.0
+
     def test_run_tallies_cancel_skips(self):
         from repro.obs import prof
         sim = Simulator()

@@ -13,7 +13,10 @@ The cases cover the three ways a node's cores are driven:
 * one mixed big+little cluster (``Cluster.heterogeneous``) through
   :func:`~repro.core.phase_scheduler.compare_phase_placements`;
 * one faulted run whose plan degrades a node's compute
-  (``compute_slowdown``) and adds stragglers and failed attempts;
+  (``compute_slowdown``) and adds stragglers and failed attempts, and
+  the same run with speculative execution on, whose backup attempts and
+  speculation polls are the engine's one path that cancels events in
+  volume;
 * two runs in which a node really crashes while transfers on it are
   still queued or in service (one also with ``disk_slowdown``);
 * map-only ``sort``, whose output goes through the driver's replicated
@@ -78,6 +81,10 @@ CASES["mixed/terasort"] = lambda: compare_phase_placements("terasort")
 CASES["faulted/atom/wordcount"] = lambda: simulate_cell(
     RunKey("atom", "wordcount"),
     dataclasses.replace(DEFAULT_CONF, fault_plan=FAULT_PLAN))
+CASES["speculative/atom/wordcount"] = lambda: simulate_cell(
+    RunKey("atom", "wordcount"),
+    dataclasses.replace(DEFAULT_CONF, fault_plan=FAULT_PLAN,
+                        speculative_execution=True))
 # Crash times chosen so that the dying node has transfers in flight.
 CRASH_CASES = {
     "crash/xeon/terasort": _crash(
@@ -111,6 +118,8 @@ DIGESTS = {
         "da81a2163ebef102ffc8edd95e872310bd03057d778cb1ba14ffda72c5fe4dbb",
     "faulted/atom/wordcount":
         "4f12bd356a39548d0cb2531a2dbac81dde2af7b7a9ba03c24d9e8498a466356d",
+    "speculative/atom/wordcount":
+        "6a6a76e36e4d0b63c2ceab60dc30b0a9abf207a546c954acb9ac620851343007",
     "crash/xeon/terasort":
         "d5a3651b70bf2b0c46cbcbc61c95b0884ee12001152937fe5ac9f77d9acbfc56",
     "crash/atom/wordcount":
@@ -166,6 +175,11 @@ def test_cases_are_all_pinned():
 @pytest.mark.parametrize("label", sorted(CASES))
 def test_output_digest_unchanged(label):
     assert digest(CASES[label]()) == DIGESTS[label]
+
+
+def test_speculative_case_launches_backups():
+    counters = CASES["speculative/atom/wordcount"]().counters
+    assert counters.speculative_attempts >= 1
 
 
 @pytest.mark.parametrize("label", sorted(CRASH_CASES))

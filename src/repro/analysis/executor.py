@@ -33,6 +33,7 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
+import re
 import shutil
 import tempfile
 import time
@@ -57,6 +58,9 @@ CACHE_FORMAT = 1
 #: Decoded results one :class:`ResultCache` keeps in process (about
 #: 3.5 KB each, so about 3.6 MB at the bound).
 MEMORY_ENTRIES = 1024
+
+#: A bucket directory's name: the first 16 hex digits of a fingerprint.
+_BUCKET_NAME = re.compile(r"[0-9a-f]{16}")
 
 #: Packages whose source determines simulation results.  ``analysis``
 #: (rendering, drivers) and the CLI cannot change a JobResult, so they
@@ -189,7 +193,10 @@ class ResultCache:
 
     Entries live at ``<path>/<fingerprint[:16]>/<cache_key>.pkl``; the
     fingerprint prefix means a model-code edit silently starts a fresh
-    namespace while ``cache clear`` can still reap the stale ones.
+    namespace while ``cache clear`` can still reap the stale ones.  The
+    service's shards share a root one level deeper
+    (``<path>/shard-XX/<fingerprint[:16]>/``), and :meth:`stats`,
+    :meth:`clear` and :meth:`reap_orphans` see those entries too.
     Writes are atomic (temp file + ``os.replace``), and unreadable or
     corrupt entries are treated as misses and deleted.
 
@@ -291,18 +298,34 @@ class ResultCache:
             raise
         self.stores += 1
 
+    def _buckets(self) -> List[Path]:
+        """Every fingerprint directory under the root, in path order.
+
+        A directory is a bucket by its name (a fingerprint prefix), at
+        the top level or inside a shard directory, so each entry is
+        judged by the fingerprint directory it sits in.
+        """
+        buckets: List[Path] = []
+        if not self.path.is_dir():
+            return buckets
+        for top in sorted(self.path.iterdir()):
+            if not top.is_dir():
+                continue
+            inner = ([top] if _BUCKET_NAME.fullmatch(top.name)
+                     else sorted(top.iterdir()))
+            buckets += [d for d in inner
+                        if d.is_dir() and _BUCKET_NAME.fullmatch(d.name)]
+        return buckets
+
     def stats(self) -> CacheStats:
         current = stale = size = 0
-        if self.path.is_dir():
-            for bucket in sorted(self.path.iterdir()):
-                if not bucket.is_dir():
-                    continue
-                entries = sorted(bucket.glob("*.pkl"))
-                size += sum(e.stat().st_size for e in entries)
-                if bucket.name == self.fingerprint[:16]:
-                    current = len(entries)
-                else:
-                    stale += len(entries)
+        for bucket in self._buckets():
+            entries = sorted(bucket.glob("*.pkl"))
+            size += sum(e.stat().st_size for e in entries)
+            if bucket.name == self.fingerprint[:16]:
+                current += len(entries)
+            else:
+                stale += len(entries)
         return CacheStats(path=self.path, fingerprint=self.fingerprint,
                           entries=current, stale_entries=stale,
                           size_bytes=size, hits=self.hits,
@@ -319,12 +342,8 @@ class ResultCache:
         concurrent writer mid-``put`` is never raced.
         """
         removed = 0
-        if not self.path.is_dir():
-            return 0
         cutoff = time.time() - max_age_s
-        for bucket in sorted(self.path.iterdir()):
-            if not bucket.is_dir():
-                continue
+        for bucket in self._buckets():
             for tmp in sorted(bucket.glob("*.tmp")):
                 try:
                     if tmp.stat().st_mtime <= cutoff:
@@ -342,11 +361,7 @@ class ResultCache:
         """
         self._memory.clear()
         removed = 0
-        if not self.path.is_dir():
-            return 0
-        for bucket in sorted(self.path.iterdir()):
-            if not bucket.is_dir():
-                continue
+        for bucket in self._buckets():
             if stale_only and bucket.name == self.fingerprint[:16]:
                 continue
             removed += len(sorted(bucket.glob("*.pkl")))

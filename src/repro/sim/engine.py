@@ -34,14 +34,14 @@ timestamps collide (the common case in a heartbeat-driven simulation,
 and precisely where a tuple heap is slowest).
 
 Cancelled events are *lazily deleted*: they stay in their bucket and are
-skipped at dispatch.  So that long datacenter runs cannot bloat the
-calendar with retired crash watchers, :meth:`Event.cancel` triggers an
-in-place compaction sweep once cancelled entries both exceed a fixed
-threshold and outnumber live ones.
+skipped at dispatch.  The model keeps that dead weight small: a
+cancelled speculation poll leaves the calendar within one poll period,
+and crash watchers number at most the planned crashes.
 
-:meth:`Simulator.run` is the one loop body; with a work counter
-installed (:mod:`repro.obs.prof`) it tallies its events, buckets and
-calendar entries once per call, never per event.
+:meth:`Simulator.run` is the one loop body and the one way through the
+calendar: it drains it to empty.  With a work counter installed
+(:mod:`repro.obs.prof`) it tallies its events, buckets and calendar
+entries once per call, never per event.
 
 Example
 -------
@@ -59,7 +59,7 @@ Example
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
 from ..obs import prof
@@ -75,15 +75,8 @@ __all__ = [
     "SimulationError",
 ]
 
-_INF = float("inf")
-
-#: Lazy-deleted (cancelled) events trigger a calendar compaction sweep
-#: once they number at least this many *and* outnumber live events.
-COMPACT_THRESHOLD = 256
-
-
 class SimulationError(RuntimeError):
-    """Raised for violations of engine invariants (e.g. time travel)."""
+    """Raised for violations of engine invariants (e.g. a negative delay)."""
 
 
 class Event:
@@ -152,9 +145,7 @@ class Event:
         Cancelling an already-processed event is a no-op.
 
         Cancelled events are lazily deleted: they stay in their calendar
-        bucket until dispatch skips over them, or until enough accumulate
-        (at least :data:`COMPACT_THRESHOLD`, and more than the live count
-        seen by the previous sweep) to trigger an in-place compaction.
+        bucket until dispatch skips over them.
         """
         if self._processed:
             return
@@ -163,10 +154,7 @@ class Event:
             self._cancelled = True
             if self._triggered:
                 # Scheduled and now dead weight in its bucket.
-                n = sim._cancelled_pending + 1
-                sim._cancelled_pending = n
-                if n >= sim._compact_at:
-                    sim._compact()
+                sim._cancelled_pending += 1
         if sim.obs is not None:
             sim.obs.count("engine.cancels")
 
@@ -239,36 +227,21 @@ class Event:
 class Timeout(Event):
     """An event that fires after a fixed simulated delay.
 
-    ``__init__`` is the single biggest allocator in any run, so it is
-    fully inlined: no ``super().__init__`` call, scheduling folded in.
+    Created only by :meth:`Simulator.timeout`, which builds it in place.
     """
 
-    __slots__ = ("delay",)
+    __slots__ = ()
 
     # Class-level constants shadowing Event's slot descriptors: a Timeout
     # is born triggered and cannot fail before firing (``fail`` raises on
     # triggered events first), so reads resolve on the class and
-    # ``__init__`` skips two per-instance stores.  Writing either through
+    # the factory skips two per-instance stores.  Writing either through
     # an instance would now raise — nothing does.
     _triggered = True
     _exc = None
 
-    def __init__(self, sim: "Simulator", delay: float, value: Any = None):
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay: {delay!r}")
-        self.sim = sim
-        self.callbacks = None
-        self._processed = False
-        self.value = value
-        self._cancelled = False
-        self.delay = delay
-        when = sim.now + delay
-        buckets = sim._buckets
-        try:
-            buckets[when].append(self)
-        except KeyError:
-            buckets[when] = [self]
-            heappush(sim._times, when)
+    def __init__(self, *_args, **_kwargs):
+        raise TypeError("create a Timeout with Simulator.timeout()")
 
 
 class Process(Event):
@@ -278,47 +251,13 @@ class Process(Event):
     event fires, the generator is resumed with the event's ``value`` (or
     the event's exception is thrown into it).  The return value of the
     generator becomes the value of the process-completion event.
+    Created only by :meth:`Simulator.process`, which builds it in place.
     """
 
     __slots__ = ("generator", "_waiting_on", "_resume_cb", "_send", "_throw")
 
-    def __init__(self, sim: "Simulator", generator: Generator):
-        self.sim = sim
-        self.callbacks = None
-        self._triggered = False
-        self._processed = False
-        self.value = None
-        self._exc = None
-        self._cancelled = False
-        self.generator = generator
-        self._waiting_on: Optional[Event] = None
-        # One bound method each, created once: every resume re-uses them
-        # instead of allocating fresh bound methods per yield (and the
-        # send/throw lookup doubles as the is-it-a-generator check).
-        try:
-            self._send = generator.send
-            self._throw = generator.throw
-        except AttributeError:
-            raise SimulationError(
-                f"process target must be a generator, "
-                f"got {type(generator).__name__}") from None
-        self._resume_cb = resume = self._resume
-        # Bootstrap: resume once the engine starts / at the current time.
-        # (Inline Event construction + scheduling: one boot per process.)
-        boot = Event.__new__(Event)
-        boot.sim = sim
-        boot.callbacks = resume
-        boot._triggered = True
-        boot._processed = False
-        boot.value = None
-        boot._exc = None
-        boot._cancelled = False
-        when = sim.now
-        try:
-            sim._buckets[when].append(boot)
-        except KeyError:
-            sim._buckets[when] = [boot]
-            heappush(sim._times, when)
+    def __init__(self, *_args, **_kwargs):
+        raise TypeError("create a Process with Simulator.process()")
 
     @property
     def is_alive(self) -> bool:
@@ -482,7 +421,7 @@ class Simulator:
     model code, and a property costs a descriptor call per read); treat
     it as read-only outside the engine.  Counters:
 
-    * ``event_count`` — events dispatched (flushed per bucket, exact
+    * ``event_count`` — events dispatched (flushed per call, exact
       whenever :meth:`run` is not mid-dispatch),
     * ``pending`` — *live* scheduled-but-unfired events: lazily-deleted
       cancelled events are excluded, so backlog metrics do not
@@ -490,26 +429,19 @@ class Simulator:
     """
 
     __slots__ = ("now", "event_count", "obs", "_buckets", "_times",
-                 "_cancelled_pending", "_retired", "_compact_at", "_front",
-                 "_draining")
+                 "_cancelled_pending", "_draining")
 
     def __init__(self):
         #: Current simulated time in seconds.
         self.now = 0.0
         #: time -> [events scheduled at that time, in scheduling order]
         self._buckets = {}
-        #: Min-heap of distinct bucket times.  May hold stale entries
-        #: (bucket emptied by compaction or drained); dispatch drops
-        #: those on contact.
+        #: Min-heap of distinct bucket times, one entry per bucket.
         self._times: List[float] = []
         self._cancelled_pending = 0   # cancelled events still in a bucket
-        self._retired = 0             # cancelled events removed again
-        self._compact_at = COMPACT_THRESHOLD
-        #: Partially drained front bucket left by a callback exception:
-        #: ``(time, [unfired events])`` or None.
-        self._front = None
         #: The bucket ``run()`` is draining (still in ``_buckets``, so
-        #: same-time events append to it), or None.
+        #: same-time events append to it), or None.  A callback that
+        #: raises leaves it set, which stops any later ``run()``.
         self._draining = None
         self.event_count = 0
         #: Optional :class:`repro.obs.Tracer`; every instrumentation site
@@ -527,10 +459,9 @@ class Simulator:
                 ) -> Timeout:
         """Create an event firing ``delay`` seconds from now.
 
-        *callback*, if given, becomes the event's only callback.  Mirrors
-        ``Timeout.__init__`` body-for-body (via ``__new__``) to shed one
-        call frame: this is the single hottest allocation site in any
-        run, and the frame was ~15% of bare dispatch throughput.
+        *callback*, if given, becomes the event's only callback.  The
+        event is built in place (via ``__new__``), with no ``__init__``
+        frame: this is the single hottest allocation site in any run.
         """
         if delay < 0:
             raise SimulationError(f"negative timeout delay: {delay!r}")
@@ -540,7 +471,6 @@ class Simulator:
         event._processed = False
         event.value = value
         event._cancelled = False
-        event.delay = delay
         when = self.now + delay
         buckets = self._buckets
         try:
@@ -553,10 +483,10 @@ class Simulator:
     def process(self, generator: Generator) -> Process:
         """Launch *generator* as a process; returns its completion event.
 
-        Mirrors ``Process.__init__`` body-for-body (via ``__new__``) to
-        shed one call frame — task attempts, heartbeats and watchers all
-        funnel through here, making it the second-hottest factory after
-        :meth:`timeout`.
+        Built in place like :meth:`timeout`: task attempts, heartbeats and
+        watchers all funnel through here, making it the second-hottest
+        factory.  The process first resumes from a boot event at the
+        current time.
         """
         event = Process.__new__(Process)
         event.sim = self
@@ -568,6 +498,9 @@ class Simulator:
         event._cancelled = False
         event.generator = generator
         event._waiting_on = None
+        # One bound method each, created once: every resume re-uses them
+        # instead of allocating fresh bound methods per yield (and the
+        # send/throw lookup doubles as the is-it-a-generator check).
         try:
             event._send = generator.send
             event._throw = generator.throw
@@ -626,29 +559,33 @@ class Simulator:
         return AnyOf(self, events)
 
     # -- the loop --------------------------------------------------------
-    def run(self, until: Optional[float] = None) -> float:
-        """Run until the queue drains or simulated time reaches *until*.
+    def run(self) -> float:
+        """Fire every scheduled event, in order, until the calendar is empty.
 
         Drains calendar buckets in time order, firing each bucket's
         events in scheduling order — bit-for-bit the (time, seq) order of
-        the engine's original tuple heap.  *until* stops the clock there
-        without firing later events; if only cancelled entries lie past
-        it, the clock stays at the last fired event, as on an empty
-        queue.  Returns the final simulated time.
-        With a work counter installed (``repro.obs.prof``) the call also
-        tallies its events, buckets, calendar entries and cancel skips;
-        counting never changes the model.
+        the engine's original tuple heap.  Cancelled events are skipped
+        without moving the clock, so a calendar whose tail holds only
+        cancelled events leaves ``now`` at the last fired event.
+        Returns the final simulated time.  With a work counter installed
+        (``repro.obs.prof``) the call also tallies its events, buckets,
+        calendar entries and cancel skips; counting never changes the
+        model.
 
         The bucket being drained stays in ``_buckets`` (see the module
-        docstring).
+        docstring).  An exception from a callback propagates out of
+        ``run()`` with ``event_count`` and the tallies exact; the
+        calendar keeps the unfired rest of the bucket, and any later
+        ``run()`` raises :class:`SimulationError` instead of resuming.
 
         Hot-path notes: everything touched per event is a local; the
         fired count flushes to ``event_count`` per call (``finally``);
-        ``pending`` is exact at any time, inside callbacks too.  A
-        bucket a raising callback left partially drained is parked in
-        ``_front`` so the next call resumes mid-bucket.
+        ``pending`` is exact at any time, inside callbacks too.
         """
-        bound = _INF if until is None else until
+        if self._draining is not None:
+            raise SimulationError(
+                "run() cannot resume a calendar that a raising callback "
+                "left mid-bucket, nor be re-entered from a callback")
         buckets = self._buckets
         times = self._times
         pop = heappop
@@ -658,45 +595,13 @@ class Simulator:
         adopted = 0
         it = None
         bskip = 0
-        now = self.now
         if profiler is not None:
-            retired0 = self._retired
             entries0 = self._queue_entries()
-        front = self._front
         try:
-            while True:
+            while times:
                 # -- adopt the next bucket --------------------------------
-                if front is not None:
-                    when, bucket = front
-                    front = self._front = None
-                    if when > bound:
-                        # The parked bucket lies beyond the bound: mirror
-                        # the next-event-beyond-until behaviour below.
-                        self._front = (when, bucket)
-                        if self._queue_entries() > self._cancelled_pending:
-                            self.now = bound
-                        break
-                    # Events scheduled at ``when`` since it was parked
-                    # queue behind it (their heap entry goes stale).
-                    later = buckets.pop(when, None)
-                    if later is not None:
-                        bucket += later
-                else:
-                    if not times:
-                        break
-                    when = times[0]
-                    if when > bound:
-                        # Only live work past the bound moves the clock:
-                        # a cancelled-only remainder is an empty queue
-                        # (see Event.cancel).  Between buckets the
-                        # cancelled tally is exact; checked on exit only.
-                        if self._queue_entries() > self._cancelled_pending:
-                            self.now = bound
-                        break
-                    pop(times)
-                    bucket = buckets.pop(when, None)
-                    if bucket is None:
-                        continue  # stale heap entry (compaction/duplicate)
+                when = pop(times)
+                bucket = buckets[when]
                 adopted += 1
                 if bucket[0]._cancelled:
                     # Strip leading cancelled events *before* committing
@@ -705,17 +610,14 @@ class Simulator:
                     pos, n = 0, len(bucket)
                     while pos < n and bucket[pos]._cancelled:
                         pos += 1
-                        self._cancelled_pending -= 1
-                        self._retired += 1
-                        skipped += 1
+                    self._cancelled_pending -= pos
+                    skipped += pos
                     if pos == n:
+                        del buckets[when]
                         continue
-                    bucket = bucket[pos:]
-                if when < now:
-                    raise SimulationError(
-                        f"time travel: event at {when} < now {now}")
-                self.now = now = when
-                buckets[when] = self._draining = bucket
+                    bucket = buckets[when] = bucket[pos:]
+                self.now = when
+                self._draining = bucket
                 bskip = 0
                 it = iter(bucket)
                 # -- drain it (the per-event hot path) --------------------
@@ -738,26 +640,20 @@ class Simulator:
                 fired += len(bucket) - bskip
                 if bskip:
                     self._cancelled_pending -= bskip
-                    self._retired += bskip
                     skipped += bskip
                 del buckets[when]
+            self._draining = None
         finally:
             if it is not None:
-                # A callback raised mid-bucket: park the unfired
-                # remainder, events appended during the drain included,
-                # so the next call resumes in place, and reconstruct
-                # this bucket's tallies (everything consumed from the
-                # iterator either fired or was skipped).
+                # A callback raised mid-bucket: everything consumed from
+                # the iterator fired or was skipped; the unfired rest,
+                # events appended during the drain included, stays in
+                # the calendar as the (still set) draining bucket.
                 rest = list(it)
                 fired += len(bucket) - bskip - len(rest)
-                if bskip:
-                    self._cancelled_pending -= bskip
-                    self._retired += bskip
-                    skipped += bskip
-                del buckets[now]
-                if rest:
-                    self._front = (now, rest)
-            self._draining = None
+                self._cancelled_pending -= bskip
+                skipped += bskip
+                buckets[when] = self._draining = rest
             self.event_count += fired
             if profiler is not None:
                 count = profiler.count
@@ -766,64 +662,19 @@ class Simulator:
                 count("engine.buckets", adopted)
                 # Calendar entries scheduled during this call,
                 # reconstructed from conservation: every entry that
-                # entered the calendar either fired, was retired as
+                # entered the calendar either fired, was skipped as
                 # cancelled, or is still queued.  (The schedule sites
                 # themselves stay free of counting bookkeeping.)
                 count("engine.heap_pushes",
-                      fired + (self._retired - retired0)
-                      + self._queue_entries() - entries0)
+                      fired + skipped + self._queue_entries() - entries0)
                 if skipped:
                     count("engine.cancel_skips", skipped)
         return self.now
 
-    def _compact(self) -> None:
-        """Sweep lazily-deleted events out of the calendar, in place.
-
-        Mutates ``_times`` and ``_buckets`` in place so a dispatch loop
-        holding local bindings stays coherent.  The bucket being drained
-        is left alone — the loop iterates that very list — and so is a
-        parked front bucket, which is not in ``_buckets``; their
-        cancelled entries are skip-counted at drain.
-        """
-        buckets = self._buckets
-        draining = self._draining
-        removed = 0
-        kept = 0
-        for when in list(buckets):
-            old = buckets[when]
-            if old is draining:
-                continue
-            live = [event for event in old if not event._cancelled]
-            dead = len(old) - len(live)
-            kept += len(live)
-            if dead:
-                removed += dead
-                if live:
-                    buckets[when] = live
-                else:
-                    del buckets[when]
-        if removed:
-            self._cancelled_pending -= removed
-            self._retired += removed
-        times = self._times
-        times[:] = buckets
-        heapify(times)
-        # Re-arm once cancelled entries outnumber what this sweep kept
-        # (amortized O(1) work per cancel), never below the fixed floor;
-        # the leftover term covers cancelled events in the draining and
-        # front buckets, which this sweep cannot reach — without it they
-        # could re-trigger an empty sweep on the very next cancel.
-        floor = kept if kept > COMPACT_THRESHOLD else COMPACT_THRESHOLD
-        self._compact_at = floor + self._cancelled_pending
-
     # -- introspection ---------------------------------------------------
     def _queue_entries(self) -> int:
         """Total events in the calendar, cancelled included (O(buckets))."""
-        count = sum(map(len, self._buckets.values()))
-        front = self._front
-        if front is not None:
-            count += len(front[1])
-        return count
+        return sum(map(len, self._buckets.values()))
 
     @property
     def pending(self) -> int:

@@ -6,43 +6,23 @@ per request derived from a bandwidth and a fixed per-request latency
 first-order contention model: when N requests overlap, each effectively
 sees ~1/N of the bandwidth.
 
-Devices keep aggregate utilization statistics (:class:`UsageStats`).
-The power model does not read them: it folds the activity intervals the
-HDFS layer records in the cluster trace.
+A device keeps no statistics of its own: the power model folds the
+activity intervals the HDFS layer records in the cluster trace, and a
+caller learns when a transfer finished from its ``done`` callback.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Callable, Deque, Tuple
 
 from .engine import Event, SimulationError, Simulator, Timeout
 
-__all__ = ["BandwidthDevice", "UsageStats"]
+__all__ = ["BandwidthDevice"]
 
 
-@dataclass
-class UsageStats:
-    """Aggregate utilization statistics for a device."""
-
-    acquisitions: int = 0
-    total_wait: float = 0.0
-    total_service: float = 0.0
-    busy_time: float = 0.0
-
-    def mean_wait(self) -> float:
-        """Average time a request waited before service."""
-        return self.total_wait / self.acquisitions if self.acquisitions else 0.0
-
-    def utilization(self, makespan: float) -> float:
-        """Busy time over *makespan*: summed across channels, so a
-        multi-channel device divides it by its channel count."""
-        return self.busy_time / makespan if makespan > 0 else 0.0
-
-
-#: One transfer: (nbytes, done callback, time it was requested).
-_Job = Tuple[float, Callable[[], None], float]
+#: One transfer: (nbytes, done callback).
+_Job = Tuple[float, Callable[[], None]]
 
 
 class BandwidthDevice:
@@ -71,16 +51,8 @@ class BandwidthDevice:
         self.latency = latency
         self.channels = channels
         self.name = name
-        self.stats = UsageStats()
-        self.bytes_moved = 0.0
         self._free = channels
         self._waiting: Deque[_Job] = deque()
-
-    def service_time(self, nbytes: float) -> float:
-        """Pure service time for a transfer, excluding queueing."""
-        if nbytes < 0:
-            raise SimulationError(f"negative transfer size: {nbytes}")
-        return self.latency + nbytes / self.bandwidth
 
     def transfer(self, nbytes: float, done: Callable[[], None]) -> None:
         """Move *nbytes* through the device, then call ``done()``.
@@ -95,7 +67,7 @@ class BandwidthDevice:
         """
         if nbytes < 0:
             raise SimulationError(f"negative transfer size: {nbytes}")
-        job = (nbytes, done, self.sim.now)
+        job = (nbytes, done)
         if self._free:
             self._free -= 1
             self.sim.schedule(self._begin, job)
@@ -104,30 +76,12 @@ class BandwidthDevice:
 
     def _begin(self, grant: Event) -> None:
         job = grant.value
-        nbytes, _done, requested = job
-        sim = self.sim
-        stats = self.stats
-        stats.acquisitions += 1
-        stats.total_wait += sim.now - requested
-        sim.timeout(self.latency + nbytes / self.bandwidth, job, self._end)
+        self.sim.timeout(self.latency + job[0] / self.bandwidth, job,
+                         self._end)
 
     def _end(self, service: Timeout) -> None:
-        nbytes, done, _requested = service.value
-        duration = service.delay
-        stats = self.stats
-        self.bytes_moved += nbytes
-        stats.busy_time += duration
-        stats.total_service += duration
         if self._waiting:
             self.sim.schedule(self._begin, self._waiting.popleft())
         else:
             self._free += 1
-        done()
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._waiting)
-
-    def utilization(self, makespan: float) -> float:
-        """Fraction of *makespan* × ``channels`` spent transferring."""
-        return self.stats.utilization(makespan) / self.channels
+        service.value[1]()

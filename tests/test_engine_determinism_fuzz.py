@@ -4,15 +4,13 @@ The calendar-queue engine in ``repro.sim.engine`` claims bit-identical
 firing order to the original ``(time, seq, event)`` tuple heap.  This
 module keeps that claim honest: ``_RefSimulator`` below *is* that
 original design, deliberately kept simple (tuple heap, list callbacks,
-no slots, no lazy-delete compaction), and the fuzz runs randomly
+no slots), and the fuzz runs randomly
 generated process/timeout/interrupt/cancel programs over ~20 seeds
 against both engines, asserting the full ``(time, order)`` log of
 observable actions and a final-state digest match exactly.  Two ops
 target the calendar's same-time path: zero-delay callback chains shaped
 like the HDFS legs (they log ``pending`` at every link), and cancel
-bursts large enough to compact the calendar while a bucket drains.
-Every seed runs through one ``run()`` and through a series of bounded
-``run(until=...)`` windows.
+bursts of a few hundred events, some in the bucket being drained.
 
 The programs are pre-generated op scripts (pure functions of the seed),
 so any divergence is attributable to the engines, not to random draws
@@ -29,8 +27,7 @@ from itertools import count
 
 import pytest
 
-from repro.sim.engine import (COMPACT_THRESHOLD, Interrupt, SimulationError,
-                              Simulator)
+from repro.sim.engine import Event, Interrupt, SimulationError, Simulator
 
 # -- the kept-simple reference engine ------------------------------------
 
@@ -200,14 +197,10 @@ class _RefSimulator:
             ev.add_callback(make(index))
         return out
 
-    def run(self, until=None):
+    def run(self):
         heap = self._heap
         while heap:
-            when = heap[0][0]
-            if until is not None and when > until:
-                self.now = until
-                return self.now
-            _, _, ev = heappop(heap)
+            when, _, ev = heappop(heap)
             if ev.cancelled:
                 continue
             self.now = when
@@ -238,7 +231,7 @@ def _random_script(rng: random.Random, n_procs: int):
         elif roll < 0.37:
             ops.append(("burst", tuple(
                 rng.choice(_DELAYS)
-                for _ in range(COMPACT_THRESHOLD + rng.randrange(40)))))
+                for _ in range(256 + rng.randrange(40)))))
         elif roll < 0.50:
             ops.append(("cancel", rng.choice(_DELAYS), rng.choice(_DELAYS)))
         elif roll < 0.65:
@@ -310,9 +303,9 @@ def _make_program(script, sim, pid, log, registry):
                     got = yield box
                     log.append((sim.now, pid, step, "schedule", got))
                 elif kind == "burst":
-                    # Schedule and cancel enough events from inside one
-                    # callback to compact the calendar mid-bucket; some
-                    # victims land in the bucket being drained.
+                    # Schedule and cancel a few hundred events from inside
+                    # one callback; some victims land in the bucket being
+                    # drained.
                     box = sim.event()
 
                     def burst(_event, box=box, delays=op[1], step=step):
@@ -343,23 +336,15 @@ def _make_program(script, sim, pid, log, registry):
     return prog()
 
 
-#: Window ends for the stepped drive.  Every delay is a multiple of
-#: 0.25 s, so these eighth-second bounds fall alternately on and between
-#: event times, through the end of the longest program (~11 s).
-_STEP_BOUNDS = tuple(i * 0.125 for i in range(1, 101))
-
-
 def _digest(sim, log) -> str:
     state = (tuple(log), sim.now, sim.event_count)
     return hashlib.sha256(repr(state).encode()).hexdigest()
 
 
-def _run_seed(seed: int, sim_factory, bounds=()):
+def _run_seed(seed: int, sim_factory):
     """Build and run one seeded random simulation.
 
-    Returns ``(log, digest, final time)``.  *bounds* drives the engine
-    through one bounded ``run(until=...)`` window per bound before the
-    final unbounded ``run()``.
+    Returns ``(log, digest)``.
     """
     rng = random.Random(seed)
     n_procs = rng.randrange(3, 9)
@@ -370,55 +355,39 @@ def _run_seed(seed: int, sim_factory, bounds=()):
     for pid, script in enumerate(scripts):
         registry.append(sim.process(
             _make_program(script, sim, pid, log, registry)))
-    for bound in bounds:
-        sim.run(until=bound)
     sim.run()
-    return log, _digest(sim, log), sim.now
+    return log, _digest(sim, log)
 
 
 @pytest.mark.parametrize("seed", range(20))
 def test_engine_matches_reference_loop(seed):
     """Full firing order and final-state digest match the tuple heap."""
-    ref_log, ref_digest, _ = _run_seed(seed, _RefSimulator)
-    new_log, new_digest, _ = _run_seed(seed, Simulator)
-    assert new_log == ref_log
-    assert new_digest == ref_digest
-
-
-@pytest.mark.parametrize("seed", range(20))
-def test_stepped_engine_matches_reference_loop(seed):
-    """Bounded ``run(until=...)`` windows, resumed one after another,
-    give the same log and digest as the heap in one go.
-
-    The bounds stop short of the reference's final time, so every
-    window ends with live work still queued.
-    """
-    ref_log, ref_digest, ref_end = _run_seed(seed, _RefSimulator)
-    bounds = [b for b in _STEP_BOUNDS if b < ref_end]
-    assert len(bounds) >= 8
-    new_log, new_digest, _ = _run_seed(seed, Simulator, bounds=bounds)
+    ref_log, ref_digest = _run_seed(seed, _RefSimulator)
+    new_log, new_digest = _run_seed(seed, Simulator)
     assert new_log == ref_log
     assert new_digest == ref_digest
 
 
 def test_fuzz_programs_actually_exercise_the_engine(monkeypatch):
     """Sanity: the generated programs are not trivially empty, and the
-    cancel bursts really compact the calendar while a bucket drains."""
-    mid_bucket = []
-    compact = Simulator._compact
+    cancel bursts really cancel events in the bucket being drained."""
+    in_draining = []
+    cancel = Event.cancel
 
-    def spy(sim):
-        mid_bucket.append(sim._draining is not None)
-        compact(sim)
+    def spy(event):
+        draining = event.sim._draining
+        in_draining.append(draining is not None
+                           and any(e is event for e in draining))
+        cancel(event)
 
-    monkeypatch.setattr(Simulator, "_compact", spy)
+    monkeypatch.setattr(Event, "cancel", spy)
     total_entries = 0
     kinds = set()
     for seed in range(20):
-        log, _, _ = _run_seed(seed, Simulator)
+        log, _ = _run_seed(seed, Simulator)
         total_entries += len(log)
         kinds.update(entry[3] for entry in log)
     assert total_entries > 100
     assert {"timeout", "cancel", "anyof", "allof", "sent-interrupt",
             "link", "schedule", "burst", "burst-done"} <= kinds
-    assert any(mid_bucket)
+    assert any(in_draining)

@@ -148,6 +148,27 @@ class TestResultCache:
         assert cache.clear() == 1
         assert cache.stats().entries == 0
 
+    def test_stats_and_clear_judge_service_shards_by_fingerprint(
+            self, tmp_path):
+        # The service shares a cache root but files its entries one
+        # level deeper, under <root>/shard-XX/<fingerprint>/.
+        from repro.serve.service import ShardedResultCache
+        result = simulate_cell(KEY)
+        key_hex = cache_key(KEY)
+        ShardedResultCache(str(tmp_path), shards=2).put(
+            key_hex, KEY, DEFAULT_CONF, result)
+        ResultCache(tmp_path / "shard-00", fingerprint="0" * 64).put(
+            KEY, DEFAULT_CONF, result)
+        cache = ResultCache(tmp_path)
+        stats = cache.stats()
+        assert (stats.entries, stats.stale_entries) == (1, 1)
+        assert cache.clear(stale_only=True) == 1
+        assert cache.stats().entries == 1
+        fresh = ShardedResultCache(str(tmp_path), shards=2)
+        assert fresh.get(key_hex, KEY, DEFAULT_CONF) == result
+        assert cache.clear() == 1
+        assert cache.stats().entries == 0
+
     def test_default_dir_honors_env(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "c"))
         assert default_cache_dir() == tmp_path / "c"

@@ -23,6 +23,11 @@ def _cluster(spec=XEON_E5_2420, n=3, freq=1.8):
     return sim, cluster
 
 
+def _service(dev, nbytes):
+    """A transfer's service time on *dev*, excluding queueing."""
+    return dev.latency + nbytes / dev.bandwidth
+
+
 def _drive(sim, transfer):
     """Run *transfer* (started at time 0) to completion; its elapsed time."""
     sim.run()
@@ -56,8 +61,8 @@ class TestReads:
         node = cluster.nodes[0]
         nbytes = 64 * MB
         elapsed = _drive(sim, hdfs.read_span(node.name, node, nbytes))
-        floor = max(node.disk.service_time(nbytes),
-                    node.iopath.service_time(nbytes))
+        floor = max(_service(node.disk, nbytes),
+                    _service(node.iopath, nbytes))
         assert elapsed == pytest.approx(floor, rel=0.01)
 
     def test_remote_read_slower_than_local(self):
@@ -95,7 +100,7 @@ class TestReads:
         nbytes = 256 * MB
         elapsed = _drive(sim, hdfs.read_span(node.name, node, nbytes,
                                              io_factor=2.0))
-        disk_only = node.disk.service_time(nbytes)
+        disk_only = _service(node.disk, nbytes)
         assert elapsed > 2 * disk_only
 
 
@@ -124,7 +129,7 @@ class TestWrites:
         spills = cluster.trace.filter(device="disk", kind="map.spill")
         assert len(spills) == 1
         assert spills[0].duration == pytest.approx(
-            node.disk.service_time(32 * MB))
+            _service(node.disk, 32 * MB))
 
     def test_negative_size_fails_the_run(self):
         """A bad transfer raises out of the run even though a watched

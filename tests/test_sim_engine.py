@@ -5,8 +5,9 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.sim.engine import (AllOf, AnyOf, Event, Interrupt, Process,
-                              SimulationError, Simulator, Timeout)
+from repro.obs import prof
+from repro.sim.engine import (Interrupt, Process, SimulationError, Simulator,
+                              Timeout)
 
 
 class TestEvent:
@@ -69,6 +70,11 @@ class TestTimeout:
         with pytest.raises(SimulationError):
             sim.timeout(-1.0)
 
+    def test_constructor_is_not_a_second_factory(self):
+        # Simulator.timeout builds timeouts in place; the class does not.
+        with pytest.raises(TypeError, match="Simulator.timeout"):
+            Timeout(Simulator(), 1.0)
+
     def test_zero_delay_allowed(self):
         sim = Simulator()
         done = []
@@ -121,6 +127,15 @@ class TestProcess:
 
         sim.process(proc(sim))
         assert sim.run() == 6.0
+
+    def test_constructor_is_not_a_second_factory(self):
+        def proc(sim):
+            yield sim.timeout(1.0)
+
+        sim = Simulator()
+        with pytest.raises(TypeError, match="Simulator.process"):
+            Process(sim, proc(sim))
+        assert sim.pending == 0
 
     def test_non_generator_rejected(self):
         sim = Simulator()
@@ -286,17 +301,15 @@ class TestCancellation:
         assert t.processed
         assert not t.cancelled
 
-    def test_run_until_skips_cancelled_events(self):
-        # A bound past a cancelled-only bucket stops the clock at the
-        # bound: the cancelled event neither fires nor moves ``now``.
+    def test_cancelled_only_tail_keeps_the_clock(self):
+        # A cancelled-only remainder is an empty queue: the clock stays
+        # at the last fired event (see ``Event.cancel``).
         sim = Simulator()
-        t1 = sim.timeout(1.0)
-        sim.timeout(2.0)
-        t1.cancel()
-        assert sim.run(until=1.5) == 1.5
-        assert sim.event_count == 0
-        assert sim.run() == 2.0
+        sim.timeout(1.0)
+        sim.timeout(5.0).cancel()
+        assert sim.run() == 1.0
         assert sim.event_count == 1
+        assert sim.pending == 0
 
 
 class TestFailurePaths:
@@ -388,16 +401,12 @@ class TestFailurePaths:
 
 
 class TestSimulator:
-    def test_run_until_stops_clock(self):
+    def test_run_takes_no_bound(self):
         sim = Simulator()
-
-        def proc(sim):
-            yield sim.timeout(10)
-
-        sim.process(proc(sim))
-        assert sim.run(until=4.0) == 4.0
-        assert sim.pending > 0
-        assert sim.run() == 10.0
+        sim.timeout(2.0)
+        with pytest.raises(TypeError):
+            sim.run(until=1.0)
+        assert sim.run() == 2.0
 
     def test_schedule_fires_callback_in_fifo_position(self):
         sim = Simulator()
@@ -429,7 +438,7 @@ class TestSimulator:
         assert order == ["first", "second", "appended", "later"]
         assert sim.event_count == 4
 
-    def test_callback_raising_mid_bucket_parks_the_rest_in_order(self):
+    def test_raising_callback_propagates_and_stops_the_engine(self):
         sim = Simulator()
         order = []
 
@@ -441,17 +450,27 @@ class TestSimulator:
         sim.schedule(boom)
         sim.schedule(lambda _e: order.append("rest"))
         sim.timeout(1.0, callback=lambda _e: order.append("later"))
-        with pytest.raises(RuntimeError, match="boom"):
-            sim.run()
+        with prof.profiled() as profiler:
+            with pytest.raises(RuntimeError, match="boom"):
+                sim.run()
         assert order == ["before"]
         assert sim.now == 0.0
         assert sim.event_count == 2   # "before" and the raising event
         assert sim.pending == 3       # rest, appended, later
-        sim.schedule(lambda _e: order.append("after"))
-        sim.run()
-        assert order == ["before", "rest", "appended", "after", "later"]
-        assert sim.event_count == 6
-        assert sim.pending == 0
+        assert profiler.counts["engine.events"] == 2
+        assert profiler.counts["engine.heap_pushes"] == 1   # appended
+        # Nothing resumes: the rest neither fires nor is dropped silently.
+        with pytest.raises(SimulationError, match="mid-bucket"):
+            sim.run()
+        assert order == ["before"]
+        assert sim.event_count == 2
+        assert sim.pending == 3
+
+    def test_run_cannot_be_reentered_from_a_callback(self):
+        sim = Simulator()
+        sim.schedule(lambda _e: sim.run())
+        with pytest.raises(SimulationError, match="re-entered"):
+            sim.run()
 
     def test_pending_is_exact_inside_a_same_time_cascade(self):
         sim = Simulator()
@@ -591,54 +610,7 @@ class TestEngineCampaignEdges:
         assert sim.pending == 1
         assert not live.processed
 
-    def test_compaction_sweeps_cancelled_events(self):
-        from repro.sim.engine import COMPACT_THRESHOLD
-        sim = Simulator()
-        sim.timeout(0.5)                          # one live sentinel
-        doomed = [sim.timeout(1.0 + i) for i in range(COMPACT_THRESHOLD + 50)]
-        entries_before = sim._queue_entries()
-        for t in doomed:
-            t.cancel()
-        # The sweep fired at the threshold: retired entries physically
-        # left the calendar instead of waiting for dispatch to skip them.
-        assert sim._queue_entries() < entries_before
-        assert sim._cancelled_pending < len(doomed)
-        assert sim.pending == 1
-        assert sim.run() == 0.5   # cancelled events never advance now
-
-    def test_run_respects_until_bound(self):
-        sim = Simulator()
-        sim.timeout(1.0)
-        assert sim.run(until=0.5) == 0.5   # next event beyond the bound
-        assert sim.event_count == 0
-        assert sim.run() == 1.0            # without a bound it fires
-        assert sim.event_count == 1
-
-    def test_bound_past_an_empty_queue_keeps_the_clock(self):
-        sim = Simulator()
-        sim.timeout(1.0)
-        assert sim.run(until=3.0) == 1.0
-
-    def test_bound_past_cancelled_only_entries_keeps_the_clock(self):
-        # A cancelled-only remainder is an empty queue: the clock stays
-        # at the last fired event (see ``Event.cancel``).
-        sim = Simulator()
-        sim.timeout(1.0)
-        sim.timeout(5.0).cancel()
-        assert sim.run(until=3.0) == 1.0
-        assert sim.pending == 0
-        assert sim.run() == 1.0
-
-    def test_bound_before_a_live_entry_moves_the_clock(self):
-        sim = Simulator()
-        sim.timeout(1.0)
-        sim.timeout(5.0).cancel()
-        sim.timeout(6.0)
-        assert sim.run(until=3.0) == 3.0
-        assert sim.run() == 6.0
-
     def test_run_tallies_cancel_skips(self):
-        from repro.obs import prof
         sim = Simulator()
         doomed = sim.timeout(1.0)
         sim.timeout(2.0)

@@ -14,27 +14,26 @@ and return an event that fires when it has finished; a task process
 waits with ``yield hdfs.read_span(...)``.  Each leg — a chain of device
 transfers, or one node's I/O-path transit — is a :class:`_Leg` driven by
 callbacks, and records the activity intervals the power model consumes.
+A leg is a calendar entry it posts itself, so it allocates no events.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from ..cluster.server import Cluster, ServerNode
 from ..obs import prof
-from ..sim.engine import Event, Simulator
+from ..sim.engine import Entry, Event, Simulator
+from ..sim.resources import BandwidthDevice, Transfer
 from .blocks import Block, split_input
 from .namenode import NameNode
-
-if TYPE_CHECKING:
-    from ..sim.resources import BandwidthDevice
 
 __all__ = ["HDFS"]
 
 #: One device step of a leg: (node, device, trace device label, bytes,
 #: trace kind).
-_Step = Tuple[ServerNode, "BandwidthDevice", str, float, str]
+_Step = Tuple[ServerNode, BandwidthDevice, str, float, str]
 
 
 class HDFS:
@@ -114,7 +113,8 @@ class HDFS:
         """Call *start* from a boot event at the current time; the
         returned event fires once the event *start* returns has fired."""
         done = Event(self.sim)
-        self.sim.schedule(
+        self.sim.post(
+            Entry(),
             lambda _boot: start().add_callback(lambda _join: done.succeed()))
         return done
 
@@ -225,50 +225,54 @@ class _Join(Event):
         super().__init__(sim)
         self.legs = legs
 
-    def count_off(self, _event: Event) -> None:
+    def count_off(self, _leg: "_Leg") -> None:
         self.legs -= 1
         if not self.legs:
             self.succeed()
 
 
-class _Leg:
+class _Leg(Transfer):
     """One leg of a data-path operation, run by callbacks.
 
-    A leg boots from an event at the current time, runs its device steps
-    one after another — recording each step's trace interval as it
-    completes — and then counts itself off its join from a completion
-    event.  It schedules the same events, in the same order, as a
-    process that ran the steps would: a boot event, each step's device
-    events, a completion event.
+    A leg is its own calendar entry and its own device transfer: it
+    posts itself for its boot at the current time, hands itself to each
+    step's device in turn — recording each step's trace interval as it
+    completes — and then posts itself to count off its join.  It takes
+    the same calendar positions, in the same order, as a process that
+    ran the steps would: a boot event, each step's device events, a
+    completion event.
     """
 
     __slots__ = ("trace", "steps", "task_id", "phase", "join", "_next")
 
     def __init__(self, hdfs: HDFS, steps: List[_Step],
                  task_id: Optional[str], phase: str, join: _Join):
+        # Entry's state set here, not by super().__init__(): two frames
+        # per leg cost about 2% of a cold cell.  _advance sets nbytes.
+        self.callbacks = None
         self.trace = hdfs.cluster.trace
         self.steps = steps
         self.task_id = task_id
         self.phase = phase
         self.join = join
         self._next = 0
-        hdfs.sim.schedule(self._advance)
+        hdfs.sim.post(self, self._advance)
 
-    def _advance(self, _event: Optional[Event] = None) -> None:
+    def _advance(self, _leg: "_Leg") -> None:
         i = self._next
         if i == len(self.steps):
             join = self.join
-            join.sim.schedule(join.count_off)
+            join.sim.post(self, join.count_off)
             return
         self._next = i + 1
-        _node, device, _label, nbytes, _kind = self.steps[i]
-        device.transfer(nbytes, self._step_done)
+        _node, device, _label, self.nbytes, _kind = self.steps[i]
+        device.transfer(self)
 
-    def _step_done(self) -> None:
+    def done(self) -> None:
         node, device, label, nbytes, kind = self.steps[self._next - 1]
         end = device.sim.now
-        # The service timeout's own expression, so the start is exact.
+        # The service completion's own expression, so the start is exact.
         start = end - (device.latency + nbytes / device.bandwidth)
         self.trace.add(start, end, node.name, label, kind, activity=1.0,
                        task_id=self.task_id, phase=self.phase)
-        self._advance()
+        self._advance(self)

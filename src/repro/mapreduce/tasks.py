@@ -19,19 +19,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Generator, List, Optional
+from typing import Dict, Generator, List, Optional
 
 from ..arch.cores import CpuProfile, scale_profile
 from ..arch.presets import FRAMEWORK_PROFILE
 from ..cluster.server import ServerNode
 from ..hdfs.blocks import Block
 from ..hdfs.filesystem import HDFS
+from ..sim.engine import Entry, Event, SimulationError
 from ..workloads.base import IO_PATH_PROFILE, JobStage
 from .config import JobConf
 from .shuffle import plan_reduce_merge, plan_spills
 
-if TYPE_CHECKING:
-    from ..sim.engine import Event
 
 __all__ = ["RunCounters", "MapTask", "ReduceTask", "TaskAttemptError"]
 
@@ -189,28 +188,11 @@ class _TaskBase:
         self.counters.charge(instructions, seconds * self.node.freq_hz)
         return None
 
-    def _io_cpu_bill(self, nbytes: float, user_ipb: float = 0.0,
-                     user_profile: Optional[CpuProfile] = None):
-        """(instructions, cpu_seconds, blended_activity) to process *nbytes*.
-
-        Combines the framework I/O path (checksum/deserialize, scaled by
-        the core's ``io_path_overhead``) with optional user code.  The
-        bill depends only on the node, the stage's ``io_ipb`` and the
-        arguments, so it is priced once per distinct value and kept in
-        the node's ``io_bills``; the attempt's slowdown is applied by
-        the caller.
-        """
-        key = (self.stage.io_ipb, nbytes, user_ipb, user_profile)
-        bills = self.node.io_bills
-        bill = bills.get(key)
-        if bill is None:
-            bill = bills[key] = self._price_io(nbytes, user_ipb,
-                                               user_profile)
-        return bill
-
     def _price_io(self, nbytes: float, user_ipb: float,
                   user_profile: Optional[CpuProfile]):
-        """The bill of :meth:`_io_cpu_bill`, computed."""
+        """``(instructions, cpu_seconds, blended_activity)`` to process
+        *nbytes*: the framework I/O path (checksum/deserialize, scaled
+        by the core's ``io_path_overhead``) plus optional user code."""
         core = self.node.spec.core
         io_instr = nbytes * self.stage.io_ipb * core.io_path_overhead
         io_perf = self.node.core_perf(IO_PATH_PROFILE)
@@ -239,31 +221,55 @@ class _TaskBase:
         bytes is partially hidden behind the transfer according to the
         core's ``io_overlap``.
         """
-        core = self.node.spec.core
-        wait_kind, compute_kind = _IO_KINDS[kind]
         t0 = self.sim.now
         yield transfer
-        t_wait = self.sim.now - t0
-        instr, t_cpu, activity = self._io_cpu_bill(nbytes, user_ipb,
-                                                   user_profile)
+        instr, t_cpu, activity, residual = self._io_waited(
+            t0, nbytes, kind, user_ipb, user_profile)
+        if residual > 0:
+            start = self.sim.now
+            yield self.sim.timeout(residual)
+            self._io_computed(start, kind, activity)
+        self.counters.charge(instr, t_cpu * self.node.freq_hz)
+        return None
+
+    def _io_waited(self, t0: float, nbytes: float, kind: str,
+                   user_ipb: float, user_profile: Optional[CpuProfile]):
+        """Bill a transfer of *nbytes* that ran from *t0* until now.
+
+        Records the wait interval and returns ``(instructions,
+        cpu_seconds, activity, residual)``: *residual* is the compute
+        the transfer did not hide, still to run.  The CPU bill depends
+        only on the node, the stage's ``io_ipb`` and the arguments, so
+        it is priced once per distinct value (:meth:`_price_io`) and
+        kept in the node's ``io_bills``; the attempt's slowdown is
+        applied here.
+        """
+        now = self.sim.now
+        t_wait = now - t0
+        key = (self.stage.io_ipb, nbytes, user_ipb, user_profile)
+        bills = self.node.io_bills
+        bill = bills.get(key)
+        if bill is None:
+            bill = bills[key] = self._price_io(nbytes, user_ipb,
+                                               user_profile)
+        instr, t_cpu, activity = bill
         t_cpu *= self._slow()
-        residual = max(0.0, t_cpu - core.io_overlap * t_wait)
+        residual = max(0.0, t_cpu - self.node.spec.core.io_overlap * t_wait)
         # Activity during the wait window accounts for the compute that
         # executed under the transfer, conserving compute energy.
         hidden = t_cpu - residual
         if t_wait > 0:
             wait_act = min(1.0, _WAIT_ACTIVITY + (hidden / t_wait) * activity)
-            self.trace.add(t0, self.sim.now, self.node.name, "core",
-                           wait_kind, activity=wait_act,
+            self.trace.add(t0, now, self.node.name, "core",
+                           _IO_KINDS[kind][0], activity=wait_act,
                            task_id=self.task_id, phase=self.phase)
-        if residual > 0:
-            start = self.sim.now
-            yield self.sim.timeout(residual)
-            self.trace.add(start, self.sim.now, self.node.name, "core",
-                           compute_kind, activity=activity,
-                           task_id=self.task_id, phase=self.phase)
-        self.counters.charge(instr, t_cpu * self.node.freq_hz)
-        return None
+        return instr, t_cpu, activity, residual
+
+    def _io_computed(self, start: float, kind: str, activity: float) -> None:
+        """Record the residual compute of a transfer, run from *start*."""
+        self.trace.add(start, self.sim.now, self.node.name, "core",
+                       _IO_KINDS[kind][1], activity=activity,
+                       task_id=self.task_id, phase=self.phase)
 
     def _startup(self) -> Generator:
         """Task launch overhead (JVM spawn, localization, reporting)."""
@@ -278,7 +284,9 @@ class MapTask(_TaskBase):
 
     Lifecycle (while holding a map slot): startup → chunked
     read+deserialize+map → sort/spill → merge → final output to local
-    disk for the reducers.
+    disk for the reducers.  The chunked read loop, the task's hot path,
+    runs as a :class:`_MapReader` of callbacks while the task's process
+    waits once for the whole loop; the rest are process steps.
     """
 
     phase = "map"
@@ -295,22 +303,11 @@ class MapTask(_TaskBase):
         yield from self._startup()
         source = self.hdfs.pick_source(self.block, self.node)
 
-        # Chunked read/compute pipeline over the block.  The read loop
-        # covers progress 0 → 0.9; sort/spill/merge is the final 10%.
-        total = self.block.size_bytes
-        remaining = total
-        while remaining > 0:
-            chunk = min(self.conf.chunk_bytes, remaining)
-            remaining -= chunk
-            transfer = self.hdfs.read_span(source, self.node, chunk,
-                                           task_id=self.task_id,
-                                           phase=self.phase,
-                                           io_factor=self.stage.io_path_factor)
-            yield from self._overlapped_io(
-                transfer, chunk, "map.read",
-                user_ipb=self.stage.map_ipb,
-                user_profile=self.stage.map_profile)
-            self._progress_to(0.9 * (total - remaining) / total)
+        # Chunked read/compute pipeline over the block, run by callbacks.
+        # The read loop covers progress 0 → 0.9; sort/spill/merge is the
+        # final 10%.
+        if self.block.size_bytes > 0:
+            yield _MapReader(self, source).done
         self.counters.input_bytes += self.block.size_bytes
 
         # Map-side sort, spill and merge.
@@ -343,6 +340,84 @@ class MapTask(_TaskBase):
         self._progress_to(1.0)
         self.counters.map_tasks += 1
         return self.output_bytes
+
+
+class _MapReader(Entry):
+    """A map task's chunked read loop, run by callbacks.
+
+    Per chunk: ``read_span`` → its join fires → the CPU bill with
+    overlap credit → the residual compute (the reader posts itself) →
+    progress → the next chunk: the calendar positions, in the order,
+    that :meth:`_TaskBase._overlapped_io` in a process would take.
+
+    The reader finds the task's process as ``Simulator.active_process``
+    and resumes it synchronously, once, through :attr:`done`: when the
+    loop ends, or with an injected :class:`TaskAttemptError`.  Once the
+    process stops waiting on :attr:`done` (an interrupt), every later
+    callback does nothing, so no further read starts.
+    """
+
+    __slots__ = ("task", "process", "done", "source", "remaining", "chunk",
+                 "t0", "instr", "t_cpu", "activity")
+
+    def __init__(self, task: MapTask, source: str):
+        super().__init__()
+        sim = task.sim
+        self.process = sim.active_process
+        if self.process is None:
+            raise SimulationError("a map task's read loop must run inside "
+                                  "a process")
+        self.task = task
+        self.done = sim.event()
+        self.source = source
+        self.remaining = task.block.size_bytes
+        self._read()
+
+    def _read(self) -> None:
+        task = self.task
+        chunk = min(task.conf.chunk_bytes, self.remaining)
+        self.remaining -= chunk
+        self.chunk = chunk
+        join = task.hdfs.read_span(self.source, task.node, chunk,
+                                   task_id=task.task_id, phase=task.phase,
+                                   io_factor=task.stage.io_path_factor)
+        self.t0 = task.sim.now
+        join.add_callback(self._joined)
+
+    def _joined(self, _join: Event) -> None:
+        if self.process.target is not self.done:
+            return
+        task = self.task
+        stage = task.stage
+        self.instr, self.t_cpu, activity, residual = task._io_waited(
+            self.t0, self.chunk, "map.read", stage.map_ipb,
+            stage.map_profile)
+        if residual > 0:
+            self.activity = activity
+            self.t0 = task.sim.now
+            task.sim.post(self, self._computed, residual)
+        else:
+            self._chunk_done()
+
+    def _computed(self, _reader: "_MapReader") -> None:
+        if self.process.target is not self.done:
+            return
+        self.task._io_computed(self.t0, "map.read", self.activity)
+        self._chunk_done()
+
+    def _chunk_done(self) -> None:
+        task = self.task
+        task.counters.charge(self.instr, self.t_cpu * task.node.freq_hz)
+        total = task.block.size_bytes
+        try:
+            task._progress_to(0.9 * (total - self.remaining) / total)
+        except TaskAttemptError as exc:
+            self.done.fire(exc)
+            return
+        if self.remaining > 0:
+            self._read()
+        else:
+            self.done.fire()
 
 
 class ReduceTask(_TaskBase):

@@ -1,15 +1,15 @@
 """Discrete-event simulation substrate (engine, resources, tracing)."""
 
-from .engine import (AllOf, AnyOf, Event, Interrupt, Process, SimulationError,
-                     Simulator, Timeout)
+from .engine import (AllOf, AnyOf, Entry, Event, Interrupt, Process,
+                     SimulationError, Simulator, Timeout)
 from .faults import FaultPlan, NodeFault, unit_draw
-from .resources import BandwidthDevice
+from .resources import BandwidthDevice, Transfer
 from .trace import (Interval, TraceRecorder, complement, merge_intervals,
                     total_overlap)
 
 __all__ = [
-    "AllOf", "AnyOf", "Event", "Interrupt", "Process", "SimulationError",
-    "Simulator", "Timeout", "FaultPlan", "NodeFault", "unit_draw",
-    "BandwidthDevice", "Interval",
+    "AllOf", "AnyOf", "Entry", "Event", "Interrupt", "Process",
+    "SimulationError", "Simulator", "Timeout", "FaultPlan", "NodeFault",
+    "unit_draw", "BandwidthDevice", "Transfer", "Interval",
     "TraceRecorder", "merge_intervals", "total_overlap", "complement",
 ]

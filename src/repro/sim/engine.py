@@ -33,6 +33,13 @@ comparisons that fall through to the sequence number whenever
 timestamps collide (the common case in a heartbeat-driven simulation,
 and precisely where a tuple heap is slowest).
 
+Most calendar traffic is data-path scaffolding that nothing waits on
+(device grants and completions, HDFS legs, map read loops).  Such a
+step is an :class:`Entry` its owner re-posts with
+:meth:`Simulator.post`, into exactly the bucket position an event would
+have taken, so it allocates nothing and moves nothing.  Events remain
+where a process waits, a value travels or a cancel can happen.
+
 Cancelled events are *lazily deleted*: they stay in their bucket and are
 skipped at dispatch.  The model keeps that dead weight small: a
 cancelled speculation poll leaves the calendar within one poll period,
@@ -60,11 +67,15 @@ Example
 from __future__ import annotations
 
 from heapq import heappop, heappush
+from itertools import islice
+from math import inf
+from operator import length_hint
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
 from ..obs import prof
 
 __all__ = [
+    "Entry",
     "Event",
     "Timeout",
     "Process",
@@ -77,6 +88,25 @@ __all__ = [
 
 class SimulationError(RuntimeError):
     """Raised for violations of engine invariants (e.g. a negative delay)."""
+
+
+class Entry:
+    """A calendar entry its owner posts again for each step it takes.
+
+    Not an :class:`Event`: no value, exception, triggered or cancelled
+    state, and nothing waits on it.  :meth:`Simulator.post` runs the
+    given callback once, with the entry as its argument.  An entry is
+    in the calendar at most once at a time, so its owner re-posts it
+    from that callback or later.  Subclasses add ``__slots__``.
+    """
+
+    __slots__ = ("callbacks", "_processed")
+
+    #: Read by dispatch's cancel check; an entry is never cancelled.
+    _cancelled = False
+
+    def __init__(self) -> None:
+        self.callbacks: Optional[Callable[[Any], None]] = None
 
 
 class Event:
@@ -200,6 +230,30 @@ class Event:
             heappush(sim._times, when)
         return self
 
+    def fire(self, exc: Optional[BaseException] = None) -> None:
+        """Trigger the event and run its callbacks now, in this frame.
+
+        Nothing enters the calendar: a waiting process resumes (with
+        *exc* thrown into it, if given) before ``fire`` returns.
+        """
+        if self._triggered:
+            raise SimulationError("event already triggered")
+        if self._cancelled:
+            raise SimulationError(
+                "cannot fire a cancelled event: the engine would "
+                "silently skip it and strand every waiter")
+        self._triggered = True
+        self._exc = exc
+        self._processed = True
+        cbs = self.callbacks
+        if cbs is not None:
+            self.callbacks = None
+            if cbs.__class__ is list:
+                for cb in cbs:
+                    cb(self)
+            else:
+                cbs(self)
+
     # -- engine hooks ----------------------------------------------------
     def add_callback(self, cb: Callable[["Event"], None]) -> None:
         """Register *cb* to run when the event fires.
@@ -264,6 +318,12 @@ class Process(Event):
         """True while the generator has not finished."""
         return not self._triggered
 
+    @property
+    def target(self) -> Optional[Event]:
+        """The event the process waits on (after an interrupt, the
+        interrupt's own event), or None before its first resume."""
+        return self._waiting_on
+
     def _resume(self, event: Event) -> None:
         if self._triggered:
             return  # process already finished (e.g. interrupted earlier)
@@ -276,6 +336,7 @@ class Process(Event):
         sim = self.sim
         if sim.obs is not None:
             sim.obs.count("engine.process_wakes")
+        sim.active_process = self
         try:
             exc = event._exc
             if exc is not None:
@@ -283,6 +344,7 @@ class Process(Event):
             else:
                 target = self._send(event.value)
         except StopIteration as stop:
+            sim.active_process = None
             # Inlined ``self.succeed(stop.value)`` — the generator
             # finished.  ``_triggered`` is invariantly False here (the
             # guard at the top returned otherwise), so only the
@@ -301,12 +363,14 @@ class Process(Event):
                 heappush(sim._times, when)
             return
         except BaseException as exc:
+            sim.active_process = None
             # Propagate crash to anyone waiting on this process; if nobody
             # is waiting, re-raise so bugs do not pass silently.
             if self.callbacks:
                 self.fail(exc)
                 return
             raise
+        sim.active_process = None
         # Duck-typed yield validation: reading ``.sim`` doubles as the
         # is-it-an-Event check, so the fast path pays one attribute load
         # instead of an isinstance call per yield.
@@ -423,13 +487,17 @@ class Simulator:
 
     * ``event_count`` — events dispatched (flushed per call, exact
       whenever :meth:`run` is not mid-dispatch),
-    * ``pending`` — *live* scheduled-but-unfired events: lazily-deleted
-      cancelled events are excluded, so backlog metrics do not
-      over-report after fault recovery.
+    * ``pending`` — *live* scheduled-but-unfired events and entry
+      posts: lazily-deleted cancelled events are excluded, so backlog
+      metrics do not over-report after fault recovery.
+
+    ``active_process`` is the :class:`Process` whose generator is
+    running, or None: code called from a process step finds its process
+    there.
     """
 
-    __slots__ = ("now", "event_count", "obs", "_buckets", "_times",
-                 "_cancelled_pending", "_draining")
+    __slots__ = ("now", "event_count", "obs", "active_process", "_buckets",
+                 "_times", "_cancelled_pending", "_draining", "_cursor")
 
     def __init__(self):
         #: Current simulated time in seconds.
@@ -443,6 +511,10 @@ class Simulator:
         #: same-time events append to it), or None.  A callback that
         #: raises leaves it set, which stops any later ``run()``.
         self._draining = None
+        #: The iterator draining it: its remaining length is the
+        #: bucket's unconsumed rest (see :attr:`pending`).
+        self._cursor = None
+        self.active_process: Optional[Process] = None
         self.event_count = 0
         #: Optional :class:`repro.obs.Tracer`; every instrumentation site
         #: in the simulator guards on ``obs is not None``, so an untraced
@@ -454,20 +526,21 @@ class Simulator:
         """Create a fresh untriggered event."""
         return Event(self)
 
-    def timeout(self, delay: float, value: Any = None,
-                callback: Optional[Callable[[Event], None]] = None
-                ) -> Timeout:
+    def timeout(self, delay: float, value: Any = None) -> Timeout:
         """Create an event firing ``delay`` seconds from now.
 
-        *callback*, if given, becomes the event's only callback.  The
-        event is built in place (via ``__new__``), with no ``__init__``
-        frame: this is the single hottest allocation site in any run.
+        The event is built in place (via ``__new__``), with no
+        ``__init__`` frame: this is the single hottest allocation site
+        in any run.  A negative, infinite or NaN *delay* raises
+        :class:`SimulationError`.
         """
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay: {delay!r}")
+        # One chained comparison rejects negatives, infinities and NaN.
+        if not 0.0 <= delay < inf:
+            raise SimulationError(f"negative timeout delay, infinity or "
+                                  f"NaN: {delay!r}")
         event = Timeout.__new__(Timeout)
         event.sim = self
-        event.callbacks = callback
+        event.callbacks = None
         event._processed = False
         event.value = value
         event._cancelled = False
@@ -525,30 +598,31 @@ class Simulator:
             heappush(self._times, when)
         return event
 
-    def schedule(self, callback: Callable[[Event], None],
-                 value: Any = None) -> Event:
-        """Run *callback* from an event of its own at the current time.
+    def post(self, entry: Entry, callback: Callable[[Any], None],
+             delay: Optional[float] = None) -> None:
+        """Put *entry* in the calendar; ``callback(entry)`` runs when it fires.
 
-        The event carries *value* and lands at the back of the current
-        timestamp's bucket — where a process's boot event or
-        :meth:`Event.succeed` would land — so callback-driven code can
-        take the place of a process step for step.
+        Without *delay* the entry lands where :meth:`Event.succeed`
+        would, with one where ``timeout(delay)`` would, so callback code
+        takes a process's calendar positions step for step.  A negative,
+        infinite or NaN *delay*, or an entry already in the calendar,
+        raises :class:`SimulationError`.
         """
-        event = Event.__new__(Event)
-        event.sim = self
-        event.callbacks = callback
-        event._triggered = True
-        event._processed = False
-        event.value = value
-        event._exc = None
-        event._cancelled = False
-        when = self.now
+        if entry.callbacks is not None:
+            raise SimulationError("entry is already in the calendar")
+        if delay is None:
+            when = self.now
+        elif 0.0 <= delay < inf:
+            when = self.now + delay
+        else:
+            raise SimulationError(f"negative post delay, infinity or "
+                                  f"NaN: {delay!r}")
+        entry.callbacks = callback
         try:
-            self._buckets[when].append(event)
+            self._buckets[when].append(entry)
         except KeyError:
-            self._buckets[when] = [event]
+            self._buckets[when] = [entry]
             heappush(self._times, when)
-        return event
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """Event that fires when all *events* have fired."""
@@ -619,7 +693,7 @@ class Simulator:
                 self.now = when
                 self._draining = bucket
                 bskip = 0
-                it = iter(bucket)
+                it = self._cursor = iter(bucket)
                 # -- drain it (the per-event hot path) --------------------
                 for event in it:
                     if event._cancelled:
@@ -654,6 +728,7 @@ class Simulator:
                 self._cancelled_pending -= bskip
                 skipped += bskip
                 buckets[when] = self._draining = rest
+                self._cursor = iter(rest)   # nothing of it consumed
             self.event_count += fired
             if profiler is not None:
                 count = profiler.count
@@ -678,17 +753,22 @@ class Simulator:
 
     @property
     def pending(self) -> int:
-        """Number of *live* scheduled-but-unfired events.
+        """Number of *live* scheduled-but-unfired events and entry posts.
 
         Lazily-deleted cancelled events still sitting in the calendar are
         excluded, so backlog metrics cannot over-report after fault
         recovery retires its crash watchers.  Read from a callback, it
-        counts the rest of the bucket being drained but not its fired
-        prefix.  O(number of distinct pending timestamps plus the
+        counts the rest of the bucket being drained, as the draining
+        iterator's remaining length, so an entry re-posted into it
+        counts once.  O(number of distinct pending timestamps plus the
         draining bucket) — an introspection aid, not a hot path.
         """
         count = self._queue_entries() - self._cancelled_pending
         draining = self._draining
         if draining is not None:
-            count -= sum(event._processed for event in draining)
+            consumed = len(draining) - length_hint(self._cursor)
+            # Cancelled events in the consumed prefix are still in
+            # ``_cancelled_pending`` (run() settles it per bucket).
+            count -= consumed - sum(
+                event._cancelled for event in islice(draining, consumed))
         return count

@@ -6,23 +6,40 @@ per request derived from a bandwidth and a fixed per-request latency
 first-order contention model: when N requests overlap, each effectively
 sees ~1/N of the bandwidth.
 
-A device keeps no statistics of its own: the power model folds the
-activity intervals the HDFS layer records in the cluster trace, and a
-caller learns when a transfer finished from its ``done`` callback.
+A transfer is a :class:`Transfer`, a calendar entry carrying its byte
+count and a ``done`` hook.  The device posts that same object for the
+grant and for the service completion, so moving bytes allocates no
+event.  A device keeps no statistics of its own: the power model folds
+the activity intervals the HDFS layer records in the cluster trace, and
+a caller learns when a transfer finished from its ``done`` hook.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Tuple
+from math import inf
+from typing import Deque
 
-from .engine import Event, SimulationError, Simulator, Timeout
+from .engine import Entry, SimulationError, Simulator
 
-__all__ = ["BandwidthDevice"]
+__all__ = ["BandwidthDevice", "Transfer"]
 
 
-#: One transfer: (nbytes, done callback).
-_Job = Tuple[float, Callable[[], None]]
+class Transfer(Entry):
+    """One transfer through a device: ``nbytes``, then ``done()``.
+
+    Subclasses override :meth:`done`; an HDFS leg is one transfer
+    object for each of its device steps in turn.
+    """
+
+    __slots__ = ("nbytes",)
+
+    def __init__(self, nbytes: float) -> None:
+        super().__init__()
+        self.nbytes = nbytes
+
+    def done(self) -> None:
+        """Called once the transfer's service completes."""
 
 
 class BandwidthDevice:
@@ -40,10 +57,12 @@ class BandwidthDevice:
 
     def __init__(self, sim: Simulator, bandwidth: float, latency: float = 0.0,
                  channels: int = 1, name: str = "device"):
-        if bandwidth <= 0:
-            raise SimulationError(f"bandwidth must be positive, got {bandwidth}")
-        if latency < 0:
-            raise SimulationError(f"latency must be non-negative, got {latency}")
+        if not 0.0 < bandwidth < inf:
+            raise SimulationError(
+                f"bandwidth must be positive and finite, got {bandwidth}")
+        if not 0.0 <= latency < inf:
+            raise SimulationError(
+                f"latency must be non-negative and finite, got {latency}")
         if channels < 1:
             raise SimulationError(f"channels must be >= 1, got {channels}")
         self.sim = sim
@@ -52,36 +71,36 @@ class BandwidthDevice:
         self.channels = channels
         self.name = name
         self._free = channels
-        self._waiting: Deque[_Job] = deque()
+        self._waiting: Deque[Transfer] = deque()
 
-    def transfer(self, nbytes: float, done: Callable[[], None]) -> None:
-        """Move *nbytes* through the device, then call ``done()``.
+    def transfer(self, job: Transfer) -> None:
+        """Move ``job.nbytes`` through the device, then call ``job.done()``.
 
-        Schedules a grant event — now if a channel is free, otherwise
+        Posts *job* for its grant — now if a channel is free, otherwise
         when the transfer ahead of it in the FIFO finishes — and, when
-        the grant fires, the service timeout.  ``done`` runs
-        synchronously when that timeout fires, after the channel has
-        passed to the next waiting transfer.  These are the events, in
-        the order, that a process acquiring a channel and then sleeping
-        for the service time would schedule.
+        the grant fires, for the service completion.  ``done`` runs
+        synchronously when that completion fires, after the channel has
+        passed to the next waiting transfer.  These are the calendar
+        positions, in the order, that a process acquiring a channel and
+        then sleeping for the service time would take.  A negative,
+        infinite or NaN size raises :class:`SimulationError`.
         """
-        if nbytes < 0:
-            raise SimulationError(f"negative transfer size: {nbytes}")
-        job = (nbytes, done)
+        if not 0.0 <= job.nbytes < inf:
+            raise SimulationError(f"negative transfer size, infinity or "
+                                  f"NaN: {job.nbytes!r}")
         if self._free:
             self._free -= 1
-            self.sim.schedule(self._begin, job)
+            self.sim.post(job, self._begin)
         else:
             self._waiting.append(job)
 
-    def _begin(self, grant: Event) -> None:
-        job = grant.value
-        self.sim.timeout(self.latency + job[0] / self.bandwidth, job,
-                         self._end)
+    def _begin(self, job: Transfer) -> None:
+        self.sim.post(job, self._end,
+                      self.latency + job.nbytes / self.bandwidth)
 
-    def _end(self, service: Timeout) -> None:
+    def _end(self, job: Transfer) -> None:
         if self._waiting:
-            self.sim.schedule(self._begin, self._waiting.popleft())
+            self.sim.post(self._waiting.popleft(), self._begin)
         else:
             self._free += 1
-        service.value[1]()
+        job.done()

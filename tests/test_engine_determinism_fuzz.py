@@ -8,9 +8,12 @@ no slots), and the fuzz runs randomly
 generated process/timeout/interrupt/cancel programs over ~20 seeds
 against both engines, asserting the full ``(time, order)`` log of
 observable actions and a final-state digest match exactly.  Two ops
-target the calendar's same-time path: zero-delay callback chains shaped
-like the HDFS legs (they log ``pending`` at every link), and cancel
-bursts of a few hundred events, some in the bucket being drained.
+target the calendar's same-time path: chains of re-posted entries
+shaped like the HDFS legs (one :class:`Entry` per chain, posted again
+for each link, mostly into the bucket being drained; they log
+``pending`` at every link), and cancel bursts of a few hundred events,
+some in the bucket being drained.  The reference engine posts an entry
+as a fresh event of its own.
 
 The programs are pre-generated op scripts (pure functions of the seed),
 so any divergence is attributable to the engines, not to random draws
@@ -27,7 +30,8 @@ from itertools import count
 
 import pytest
 
-from repro.sim.engine import Event, Interrupt, SimulationError, Simulator
+from repro.sim.engine import (Entry, Event, Interrupt, SimulationError,
+                              Simulator)
 
 # -- the kept-simple reference engine ------------------------------------
 
@@ -145,13 +149,11 @@ class _RefSimulator:
     def process(self, gen):
         return _RefProcess(self, gen)
 
-    def schedule(self, callback, value=None):
+    def post(self, entry, callback, delay=None):
         ev = _RefEvent(self)
         ev.triggered = True
-        ev.value = value
-        ev.callbacks.append(callback)
-        self._schedule(ev, 0.0)
-        return ev
+        ev.callbacks.append(lambda _ev: callback(entry))
+        self._schedule(ev, 0.0 if delay is None else delay)
 
     @property
     def pending(self):
@@ -216,6 +218,8 @@ class _RefSimulator:
 # -- random program generation -------------------------------------------
 
 _DELAYS = [0.0, 0.25, 0.25, 0.5, 0.75, 1.0, 1.0, 1.5, 2.0, 3.0]
+#: Re-post delays of a chain's links: mostly the current bucket.
+_POST_DELAYS = [None, None, None, 0.0, 0.25, 0.5]
 
 
 def _random_script(rng: random.Random, n_procs: int):
@@ -226,8 +230,10 @@ def _random_script(rng: random.Random, n_procs: int):
         if roll < 0.25:
             ops.append(("timeout", rng.choice(_DELAYS)))
         elif roll < 0.33:
-            ops.append(("schedule", tuple(rng.randrange(0, 5)
-                                          for _ in range(rng.randrange(1, 4)))))
+            ops.append(("post", tuple(
+                tuple(rng.choice(_POST_DELAYS)
+                      for _ in range(rng.randrange(0, 5)))
+                for _ in range(rng.randrange(1, 4)))))
         elif roll < 0.37:
             ops.append(("burst", tuple(
                 rng.choice(_DELAYS)
@@ -278,30 +284,33 @@ def _make_program(script, sim, pid, log, registry):
                     target.interrupt((pid, step))
                     log.append((sim.now, pid, step, "sent-interrupt",
                                 target.is_alive))
-                elif kind == "schedule":
-                    # Like the HDFS legs of one operation: each chain boots
-                    # from a zero-delay event, takes its steps as further
-                    # zero-delay events, then counts itself off a join.
+                elif kind == "post":
+                    # Like the HDFS legs of one operation: each chain is
+                    # one entry that boots from a post at the current
+                    # time, posts itself again for each link (mostly
+                    # into the bucket being drained), then counts itself
+                    # off a join.
                     box = sim.event()
                     left = [len(op[1])]
 
-                    def link(event, chain, k, length, box=box, left=left,
+                    def link(entry, chain, k, delays, box=box, left=left,
                              step=step):
                         log.append((sim.now, pid, step, "link", chain, k,
                                     sim.pending))
-                        if k < length:
-                            sim.schedule(partial(link, chain=chain, k=k + 1,
-                                                 length=length))
+                        if k < len(delays):
+                            sim.post(entry, partial(link, chain=chain,
+                                                    k=k + 1, delays=delays),
+                                     delays[k])
                             return
                         left[0] -= 1
                         if not left[0]:
-                            box.succeed(event.value)
+                            box.succeed(chain)
 
-                    for chain, length in enumerate(op[1]):
-                        sim.schedule(partial(link, chain=chain, k=0,
-                                             length=length), chain)
+                    for chain, delays in enumerate(op[1]):
+                        sim.post(Entry(), partial(link, chain=chain, k=0,
+                                                  delays=delays))
                     got = yield box
-                    log.append((sim.now, pid, step, "schedule", got))
+                    log.append((sim.now, pid, step, "post", got))
                 elif kind == "burst":
                     # Schedule and cancel a few hundred events from inside
                     # one callback; some victims land in the bucket being
@@ -314,9 +323,10 @@ def _make_program(script, sim, pid, log, registry):
                             victim.cancel()
                         log.append((sim.now, pid, step, "burst",
                                     sim.pending))
-                        sim.schedule(lambda _e: box.succeed(len(delays)))
+                        sim.post(Entry(),
+                                 lambda _e: box.succeed(len(delays)))
 
-                    sim.schedule(burst)
+                    sim.post(Entry(), burst)
                     got = yield box
                     log.append((sim.now, pid, step, "burst-done", got))
                 elif kind == "succeed":
@@ -383,11 +393,19 @@ def test_fuzz_programs_actually_exercise_the_engine(monkeypatch):
     monkeypatch.setattr(Event, "cancel", spy)
     total_entries = 0
     kinds = set()
+    reposted_into_bucket = 0
     for seed in range(20):
         log, _ = _run_seed(seed, Simulator)
         total_entries += len(log)
         kinds.update(entry[3] for entry in log)
+        last_link = {}
+        for entry in log:
+            if entry[3] == "link":
+                chain = entry[1:3] + entry[4:5]
+                reposted_into_bucket += last_link.get(chain) == entry[0]
+                last_link[chain] = entry[0]
     assert total_entries > 100
+    assert reposted_into_bucket > 20
     assert {"timeout", "cancel", "anyof", "allof", "sent-interrupt",
-            "link", "schedule", "burst", "burst-done"} <= kinds
+            "link", "post", "burst", "burst-done"} <= kinds
     assert any(in_draining)

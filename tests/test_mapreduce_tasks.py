@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.arch.presets import ATOM_C2758, XEON_E5_2420
@@ -9,8 +11,9 @@ from repro.cluster.server import Cluster
 from repro.hdfs.blocks import Block
 from repro.hdfs.filesystem import HDFS
 from repro.mapreduce.config import DEFAULT_CONF
-from repro.mapreduce.tasks import MapTask, ReduceTask, RunCounters
-from repro.sim.engine import Simulator
+from repro.mapreduce.tasks import (MapTask, ReduceTask, RunCounters,
+                                   TaskAttemptError)
+from repro.sim.engine import Interrupt, SimulationError, Simulator
 from repro.sim.trace import TraceRecorder
 from repro.workloads.base import workload
 
@@ -86,6 +89,103 @@ class TestMapTask:
         _s, _t, wc = _run_map(wl="wordcount", block_mb=512)
         _s, _t, st = _run_map(wl="sort", block_mb=512)
         assert st.spill_bytes > wc.spill_bytes
+
+
+class TestMapReader:
+    """The map read loop runs by callbacks, with the task's process
+    waiting once for the whole loop.  The pins below are the outputs of
+    the generator-driven loop it replaced: a 256 MB block read remotely
+    (8 chunks), so every chunk crosses the source disk and both NICs."""
+
+    @staticmethod
+    def _task(spec=XEON_E5_2420, **attempt_kw):
+        sim, cluster, hdfs = _setup(spec, 1.8, 256)
+        blocks = hdfs.load_input("in", 256 * MB)
+        counters = RunCounters()
+        task = MapTask("m0", cluster.nodes[1], hdfs,
+                       workload("wordcount").stages[0], DEFAULT_CONF,
+                       counters, blocks[0], **attempt_kw)
+        return sim, cluster, hdfs, task, counters
+
+    @pytest.mark.parametrize("spec, digest", [
+        (XEON_E5_2420, "a8e981c55a10dd58b35124f54111be56"
+                       "3161df75ec6ad2c9294e319b23636aaf"),
+        (ATOM_C2758, "fd8d2f9e22a1e95d4de42557bee3779a"
+                     "7073b0be0dd7848b0b64e7c97566717c"),
+    ])
+    def test_task_as_its_own_process_is_unchanged(self, spec, digest):
+        sim, cluster, _hdfs, task, counters = self._task(spec)
+        proc = sim.process(task.run())
+        sim.run()
+        assert proc.value == task.output_bytes
+        state = (sim.now, sim.event_count, list(cluster.trace), counters)
+        assert hashlib.sha256(repr(state).encode()).hexdigest() == digest
+
+    def test_injected_failure_reaches_the_worker_at_the_same_time(self):
+        sim, _cluster, _hdfs, task, _counters = self._task(
+            failure_point=0.5)
+        caught = []
+
+        def slot_worker():
+            try:
+                yield from task.run()
+            except TaskAttemptError as exc:
+                caught.append((sim.now, exc.progress))
+            yield sim.timeout(1.0)
+
+        sim.process(slot_worker())
+        sim.run()
+        # The fifth of eight chunks crosses the failure point.
+        assert caught == [(35.75514553690641, 0.5625)]
+        assert sim.now == 36.75514553690641
+
+    @pytest.mark.parametrize("at, end, events", [
+        # Inside the third chunk's join wait: its join still fires.
+        (17.3, 17.454196857237754, 36),
+        # Inside its residual compute: the reader's own post still fires.
+        (20.0, 23.378439073537564, 37),
+    ])
+    def test_no_read_after_an_interrupt_mid_read(self, at, end, events):
+        sim, _cluster, hdfs, task, counters = self._task()
+        reads = []
+        read_span = hdfs.read_span
+
+        def spy(*args, **kwargs):
+            reads.append(sim.now)
+            return read_span(*args, **kwargs)
+
+        hdfs.read_span = spy
+        interrupted = []
+
+        def slot_worker():
+            try:
+                yield from task.run()
+            except Interrupt:
+                interrupted.append(sim.now)
+
+        proc = sim.process(slot_worker())
+
+        def bolt():
+            yield sim.timeout(at)
+            proc.interrupt("lost the speculation race")
+
+        sim.process(bolt())
+        sim.run()
+        assert interrupted == [at]
+        # Three chunks were issued; what of the third was still pending
+        # fires, but starts nothing.
+        assert reads == [4.8133793784842895, 11.001732610168714,
+                         17.19008584185314]
+        assert sim.now == end
+        assert sim.event_count == events
+        assert counters.input_bytes == 0.0
+
+    def test_read_loop_needs_a_process(self):
+        _sim, _cluster, _hdfs, task, _counters = self._task()
+        steps = task.run()
+        with pytest.raises(SimulationError, match="inside a process"):
+            for _ in range(3):
+                next(steps)
 
 
 class TestReduceTask:

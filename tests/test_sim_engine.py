@@ -6,8 +6,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.obs import prof
-from repro.sim.engine import (Interrupt, Process, SimulationError, Simulator,
-                              Timeout)
+from repro.sim.engine import (Entry, Interrupt, Process, SimulationError,
+                              Simulator, Timeout)
+
+
+def _post(sim, callback, delay=None):
+    """Post a fresh entry that runs *callback*; returns the entry."""
+    entry = Entry()
+    sim.post(entry, callback, delay)
+    return entry
 
 
 class TestEvent:
@@ -69,6 +76,22 @@ class TestTimeout:
         sim = Simulator()
         with pytest.raises(SimulationError):
             sim.timeout(-1.0)
+
+    @pytest.mark.parametrize("delay", [float("nan"), float("inf"),
+                                       float("-inf")])
+    def test_non_finite_delay_rejected(self, delay):
+        """A NaN delay used to fire first and set ``now`` to NaN, after
+        which the clock ran backwards; an infinite one never fired."""
+        sim = Simulator()
+        with pytest.raises(SimulationError, match="infinity or NaN"):
+            sim.timeout(delay)
+        assert sim.pending == 0
+        sim.timeout(1.0)
+        sim.timeout(0.5)
+        fired = []
+        _post(sim, lambda _e: fired.append(sim.now), 0.75)
+        assert sim.run() == 1.0
+        assert fired == [0.75]
 
     def test_constructor_is_not_a_second_factory(self):
         # Simulator.timeout builds timeouts in place; the class does not.
@@ -210,6 +233,24 @@ class TestProcess:
         sim.process(interrupter(sim, proc))
         sim.run()
         assert out == [(3.0, "wakeup")]
+
+    def test_target_and_active_process(self):
+        """``target`` is what the process waits on; ``active_process`` is
+        the process whose step is running, and None between steps."""
+        sim = Simulator()
+        seen = []
+
+        def proc(sim):
+            seen.append(sim.active_process)
+            yield sim.timeout(1.0)
+            seen.append(sim.active_process)
+
+        p = sim.process(proc(sim))
+        assert p.target is None
+        _post(sim, lambda _e: seen.append(sim.active_process), 0.5)
+        sim.run()
+        assert seen == [p, None, p]
+        assert sim.active_process is None
 
     def test_is_alive_lifecycle(self):
         sim = Simulator()
@@ -408,7 +449,7 @@ class TestSimulator:
             sim.run(until=1.0)
         assert sim.run() == 2.0
 
-    def test_schedule_fires_callback_in_fifo_position(self):
+    def test_post_fires_callback_in_fifo_position(self):
         sim = Simulator()
         order = []
 
@@ -417,11 +458,81 @@ class TestSimulator:
             yield sim.timeout(0)
 
         sim.process(proc(sim))
-        sim.schedule(lambda event: order.append((event.value, sim.now)),
-                     "callback")
+        entry = _post(sim, lambda posted: order.append((posted, sim.now)))
         sim.run()
-        assert order == [("process", 0.0), ("callback", 0.0)]
-        assert sim.event_count == 4  # boot, callback, timeout, completion
+        assert order == [("process", 0.0), (entry, 0.0)]
+        assert sim.event_count == 4  # boot, entry, timeout, completion
+
+    def test_post_with_delay_lands_where_a_timeout_would(self):
+        sim = Simulator()
+        order = []
+        sim.timeout(1.0).add_callback(lambda _e: order.append("first"))
+        _post(sim, lambda _e: order.append("entry"), 1.0)
+        sim.timeout(1.0).add_callback(lambda _e: order.append("last"))
+        sim.run()
+        assert order == ["first", "entry", "last"]
+        assert sim.now == 1.0
+
+    def test_entry_reposts_itself_step_by_step(self):
+        """One object, posted again from its own callback, takes one
+        calendar position per step and allocates nothing per step."""
+        sim = Simulator()
+        entry = Entry()
+        steps = []
+
+        def step(posted):
+            assert posted is entry
+            steps.append(sim.now)
+            if len(steps) < 4:
+                sim.post(entry, step, 0.5 if len(steps) % 2 else None)
+
+        sim.post(entry, step)
+        sim.run()
+        assert steps == [0.0, 0.5, 0.5, 1.0]
+        assert sim.event_count == 4
+
+    @pytest.mark.parametrize("delay", [-1.0, float("nan"), float("inf")])
+    def test_post_rejects_bad_delays(self, delay):
+        sim = Simulator()
+        entry = Entry()
+        with pytest.raises(SimulationError, match="post delay"):
+            sim.post(entry, lambda _e: None, delay)
+        assert sim.pending == 0
+        sim.post(entry, lambda _e: None, 1.0)   # still postable
+        assert sim.run() == 1.0
+
+    def test_entry_is_in_the_calendar_at_most_once(self):
+        sim = Simulator()
+        entry = _post(sim, lambda _e: None)
+        with pytest.raises(SimulationError, match="already in the calendar"):
+            sim.post(entry, lambda _e: None, 1.0)
+        sim.run()
+        assert sim.event_count == 1
+        assert sim.now == 0.0
+
+    def test_fire_resumes_the_waiter_in_the_callers_frame(self):
+        sim = Simulator()
+        order = []
+        done = sim.event()
+
+        def proc(sim):
+            try:
+                yield done
+                order.append(("resumed", sim.now))
+            except RuntimeError as exc:
+                order.append(("thrown", str(exc), sim.now))
+
+        def resolve(_entry):
+            done.fire(RuntimeError("boom"))
+            order.append("fire returned")
+
+        sim.process(proc(sim))
+        _post(sim, resolve, 2.0)
+        sim.run()
+        assert order == [("thrown", "boom", 2.0), "fire returned"]
+        assert sim.event_count == 3   # boot, entry, completion
+        with pytest.raises(SimulationError, match="already triggered"):
+            done.fire()
 
     def test_same_time_event_from_callback_fires_after_its_bucket(self):
         sim = Simulator()
@@ -429,11 +540,11 @@ class TestSimulator:
 
         def first(_event):
             order.append("first")
-            sim.schedule(lambda _e: order.append("appended"))
+            _post(sim, lambda _e: order.append("appended"))
 
-        sim.schedule(first)
-        sim.schedule(lambda _e: order.append("second"))
-        sim.timeout(1.0, callback=lambda _e: order.append("later"))
+        _post(sim, first)
+        _post(sim, lambda _e: order.append("second"))
+        _post(sim, lambda _e: order.append("later"), 1.0)
         sim.run()
         assert order == ["first", "second", "appended", "later"]
         assert sim.event_count == 4
@@ -443,13 +554,13 @@ class TestSimulator:
         order = []
 
         def boom(_event):
-            sim.schedule(lambda _e: order.append("appended"))
+            _post(sim, lambda _e: order.append("appended"))
             raise RuntimeError("boom")
 
-        sim.schedule(lambda _e: order.append("before"))
-        sim.schedule(boom)
-        sim.schedule(lambda _e: order.append("rest"))
-        sim.timeout(1.0, callback=lambda _e: order.append("later"))
+        _post(sim, lambda _e: order.append("before"))
+        _post(sim, boom)
+        _post(sim, lambda _e: order.append("rest"))
+        _post(sim, lambda _e: order.append("later"), 1.0)
         with prof.profiled() as profiler:
             with pytest.raises(RuntimeError, match="boom"):
                 sim.run()
@@ -468,7 +579,7 @@ class TestSimulator:
 
     def test_run_cannot_be_reentered_from_a_callback(self):
         sim = Simulator()
-        sim.schedule(lambda _e: sim.run())
+        _post(sim, lambda _e: sim.run())
         with pytest.raises(SimulationError, match="re-entered"):
             sim.run()
 
@@ -480,11 +591,11 @@ class TestSimulator:
             def fire(_event):
                 seen.append(sim.pending)
                 if depth:
-                    sim.schedule(link(depth - 1))
+                    _post(sim, link(depth - 1))
             return fire
 
-        sim.schedule(link(2))
-        sim.schedule(lambda _e: (seen.append(sim.pending), doomed.cancel()))
+        _post(sim, link(2))
+        _post(sim, lambda _e: (seen.append(sim.pending), doomed.cancel()))
         doomed = sim.timeout(0.0)
         sim.timeout(1.0)
         sim.run()
@@ -492,6 +603,30 @@ class TestSimulator:
         # sees doomed, the timeout and the appended link(1); after the
         # cancel, each later link sees only the timeout.
         assert seen == [3, 3, 1, 1]
+        assert sim.pending == 0
+
+    def test_pending_counts_an_entry_reposted_into_its_bucket_once(self):
+        """Like an HDFS leg whose boot and device grant share a bucket:
+        the fired first post must not count again once the entry is
+        posted a second time into the bucket being drained."""
+        sim = Simulator()
+        entry = Entry()
+        seen = []
+
+        def boot(_entry):
+            seen.append(sim.pending)          # the t=1 timeout
+            sim.post(entry, grant)
+            seen.append(sim.pending)          # + the grant
+
+        def grant(_entry):
+            seen.append(sim.pending)          # the timeout only
+            sim.post(entry, lambda _e: seen.append(sim.pending), 0.5)
+
+        sim.post(entry, boot)
+        sim.timeout(1.0)
+        assert sim.pending == 2
+        sim.run()
+        assert seen == [1, 2, 1, 1]
         assert sim.pending == 0
 
     def test_fifo_among_simultaneous_events(self):

@@ -1,8 +1,8 @@
 """Unit tests for bandwidth devices and the channel FIFO they own.
 
 A device keeps no counters, so every test reads FIFO order, channel
-parallelism and makespan from the times at which ``done`` callbacks
-fire.
+parallelism and makespan from the times at which transfers' ``done``
+hooks run.
 """
 
 from __future__ import annotations
@@ -10,14 +10,29 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.sim.engine import SimulationError, Simulator
-from repro.sim.resources import BandwidthDevice
+from repro.sim.engine import Entry, SimulationError, Simulator
+from repro.sim.resources import BandwidthDevice, Transfer
+
+
+class _Logged(Transfer):
+    """A transfer that logs ``(tag, finish time)`` when it is done."""
+
+    __slots__ = ("sim", "log", "tag")
+
+    def __init__(self, sim, nbytes, log, tag):
+        super().__init__(nbytes)
+        self.sim = sim
+        self.log = log
+        self.tag = tag
+
+    def done(self):
+        if self.log is not None:
+            self.log.append((self.tag, self.sim.now))
 
 
 def _start(sim, dev, n, log=None, tag=None):
     """Start a transfer of *n* bytes; log ``(tag, finish time)``."""
-    dev.transfer(n, lambda: log.append((tag, sim.now))
-                 if log is not None else None)
+    dev.transfer(_Logged(sim, n, log, tag))
 
 
 def _service(dev, n):
@@ -128,8 +143,35 @@ class TestBandwidthDevice:
         sim = Simulator()
         dev = BandwidthDevice(sim, bandwidth=10.0)
         with pytest.raises(SimulationError):
-            dev.transfer(-1.0, lambda: None)
+            dev.transfer(Transfer(-1.0))
         assert sim.pending == 0
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_inputs_rejected(self, bad):
+        """NaN and infinite rates and sizes fail at once; a NaN size
+        used to complete at time NaN."""
+        sim = Simulator()
+        with pytest.raises(SimulationError, match="bandwidth"):
+            BandwidthDevice(sim, bandwidth=bad)
+        with pytest.raises(SimulationError, match="latency"):
+            BandwidthDevice(sim, bandwidth=1.0, latency=bad)
+        dev = BandwidthDevice(sim, bandwidth=1.0)
+        with pytest.raises(SimulationError, match="transfer size"):
+            dev.transfer(Transfer(bad))
+        assert sim.pending == 0
+
+    def test_one_object_for_grant_and_service(self):
+        """The device posts the transfer itself, for both its events."""
+        sim = Simulator()
+        dev = BandwidthDevice(sim, bandwidth=1.0)
+        job = _Logged(sim, 2.0, [], "a")
+        dev.transfer(job)
+        assert sim.pending == 1
+        with pytest.raises(SimulationError, match="already in the calendar"):
+            sim.post(job, lambda _job: None)
+        sim.run()
+        assert job.log == [("a", 2.0)]
+        assert sim.event_count == 2
 
     def test_invalid_parameters(self):
         sim = Simulator()
@@ -160,7 +202,7 @@ class TestBandwidthDevice:
         def late(_event):
             _start(sim, dev, 4.0, log, "b")
 
-        sim.timeout(1.0, callback=late)
+        sim.post(Entry(), late, 1.0)
         sim.run()
         # b waited 3 s (from t=1 to t=4), then served 4 s.
         assert log == [("a", 4.0), ("b", 8.0)]

@@ -25,13 +25,17 @@ The cases cover the three ways a node's cores are driven:
 Every case also runs twice more, once folding energy as rows are
 recorded (what an untraced cluster does) and once with each cluster's
 trace replaced by a recorder that keeps its rows; both must give the
-pinned digest and the same energy breakdowns.
+pinned digest and the same energy breakdowns.  The kept rows are pinned
+too (``ROW_DIGESTS``: ``sha256(repr(rows))`` per cluster, in record
+order).  Record order is the visible trace of dispatch order: two
+same-time events that swap places reorder rows even where the folded
+floats happen to agree, so this pin checks "same events, same order".
 
 Traced runs also pin ``events_dispatched`` from the tracer's
 ``JobTrace.engine`` — a deterministic count of the work the engine did
 — and the digest of the Perfetto export.
 
-Print the current digests with ``PYTHONPATH=src python
+Print the current digests (and row digests) with ``PYTHONPATH=src python
 tests/test_model_digests.py``.  Re-pin only together with a change that
 is meant to move the model's outputs.
 """
@@ -130,6 +134,59 @@ DIGESTS = {
         "3624261a593a1cb6032532f6563424fd58731257b0d842c7368aa3f7fa3eb6ee",
 }
 
+#: label -> ``sha256(repr(rows))`` of each cluster's kept trace rows, in
+#: cluster build order (see the module docstring).
+ROW_DIGESTS: Dict[str, tuple] = {
+    "atom/wordcount@1.2": (
+        "b61ddbc65f7bbb1a41fe24a874ec68abb3614a03bace7c5eb288bf26b4299381",
+    ),
+    "atom/wordcount@1.8": (
+        "bb2c77436b45144b78a980dc50fea8bc12a141091a870cac7438e1c3b4540530",
+    ),
+    "atom/terasort@1.2": (
+        "075f512e3e9644cd6a87ce46fcef43ca9b6813657f25426915abc9bc84b9d267",
+    ),
+    "atom/terasort@1.8": (
+        "5c5cfdda36ad263e08cd82b13224256f194500db59f6caac3ffb0fd17c1cb0d3",
+    ),
+    "xeon/wordcount@1.2": (
+        "89307415bd3553ac6313f8dc4120a5506347cedf7930665ab9b8dddaea59e130",
+    ),
+    "xeon/wordcount@1.8": (
+        "5474f272fb92a96d4af51f665e786d49d2da8f3b2340bb2f6222f2c317e4e5f5",
+    ),
+    "xeon/terasort@1.2": (
+        "44129f1b47b5d10fa60a1209f57d66e93ddede6fbc2e356b8402ffb90300678b",
+    ),
+    "xeon/terasort@1.8": (
+        "6e9a9be5c790aa7843cced60ea825ab7b76e9cc60ae6c6167798958a9815996c",
+    ),
+    "mixed/terasort": (
+        "35b2bb8346f4eba5ec5ad691430a3236bb3d9d0927eab1b84416dbf5c028f36e",
+        "8c6caeacb351007fed354fe8db362b21e5fd8efa99592ad33874e3e7ccf85209",
+        "61a88c13015f90245927c6e37a1530fa08932397b18babaa0a0986ba4bbe0186",
+        "1c3b97d420d54494f7ccedaa9b26dfe64844d5bd62da983f9fadab74a9880712",
+    ),
+    "faulted/atom/wordcount": (
+        "f298a7f3a33197727ba93d2210a070e01377a0a286885ec775b1cb652087248b",
+    ),
+    "speculative/atom/wordcount": (
+        "c9e412799c029667a38610872a0cba0a706a65db64985a1ef11f55d521d15235",
+    ),
+    "crash/xeon/terasort": (
+        "e477dc2c60c70abeb54b2cf8fbdc799f947fb79d9fe49542d0f7d12f972dabe2",
+    ),
+    "crash/atom/wordcount": (
+        "38c261be5a6788d1ee596680b1ef625a3c6798eb57c41c361dea1ffe863111e6",
+    ),
+    "atom/sort@1.2": (
+        "a90a79158a6dd206e02a393630a0f951c274e689bbdff4e69304461aa963d6d8",
+    ),
+    "xeon/grep@1.8": (
+        "0be62d3196af71abca2aac7e3dac0737c68bb0288e42136c2ae49d5c19890c11",
+    ),
+}
+
 
 def _traced(machine: str, workload: str, *faults: NodeFault) -> Callable:
     def run() -> Tracer:
@@ -187,7 +244,7 @@ def test_crash_cases_lose_a_node(label):
     assert CASES[label]().counters.node_crashes == 1
 
 
-def _run_recording_clusters(label: str, keep_rows: bool, monkeypatch):
+def _run_recording_clusters(label: str, keep_rows: bool):
     """Run one case; returns the result and its clusters, in build order.
 
     With *keep_rows*, each cluster's folding trace is replaced by a plain
@@ -202,18 +259,31 @@ def _run_recording_clusters(label: str, keep_rows: bool, monkeypatch):
             self.trace = TraceRecorder()
         clusters.append(self)
 
-    with monkeypatch.context() as patch:
-        patch.setattr(Cluster, "__init__", spy)
+    Cluster.__init__ = spy
+    try:
         result = CASES[label]()
+    finally:
+        Cluster.__init__ = init
     return result, clusters
 
 
+def row_digests(clusters) -> tuple:
+    """``sha256(repr(rows))`` of each cluster's kept trace, in build order."""
+    return tuple(
+        hashlib.sha256(repr(c.trace.rows).encode("utf-8")).hexdigest()
+        for c in clusters)
+
+
+def test_row_digests_are_all_pinned():
+    assert sorted(ROW_DIGESTS) == sorted(CASES)
+
+
 @pytest.mark.parametrize("label", sorted(CASES))
-def test_energy_fold_matches_kept_rows(label, monkeypatch):
-    kept, kept_clusters = _run_recording_clusters(label, True, monkeypatch)
-    folded, folded_clusters = _run_recording_clusters(label, False,
-                                                      monkeypatch)
+def test_energy_fold_matches_kept_rows(label):
+    kept, kept_clusters = _run_recording_clusters(label, True)
+    folded, folded_clusters = _run_recording_clusters(label, False)
     assert digest(kept) == digest(folded) == DIGESTS[label]
+    assert row_digests(kept_clusters) == ROW_DIGESTS[label]
     if hasattr(kept, "energy"):
         assert repr(kept.energy) == repr(folded.energy)
     assert len(kept_clusters) == len(folded_clusters) > 0
@@ -241,5 +311,11 @@ def test_traced_events_and_export_unchanged(label):
 if __name__ == "__main__":
     for label in CASES:
         print(f'    "{label}":\n        "{digest(CASES[label]())}",')
+    for label in CASES:
+        rows = row_digests(_run_recording_clusters(label, True)[1])
+        print(f'    "{label}": (')
+        for row_digest in rows:
+            print(f'        "{row_digest}",')
+        print("    ),")
     for label in TRACED:
         print(f'    "{label}": {_traced_pin(TRACED[label]())!r},')

@@ -25,6 +25,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from math import inf
 from typing import Optional, Sequence, Tuple
 
 __all__ = ["NodeFault", "FaultPlan", "unit_draw"]
@@ -60,10 +61,13 @@ class NodeFault:
     compute_slowdown: float = 1.0
 
     def __post_init__(self):
-        if self.crash_at_s is not None and self.crash_at_s < 0:
-            raise ValueError("crash time must be non-negative")
-        if self.disk_slowdown < 1.0 or self.compute_slowdown < 1.0:
-            raise ValueError("slowdown factors must be >= 1")
+        # Chained comparisons refuse NaN and infinity too: a slowed
+        # device's service time is posted to the calendar unchecked.
+        if self.crash_at_s is not None and not 0.0 <= self.crash_at_s < inf:
+            raise ValueError("crash time must be non-negative and finite")
+        if not (1.0 <= self.disk_slowdown < inf
+                and 1.0 <= self.compute_slowdown < inf):
+            raise ValueError("slowdown factors must be >= 1 and finite")
 
 
 @dataclass(frozen=True)
@@ -99,14 +103,15 @@ class FaultPlan:
         if not 0.0 <= self.straggler_prob <= 1.0:
             raise ValueError("straggler_prob must be in [0, 1]")
         lo, hi = self.straggler_slowdown
-        if lo < 1.0 or hi < lo:
-            raise ValueError("straggler_slowdown must satisfy 1 <= lo <= hi")
+        if not 1.0 <= lo <= hi < inf:
+            raise ValueError(
+                "straggler_slowdown must satisfy 1 <= lo <= hi < inf")
         names = [f.node for f in self.node_faults]
         if len(set(names)) != len(names):
             raise ValueError("duplicate node in node_faults")
         for _task, factor in self.slow_tasks:
-            if factor < 1.0:
-                raise ValueError("slow_tasks factors must be >= 1")
+            if not 1.0 <= factor < inf:
+                raise ValueError("slow_tasks factors must be >= 1 and finite")
 
     # -- constructors -----------------------------------------------------
     @classmethod

@@ -140,6 +140,14 @@ class TestTraceCommand:
         assert main(["trace", "wordcount", "--crash", "atom1"]) == 2
         assert main(["trace", "wordcount", "--crash", "atom1:soon"]) == 2
 
+    @pytest.mark.parametrize("when", ["nan", "inf"])
+    def test_trace_non_finite_crash_time(self, when, tmp_path, capsys):
+        """A NaN crash time used to die mid-run with a traceback."""
+        code = main(["trace", "wordcount", "--crash", f"atom1:{when}",
+                     "--out", str(tmp_path / "t")])
+        assert code == 2
+        assert f"bad --crash time '{when}'" in capsys.readouterr().err
+
     def test_trace_unknown_workload(self, tmp_path, capsys):
         assert main(["trace", "nosuch", "--out", str(tmp_path / "t")]) == 2
 

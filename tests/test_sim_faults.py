@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from math import inf, nan
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -47,6 +49,19 @@ class TestNodeFault:
         with pytest.raises(ValueError):
             NodeFault("atom0", compute_slowdown=0.9)
 
+    @pytest.mark.parametrize("bad", [nan, inf])
+    def test_non_finite_crash_time_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            NodeFault("atom0", crash_at_s=bad)
+
+    @pytest.mark.parametrize("bad", [nan, inf])
+    @pytest.mark.parametrize("knob", ["disk_slowdown", "compute_slowdown"])
+    def test_non_finite_slowdowns_rejected(self, knob, bad):
+        """A NaN disk slowdown used to reach the calendar as a NaN
+        service time; an infinite one divided by zero mid-run."""
+        with pytest.raises(ValueError, match="finite"):
+            NodeFault("atom0", **{knob: bad})
+
 
 class TestFaultPlanValidation:
     def test_default_plan_is_quiet(self):
@@ -64,6 +79,12 @@ class TestFaultPlanValidation:
         with pytest.raises(ValueError):
             FaultPlan(straggler_slowdown=(4.0, 2.0))
 
+    @pytest.mark.parametrize("bounds", [(nan, 2.0), (1.0, nan), (nan, nan),
+                                        (2.0, inf), (inf, inf)])
+    def test_non_finite_straggler_range_rejected(self, bounds):
+        with pytest.raises(ValueError, match="< inf"):
+            FaultPlan(straggler_slowdown=bounds)
+
     def test_duplicate_node_rejected(self):
         with pytest.raises(ValueError):
             FaultPlan(node_faults=(NodeFault("a0"), NodeFault("a0")))
@@ -71,6 +92,11 @@ class TestFaultPlanValidation:
     def test_slow_task_factor_below_one_rejected(self):
         with pytest.raises(ValueError):
             FaultPlan(slow_tasks=(("s0.m0", 0.5),))
+
+    @pytest.mark.parametrize("bad", [nan, inf])
+    def test_non_finite_slow_task_factor_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            FaultPlan(slow_tasks=(("s0.m0", bad),))
 
     def test_quietness_sees_every_knob(self):
         assert not FaultPlan(task_fail_prob=0.1).is_quiet

@@ -117,8 +117,9 @@ class RunCounters:
         return self.instructions / self.cycles if self.cycles else 0.0
 
     def charge(self, instructions: float, cycles: float) -> None:
-        if instructions < 0 or cycles < 0:
-            raise ValueError("counters only accumulate non-negative work")
+        if not (0.0 <= instructions < math.inf and 0.0 <= cycles < math.inf):
+            raise ValueError("counters only accumulate non-negative, finite "
+                             "work")
         self.instructions += instructions
         self.cycles += cycles
 

@@ -21,6 +21,7 @@ fold, so both kinds of recorder give bit-identical breakdowns.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
                     Tuple)
 
@@ -59,8 +60,11 @@ class Interval:
         return self.end - self.start
 
     def __post_init__(self):
-        if self.end < self.start:
-            raise ValueError(f"interval ends before it starts: {self}")
+        # One chained comparison on the duration also refuses NaN and
+        # infinite ends, which would turn every energy sum into NaN.
+        if not 0.0 <= self.end - self.start < inf:
+            raise ValueError(f"interval ends before it starts, or is not "
+                             f"finite: {self}")
         if not 0.0 <= self.activity <= 1.0:
             raise ValueError(f"activity must be within [0, 1]: {self}")
 
@@ -126,7 +130,7 @@ class TraceRecorder:
             activity: float = 1.0, task_id: Optional[str] = None,
             phase: str = "other") -> None:
         """Record one interval without building an :class:`Interval`."""
-        if end < start or not 0.0 <= activity <= 1.0:
+        if not 0.0 <= end - start < inf or not 0.0 <= activity <= 1.0:
             # Invalid record: build the Interval so the caller gets the
             # canonical validation error with the full record in it.
             Interval(start, end, node, device, kind, activity, task_id, phase)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 
 import pytest
 
@@ -53,6 +54,16 @@ class TestRunCounters:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             RunCounters().charge(-1, 0)
+
+    @pytest.mark.parametrize("instructions, cycles", [
+        (math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf)])
+    def test_non_finite_rejected(self, instructions, cycles):
+        """A NaN charge used to make ``ipc`` NaN for the rest of the run."""
+        counters = RunCounters()
+        counters.charge(2.0, 4.0)
+        with pytest.raises(ValueError, match="finite"):
+            counters.charge(instructions, cycles)
+        assert counters.ipc == 0.5
 
 
 class TestMapTask:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from math import inf, nan
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -11,6 +13,11 @@ from repro.sim.trace import (Interval, TraceRecorder, complement,
 spans = st.tuples(st.floats(min_value=0, max_value=1000),
                   st.floats(min_value=0, max_value=1000)).map(
                       lambda t: (min(t), max(t)))
+
+
+#: (start, end) pairs with a NaN or infinite end or duration.
+NON_FINITE_SPANS = [(0.0, nan), (nan, 1.0), (nan, nan), (0.0, inf),
+                    (-inf, 1.0), (inf, inf)]
 
 
 def _iv(start, end, node="n0", device="core", kind="work", activity=1.0,
@@ -34,6 +41,37 @@ class TestInterval:
 
     def test_zero_length_allowed(self):
         assert _iv(2.0, 2.0).duration == 0.0
+
+    @pytest.mark.parametrize("start, end", NON_FINITE_SPANS)
+    def test_non_finite_interval_rejected(self, start, end):
+        with pytest.raises(ValueError, match="not finite"):
+            _iv(start, end)
+
+
+class TestNonFiniteRecords:
+    """Both recorder kinds refuse a NaN or infinite record.
+
+    A folding recorder used to turn its joules total and every split
+    into NaN from one such record.
+    """
+
+    def _recorders(self):
+        return [TraceRecorder(), TraceRecorder(lambda node, dev, act: 2.0)]
+
+    @pytest.mark.parametrize("start, end", NON_FINITE_SPANS)
+    def test_add_rejects(self, start, end):
+        for tr in self._recorders():
+            with pytest.raises(ValueError, match="not finite"):
+                tr.add(start, end, "n0", "core", "work")
+            assert len(tr) == 0
+
+    def test_fold_stays_finite(self):
+        tr = self._recorders()[1]
+        tr.add(0.0, 1.0, "n0", "core", "work")
+        with pytest.raises(ValueError):
+            tr.add(0.0, nan, "n0", "core", "work")
+        assert tr.energy_fold() == (2.0, {"other": 2.0}, {"core": 2.0},
+                                    {"n0": 2.0})
 
 
 class TestTraceRecorder:

@@ -14,7 +14,8 @@ and return an event that fires when it has finished; a task process
 waits with ``yield hdfs.read_span(...)``.  Each leg — a chain of device
 transfers, or one node's I/O-path transit — is a :class:`_Leg` driven by
 callbacks, and records the activity intervals the power model consumes.
-A leg is a calendar entry it posts itself, so it allocates no events.
+A leg is a calendar entry it posts itself, in place, so it allocates no
+events; its join is an event the last leg fires in place.
 """
 
 from __future__ import annotations
@@ -222,13 +223,26 @@ class _Join(Event):
     __slots__ = ("legs",)
 
     def __init__(self, sim: Simulator, legs: int):
-        super().__init__(sim)
+        # Event's state set here, not by super().__init__(): one frame
+        # per join instead of two.
+        self.sim = sim
+        self.callbacks = None
+        self._triggered = False
+        self._processed = False
+        self.value = None
+        self._exc = None
+        self._cancelled = False
         self.legs = legs
 
     def count_off(self, _leg: "_Leg") -> None:
         self.legs -= 1
         if not self.legs:
-            self.succeed()
+            if self._triggered or self._cancelled:
+                self.succeed()   # raises succeed's error for either
+            # Inlined ``self.succeed()``.
+            self._triggered = True
+            sim = self.sim
+            sim.calendar[sim.now].append(self)
 
 
 class _Leg(Transfer):
@@ -237,7 +251,8 @@ class _Leg(Transfer):
     A leg is its own calendar entry and its own device transfer: it
     posts itself for its boot at the current time, hands itself to each
     step's device in turn — recording each step's trace interval as it
-    completes — and then posts itself to count off its join.  It takes
+    completes, and starting the next step from that same callback —
+    and then posts itself to count off its join.  It takes
     the same calendar positions, in the same order, as a process that
     ran the steps would: a boot event, each step's device events, a
     completion event.
@@ -248,31 +263,43 @@ class _Leg(Transfer):
     def __init__(self, hdfs: HDFS, steps: List[_Step],
                  task_id: Optional[str], phase: str, join: _Join):
         # Entry's state set here, not by super().__init__(): two frames
-        # per leg cost about 2% of a cold cell.  _advance sets nbytes.
-        self.callbacks = None
+        # per leg cost about 2% of a cold cell.  The boot sets nbytes and
+        # _next.
         self.trace = hdfs.cluster.trace
         self.steps = steps
         self.task_id = task_id
         self.phase = phase
         self.join = join
-        self._next = 0
-        hdfs.sim.post(self, self._advance)
+        sim = hdfs.sim
+        self.callbacks = self._boot
+        sim.calendar[sim.now].append(self)
 
-    def _advance(self, _leg: "_Leg") -> None:
-        i = self._next
-        if i == len(self.steps):
-            join = self.join
-            join.sim.post(self, join.count_off)
-            return
-        self._next = i + 1
-        _node, device, _label, self.nbytes, _kind = self.steps[i]
-        device.transfer(self)
+    def _boot(self, _leg: "_Leg") -> None:
+        steps = self.steps
+        if steps:
+            self._next = 1
+            _node, device, _label, self.nbytes, _kind = steps[0]
+            device.transfer(self)
+        else:
+            sim = self.join.sim
+            self.callbacks = self.join.count_off
+            sim.calendar[sim.now].append(self)
 
     def done(self) -> None:
-        node, device, label, nbytes, kind = self.steps[self._next - 1]
-        end = device.sim.now
+        steps = self.steps
+        i = self._next
+        node, device, label, nbytes, kind = steps[i - 1]
+        sim = device.sim
+        end = sim.now
         # The service completion's own expression, so the start is exact.
         start = end - (device.latency + nbytes / device.bandwidth)
-        self.trace.add(start, end, node.name, label, kind, activity=1.0,
-                       task_id=self.task_id, phase=self.phase)
-        self._advance(self)
+        self.trace.add(start, end, node.name, label, kind, 1.0,
+                       self.task_id, self.phase)
+        # The next step, or the count-off, run here rather than relayed.
+        if i == len(steps):
+            self.callbacks = self.join.count_off
+            sim.calendar[end].append(self)
+        else:
+            self._next = i + 1
+            _node, device, _label, self.nbytes, _kind = steps[i]
+            device.transfer(self)

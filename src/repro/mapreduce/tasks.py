@@ -184,8 +184,7 @@ class _TaskBase:
         yield self.sim.timeout(seconds)
         activity = 1.0 if device == "fw" else perf.activity
         self.trace.add(start, self.sim.now, self.node.name, device, kind,
-                       activity=activity, task_id=self.task_id,
-                       phase=self.phase)
+                       activity, self.task_id, self.phase)
         self.counters.charge(instructions, seconds * self.node.freq_hz)
         return None
 
@@ -262,15 +261,15 @@ class _TaskBase:
         if t_wait > 0:
             wait_act = min(1.0, _WAIT_ACTIVITY + (hidden / t_wait) * activity)
             self.trace.add(t0, now, self.node.name, "core",
-                           _IO_KINDS[kind][0], activity=wait_act,
-                           task_id=self.task_id, phase=self.phase)
+                           _IO_KINDS[kind][0], wait_act, self.task_id,
+                           self.phase)
         return instr, t_cpu, activity, residual
 
     def _io_computed(self, start: float, kind: str, activity: float) -> None:
         """Record the residual compute of a transfer, run from *start*."""
         self.trace.add(start, self.sim.now, self.node.name, "core",
-                       _IO_KINDS[kind][1], activity=activity,
-                       task_id=self.task_id, phase=self.phase)
+                       _IO_KINDS[kind][1], activity, self.task_id,
+                       self.phase)
 
     def _startup(self) -> Generator:
         """Task launch overhead (JVM spawn, localization, reporting)."""
@@ -347,7 +346,9 @@ class _MapReader(Entry):
     """A map task's chunked read loop, run by callbacks.
 
     Per chunk: ``read_span`` → its join fires → the CPU bill with
-    overlap credit → the residual compute (the reader posts itself) →
+    overlap credit → the residual compute (the reader posts itself, in
+    place: the residual is finite because every slowdown factor is
+    checked when its fault plan is built) →
     progress → the next chunk: the calendar positions, in the order,
     that :meth:`_TaskBase._overlapped_io` in a process would take.
 
@@ -395,8 +396,10 @@ class _MapReader(Entry):
             stage.map_profile)
         if residual > 0:
             self.activity = activity
-            self.t0 = task.sim.now
-            task.sim.post(self, self._computed, residual)
+            sim = task.sim
+            self.t0 = now = sim.now
+            self.callbacks = self._computed
+            sim.calendar[now + residual].append(self)
         else:
             self._chunk_done()
 

@@ -21,9 +21,14 @@ Queue layout
 ------------
 The ready queue is a *calendar* of buckets: a dict mapping each distinct
 timestamp to the list of events scheduled at it (in scheduling order),
-plus a heap of the distinct timestamps.  Scheduling an event is a dict
-lookup and a list append — the heap is only touched when a timestamp is
-seen for the first time.  Dispatch pops the earliest timestamp and drains
+plus a heap of the distinct timestamps.  The dict opens a bucket itself
+(:class:`Calendar`): a subscript on a new time pushes that time onto the
+heap and returns a fresh list, so scheduling anything at time ``t`` is
+the one line ``sim.calendar[t].append(x)`` — a dict lookup and a list
+append, with the heap touched only when a timestamp is first seen.
+Since a subscript read opens a bucket, nothing but bucket adoption in
+:meth:`Simulator.run` reads the calendar by subscript for any other
+purpose.  Dispatch pops the earliest timestamp and drains
 its bucket in append order; the bucket stays in the dict while it drains,
 so an event scheduled at the current time from a callback joins the list
 being drained instead of opening a new bucket.  That is exactly the
@@ -35,10 +40,15 @@ and precisely where a tuple heap is slowest).
 
 Most calendar traffic is data-path scaffolding that nothing waits on
 (device grants and completions, HDFS legs, map read loops).  Such a
-step is an :class:`Entry` its owner re-posts with
-:meth:`Simulator.post`, into exactly the bucket position an event would
-have taken, so it allocates nothing and moves nothing.  Events remain
-where a process waits, a value travels or a cancel can happen.
+step is an :class:`Entry` its owner re-posts, into exactly the bucket
+position an event would have taken, so it allocates nothing and moves
+nothing.  :meth:`Simulator.post` checks the entry and the delay; the
+data path's own hot sites post in place instead, in two lines (set
+``entry.callbacks``, then append to ``calendar[when]``), with their
+values checked where they enter the model (device rates at
+construction, sizes at :meth:`BandwidthDevice.transfer`, fault factors
+when a plan is built).  Events remain where a process waits, a value
+travels or a cancel can happen.
 
 Cancelled events are *lazily deleted*: they stay in their bucket and are
 skipped at dispatch.  The model keeps that dead weight small: a
@@ -75,6 +85,7 @@ from typing import Any, Callable, Generator, Iterable, List, Optional
 from ..obs import prof
 
 __all__ = [
+    "Calendar",
     "Entry",
     "Event",
     "Timeout",
@@ -88,6 +99,29 @@ __all__ = [
 
 class SimulationError(RuntimeError):
     """Raised for violations of engine invariants (e.g. a negative delay)."""
+
+
+class Calendar(dict):
+    """time -> bucket of calendar entries, in scheduling order.
+
+    A subscript on a time with no bucket opens one: the time goes onto
+    the :attr:`times` heap and a fresh list is returned, so
+    ``calendar[t].append(x)`` schedules *x* at *t*.  That line is the one
+    way to read it by subscript outside :meth:`Simulator.run`'s bucket
+    adoption (a read for any other purpose would open a bucket).
+    """
+
+    __slots__ = ("times",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        #: Min-heap of distinct bucket times, one entry per bucket.
+        self.times: List[float] = []
+
+    def __missing__(self, when: float) -> list:
+        heappush(self.times, when)
+        bucket = self[when] = []
+        return bucket
 
 
 class Entry:
@@ -200,12 +234,7 @@ class Event:
         self._triggered = True
         self.value = value
         sim = self.sim
-        when = sim.now
-        try:
-            sim._buckets[when].append(self)
-        except KeyError:
-            sim._buckets[when] = [self]
-            heappush(sim._times, when)
+        sim.calendar[sim.now].append(self)
         return self
 
     def fail(self, exc: BaseException) -> "Event":
@@ -222,12 +251,7 @@ class Event:
         self._triggered = True
         self._exc = exc
         sim = self.sim
-        when = sim.now
-        try:
-            sim._buckets[when].append(self)
-        except KeyError:
-            sim._buckets[when] = [self]
-            heappush(sim._times, when)
+        sim.calendar[sim.now].append(self)
         return self
 
     def fire(self, exc: Optional[BaseException] = None) -> None:
@@ -355,12 +379,7 @@ class Process(Event):
                     "silently skip it and strand every waiter") from None
             self._triggered = True
             self.value = stop.value
-            when = sim.now
-            try:
-                sim._buckets[when].append(self)
-            except KeyError:
-                sim._buckets[when] = [self]
-                heappush(sim._times, when)
+            sim.calendar[sim.now].append(self)
             return
         except BaseException as exc:
             sim.active_process = None
@@ -493,21 +512,20 @@ class Simulator:
 
     ``active_process`` is the :class:`Process` whose generator is
     running, or None: code called from a process step finds its process
-    there.
+    there.  ``calendar`` is the :class:`Calendar`; model code only ever
+    appends to it, as ``calendar[when].append(entry)``.
     """
 
-    __slots__ = ("now", "event_count", "obs", "active_process", "_buckets",
-                 "_times", "_cancelled_pending", "_draining", "_cursor")
+    __slots__ = ("now", "event_count", "obs", "active_process", "calendar",
+                 "_cancelled_pending", "_draining", "_cursor")
 
     def __init__(self):
         #: Current simulated time in seconds.
         self.now = 0.0
         #: time -> [events scheduled at that time, in scheduling order]
-        self._buckets = {}
-        #: Min-heap of distinct bucket times, one entry per bucket.
-        self._times: List[float] = []
+        self.calendar = Calendar()
         self._cancelled_pending = 0   # cancelled events still in a bucket
-        #: The bucket ``run()`` is draining (still in ``_buckets``, so
+        #: The bucket ``run()`` is draining (still in the calendar, so
         #: same-time events append to it), or None.  A callback that
         #: raises leaves it set, which stops any later ``run()``.
         self._draining = None
@@ -544,13 +562,7 @@ class Simulator:
         event._processed = False
         event.value = value
         event._cancelled = False
-        when = self.now + delay
-        buckets = self._buckets
-        try:
-            buckets[when].append(event)
-        except KeyError:
-            buckets[when] = [event]
-            heappush(self._times, when)
+        self.calendar[self.now + delay].append(event)
         return event
 
     def process(self, generator: Generator) -> Process:
@@ -590,12 +602,7 @@ class Simulator:
         boot.value = None
         boot._exc = None
         boot._cancelled = False
-        when = self.now
-        try:
-            self._buckets[when].append(boot)
-        except KeyError:
-            self._buckets[when] = [boot]
-            heappush(self._times, when)
+        self.calendar[self.now].append(boot)
         return event
 
     def post(self, entry: Entry, callback: Callable[[Any], None],
@@ -618,11 +625,7 @@ class Simulator:
             raise SimulationError(f"negative post delay, infinity or "
                                   f"NaN: {delay!r}")
         entry.callbacks = callback
-        try:
-            self._buckets[when].append(entry)
-        except KeyError:
-            self._buckets[when] = [entry]
-            heappush(self._times, when)
+        self.calendar[when].append(entry)
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """Event that fires when all *events* have fired."""
@@ -646,7 +649,7 @@ class Simulator:
         calendar entries and cancel skips; counting never changes the
         model.
 
-        The bucket being drained stays in ``_buckets`` (see the module
+        The bucket being drained stays in the calendar (see the module
         docstring).  An exception from a callback propagates out of
         ``run()`` with ``event_count`` and the tallies exact; the
         calendar keeps the unfired rest of the bucket, and any later
@@ -660,8 +663,8 @@ class Simulator:
             raise SimulationError(
                 "run() cannot resume a calendar that a raising callback "
                 "left mid-bucket, nor be re-entered from a callback")
-        buckets = self._buckets
-        times = self._times
+        buckets = self.calendar
+        times = buckets.times
         pop = heappop
         profiler = prof.ACTIVE
         fired = 0
@@ -674,6 +677,7 @@ class Simulator:
         try:
             while times:
                 # -- adopt the next bucket --------------------------------
+                # (the calendar's one subscript read: the bucket exists)
                 when = pop(times)
                 bucket = buckets[when]
                 adopted += 1
@@ -749,7 +753,7 @@ class Simulator:
     # -- introspection ---------------------------------------------------
     def _queue_entries(self) -> int:
         """Total events in the calendar, cancelled included (O(buckets))."""
-        return sum(map(len, self._buckets.values()))
+        return sum(map(len, self.calendar.values()))
 
     @property
     def pending(self) -> int:

@@ -8,8 +8,11 @@ sees ~1/N of the bandwidth.
 
 A transfer is a :class:`Transfer`, a calendar entry carrying its byte
 count and a ``done`` hook.  The device posts that same object for the
-grant and for the service completion, so moving bytes allocates no
-event.  A device keeps no statistics of its own: the power model folds
+grant and for the service completion, in place (it sets the entry's
+callback and appends it to the calendar bucket), so moving bytes
+allocates no event and costs no posting frame.  Every value in a
+service time is checked where it enters: rate and latency when the
+device is built, the size in :meth:`BandwidthDevice.transfer`.  A device keeps no statistics of its own: the power model folds
 the activity intervals the HDFS layer records in the cluster trace, and
 a caller learns when a transfer finished from its ``done`` hook.
 """
@@ -83,24 +86,35 @@ class BandwidthDevice:
         passed to the next waiting transfer.  These are the calendar
         positions, in the order, that a process acquiring a channel and
         then sleeping for the service time would take.  A negative,
-        infinite or NaN size raises :class:`SimulationError`.
+        infinite or NaN size, or a *job* already in the calendar, raises
+        :class:`SimulationError`.
         """
         if not 0.0 <= job.nbytes < inf:
             raise SimulationError(f"negative transfer size, infinity or "
                                   f"NaN: {job.nbytes!r}")
+        if job.callbacks is not None:
+            raise SimulationError("entry is already in the calendar")
         if self._free:
             self._free -= 1
-            self.sim.post(job, self._begin)
+            sim = self.sim
+            job.callbacks = self._begin
+            sim.calendar[sim.now].append(job)
         else:
             self._waiting.append(job)
 
     def _begin(self, job: Transfer) -> None:
-        self.sim.post(job, self._end,
-                      self.latency + job.nbytes / self.bandwidth)
+        sim = self.sim
+        job.callbacks = self._end
+        # Parenthesized as ``post(job, cb, delay)`` evaluated it.
+        when = sim.now + (self.latency + job.nbytes / self.bandwidth)
+        sim.calendar[when].append(job)
 
     def _end(self, job: Transfer) -> None:
         if self._waiting:
-            self.sim.post(self._waiting.popleft(), self._begin)
+            sim = self.sim
+            grant = self._waiting.popleft()
+            grant.callbacks = self._begin
+            sim.calendar[sim.now].append(grant)
         else:
             self._free += 1
         job.done()

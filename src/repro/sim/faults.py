@@ -126,8 +126,8 @@ class FaultPlan:
         rate of 0 yields a plan with no crashes — byte-identical results
         to running without a plan.
         """
-        if crashes_per_1000s < 0:
-            raise ValueError("crash rate must be non-negative")
+        if not 0.0 <= crashes_per_1000s < inf:
+            raise ValueError("crash rate must be non-negative and finite")
         faults = []
         if crashes_per_1000s > 0:
             lam = crashes_per_1000s / 1000.0

@@ -119,6 +119,13 @@ class TestCrashRateConstructor:
         with pytest.raises(ValueError):
             FaultPlan.with_crash_rate(5, self.NODES, -1.0)
 
+    @pytest.mark.parametrize("bad", [nan, inf])
+    def test_non_finite_rate_rejected(self, bad):
+        """A NaN rate used to give a quiet plan, an infinite one a
+        crash of every node at t=0."""
+        with pytest.raises(ValueError, match="finite"):
+            FaultPlan.with_crash_rate(0, self.NODES, bad)
+
     def test_positive_rate_draws_per_node_times(self):
         plan = FaultPlan.with_crash_rate(5, self.NODES, 5.0)
         assert len(plan.node_faults) == 3

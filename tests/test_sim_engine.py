@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.obs import prof
-from repro.sim.engine import (Entry, Interrupt, Process, SimulationError,
-                              Simulator, Timeout)
+from repro.sim.engine import (Calendar, Entry, Interrupt, Process,
+                              SimulationError, Simulator, Timeout)
 
 
 def _post(sim, callback, delay=None):
@@ -509,6 +509,29 @@ class TestSimulator:
         sim.run()
         assert sim.event_count == 1
         assert sim.now == 0.0
+
+    def test_calendar_opens_a_bucket_on_first_use(self):
+        """A subscript on a new time pushes that time onto the heap,
+        once, and returns the bucket later subscripts append to."""
+        cal = Calendar()
+        cal[2.0].append("a")
+        cal[1.0].append("b")
+        cal[2.0].append("c")
+        assert cal == {2.0: ["a", "c"], 1.0: ["b"]}
+        assert sorted(cal.times) == [1.0, 2.0]
+
+    def test_in_place_post_lands_where_post_would(self):
+        sim = Simulator()
+        order = []
+        sim.timeout(1.0).add_callback(lambda _e: order.append("timeout"))
+        entry = Entry()
+        entry.callbacks = lambda _e: order.append("in place")
+        sim.calendar[sim.now + 1.0].append(entry)
+        _post(sim, lambda _e: order.append("posted"), 1.0)
+        assert sim.pending == 3
+        sim.run()
+        assert order == ["timeout", "in place", "posted"]
+        assert sim.event_count == 3
 
     def test_fire_resumes_the_waiter_in_the_callers_frame(self):
         sim = Simulator()

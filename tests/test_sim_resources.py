@@ -173,6 +173,19 @@ class TestBandwidthDevice:
         assert job.log == [("a", 2.0)]
         assert sim.event_count == 2
 
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_transfer_refuses_a_job_already_in_the_calendar(self, channels):
+        """The device posts in place, so ``transfer`` makes ``post``'s
+        check itself, whether a channel is free or not."""
+        sim = Simulator()
+        dev = BandwidthDevice(sim, bandwidth=1.0, channels=channels)
+        job = _Logged(sim, 2.0, [], "a")
+        dev.transfer(job)
+        with pytest.raises(SimulationError, match="already in the calendar"):
+            dev.transfer(job)
+        sim.run()
+        assert job.log == [("a", 2.0)]
+
     def test_invalid_parameters(self):
         sim = Simulator()
         with pytest.raises(SimulationError):

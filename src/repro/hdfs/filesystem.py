@@ -14,8 +14,7 @@ and return an event that fires when it has finished; a task process
 waits with ``yield hdfs.read_span(...)``.  Each leg — a chain of device
 transfers, or one node's I/O-path transit — is a :class:`_Leg` driven by
 callbacks, and records the activity intervals the power model consumes.
-A leg is a calendar entry it posts itself, in place, so it allocates no
-events; its join is an event the last leg fires in place.
+A leg is a calendar entry it posts itself, so it allocates no events.
 """
 
 from __future__ import annotations
@@ -250,9 +249,9 @@ class _Leg(Transfer):
 
     A leg is its own calendar entry and its own device transfer: it
     posts itself for its boot at the current time, hands itself to each
-    step's device in turn — recording each step's trace interval as it
-    completes, and starting the next step from that same callback —
-    and then posts itself to count off its join.  It takes
+    step's device in turn — recording each step's trace interval and
+    starting the next step as it completes — and then posts itself to
+    count off its join.  It takes
     the same calendar positions, in the same order, as a process that
     ran the steps would: a boot event, each step's device events, a
     completion event.

@@ -346,11 +346,10 @@ class _MapReader(Entry):
     """A map task's chunked read loop, run by callbacks.
 
     Per chunk: ``read_span`` → its join fires → the CPU bill with
-    overlap credit → the residual compute (the reader posts itself, in
-    place: the residual is finite because every slowdown factor is
-    checked when its fault plan is built) →
-    progress → the next chunk: the calendar positions, in the order,
-    that :meth:`_TaskBase._overlapped_io` in a process would take.
+    overlap credit → the residual compute (the reader posts itself in
+    place; fault plans keep slowdowns finite) → progress → the next
+    chunk: the calendar positions, in the order, that
+    :meth:`_TaskBase._overlapped_io` in a process would take.
 
     The reader finds the task's process as ``Simulator.active_process``
     and resumes it synchronously, once, through :attr:`done`: when the

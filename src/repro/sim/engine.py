@@ -21,14 +21,11 @@ Queue layout
 ------------
 The ready queue is a *calendar* of buckets: a dict mapping each distinct
 timestamp to the list of events scheduled at it (in scheduling order),
-plus a heap of the distinct timestamps.  The dict opens a bucket itself
-(:class:`Calendar`): a subscript on a new time pushes that time onto the
-heap and returns a fresh list, so scheduling anything at time ``t`` is
-the one line ``sim.calendar[t].append(x)`` — a dict lookup and a list
-append, with the heap touched only when a timestamp is first seen.
-Since a subscript read opens a bucket, nothing but bucket adoption in
-:meth:`Simulator.run` reads the calendar by subscript for any other
-purpose.  Dispatch pops the earliest timestamp and drains
+plus a heap of the distinct timestamps.  The dict opens its own buckets
+(:class:`Calendar`), so scheduling at time ``t`` is the one line
+``sim.calendar[t].append(x)``: a dict lookup and a list append, with the
+heap touched only when a timestamp is first seen.  Dispatch pops the
+earliest timestamp and drains
 its bucket in append order; the bucket stays in the dict while it drains,
 so an event scheduled at the current time from a callback joins the list
 being drained instead of opening a new bucket.  That is exactly the
@@ -42,13 +39,10 @@ Most calendar traffic is data-path scaffolding that nothing waits on
 (device grants and completions, HDFS legs, map read loops).  Such a
 step is an :class:`Entry` its owner re-posts, into exactly the bucket
 position an event would have taken, so it allocates nothing and moves
-nothing.  :meth:`Simulator.post` checks the entry and the delay; the
-data path's own hot sites post in place instead, in two lines (set
-``entry.callbacks``, then append to ``calendar[when]``), with their
-values checked where they enter the model (device rates at
-construction, sizes at :meth:`BandwidthDevice.transfer`, fault factors
-when a plan is built).  Events remain where a process waits, a value
-travels or a cancel can happen.
+nothing.  :meth:`Simulator.post` checks the entry and its delay; the
+data path's hot sites post in place (set ``entry.callbacks``, then
+append), their values checked where they enter the model.  Events
+remain where a process waits, a value travels or a cancel can happen.
 
 Cancelled events are *lazily deleted*: they stay in their bucket and are
 skipped at dispatch.  The model keeps that dead weight small: a
@@ -512,8 +506,7 @@ class Simulator:
 
     ``active_process`` is the :class:`Process` whose generator is
     running, or None: code called from a process step finds its process
-    there.  ``calendar`` is the :class:`Calendar`; model code only ever
-    appends to it, as ``calendar[when].append(entry)``.
+    there.
     """
 
     __slots__ = ("now", "event_count", "obs", "active_process", "calendar",

@@ -8,13 +8,13 @@ sees ~1/N of the bandwidth.
 
 A transfer is a :class:`Transfer`, a calendar entry carrying its byte
 count and a ``done`` hook.  The device posts that same object for the
-grant and for the service completion, in place (it sets the entry's
-callback and appends it to the calendar bucket), so moving bytes
-allocates no event and costs no posting frame.  Every value in a
-service time is checked where it enters: rate and latency when the
-device is built, the size in :meth:`BandwidthDevice.transfer`.  A device keeps no statistics of its own: the power model folds
-the activity intervals the HDFS layer records in the cluster trace, and
-a caller learns when a transfer finished from its ``done`` hook.
+grant and for the service completion, posting it in place, so moving
+bytes allocates no event.  Rate and latency are checked when the device
+is built and sizes in :meth:`BandwidthDevice.transfer`, so every service
+time is finite.  A device keeps no statistics of its own: the power
+model folds the activity intervals the HDFS layer records in the
+cluster trace, and a caller learns when a transfer finished from its
+``done`` hook.
 """
 
 from __future__ import annotations

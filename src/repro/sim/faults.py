@@ -25,7 +25,6 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from math import inf
 from typing import Optional, Sequence, Tuple
 
 __all__ = ["NodeFault", "FaultPlan", "unit_draw"]
@@ -63,10 +62,11 @@ class NodeFault:
     def __post_init__(self):
         # Chained comparisons refuse NaN and infinity too: a slowed
         # device's service time is posted to the calendar unchecked.
-        if self.crash_at_s is not None and not 0.0 <= self.crash_at_s < inf:
+        crash = self.crash_at_s
+        if crash is not None and not 0.0 <= crash < math.inf:
             raise ValueError("crash time must be non-negative and finite")
-        if not (1.0 <= self.disk_slowdown < inf
-                and 1.0 <= self.compute_slowdown < inf):
+        if not (1.0 <= self.disk_slowdown < math.inf
+                and 1.0 <= self.compute_slowdown < math.inf):
             raise ValueError("slowdown factors must be >= 1 and finite")
 
 
@@ -103,14 +103,14 @@ class FaultPlan:
         if not 0.0 <= self.straggler_prob <= 1.0:
             raise ValueError("straggler_prob must be in [0, 1]")
         lo, hi = self.straggler_slowdown
-        if not 1.0 <= lo <= hi < inf:
+        if not 1.0 <= lo <= hi < math.inf:
             raise ValueError(
                 "straggler_slowdown must satisfy 1 <= lo <= hi < inf")
         names = [f.node for f in self.node_faults]
         if len(set(names)) != len(names):
             raise ValueError("duplicate node in node_faults")
         for _task, factor in self.slow_tasks:
-            if not 1.0 <= factor < inf:
+            if not 1.0 <= factor < math.inf:
                 raise ValueError("slow_tasks factors must be >= 1 and finite")
 
     # -- constructors -----------------------------------------------------
@@ -126,7 +126,7 @@ class FaultPlan:
         rate of 0 yields a plan with no crashes — byte-identical results
         to running without a plan.
         """
-        if not 0.0 <= crashes_per_1000s < inf:
+        if not 0.0 <= crashes_per_1000s < math.inf:
             raise ValueError("crash rate must be non-negative and finite")
         faults = []
         if crashes_per_1000s > 0:

@@ -121,6 +121,24 @@ class TestWrites:
         touched = {iv.node for iv in cluster.trace.filter(device="disk")}
         assert touched == {writer.name}
 
+    @pytest.mark.parametrize("replication, end, events", [
+        (1, 0.5222220307692308, 12),
+        (3, 2.2432621333333334, 42),
+    ])
+    def test_write_join_time_and_events(self, replication, end, events):
+        """Each replica group starts from a boot at the current time and
+        the write's join fires one hop after the last group's own join:
+        the calendar positions of the process-free fan-out."""
+        sim, cluster = _cluster()
+        hdfs = HDFS(cluster, 64 * MB, replication=3)
+        joined = []
+        join = hdfs.write("out", 64 * MB, cluster.nodes[0],
+                          replication=replication)
+        join.add_callback(lambda _join: joined.append(sim.now))
+        sim.run()
+        assert joined == [end]
+        assert sim.event_count == events
+
     def test_write_local_records_trace(self):
         sim, cluster = _cluster()
         hdfs = HDFS(cluster, 64 * MB)

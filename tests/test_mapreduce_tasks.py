@@ -250,3 +250,103 @@ class TestReduceTask:
         spill_intervals = cluster.trace.filter(device="disk",
                                                kind="reduce.spill")
         assert spill_intervals
+
+
+class TestReduceSteps:
+    """A reduce attempt's steps: startup, a three-source shuffle (one
+    local, two remote), a partition that spills and merges, the user
+    reduce and a replicated output write.  The pins are the outputs of
+    the process-driven task (one generator resume per step)."""
+
+    @staticmethod
+    def _task(spec=XEON_E5_2420, **attempt_kw):
+        sim, cluster, hdfs = _setup(spec)
+        counters = RunCounters()
+        n0, n1, n2 = (n.name for n in cluster.nodes)
+        sources = {n0: 40 * MB, n1: 200 * MB, n2: 160 * MB}
+        task = ReduceTask("r0", cluster.nodes[0], hdfs,
+                          workload("wordcount").stages[0], DEFAULT_CONF,
+                          counters, sources, **attempt_kw)
+        return sim, cluster, hdfs, task, counters
+
+    @pytest.mark.parametrize("spec, digest", [
+        (XEON_E5_2420, "9f157e5993d2e346c77cacfd4213d3a9"
+                       "2bec24cbd6c7e39098894177a56d0eaf"),
+        (ATOM_C2758, "861fbe4f043087693ecaf0d128157beb"
+                     "f087ecae74ffaeecd0c401bd2575272e"),
+    ])
+    def test_task_as_its_own_process_is_unchanged(self, spec, digest):
+        sim, cluster, _hdfs, task, counters = self._task(spec)
+        proc = sim.process(task.run())
+        sim.run()
+        assert proc.value == task.output_bytes
+        assert cluster.trace.filter(kind="reduce.spill")
+        state = (sim.now, sim.event_count, list(cluster.trace), counters)
+        assert hashlib.sha256(repr(state).encode()).hexdigest() == digest
+
+    def test_injected_failure_mid_shuffle_reaches_the_worker(self):
+        sim, _cluster, _hdfs, task, counters = self._task(
+            failure_point=0.3)
+        caught = []
+
+        def slot_worker():
+            try:
+                yield from task.run()
+            except TaskAttemptError as exc:
+                caught.append((sim.now, exc.progress))
+            yield sim.timeout(1.0)
+
+        sim.process(slot_worker())
+        sim.run()
+        # The second of three fetches crosses the failure point.
+        assert caught == [(10.346287207544119, 0.36)]
+        assert sim.now == 11.346287207544119
+        assert counters.shuffle_bytes == 0.0
+
+    @staticmethod
+    def _interrupt(at):
+        sim, cluster, hdfs, task, counters = TestReduceSteps._task()
+        writes = []
+        write = hdfs.write
+
+        def spy(*args, **kwargs):
+            writes.append(sim.now)
+            return write(*args, **kwargs)
+
+        hdfs.write = spy
+        interrupted = []
+
+        def slot_worker():
+            try:
+                yield from task.run()
+            except Interrupt:
+                interrupted.append(sim.now)
+
+        proc = sim.process(slot_worker())
+
+        def bolt():
+            yield sim.timeout(at)
+            proc.interrupt("lost the speculation race")
+
+        sim.process(bolt())
+        sim.run()
+        assert interrupted == [at]
+        return sim, cluster, writes, counters
+
+    def test_no_step_after_an_interrupt_mid_compute(self):
+        # Inside the user reduce (20.3 s to 35.2 s): its post still
+        # fires, but the output write never starts.
+        sim, cluster, writes, counters = self._interrupt(25.0)
+        assert writes == []
+        assert counters.output_bytes == 0.0
+        assert not cluster.trace.filter(kind="reduce.user")
+        assert (sim.now, sim.event_count) == (35.185510597936236, 70)
+
+    def test_no_step_after_an_interrupt_mid_write(self):
+        # Inside the output write's join wait (35.2 s to 39.4 s): the
+        # write runs to its end, but the task bills nothing for it.
+        sim, cluster, writes, counters = self._interrupt(37.0)
+        assert writes == [35.185510597936236]
+        assert not cluster.trace.filter(kind="reduce.write.iowait")
+        assert counters.reduce_tasks == 0
+        assert (sim.now, sim.event_count) == (39.38611459793623, 112)

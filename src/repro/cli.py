@@ -39,6 +39,7 @@ from .cluster.scheduler import POLICY_NAMES
 from .core.characterization import Characterizer
 from .core.metrics import edp
 from .mapreduce.driver import simulate_job
+from .sim.engine import SimulationError
 from .workloads.base import all_workloads
 
 __all__ = ["main", "build_parser"]
@@ -410,6 +411,9 @@ def _cmd_job(args: argparse.Namespace) -> int:
     except KeyError as exc:
         print(exc, file=sys.stderr)
         return 2
+    except (ValueError, SimulationError) as exc:
+        print(f"repro-hadoop: error: {exc}", file=sys.stderr)
+        return 2
     print(f"{args.workload} on {args.machine} "
           f"({args.nodes} nodes @ {args.freq} GHz, "
           f"{args.block_mb:g} MB blocks, {args.data_gb:g} GB/node)")
@@ -452,7 +456,6 @@ def _cmd_datacenter(args: argparse.Namespace) -> int:
     from .analysis.experiments import datacenter_study
     from .analysis.export import write_experiment_csv
     from .cluster.arrivals import parse_trace
-    from .sim.engine import SimulationError
 
     stream = None
     if args.trace:
@@ -517,7 +520,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     except KeyError as exc:
         print(exc, file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, SimulationError) as exc:
         print(f"repro-hadoop: error: {exc}", file=sys.stderr)
         return 2
     for path in write_trace_files(tracer, args.out):

@@ -8,7 +8,8 @@ parallelism, per-task overhead, and spill behaviour of a job.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 __all__ = ["MB", "Block", "split_input", "PAPER_BLOCK_SIZES_MB"]
@@ -62,10 +63,10 @@ def split_input(file: str, total_bytes: float, block_size_bytes: float
     ``number of map tasks = input data size / HDFS block size`` (rounded
     up, with a short tail block).
     """
-    if total_bytes < 0:
-        raise ValueError("input size must be non-negative")
-    if block_size_bytes <= 0:
-        raise ValueError("block size must be positive")
+    if not 0.0 <= total_bytes < math.inf:
+        raise ValueError("input size must be non-negative and finite")
+    if not 0.0 < block_size_bytes < math.inf:
+        raise ValueError("block size must be positive and finite")
     blocks: List[Block] = []
     remaining = total_bytes
     index = 0

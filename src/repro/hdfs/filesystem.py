@@ -109,14 +109,19 @@ class HDFS:
                  task_id, phase, join)
         return join
 
-    def _spawn(self, start: Callable[[], Event]) -> Event:
-        """Call *start* from a boot event at the current time; the
-        returned event fires once the event *start* returns has fired."""
-        done = Event(self.sim)
-        self.sim.post(
-            Entry(),
-            lambda _boot: start().add_callback(lambda _join: done.succeed()))
-        return done
+    def fan_out(self, starts: List[Callable[[], Event]]) -> Event:
+        """Call each of *starts* from a boot of its own at the current
+        time; the returned event fires once every event they return has
+        fired.  *starts* must not be empty.
+
+        Each boot is a :class:`_Boot`: it takes the calendar positions
+        of a process that called its start, waited on the event and
+        finished, and the join fires one hop after the last of them.
+        """
+        join = _Join(self.sim, len(starts))
+        for start in starts:
+            _Boot(self.sim, start, join)
+        return join
 
     # -- data path ------------------------------------------------------------
     def read_span(self, source_name: str, reader: ServerNode, nbytes: float,
@@ -144,15 +149,6 @@ class HDFS:
         steps.append((reader, reader.nic, "nic", nbytes, "hdfs.recv"))
         return self._with_iopath([source, reader], nbytes, steps, task_id,
                                  phase, io_factor)
-
-    def read_block(self, block: Block, reader: ServerNode,
-                   task_id: Optional[str] = None, phase: str = "map",
-                   io_factor: float = 1.0) -> Event:
-        """Read one whole block on *reader*."""
-        source = self.pick_source(block, reader)
-        return self.read_span(source, reader, block.size_bytes,
-                              task_id=task_id, phase=phase,
-                              io_factor=io_factor)
 
     def read_local(self, node: ServerNode, nbytes: float,
                    task_id: Optional[str] = None, phase: str = "map",
@@ -195,21 +191,19 @@ class HDFS:
                       else self.namenode.replication)
         replica_names = list(placed.replicas[:max(1, n_replicas)])
 
-        # The local write and each replica's pipeline start from boot
-        # events of their own, one after another.
-        groups = [self._spawn(partial(
-            self._with_iopath, [writer], nbytes,
-            self._disk(writer, nbytes, "hdfs.write"), task_id, phase,
-            io_factor))]
+        # The local write and each replica's pipeline start from boots
+        # of their own, one after another.
+        groups = [partial(self._with_iopath, [writer], nbytes,
+                          self._disk(writer, nbytes, "hdfs.write"), task_id,
+                          phase, io_factor)]
         for name in replica_names[1:]:
             target = self.cluster.node(name)
             steps = [(writer, writer.nic, "nic", nbytes, "hdfs.repl.xmit"),
                      (target, target.nic, "nic", nbytes, "hdfs.repl.recv")]
             steps += self._disk(target, nbytes, "hdfs.repl.write")
-            groups.append(self._spawn(partial(
-                self._with_iopath, [target], nbytes, steps, task_id, phase,
-                io_factor)))
-        join = self.sim.all_of(groups)
+            groups.append(partial(self._with_iopath, [target], nbytes, steps,
+                                  task_id, phase, io_factor))
+        join = self.fan_out(groups)
         if span is not None:
             join.add_callback(
                 lambda _join: obs.end(span, replicas=len(replica_names)))
@@ -242,6 +236,32 @@ class _Join(Event):
             self._triggered = True
             sim = self.sim
             sim.calendar[sim.now].append(self)
+
+
+class _Boot(Entry):
+    """One operation of a fan-out, run by callbacks.
+
+    Posts itself for its boot at the current time, calls its start
+    there, re-posts itself once when the event the start returned
+    fires, and then counts off its join.
+    """
+
+    __slots__ = ("start", "join")
+
+    def __init__(self, sim: Simulator, start: Callable[[], Event],
+                 join: _Join):
+        self.start = start
+        self.join = join
+        self.callbacks = self._boot
+        sim.calendar[sim.now].append(self)
+
+    def _boot(self, _boot: "_Boot") -> None:
+        self.start().add_callback(self._joined)
+
+    def _joined(self, event: Event) -> None:
+        sim = event.sim
+        self.callbacks = self.join.count_off
+        sim.calendar[sim.now].append(self)
 
 
 class _Leg(Transfer):

@@ -98,12 +98,3 @@ class NameNode:
                 f"(replicas {sorted(block.replicas)}, down {sorted(dead)})")
         spread = zlib.crc32(f"{block.block_id}:{reader}".encode())
         return choices[spread % len(choices)]
-
-    def locality_fraction(self, file: str, node_names: Sequence[str]) -> float:
-        """Fraction of blocks with at least one replica in *node_names*."""
-        blocks = self.blocks_of(file)
-        if not blocks:
-            return 1.0
-        names = set(node_names)
-        local = sum(1 for b in blocks if names.intersection(b.replicas))
-        return local / len(blocks)

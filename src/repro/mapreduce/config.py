@@ -10,6 +10,7 @@ sizes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -82,31 +83,34 @@ class JobConf:
     fault_plan: Optional[FaultPlan] = None
 
     def __post_init__(self):
+        # One chained comparison per float field rejects NaN and
+        # infinities along with out-of-range values.
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
-        if self.retry_backoff_s < 0:
-            raise ValueError("retry backoff must be non-negative")
-        if self.speculation_slowdown < 1.0:
-            raise ValueError("speculation_slowdown must be >= 1")
-        if self.speculation_min_runtime_s < 0:
+        if not 0.0 <= self.retry_backoff_s < math.inf:
+            raise ValueError("retry backoff must be non-negative and finite")
+        if not 1.0 <= self.speculation_slowdown < math.inf:
+            raise ValueError("speculation_slowdown must be >= 1 and finite")
+        if not 0.0 <= self.speculation_min_runtime_s < math.inf:
             raise ValueError("speculation_min_runtime_s must be "
-                             "non-negative")
-        if self.block_size_bytes <= 0:
-            raise ValueError("block size must be positive")
-        if self.io_sort_bytes <= 0 or self.merge_memory_bytes <= 0:
-            raise ValueError("buffer sizes must be positive")
+                             "non-negative and finite")
+        if not 0.0 < self.block_size_bytes < math.inf:
+            raise ValueError("block size must be positive and finite")
+        if not (0.0 < self.io_sort_bytes < math.inf
+                and 0.0 < self.merge_memory_bytes < math.inf):
+            raise ValueError("buffer sizes must be positive and finite")
         if self.merge_factor < 2:
             raise ValueError("merge factor must be >= 2")
         if self.replication < 1:
             raise ValueError("replication must be >= 1")
-        if self.chunk_bytes <= 0:
-            raise ValueError("chunk size must be positive")
-        if self.heartbeat_s < 0:
-            raise ValueError("heartbeat must be non-negative")
+        if not 0.0 < self.chunk_bytes < math.inf:
+            raise ValueError("chunk size must be positive and finite")
+        if not 0.0 <= self.heartbeat_s < math.inf:
+            raise ValueError("heartbeat must be non-negative and finite")
         for name in ("task_startup_instructions", "job_setup_instructions",
                      "job_cleanup_instructions"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be non-negative and finite")
         for name in ("map_slots_per_node", "reduce_slots_per_node"):
             value = getattr(self, name)
             if value is not None and value < 1:

@@ -24,8 +24,10 @@ The public entry point is :func:`simulate_job`.
 
 from __future__ import annotations
 
+import math
 import zlib
 from collections import deque
+from functools import partial
 from dataclasses import dataclass, field
 from typing import (Deque, Dict, List, Optional, Sequence, Tuple, Union)
 
@@ -518,8 +520,8 @@ class HadoopJobRunner:
         ``map_slots_per_node``/``reduce_slots_per_node`` defaults; a
         plan leasing every node all its cores is byte-identical to no
         plan at all, so exclusive whole-node leases cost nothing."""
-        if data_per_node_bytes <= 0:
-            raise ValueError("data size must be positive")
+        if not 0.0 < data_per_node_bytes < math.inf:
+            raise ValueError("data size must be positive and finite")
         self.cluster = cluster
         self._map_machines = set(map_machines) if map_machines else None
         self._reduce_machines = (set(reduce_machines) if reduce_machines
@@ -674,17 +676,6 @@ class HadoopJobRunner:
                 holder.append(self.sim.process(
                     self._slot_worker(phase, node, holder, slot)))
 
-    def _write_output(self, file: str, nbytes: float, node: ServerNode,
-                      stage: JobStage):
-        """One node's share of a map-only stage's replicated output.
-
-        A process of its own, so the write (and its block placement)
-        starts when the process boots.
-        """
-        yield self.hdfs.write(file, nbytes, node, phase="map",
-                              io_factor=stage.io_path_factor,
-                              replication=stage.output_replication)
-
     # -- crash watchers ----------------------------------------------------
     def _crash_watcher(self, node: ServerNode, at: float):
         t = self.sim.timeout(at)
@@ -834,19 +825,22 @@ class HadoopJobRunner:
         else:
             # Map-only stage (the paper's Sort): map output is the job
             # output and goes to HDFS with full replication — the fan-out
-            # below is the dominant extra I/O of such jobs.
+            # below is the dominant extra I/O of such jobs.  Each node's
+            # share is written from a boot of its own.
             if total_map_out > 0:
                 t_rep = self.sim.now
-                rep_procs = []
+                writes = []
                 for node in self.cluster.nodes:
                     if not node.alive:
                         continue
                     nbytes = map_out.get(node.name, 0.0)
                     if nbytes > 0:
-                        rep_procs.append(self.sim.process(self._write_output(
-                            f"{file}.out", nbytes, node, stage)))
-                if rep_procs:
-                    yield self.sim.all_of(rep_procs)
+                        writes.append(partial(
+                            self.hdfs.write, f"{file}.out", nbytes, node,
+                            phase="map", io_factor=stage.io_path_factor,
+                            replication=stage.output_replication))
+                if writes:
+                    yield self.hdfs.fan_out(writes)
                 timing.map_s += self.sim.now - t_rep
             stage_output = total_map_out
 

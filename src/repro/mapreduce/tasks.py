@@ -1,9 +1,11 @@
 """Map and reduce task models.
 
-Each task is a DES process that moves real byte counts through the
-cluster's disk/NIC resources and charges CPU time through the analytical
-core model.  The central mechanism is the *overlap credit* of the
-read/compute pipeline: per chunk the task pays
+Each task attempt moves real byte counts through the cluster's
+disk/NIC resources and charges CPU time through the analytical core
+model.  Its body is a plain generator of steps, run by callbacks
+(:class:`_Attempt`); the slot process that launched it waits once, for
+the whole attempt.  The central mechanism is the *overlap credit* of
+the read/compute pipeline: per transfer the task pays
 
     t_disk + max(0, t_cpu − io_overlap · t_disk)
 
@@ -18,8 +20,8 @@ sensitivity (§3.1.1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Generator, List, Optional
+from dataclasses import dataclass
+from typing import Dict, Generator, Optional
 
 from ..arch.cores import CpuProfile, scale_profile
 from ..arch.presets import FRAMEWORK_PROFILE
@@ -55,9 +57,10 @@ _IO_KINDS = {kind: (kind + ".iowait", kind + ".compute") for kind in (
 class TaskAttemptError(RuntimeError):
     """An injected task-attempt failure (the attempt, not the job).
 
-    Raised from inside a task's ``run()`` generator when the attempt
-    crosses its fault-plan failure point; the driver catches it and
-    retries the task up to ``JobConf.max_attempts`` times.
+    Raised from a task's body when the attempt crosses its fault-plan
+    failure point, it reaches the slot process out of ``run()``; the
+    driver catches it and retries the task up to
+    ``JobConf.max_attempts`` times.
     """
 
     def __init__(self, task_id: str, attempt: int, progress: float):
@@ -175,18 +178,18 @@ class _TaskBase:
     # -- CPU ------------------------------------------------------------
     def _compute(self, profile: CpuProfile, instructions: float, kind: str,
                  device: str = "core") -> Generator:
-        """Charge pure CPU time for *instructions* of *profile* code."""
+        """Yield the step that charges pure CPU time for *instructions*
+        of *profile* code, or no step for no instructions."""
         if instructions <= 0:
-            return None
+            return
         perf = self.node.core_perf(profile)
         seconds = perf.seconds_for(instructions) * self._slow()
-        start = self.sim.now
-        yield self.sim.timeout(seconds)
-        activity = 1.0 if device == "fw" else perf.activity
-        self.trace.add(start, self.sim.now, self.node.name, device, kind,
-                       activity, self.task_id, self.phase)
-        self.counters.charge(instructions, seconds * self.node.freq_hz)
-        return None
+        # The runner posts in place, so the step's delay is checked here.
+        if not 0.0 <= seconds < math.inf:
+            raise SimulationError(f"compute time is negative, infinite or "
+                                  f"NaN: {seconds!r}")
+        yield (seconds, kind, 1.0 if device == "fw" else perf.activity,
+               device, instructions)
 
     def _price_io(self, nbytes: float, user_ipb: float,
                   user_profile: Optional[CpuProfile]):
@@ -210,73 +213,137 @@ class _TaskBase:
         activity = act_weight / t_cpu if t_cpu > 0 else 0.0
         return instr, t_cpu, activity
 
-    def _overlapped_io(self, transfer: Event, nbytes: float, kind: str,
-                       user_ipb: float = 0.0,
-                       user_profile: Optional[CpuProfile] = None
-                       ) -> Generator:
-        """Wait for a byte transfer and run its CPU bill with overlap credit.
-
-        *transfer* is the event of an HDFS call moving *nbytes* (disk
-        and/or NIC), started just now; the CPU cost of processing those
-        bytes is partially hidden behind the transfer according to the
-        core's ``io_overlap``.
-        """
-        t0 = self.sim.now
-        yield transfer
-        instr, t_cpu, activity, residual = self._io_waited(
-            t0, nbytes, kind, user_ipb, user_profile)
-        if residual > 0:
-            start = self.sim.now
-            yield self.sim.timeout(residual)
-            self._io_computed(start, kind, activity)
-        self.counters.charge(instr, t_cpu * self.node.freq_hz)
-        return None
-
-    def _io_waited(self, t0: float, nbytes: float, kind: str,
-                   user_ipb: float, user_profile: Optional[CpuProfile]):
-        """Bill a transfer of *nbytes* that ran from *t0* until now.
-
-        Records the wait interval and returns ``(instructions,
-        cpu_seconds, activity, residual)``: *residual* is the compute
-        the transfer did not hide, still to run.  The CPU bill depends
-        only on the node, the stage's ``io_ipb`` and the arguments, so
-        it is priced once per distinct value (:meth:`_price_io`) and
-        kept in the node's ``io_bills``; the attempt's slowdown is
-        applied here.
-        """
-        now = self.sim.now
-        t_wait = now - t0
-        key = (self.stage.io_ipb, nbytes, user_ipb, user_profile)
-        bills = self.node.io_bills
-        bill = bills.get(key)
-        if bill is None:
-            bill = bills[key] = self._price_io(nbytes, user_ipb,
-                                               user_profile)
-        instr, t_cpu, activity = bill
-        t_cpu *= self._slow()
-        residual = max(0.0, t_cpu - self.node.spec.core.io_overlap * t_wait)
-        # Activity during the wait window accounts for the compute that
-        # executed under the transfer, conserving compute energy.
-        hidden = t_cpu - residual
-        if t_wait > 0:
-            wait_act = min(1.0, _WAIT_ACTIVITY + (hidden / t_wait) * activity)
-            self.trace.add(t0, now, self.node.name, "core",
-                           _IO_KINDS[kind][0], wait_act, self.task_id,
-                           self.phase)
-        return instr, t_cpu, activity, residual
-
-    def _io_computed(self, start: float, kind: str, activity: float) -> None:
-        """Record the residual compute of a transfer, run from *start*."""
-        self.trace.add(start, self.sim.now, self.node.name, "core",
-                       _IO_KINDS[kind][1], activity, self.task_id,
-                       self.phase)
-
     def _startup(self) -> Generator:
         """Task launch overhead (JVM spawn, localization, reporting)."""
         yield from self._compute(FRAMEWORK_PROFILE,
                                  self.conf.task_startup_instructions,
                                  f"{self.phase}.startup", device="fw")
-        return None
+
+    def _steps(self) -> Generator:
+        """The attempt's body: yields its steps one at a time."""
+        raise NotImplementedError
+
+    def run(self) -> Generator:
+        """The attempt, as a process step: it waits once, for its runner."""
+        yield _Attempt(self, self._steps()).done
+        return self.output_bytes
+
+
+class _Attempt(Entry):
+    """A task attempt's steps, run by callbacks.
+
+    The task's body (:meth:`_TaskBase._steps`) is a plain generator.  It
+    starts each transfer itself and yields one step at a time: a
+    transfer ``(join, nbytes, kind, user_ipb, user_profile)`` or a
+    compute ``(seconds, kind, activity, device, instructions)``.  For a
+    transfer, the runner waits on the join, records the wait interval
+    and applies the overlap credit: the CPU bill of the bytes hides
+    behind the transfer up to the core's ``io_overlap``, and the
+    residual compute still runs.  The runner posts itself in place for
+    a residual or a compute (fault plans keep slowdowns finite, and
+    :meth:`_TaskBase._compute` checks its delay), records the interval,
+    charges the counters and asks the body for its next step.  These
+    are the calendar positions, in the order, that a process yielding
+    each join and a timeout per compute would take.
+
+    The runner finds the task's process as ``Simulator.active_process``
+    and resumes it synchronously, once, through :attr:`done`: when the
+    body ends, or with the :class:`TaskAttemptError` it raised.  Once
+    the process stops waiting on :attr:`done` (an interrupt), every
+    later callback does nothing, so no further step starts.
+    """
+
+    __slots__ = ("task", "process", "done", "_next", "transfer", "t0",
+                 "kind", "activity", "device", "instr", "cycles")
+
+    def __init__(self, task: _TaskBase, body: Generator):
+        sim = task.sim
+        self.process = sim.active_process
+        if self.process is None:
+            raise SimulationError("a task attempt must run inside a process")
+        self.callbacks = None
+        self.task = task
+        self.done = sim.event()
+        self._next = body.__next__
+        self._step()
+
+    def _step(self) -> None:
+        """Run the body to its next step and start that step."""
+        try:
+            step = self._next()
+        except StopIteration:
+            self.done.fire()
+            return
+        except TaskAttemptError as exc:
+            self.done.fire(exc)
+            return
+        sim = self.task.sim
+        self.t0 = now = sim.now
+        if step[0].__class__ is float:
+            seconds, self.kind, self.activity, self.device, instr = step
+            self.instr = instr
+            self.cycles = seconds * self.task.node.freq_hz
+            self.callbacks = self._computed
+            sim.calendar[now + seconds].append(self)
+        else:
+            self.transfer = step
+            step[0].add_callback(self._joined)
+
+    def _joined(self, _join: Event) -> None:
+        """Bill the transfer that just finished, with overlap credit.
+
+        Records the wait interval.  The CPU bill depends only on the
+        node, the stage's ``io_ipb`` and the step, so it is priced once
+        per distinct value (:meth:`_TaskBase._price_io`) and kept in
+        the node's ``io_bills``; the attempt's slowdown is applied here.
+        """
+        if self.process.target is not self.done:
+            return
+        task = self.task
+        node = task.node
+        _join, nbytes, kind, user_ipb, user_profile = self.transfer
+        t0 = self.t0
+        now = task.sim.now
+        t_wait = now - t0
+        key = (task.stage.io_ipb, nbytes, user_ipb, user_profile)
+        bills = node.io_bills
+        bill = bills.get(key)
+        if bill is None:
+            bill = bills[key] = task._price_io(nbytes, user_ipb,
+                                               user_profile)
+        instr, t_cpu, activity = bill
+        t_cpu *= task._slow()
+        residual = max(0.0, t_cpu - node.spec.core.io_overlap * t_wait)
+        wait_kind, compute_kind = _IO_KINDS[kind]
+        # Activity during the wait window accounts for the compute that
+        # executed under the transfer, conserving compute energy.
+        if t_wait > 0:
+            hidden = t_cpu - residual
+            wait_act = min(1.0, _WAIT_ACTIVITY + (hidden / t_wait) * activity)
+            task.trace.add(t0, now, node.name, "core", wait_kind, wait_act,
+                           task.task_id, task.phase)
+        if residual > 0:
+            self.kind = compute_kind
+            self.activity = activity
+            self.device = "core"
+            self.instr = instr
+            self.cycles = t_cpu * node.freq_hz
+            self.t0 = now
+            self.callbacks = self._computed
+            task.sim.calendar[now + residual].append(self)
+        else:
+            task.counters.charge(instr, t_cpu * node.freq_hz)
+            self._step()
+
+    def _computed(self, _attempt: "_Attempt") -> None:
+        """Record and charge the compute that just ran."""
+        if self.process.target is not self.done:
+            return
+        task = self.task
+        task.trace.add(self.t0, task.sim.now, task.node.name, self.device,
+                       self.kind, self.activity, task.task_id, task.phase)
+        task.counters.charge(self.instr, self.cycles)
+        self._step()
 
 
 class MapTask(_TaskBase):
@@ -284,9 +351,7 @@ class MapTask(_TaskBase):
 
     Lifecycle (while holding a map slot): startup → chunked
     read+deserialize+map → sort/spill → merge → final output to local
-    disk for the reducers.  The chunked read loop, the task's hot path,
-    runs as a :class:`_MapReader` of callbacks while the task's process
-    waits once for the whole loop; the rest are process steps.
+    disk for the reducers.
     """
 
     phase = "map"
@@ -299,128 +364,48 @@ class MapTask(_TaskBase):
         self.block = block
         self.output_bytes = 0.0
 
-    def run(self) -> Generator:
+    def _steps(self) -> Generator:
         yield from self._startup()
         source = self.hdfs.pick_source(self.block, self.node)
 
-        # Chunked read/compute pipeline over the block, run by callbacks.
-        # The read loop covers progress 0 → 0.9; sort/spill/merge is the
-        # final 10%.
-        if self.block.size_bytes > 0:
-            yield _MapReader(self, source).done
-        self.counters.input_bytes += self.block.size_bytes
+        # Chunked read/compute pipeline over the block.  The read loop
+        # covers progress 0 → 0.9; sort/spill/merge is the final 10%.
+        total = remaining = self.block.size_bytes
+        stage = self.stage
+        while remaining > 0:
+            chunk = min(self.conf.chunk_bytes, remaining)
+            remaining -= chunk
+            yield (self.hdfs.read_span(source, self.node, chunk,
+                                       task_id=self.task_id, phase=self.phase,
+                                       io_factor=stage.io_path_factor),
+                   chunk, "map.read", stage.map_ipb, stage.map_profile)
+            self._progress_to(0.9 * (total - remaining) / total)
+        self.counters.input_bytes += total
 
         # Map-side sort, spill and merge.
-        out = self.block.size_bytes * self.stage.map_output_ratio
+        out = total * stage.map_output_ratio
         self.output_bytes = out
         self.counters.map_output_bytes += out
         if out > 0:
             plan = plan_spills(out, self.conf.io_sort_bytes,
-                               self.stage.sort_ipb, self.conf.merge_factor)
+                               stage.sort_ipb, self.conf.merge_factor)
             self.counters.spills += plan.n_spills
             self.counters.spill_bytes += plan.disk_write_bytes
             yield from self._compute(IO_PATH_PROFILE, plan.sort_instructions,
                                      "map.sort")
+            io_factor = stage.io_path_factor * _SPILL_IO_FACTOR
             if plan.disk_write_bytes > 0:
-                transfer = self.hdfs.write_local(
+                yield (self.hdfs.write_local(
                     self.node, plan.disk_write_bytes, task_id=self.task_id,
-                    phase=self.phase, kind="map.spill",
-                    io_factor=self.stage.io_path_factor * _SPILL_IO_FACTOR)
-                yield from self._overlapped_io(transfer,
-                                               plan.disk_write_bytes,
-                                               "map.spill")
+                    phase=self.phase, kind="map.spill", io_factor=io_factor),
+                       plan.disk_write_bytes, "map.spill", 0.0, None)
             if plan.disk_read_bytes > 0:
-                transfer = self.hdfs.read_local(
+                yield (self.hdfs.read_local(
                     self.node, plan.disk_read_bytes, task_id=self.task_id,
-                    phase=self.phase, kind="map.merge",
-                    io_factor=self.stage.io_path_factor * _SPILL_IO_FACTOR)
-                yield from self._overlapped_io(transfer,
-                                               plan.disk_read_bytes,
-                                               "map.merge")
+                    phase=self.phase, kind="map.merge", io_factor=io_factor),
+                       plan.disk_read_bytes, "map.merge", 0.0, None)
         self._progress_to(1.0)
         self.counters.map_tasks += 1
-        return self.output_bytes
-
-
-class _MapReader(Entry):
-    """A map task's chunked read loop, run by callbacks.
-
-    Per chunk: ``read_span`` → its join fires → the CPU bill with
-    overlap credit → the residual compute (the reader posts itself in
-    place; fault plans keep slowdowns finite) → progress → the next
-    chunk: the calendar positions, in the order, that
-    :meth:`_TaskBase._overlapped_io` in a process would take.
-
-    The reader finds the task's process as ``Simulator.active_process``
-    and resumes it synchronously, once, through :attr:`done`: when the
-    loop ends, or with an injected :class:`TaskAttemptError`.  Once the
-    process stops waiting on :attr:`done` (an interrupt), every later
-    callback does nothing, so no further read starts.
-    """
-
-    __slots__ = ("task", "process", "done", "source", "remaining", "chunk",
-                 "t0", "instr", "t_cpu", "activity")
-
-    def __init__(self, task: MapTask, source: str):
-        super().__init__()
-        sim = task.sim
-        self.process = sim.active_process
-        if self.process is None:
-            raise SimulationError("a map task's read loop must run inside "
-                                  "a process")
-        self.task = task
-        self.done = sim.event()
-        self.source = source
-        self.remaining = task.block.size_bytes
-        self._read()
-
-    def _read(self) -> None:
-        task = self.task
-        chunk = min(task.conf.chunk_bytes, self.remaining)
-        self.remaining -= chunk
-        self.chunk = chunk
-        join = task.hdfs.read_span(self.source, task.node, chunk,
-                                   task_id=task.task_id, phase=task.phase,
-                                   io_factor=task.stage.io_path_factor)
-        self.t0 = task.sim.now
-        join.add_callback(self._joined)
-
-    def _joined(self, _join: Event) -> None:
-        if self.process.target is not self.done:
-            return
-        task = self.task
-        stage = task.stage
-        self.instr, self.t_cpu, activity, residual = task._io_waited(
-            self.t0, self.chunk, "map.read", stage.map_ipb,
-            stage.map_profile)
-        if residual > 0:
-            self.activity = activity
-            sim = task.sim
-            self.t0 = now = sim.now
-            self.callbacks = self._computed
-            sim.calendar[now + residual].append(self)
-        else:
-            self._chunk_done()
-
-    def _computed(self, _reader: "_MapReader") -> None:
-        if self.process.target is not self.done:
-            return
-        self.task._io_computed(self.t0, "map.read", self.activity)
-        self._chunk_done()
-
-    def _chunk_done(self) -> None:
-        task = self.task
-        task.counters.charge(self.instr, self.t_cpu * task.node.freq_hz)
-        total = task.block.size_bytes
-        try:
-            task._progress_to(0.9 * (total - self.remaining) / total)
-        except TaskAttemptError as exc:
-            self.done.fire(exc)
-            return
-        if self.remaining > 0:
-            self._read()
-        else:
-            self.done.fire()
 
 
 class ReduceTask(_TaskBase):
@@ -437,7 +422,7 @@ class ReduceTask(_TaskBase):
         self.source_bytes = dict(source_bytes)
         self.output_bytes = 0.0
 
-    def run(self) -> Generator:
+    def _steps(self) -> Generator:
         yield from self._startup()
         partition = sum(self.source_bytes.values())
 
@@ -449,11 +434,10 @@ class ReduceTask(_TaskBase):
             nbytes = self.source_bytes[source_name]
             if nbytes <= 0:
                 continue
-            transfer = self.hdfs.read_span(source_name, self.node, nbytes,
-                                           task_id=self.task_id,
-                                           phase=self.phase,
-                                           io_factor=self.stage.io_path_factor)
-            yield from self._overlapped_io(transfer, nbytes, "shuffle")
+            yield (self.hdfs.read_span(source_name, self.node, nbytes,
+                                       task_id=self.task_id, phase=self.phase,
+                                       io_factor=self.stage.io_path_factor),
+                   nbytes, "shuffle", 0.0, None)
             fetched += nbytes
             if partition > 0:
                 self._progress_to(0.6 * fetched / partition)
@@ -465,18 +449,16 @@ class ReduceTask(_TaskBase):
         yield from self._compute(IO_PATH_PROFILE, merge.merge_instructions,
                                  "reduce.merge")
         if merge.disk_write_bytes > 0:
-            transfer = self.hdfs.write_local(
+            io_factor = self.stage.io_path_factor * _SPILL_IO_FACTOR
+            yield (self.hdfs.write_local(
                 self.node, merge.disk_write_bytes, task_id=self.task_id,
-                phase=self.phase, kind="reduce.spill",
-                io_factor=self.stage.io_path_factor * _SPILL_IO_FACTOR)
-            yield from self._overlapped_io(transfer, merge.disk_write_bytes,
-                                           "reduce.spill")
-            transfer = self.hdfs.read_local(
+                phase=self.phase, kind="reduce.spill", io_factor=io_factor),
+                   merge.disk_write_bytes, "reduce.spill", 0.0, None)
+            yield (self.hdfs.read_local(
                 self.node, merge.disk_read_bytes, task_id=self.task_id,
                 phase=self.phase, kind="reduce.merge.read",
-                io_factor=self.stage.io_path_factor * _SPILL_IO_FACTOR)
-            yield from self._overlapped_io(transfer, merge.disk_read_bytes,
-                                           "reduce.merge")
+                io_factor=io_factor),
+                   merge.disk_read_bytes, "reduce.merge", 0.0, None)
         self._progress_to(0.8)
 
         # User reduce function.  Aggregation state (count tables, merge
@@ -497,11 +479,10 @@ class ReduceTask(_TaskBase):
         self.output_bytes = out
         self.counters.output_bytes += out
         if out > 0:
-            transfer = self.hdfs.write(f"{self.task_id}.out", out, self.node,
-                                       task_id=self.task_id, phase=self.phase,
-                                       io_factor=self.stage.io_path_factor,
-                                       replication=self.stage.output_replication)
-            yield from self._overlapped_io(transfer, out, "reduce.write")
+            yield (self.hdfs.write(f"{self.task_id}.out", out, self.node,
+                                   task_id=self.task_id, phase=self.phase,
+                                   io_factor=self.stage.io_path_factor,
+                                   replication=self.stage.output_replication),
+                   out, "reduce.write", 0.0, None)
         self._progress_to(1.0)
         self.counters.reduce_tasks += 1
-        return self.output_bytes

@@ -1,6 +1,6 @@
 """Discrete-event simulation substrate (engine, resources, tracing)."""
 
-from .engine import (AllOf, AnyOf, Entry, Event, Interrupt, Process,
+from .engine import (AnyOf, Entry, Event, Interrupt, Process,
                      SimulationError, Simulator, Timeout)
 from .faults import FaultPlan, NodeFault, unit_draw
 from .resources import BandwidthDevice, Transfer
@@ -8,7 +8,7 @@ from .trace import (Interval, TraceRecorder, complement, merge_intervals,
                     total_overlap)
 
 __all__ = [
-    "AllOf", "AnyOf", "Entry", "Event", "Interrupt", "Process",
+    "AnyOf", "Entry", "Event", "Interrupt", "Process",
     "SimulationError", "Simulator", "Timeout", "FaultPlan", "NodeFault",
     "unit_draw", "BandwidthDevice", "Transfer", "Interval",
     "TraceRecorder", "merge_intervals", "total_overlap", "complement",

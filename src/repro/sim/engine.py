@@ -36,8 +36,9 @@ timestamps collide (the common case in a heartbeat-driven simulation,
 and precisely where a tuple heap is slowest).
 
 Most calendar traffic is data-path scaffolding that nothing waits on
-(device grants and completions, HDFS legs, map read loops).  Such a
-step is an :class:`Entry` its owner re-posts, into exactly the bucket
+(device grants and completions, HDFS legs and fan-outs, the steps of
+a task attempt).  Such a step is an :class:`Entry` its owner
+re-posts, into exactly the bucket
 position an event would have taken, so it allocates nothing and moves
 nothing.  :meth:`Simulator.post` checks the entry and its delay; the
 data path's hot sites post in place (set ``entry.callbacks``, then
@@ -85,7 +86,6 @@ __all__ = [
     "Timeout",
     "Process",
     "Interrupt",
-    "AllOf",
     "AnyOf",
     "Simulator",
     "SimulationError",
@@ -435,38 +435,6 @@ class Interrupt(Exception):
         self.cause = cause
 
 
-class AllOf(Event):
-    """Fires when every child event has fired; value is a list of values.
-
-    One bound-method callback serves every child; the values are read
-    from the children when the last one fires.
-    """
-
-    __slots__ = ("_pending", "_events")
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]):
-        super().__init__(sim)
-        events = list(events)
-        self._events = events
-        self._pending = len(events)
-        if not events:
-            self.succeed([])
-            return
-        child_fired = self._child_fired
-        for event in events:
-            event.add_callback(child_fired)
-
-    def _child_fired(self, event: Event) -> None:
-        if self._triggered:
-            return
-        if event._exc is not None:
-            self.fail(event._exc)
-            return
-        self._pending -= 1
-        if self._pending == 0:
-            self.succeed([child.value for child in self._events])
-
-
 class AnyOf(Event):
     """Fires as soon as one child event fires; value is ``(index, value)``."""
 
@@ -619,10 +587,6 @@ class Simulator:
                                   f"NaN: {delay!r}")
         entry.callbacks = callback
         self.calendar[when].append(entry)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        """Event that fires when all *events* have fired."""
-        return AllOf(self, events)
 
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         """Event that fires when the first of *events* fires."""

@@ -87,6 +87,19 @@ class TestCommands:
         assert main(["job", "--machine", "xeon",
                      "--workload", "nope"]) == 2
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--data-gb", "nan"), ("--block-mb", "nan"), ("--freq", "nan"),
+        ("--data-gb", "-1"), ("--block-mb", "0"), ("--nodes", "0")])
+    def test_job_bad_size_is_one_line_error(self, flag, value, capsys):
+        """NaN sizes used to print a result and exit 0; the others
+        ended in a traceback."""
+        assert main(["job", "--machine", "atom", "--workload", "wordcount",
+                     flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("repro-hadoop: error: ")
+        assert captured.err.count("\n") == 1
+
     def test_run_unknown_experiment(self, capsys):
         assert main(["run", "F99"]) == 2
 
@@ -147,6 +160,14 @@ class TestTraceCommand:
                      "--out", str(tmp_path / "t")])
         assert code == 2
         assert f"bad --crash time '{when}'" in capsys.readouterr().err
+
+    def test_trace_nan_data_size(self, tmp_path, capsys):
+        """It used to write a trace and exit 0."""
+        code = main(["trace", "wordcount", "--machine", "atom",
+                     "--data-gb", "nan", "--out", str(tmp_path / "t")])
+        assert code == 2
+        assert "positive and finite" in capsys.readouterr().err
+        assert not (tmp_path / "t").exists()
 
     def test_trace_unknown_workload(self, tmp_path, capsys):
         assert main(["trace", "nosuch", "--out", str(tmp_path / "t")]) == 2

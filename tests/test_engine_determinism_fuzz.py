@@ -177,28 +177,6 @@ class _RefSimulator:
             ev.add_callback(make(index))
         return out
 
-    def all_of(self, events):
-        events = list(events)
-        out = _RefEvent(self)
-        state = {"pending": len(events), "values": [None] * len(events)}
-
-        def make(index):
-            def cb(ev):
-                if out.triggered:
-                    return
-                if ev.exc is not None:
-                    out.fail(ev.exc)
-                    return
-                state["values"][index] = ev.value
-                state["pending"] -= 1
-                if state["pending"] == 0:
-                    out.succeed(list(state["values"]))
-            return cb
-
-        for index, ev in enumerate(events):
-            ev.add_callback(make(index))
-        return out
-
     def run(self):
         heap = self._heap
         while heap:
@@ -240,11 +218,8 @@ def _random_script(rng: random.Random, n_procs: int):
                 for _ in range(256 + rng.randrange(40)))))
         elif roll < 0.50:
             ops.append(("cancel", rng.choice(_DELAYS), rng.choice(_DELAYS)))
-        elif roll < 0.65:
-            ops.append(("anyof", tuple(rng.choice(_DELAYS)
-                                       for _ in range(rng.randrange(2, 4)))))
         elif roll < 0.75:
-            ops.append(("allof", tuple(rng.choice(_DELAYS)
+            ops.append(("anyof", tuple(rng.choice(_DELAYS)
                                        for _ in range(rng.randrange(2, 4)))))
         elif roll < 0.90:
             ops.append(("interrupt", rng.choice(_DELAYS),
@@ -273,11 +248,6 @@ def _make_program(script, sim, pid, log, registry):
                     got = yield sim.any_of(
                         [sim.timeout(d) for d in op[1]])
                     log.append((sim.now, pid, step, "anyof", got))
-                elif kind == "allof":
-                    got = yield sim.all_of(
-                        [sim.timeout(d, value=i)
-                         for i, d in enumerate(op[1])])
-                    log.append((sim.now, pid, step, "allof", tuple(got)))
                 elif kind == "interrupt":
                     yield sim.timeout(op[1])
                     target = registry[op[2] % len(registry)]
@@ -406,6 +376,6 @@ def test_fuzz_programs_actually_exercise_the_engine(monkeypatch):
                 last_link[chain] = entry[0]
     assert total_entries > 100
     assert reposted_into_bucket > 20
-    assert {"timeout", "cancel", "anyof", "allof", "sent-interrupt",
+    assert {"timeout", "cancel", "anyof", "sent-interrupt",
             "link", "post", "burst", "burst-done"} <= kinds
     assert any(in_draining)

@@ -53,6 +53,15 @@ class TestSplitInput:
         with pytest.raises(ValueError):
             split_input("f", 100, 0)
 
+    @pytest.mark.parametrize("total, block", [
+        (math.nan, 64 * MB), (100, math.nan), (100, math.inf)])
+    def test_non_finite_sizes_rejected(self, total, block):
+        """A NaN size used to split into no blocks, or into one NaN
+        block.  (An infinite input would split forever; the runner
+        refuses it before it gets here.)"""
+        with pytest.raises(ValueError, match="finite"):
+            split_input("f", total, block)
+
     @given(st.floats(min_value=1, max_value=1e12),
            st.sampled_from(PAPER_BLOCK_SIZES_MB))
     def test_paper_law_num_maps(self, total, block_mb):

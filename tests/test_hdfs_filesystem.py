@@ -84,13 +84,6 @@ class TestReads:
             return _drive(sim, hdfs.read_span(node.name, node, 64 * MB))
         assert read_time(0.75) < read_time(0.0)
 
-    def test_read_block_uses_replica(self):
-        sim, cluster = _cluster()
-        hdfs = HDFS(cluster, 64 * MB)
-        block = hdfs.load_input("data", 64 * MB)[0]
-        elapsed = _drive(sim, hdfs.read_block(block, cluster.nodes[0]))
-        assert elapsed > 0
-
     def test_atom_iopath_binds(self):
         """On the little core the CPU-coupled I/O path, not the disk,
         limits local reads — the paper's Sort mechanism."""

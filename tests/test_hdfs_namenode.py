@@ -85,10 +85,3 @@ class TestLookups:
         nn = NameNode(NODES)
         with pytest.raises(ValueError):
             nn.pick_replica(Block("f", 0, 100), "n0")
-
-    def test_locality_fraction(self):
-        nn = NameNode(NODES, replication=1)
-        nn.register_file("f", split_input("f", 300, 100))
-        assert nn.locality_fraction("f", NODES) == pytest.approx(1.0)
-        # With replication 1 and round-robin primaries, one node holds 1/3.
-        assert nn.locality_fraction("f", ["n0"]) == pytest.approx(1 / 3)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.mapreduce.config import DEFAULT_CONF, MB, JobConf
@@ -48,6 +50,18 @@ class TestValidation:
     ])
     def test_rejects_bad_values(self, field, value):
         with pytest.raises(ValueError):
+            DEFAULT_CONF.override(**{field: value})
+
+    @pytest.mark.parametrize("field", [
+        "block_size_bytes", "io_sort_bytes", "merge_memory_bytes",
+        "chunk_bytes", "heartbeat_s", "retry_backoff_s",
+        "speculation_slowdown", "speculation_min_runtime_s",
+        "task_startup_instructions", "job_setup_instructions",
+        "job_cleanup_instructions"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite_values(self, field, value):
+        """A NaN block size used to run a job with no reduce phase."""
+        with pytest.raises(ValueError, match="finite"):
             DEFAULT_CONF.override(**{field: value})
 
     def test_none_slots_allowed(self):

@@ -6,9 +6,13 @@ import math
 
 import pytest
 
+from repro.arch.presets import machine
+from repro.cluster.server import Cluster
 from repro.core.characterization import RunKey
 from repro.mapreduce.config import DEFAULT_CONF
-from repro.mapreduce.driver import simulate_job
+from repro.mapreduce.driver import HadoopJobRunner, simulate_job
+from repro.sim.engine import Simulator
+from repro.workloads.base import workload
 
 GB = 1024 ** 3
 MB = 1024 * 1024
@@ -62,6 +66,15 @@ class TestBasics:
     def test_invalid_data_size(self):
         with pytest.raises(ValueError):
             simulate_job("atom", "wordcount", data_per_node_gb=0.0)
+
+    @pytest.mark.parametrize("nbytes", [math.nan, math.inf, -1.0])
+    def test_non_finite_or_negative_data_size(self, nbytes):
+        """A NaN data size used to run a whole job; an infinite one
+        would split its input into blocks forever."""
+        cluster = Cluster.homogeneous(Simulator(), machine("atom"), 3, 1.8)
+        with pytest.raises(ValueError, match="positive and finite"):
+            HadoopJobRunner(cluster, workload("wordcount"), DEFAULT_CONF,
+                            nbytes)
 
 
 class TestStructure:

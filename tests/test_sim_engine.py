@@ -265,44 +265,6 @@ class TestProcess:
 
 
 class TestCombinators:
-    def test_all_of_waits_for_slowest(self):
-        sim = Simulator()
-        out = []
-
-        def proc(sim):
-            values = yield sim.all_of([sim.timeout(1, value="a"),
-                                       sim.timeout(5, value="b"),
-                                       sim.timeout(3, value="c")])
-            out.append((sim.now, values))
-
-        sim.process(proc(sim))
-        sim.run()
-        assert out == [(5.0, ["a", "b", "c"])]
-
-    def test_all_of_empty_fires_immediately(self):
-        sim = Simulator()
-        out = []
-
-        def proc(sim):
-            values = yield sim.all_of([])
-            out.append((sim.now, values))
-
-        sim.process(proc(sim))
-        sim.run()
-        assert out == [(0.0, [])]
-
-    def test_all_of_repeated_and_processed_children(self):
-        """Values follow the child list, even for a child listed twice
-        or one that had already fired when the join was made."""
-        sim = Simulator()
-        early = sim.timeout(0, value="early")
-        sim.run()
-        late = sim.timeout(2, value="late")
-        join = sim.all_of([late, early, late])
-        sim.run()
-        assert join.value == ["late", "early", "late"]
-        assert sim.now == 2.0
-
     def test_any_of_fires_on_first(self):
         sim = Simulator()
         out = []

@@ -27,8 +27,8 @@ from __future__ import annotations
 import math
 import zlib
 from collections import deque
-from functools import partial
 from dataclasses import dataclass, field
+from functools import partial
 from typing import (Deque, Dict, List, Optional, Sequence, Tuple, Union)
 
 from ..arch.power import EnergyBreakdown, integrate_energy

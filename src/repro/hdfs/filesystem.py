@@ -102,6 +102,12 @@ class HDFS:
         The device chain and the CPU path pipeline against each other, so
         the elapsed time is the max of the two (plus queueing on both).
         """
+        profiler = prof.ACTIVE
+        if profiler is not None:
+            profiler.count("engine.leg_boots", 1 + len(nodes))
+            profiler.count("engine.device_steps", len(steps) + len(nodes))
+            profiler.count("engine.count_offs", 1 + len(nodes))
+            profiler.count("engine.join_fires")
         join = _Join(self.sim, 1 + len(nodes))
         _Leg(self, steps, task_id, phase, join)
         for node in nodes:
@@ -118,6 +124,11 @@ class HDFS:
         of a process that called its start, waited on the event and
         finished, and the join fires one hop after the last of them.
         """
+        profiler = prof.ACTIVE
+        if profiler is not None:
+            profiler.count("engine.fan_out_boots", len(starts))
+            profiler.count("engine.count_offs", len(starts))
+            profiler.count("engine.join_fires")
         join = _Join(self.sim, len(starts))
         for start in starts:
             _Boot(self.sim, start, join)

@@ -28,6 +28,7 @@ from ..arch.presets import FRAMEWORK_PROFILE
 from ..cluster.server import ServerNode
 from ..hdfs.blocks import Block
 from ..hdfs.filesystem import HDFS
+from ..obs import prof
 from ..sim.engine import Entry, Event, SimulationError
 from ..workloads.base import IO_PATH_PROFILE, JobStage
 from .config import JobConf
@@ -283,6 +284,9 @@ class _Attempt(Entry):
             seconds, self.kind, self.activity, self.device, instr = step
             self.instr = instr
             self.cycles = seconds * self.task.node.freq_hz
+            profiler = prof.ACTIVE
+            if profiler is not None:
+                profiler.count("engine.compute_posts")
             self.callbacks = self._computed
             sim.calendar[now + seconds].append(self)
         else:
@@ -329,6 +333,9 @@ class _Attempt(Entry):
             self.instr = instr
             self.cycles = t_cpu * node.freq_hz
             self.t0 = now
+            profiler = prof.ACTIVE
+            if profiler is not None:
+                profiler.count("engine.residual_posts")
             self.callbacks = self._computed
             task.sim.calendar[now + residual].append(self)
         else:

@@ -28,7 +28,12 @@ Counting sites (all guarded, all coarse — never per event):
 * ``sim/engine.py`` — once per ``Simulator.run`` call: events, buckets,
   calendar entries scheduled and cancel skips.
 * ``mapreduce/driver.py`` — one per finished stage window and per job.
-* ``hdfs/`` — input loads and per-block replica placements.
+* ``mapreduce/tasks.py`` — a task attempt's compute and residual posts,
+  once per step.
+* ``hdfs/`` — input loads and per-block replica placements; per
+  transfer or fan-out, the calendar entries it will post, by kind: leg
+  and fan-out boots, device steps (a grant and a completion each),
+  count-offs and join fires.
 * ``cluster/datacenter.py`` — one per datacenter run.
 """
 

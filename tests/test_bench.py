@@ -41,8 +41,15 @@ COUNTS = {
         "driver.stage.reduce.calls": 1,
         "driver.stage.setup.calls": 1,
         "engine.buckets": 641,
+        "engine.compute_posts": 201,
+        "engine.count_offs": 1023,
+        "engine.device_steps": 1038,
         "engine.events": 5507,
+        "engine.fan_out_boots": 9,
         "engine.heap_pushes": 5506,
+        "engine.join_fires": 507,
+        "engine.leg_boots": 1014,
+        "engine.residual_posts": 486,
         "engine.run.calls": 1,
         "hdfs.load_input.calls": 1,
         "hdfs.place_block.calls": 99,
@@ -57,8 +64,15 @@ COUNTS = {
         "driver.stage.reduce.calls": 1,
         "driver.stage.setup.calls": 2,
         "engine.buckets": 832,
+        "engine.compute_posts": 238,
+        "engine.count_offs": 1202,
+        "engine.device_steps": 1232,
         "engine.events": 6475,
+        "engine.fan_out_boots": 18,
         "engine.heap_pushes": 6474,
+        "engine.join_fires": 596,
+        "engine.leg_boots": 1184,
+        "engine.residual_posts": 527,
         "engine.run.calls": 1,
         "hdfs.load_input.calls": 2,
         "hdfs.place_block.calls": 116,
@@ -73,8 +87,15 @@ COUNTS = {
         "driver.stage.reduce.calls": 4,
         "driver.stage.setup.calls": 4,
         "engine.buckets": 1329,
+        "engine.compute_posts": 420,
+        "engine.count_offs": 2124,
+        "engine.device_steps": 2184,
         "engine.events": 11606,
+        "engine.fan_out_boots": 36,
         "engine.heap_pushes": 11605,
+        "engine.join_fires": 1044,
+        "engine.leg_boots": 2088,
+        "engine.residual_posts": 960,
         "engine.run.calls": 1,
         "hdfs.load_input.calls": 4,
         "hdfs.place_block.calls": 204,
@@ -133,6 +154,22 @@ class TestWorkCounts:
     def test_work_counts_unchanged(self, name, ctx):
         moved = moved_counts(name, scenario_counts(BY_NAME[name], ctx))
         assert not moved, f"{name} work counts moved: " + "; ".join(moved)
+
+    @pytest.mark.parametrize("name", ["job.wordcount", "job.terasort",
+                                      "job.kmeans"])
+    def test_data_path_kinds_are_a_share_of_the_events(self, name):
+        """Each kind counts calendar entries the run fired: a boot, a
+        count-off, a join fire, a compute or a residual is one entry, a
+        device step two (its grant and its completion).  Every boot,
+        of a leg or of a fan-out, counts off once."""
+        c = COUNTS[name]
+        assert c["engine.count_offs"] == (c["engine.leg_boots"]
+                                          + c["engine.fan_out_boots"])
+        entries = (c["engine.leg_boots"] + c["engine.fan_out_boots"]
+                   + c["engine.count_offs"] + 2 * c["engine.device_steps"]
+                   + c["engine.join_fires"] + c["engine.compute_posts"]
+                   + c["engine.residual_posts"])
+        assert entries < c["engine.events"]
 
     def test_counts_do_not_depend_on_which_call_built_a_fixture(self):
         # The runner counts after the timed reps, the pin above on a

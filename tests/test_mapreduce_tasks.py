@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import gc
 import hashlib
 import math
 
@@ -11,9 +13,12 @@ from repro.arch.presets import ATOM_C2758, XEON_E5_2420
 from repro.cluster.server import Cluster
 from repro.hdfs.blocks import Block
 from repro.hdfs.filesystem import HDFS
+from repro.mapreduce import tasks
 from repro.mapreduce.config import DEFAULT_CONF
+from repro.mapreduce.driver import simulate_job
 from repro.mapreduce.tasks import (MapTask, ReduceTask, RunCounters,
                                    TaskAttemptError)
+from repro.sim.faults import FaultPlan, NodeFault
 from repro.sim.engine import Interrupt, SimulationError, Simulator
 from repro.sim.trace import TraceRecorder
 from repro.workloads.base import workload
@@ -350,3 +355,48 @@ class TestReduceSteps:
         assert not cluster.trace.filter(kind="reduce.write.iowait")
         assert counters.reduce_tasks == 0
         assert (sim.now, sim.event_count) == (39.38611459793623, 112)
+
+
+def _cyclic_garbage(workload_name, conf, kinds):
+    """Names of the *kinds* whose instances one small job leaves in
+    reference cycles, found with the collector off during the run."""
+    gc.collect()
+    gc.disable()
+    try:
+        result = simulate_job("atom", workload_name, data_per_node_gb=0.25,
+                              conf=conf)
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        stuck = sorted({type(obj).__name__ for obj in gc.garbage
+                        if isinstance(obj, kinds)})
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert result.counters.map_tasks > 0
+    return stuck
+
+
+class TestNoReferenceCycles:
+    """A finished task attempt is in no reference cycle, so reference
+    counting frees it, its task and its transfers at once; per-attempt
+    cyclic garbage would pile up between collections and raise peak
+    memory."""
+
+    # sort is map-only: its output goes through the driver's fan-out.
+    @pytest.mark.parametrize("workload_name", ["wordcount", "sort"])
+    def test_no_attempt_or_task_is_cyclic_garbage(self, workload_name):
+        assert _cyclic_garbage(workload_name, DEFAULT_CONF,
+                               (tasks._Attempt, MapTask, ReduceTask)) == []
+
+    def test_no_ended_attempt_is_cyclic_garbage(self):
+        """Attempts that end by an exception or an interrupt (failed,
+        killed by a speculation loss or a crash) are freed too.  (An
+        interrupted slot keeps its last task alive through the
+        interrupt's traceback, so tasks are not checked here.)"""
+        conf = dataclasses.replace(
+            DEFAULT_CONF, speculative_execution=True,
+            fault_plan=FaultPlan(
+                seed=3, task_fail_prob=0.1, straggler_prob=0.2,
+                node_faults=(NodeFault("atom2", crash_at_s=40.0),)))
+        assert _cyclic_garbage("wordcount", conf, tasks._Attempt) == []

@@ -10,11 +10,22 @@ path is far faster than the disk and never binds; on the little core it
 the paper's large Sort gap (§3.1.1).
 
 The byte-moving methods are plain calls that start the transfer at once
-and return an event that fires when it has finished; a task process
-waits with ``yield hdfs.read_span(...)``.  Each leg — a chain of device
-transfers, or one node's I/O-path transit — is a :class:`_Leg` driven by
-callbacks, and records the activity intervals the power model consumes.
-A leg is a calendar entry it posts itself, so it allocates no events.
+and count off a :class:`Join` the caller hands in.  Each leg — a chain
+of device transfers, or one node's I/O-path transit — is a
+:class:`_Leg` driven by callbacks, and records the activity intervals
+the power model consumes.  A leg is a calendar entry it posts itself,
+so it allocates no events.
+
+The join protocol.  A data-path call sets ``join.legs`` to the number
+of legs it starts, and each leg calls ``join.count_off(leg)`` from its
+own count-off entry.  The last count-off posts the join itself at the
+current time, in the bucket position where an event's ``succeed()``
+would go, and the join's :meth:`Join.joined` runs there.  So a
+transfer allocates no event and registers no callback: a task attempt
+is the join of its own transfers (``mapreduce/tasks.py``), a fan-out
+boot is the join of the operation it started, and where a process
+waits (the driver's map-only output) an :class:`EventJoin` fires its
+event from that position.
 """
 
 from __future__ import annotations
@@ -24,12 +35,12 @@ from typing import Callable, List, Optional, Tuple
 
 from ..cluster.server import Cluster, ServerNode
 from ..obs import prof
-from ..sim.engine import Entry, Event, Simulator
+from ..sim.engine import Entry, Simulator
 from ..sim.resources import BandwidthDevice, Transfer
 from .blocks import Block, split_input
 from .namenode import NameNode
 
-__all__ = ["HDFS"]
+__all__ = ["HDFS", "Join", "EventJoin"]
 
 #: One device step of a leg: (node, device, trace device label, bytes,
 #: trace kind).
@@ -88,19 +99,17 @@ class HDFS:
             block, reader.name, exclude=self.cluster.dead_node_names)
 
     # -- legs ---------------------------------------------------------------
-    def _disk(self, node: ServerNode, nbytes: float, kind: str) -> List[_Step]:
-        """The disk step for *nbytes*, or none if the page cache absorbs it."""
-        nbytes *= (1.0 - self.page_cache_hit)
-        return [(node, node.disk, "disk", nbytes, kind)] if nbytes > 0 else []
-
-    def _with_iopath(self, nodes: List[ServerNode], nbytes: float,
-                     steps: List[_Step], task_id: Optional[str],
-                     phase: str, io_factor: float = 1.0) -> Event:
+    def _with_iopath(self, join: "Join", nodes: List[ServerNode],
+                     nbytes: float, steps: List[_Step],
+                     task_id: Optional[str], phase: str,
+                     io_factor: float = 1.0) -> None:
         """Run the device *steps* concurrently with each node's I/O-path
-        transit; the returned event fires when all have finished.
+        transit, each a leg that counts off *join* when it has finished.
 
         The device chain and the CPU path pipeline against each other, so
         the elapsed time is the max of the two (plus queueing on both).
+        The legs are built in place, with no ``__init__`` frame, and post
+        themselves for their boots now, the device chain first.
         """
         profiler = prof.ACTIVE
         if profiler is not None:
@@ -108,40 +117,54 @@ class HDFS:
             profiler.count("engine.device_steps", len(steps) + len(nodes))
             profiler.count("engine.count_offs", 1 + len(nodes))
             profiler.count("engine.join_fires")
-        join = _Join(self.sim, 1 + len(nodes))
-        _Leg(self, steps, task_id, phase, join)
+        join.legs = 1 + len(nodes)
+        chains = [steps]
         for node in nodes:
-            _Leg(self, [(node, node.iopath, "fw", nbytes * io_factor, "iopath")],
-                 task_id, phase, join)
-        return join
+            chains.append([(node, node.iopath, "fw", nbytes * io_factor,
+                            "iopath")])
+        trace = self.cluster.trace
+        sim = self.sim
+        bucket = sim.calendar[sim.now]
+        for chain in chains:
+            leg = _Leg.__new__(_Leg)
+            leg.trace = trace
+            leg.steps = chain
+            leg.task_id = task_id
+            leg.phase = phase
+            leg.join = join
+            leg.callbacks = _Leg.boot
+            bucket.append(leg)
 
-    def fan_out(self, starts: List[Callable[[], Event]]) -> Event:
+    def fan_out(self, join: "Join", starts: List[Callable[["Join"], None]]
+                ) -> None:
         """Call each of *starts* from a boot of its own at the current
-        time; the returned event fires once every event they return has
-        fired.  *starts* must not be empty.
+        time, with that boot as its join; each boot counts off *join*
+        once its own join has fired.  *starts* must not be empty.
 
         Each boot is a :class:`_Boot`: it takes the calendar positions
-        of a process that called its start, waited on the event and
-        finished, and the join fires one hop after the last of them.
+        of a process that called its start, waited on the operation and
+        finished, and *join* fires one hop after the last of them.
         """
         profiler = prof.ACTIVE
         if profiler is not None:
             profiler.count("engine.fan_out_boots", len(starts))
             profiler.count("engine.count_offs", len(starts))
             profiler.count("engine.join_fires")
-        join = _Join(self.sim, len(starts))
+        join.legs = len(starts)
+        sim = self.sim
         for start in starts:
-            _Boot(self.sim, start, join)
-        return join
+            _Boot(sim, start, join)
 
     # -- data path ------------------------------------------------------------
-    def read_span(self, source_name: str, reader: ServerNode, nbytes: float,
-                  task_id: Optional[str] = None, phase: str = "map",
-                  io_factor: float = 1.0) -> Event:
-        """Read *nbytes* of a replica on *source_name* from *reader*.
+    def read_span(self, join: "Join", source_name: str, reader: ServerNode,
+                  nbytes: float, task_id: Optional[str] = None,
+                  phase: str = "map", io_factor: float = 1.0) -> None:
+        """Read *nbytes* of a replica on *source_name* from *reader*,
+        counting off *join*.
 
         Local reads hit the local disk; remote reads pay the source disk
-        plus both NICs.
+        plus both NICs.  The page cache absorbs its share of the disk
+        bytes, and the disk step goes when it absorbs them all.
         """
         obs = self.sim.obs
         if obs is not None:
@@ -150,47 +173,53 @@ class HDFS:
             obs.count("hdfs.read_bytes", nbytes)
             if source_name != reader.name:
                 obs.count("hdfs.remote_reads")
+        disk = nbytes * (1.0 - self.page_cache_hit)
         if source_name == reader.name:
-            return self._with_iopath(
-                [reader], nbytes, self._disk(reader, nbytes, "hdfs.read"),
-                task_id, phase, io_factor)
+            self._with_iopath(
+                join, [reader], nbytes,
+                [(reader, reader.disk, "disk", disk, "hdfs.read")]
+                if disk > 0 else [], task_id, phase, io_factor)
+            return
         source = self.cluster.node(source_name)
-        steps = self._disk(source, nbytes, "hdfs.read.remote")
+        steps = ([(source, source.disk, "disk", disk, "hdfs.read.remote")]
+                 if disk > 0 else [])
         steps.append((source, source.nic, "nic", nbytes, "hdfs.xmit"))
         steps.append((reader, reader.nic, "nic", nbytes, "hdfs.recv"))
-        return self._with_iopath([source, reader], nbytes, steps, task_id,
-                                 phase, io_factor)
+        self._with_iopath(join, [source, reader], nbytes, steps, task_id,
+                          phase, io_factor)
 
-    def read_local(self, node: ServerNode, nbytes: float,
+    def read_local(self, join: "Join", node: ServerNode, nbytes: float,
                    task_id: Optional[str] = None, phase: str = "map",
-                   kind: str = "local.read", io_factor: float = 1.0
-                   ) -> Event:
-        """Read *nbytes* from the node's local disk (spill merges etc.)."""
-        return self._with_iopath([node], nbytes,
-                                 self._disk(node, nbytes, kind), task_id,
-                                 phase, io_factor)
+                   kind: str = "local.read", io_factor: float = 1.0) -> None:
+        """Read *nbytes* from the node's local disk (spill merges etc.),
+        counting off *join*."""
+        disk = nbytes * (1.0 - self.page_cache_hit)
+        self._with_iopath(join, [node], nbytes,
+                          [(node, node.disk, "disk", disk, kind)]
+                          if disk > 0 else [], task_id, phase, io_factor)
 
-    def write_local(self, node: ServerNode, nbytes: float,
+    def write_local(self, join: "Join", node: ServerNode, nbytes: float,
                     task_id: Optional[str] = None, phase: str = "map",
                     kind: str = "local.write", io_factor: float = 1.0
-                    ) -> Event:
-        """Write *nbytes* to local disk (map outputs, spills)."""
-        return self._with_iopath([node], nbytes,
-                                 self._disk(node, nbytes, kind), task_id,
-                                 phase, io_factor)
+                    ) -> None:
+        """Write *nbytes* to local disk (map outputs, spills), counting
+        off *join*."""
+        disk = nbytes * (1.0 - self.page_cache_hit)
+        self._with_iopath(join, [node], nbytes,
+                          [(node, node.disk, "disk", disk, kind)]
+                          if disk > 0 else [], task_id, phase, io_factor)
 
-    def write(self, file_hint: str, nbytes: float, writer: ServerNode,
-              task_id: Optional[str] = None, phase: str = "reduce",
-              io_factor: float = 1.0, replication: Optional[int] = None
-              ) -> Event:
-        """Replicated HDFS write from *writer*.
+    def write(self, join: "Join", file_hint: str, nbytes: float,
+              writer: ServerNode, task_id: Optional[str] = None,
+              phase: str = "reduce", io_factor: float = 1.0,
+              replication: Optional[int] = None) -> None:
+        """Replicated HDFS write from *writer*, counting off *join*.
 
         The replication pipeline streams, so the local write and the
-        remote legs proceed concurrently; the returned event fires when
-        all have finished.
+        remote legs proceed concurrently; *join* fires when all have
+        finished.  A traced write's span ends where *join* fires.
         """
         obs = self.sim.obs
-        span = None
         if obs is not None:
             obs.count("hdfs.writes")
             obs.count("hdfs.write_bytes", nbytes)
@@ -201,76 +230,113 @@ class HDFS:
         n_replicas = (replication if replication is not None
                       else self.namenode.replication)
         replica_names = list(placed.replicas[:max(1, n_replicas)])
+        if obs is not None:
+            join = _Spanned(self.sim, join, partial(
+                obs.end, span, replicas=len(replica_names)))
 
         # The local write and each replica's pipeline start from boots
         # of their own, one after another.
-        groups = [partial(self._with_iopath, [writer], nbytes,
-                          self._disk(writer, nbytes, "hdfs.write"), task_id,
-                          phase, io_factor)]
+        group = partial(self._with_iopath, nbytes=nbytes, task_id=task_id,
+                        phase=phase, io_factor=io_factor)
+        disk = nbytes * (1.0 - self.page_cache_hit)
+        starts = [partial(group, nodes=[writer], steps=(
+            [(writer, writer.disk, "disk", disk, "hdfs.write")]
+            if disk > 0 else []))]
         for name in replica_names[1:]:
             target = self.cluster.node(name)
             steps = [(writer, writer.nic, "nic", nbytes, "hdfs.repl.xmit"),
                      (target, target.nic, "nic", nbytes, "hdfs.repl.recv")]
-            steps += self._disk(target, nbytes, "hdfs.repl.write")
-            groups.append(partial(self._with_iopath, [target], nbytes, steps,
-                                  task_id, phase, io_factor))
-        join = self.fan_out(groups)
-        if span is not None:
-            join.add_callback(
-                lambda _join: obs.end(span, replicas=len(replica_names)))
-        return join
+            if disk > 0:
+                steps.append((target, target.disk, "disk", disk,
+                              "hdfs.repl.write"))
+            starts.append(partial(group, nodes=[target], steps=steps))
+        self.fan_out(join, starts)
 
 
-class _Join(Event):
-    """Fires once each of its :attr:`legs` has counted itself off."""
+class Join(Entry):
+    """The join of the legs of one operation (see the module docstring).
 
-    __slots__ = ("legs",)
+    The data-path call sets :attr:`legs`; each leg calls
+    :meth:`count_off`, and the last one posts the join at the current
+    time, where :meth:`joined` runs.  A join is in the calendar only
+    from its last count-off until :meth:`joined` has run, so it can be
+    handed to the next operation from there on.
+    """
 
-    def __init__(self, sim: Simulator, legs: int):
-        # Event's state set here, not by super().__init__(): one frame
-        # per join instead of two.
-        self.sim = sim
-        self.callbacks = None
-        self._triggered = False
-        self._processed = False
-        self.value = None
-        self._exc = None
-        self._cancelled = False
-        self.legs = legs
+    __slots__ = ("sim", "legs")
 
-    def count_off(self, _leg: "_Leg") -> None:
+    def count_off(self, _entry: Entry) -> None:
+        """Count off one leg; the last posts the join."""
         self.legs -= 1
         if not self.legs:
-            if self._triggered or self._cancelled:
-                self.succeed()   # raises succeed's error for either
-            # Inlined ``self.succeed()``.
-            self._triggered = True
             sim = self.sim
+            self.callbacks = self.joined
             sim.calendar[sim.now].append(self)
 
+    def joined(self, _join: "Join") -> None:
+        """Runs where the last count-off posted the join."""
+        raise NotImplementedError
 
-class _Boot(Entry):
+
+class EventJoin(Join):
+    """A join a process can wait on: :attr:`event` fires, in this frame,
+    where the join fires (``yield join.event``)."""
+
+    __slots__ = ("event",)
+
+    def __init__(self, sim: Simulator):
+        self.sim = sim
+        self.callbacks = None
+        self.legs = 0
+        self.event = sim.event()
+
+    def joined(self, _join: "Join") -> None:
+        self.event.fire()
+
+
+class _Spanned(Join):
+    """The join a traced write's boots count off: where it fires it ends
+    the write's span, then runs the caller's join's :meth:`Join.joined`
+    in the same frame, so the caller sees no extra calendar entry."""
+
+    __slots__ = ("join", "end_span")
+
+    def __init__(self, sim: Simulator, join: Join,
+                 end_span: Callable[[], object]):
+        self.sim = sim
+        self.callbacks = None
+        self.join = join
+        self.end_span = end_span
+
+    def joined(self, _join: "Join") -> None:
+        self.end_span()
+        join = self.join
+        join.joined(join)
+
+
+class _Boot(Join):
     """One operation of a fan-out, run by callbacks.
 
-    Posts itself for its boot at the current time, calls its start
-    there, re-posts itself once when the event the start returned
-    fires, and then counts off its join.
+    Posts itself for its boot at the current time and calls its start
+    there, with itself as the operation's join.  Where that join fires
+    it re-posts itself once to count off the fan-out's join.
     """
 
     __slots__ = ("start", "join")
 
-    def __init__(self, sim: Simulator, start: Callable[[], Event],
-                 join: _Join):
+    def __init__(self, sim: Simulator, start: Callable[[Join], None],
+                 join: Join):
+        self.sim = sim
         self.start = start
         self.join = join
         self.callbacks = self._boot
         sim.calendar[sim.now].append(self)
 
     def _boot(self, _boot: "_Boot") -> None:
-        self.start().add_callback(self._joined)
+        self.start(self)
 
-    def _joined(self, event: Event) -> None:
-        sim = event.sim
+    def joined(self, _boot: "_Boot") -> None:
+        sim = self.sim
         self.callbacks = self.join.count_off
         sim.calendar[sim.now].append(self)
 
@@ -285,34 +351,22 @@ class _Leg(Transfer):
     count off its join.  It takes
     the same calendar positions, in the same order, as a process that
     ran the steps would: a boot event, each step's device events, a
-    completion event.
+    completion event.  :meth:`HDFS._with_iopath` builds legs in place.
     """
 
     __slots__ = ("trace", "steps", "task_id", "phase", "join", "_next")
 
-    def __init__(self, hdfs: HDFS, steps: List[_Step],
-                 task_id: Optional[str], phase: str, join: _Join):
-        # Entry's state set here, not by super().__init__(): two frames
-        # per leg cost about 2% of a cold cell.  The boot sets nbytes and
-        # _next.
-        self.trace = hdfs.cluster.trace
-        self.steps = steps
-        self.task_id = task_id
-        self.phase = phase
-        self.join = join
-        sim = hdfs.sim
-        self.callbacks = self._boot
-        sim.calendar[sim.now].append(self)
-
-    def _boot(self, _leg: "_Leg") -> None:
+    def boot(self) -> None:
+        """The boot callback (the leg is the entry it is called with)."""
         steps = self.steps
         if steps:
             self._next = 1
             _node, device, _label, self.nbytes, _kind = steps[0]
             device.transfer(self)
         else:
-            sim = self.join.sim
-            self.callbacks = self.join.count_off
+            join = self.join
+            sim = join.sim
+            self.callbacks = join.count_off
             sim.calendar[sim.now].append(self)
 
     def done(self) -> None:

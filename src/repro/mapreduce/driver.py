@@ -34,7 +34,7 @@ from typing import (Deque, Dict, List, Optional, Sequence, Tuple, Union)
 from ..arch.power import EnergyBreakdown, integrate_energy
 from ..arch.presets import FRAMEWORK_PROFILE, MachineSpec, machine
 from ..cluster.server import Cluster, ServerNode
-from ..hdfs.filesystem import HDFS
+from ..hdfs.filesystem import HDFS, EventJoin
 from ..obs import prof
 from ..sim.engine import Interrupt, Process, SimulationError, Simulator, Timeout
 from ..sim.faults import FaultPlan
@@ -836,11 +836,14 @@ class HadoopJobRunner:
                     nbytes = map_out.get(node.name, 0.0)
                     if nbytes > 0:
                         writes.append(partial(
-                            self.hdfs.write, f"{file}.out", nbytes, node,
-                            phase="map", io_factor=stage.io_path_factor,
+                            self.hdfs.write, file_hint=f"{file}.out",
+                            nbytes=nbytes, writer=node, phase="map",
+                            io_factor=stage.io_path_factor,
                             replication=stage.output_replication))
                 if writes:
-                    yield self.hdfs.fan_out(writes)
+                    join = EventJoin(self.sim)
+                    self.hdfs.fan_out(join, writes)
+                    yield join.event
                 timing.map_s += self.sim.now - t_rep
             stage_output = total_map_out
 

@@ -4,7 +4,10 @@ Each task attempt moves real byte counts through the cluster's
 disk/NIC resources and charges CPU time through the analytical core
 model.  Its body is a plain generator of steps, run by callbacks
 (:class:`_Attempt`); the slot process that launched it waits once, for
-the whole attempt.  The central mechanism is the *overlap credit* of
+the whole attempt.  The attempt is also the join of its own transfers
+(the join protocol of ``hdfs/filesystem.py``): the body starts each
+transfer with the attempt as its join, and the transfer's last leg
+posts the attempt to bill it.  The central mechanism is the *overlap credit* of
 the read/compute pipeline: per transfer the task pays
 
     t_disk + max(0, t_cpu − io_overlap · t_disk)
@@ -21,15 +24,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Generator, Optional
+from typing import Dict, Generator, Optional, Tuple
 
 from ..arch.cores import CpuProfile, scale_profile
 from ..arch.presets import FRAMEWORK_PROFILE
 from ..cluster.server import ServerNode
 from ..hdfs.blocks import Block
-from ..hdfs.filesystem import HDFS
+from ..hdfs.filesystem import HDFS, Join
 from ..obs import prof
-from ..sim.engine import Entry, Event, SimulationError
+from ..sim.engine import SimulationError
 from ..workloads.base import IO_PATH_PROFILE, JobStage
 from .config import JobConf
 from .shuffle import plan_reduce_merge, plan_spills
@@ -53,6 +56,10 @@ _SPILL_IO_FACTOR = 0.4
 _IO_KINDS = {kind: (kind + ".iowait", kind + ".compute") for kind in (
     "map.read", "map.spill", "map.merge", "shuffle", "reduce.spill",
     "reduce.merge", "reduce.write")}
+
+#: A compute step of a task's body: (seconds, trace kind, activity,
+#: device, instructions).
+_Compute = Tuple[float, str, float, str, float]
 
 
 class TaskAttemptError(RuntimeError):
@@ -150,18 +157,18 @@ class _TaskBase:
         #: Which retry of the task this execution is (0 = first try).
         self.attempt = attempt
         #: Straggler factor (fault plan) — every compute second stretches
-        #: by this much.  Multiplied with the node's own compute_scale.
+        #: by this much.
         self.time_scale = time_scale
+        #: Combined slowdown on compute time for this attempt: the
+        #: straggler factor times the node's own ``compute_scale``, which
+        #: the driver degrades before it builds any task.
+        self.slowdown = time_scale * node.compute_scale
         #: Progress fraction at which this attempt dies with
         #: :class:`TaskAttemptError` (None = attempt succeeds).
         self.failure_point = failure_point
         #: Coarse progress fraction in [0, 1], updated at milestone
         #: granularity — what the speculative scheduler reads.
         self.progress = 0.0
-
-    def _slow(self) -> float:
-        """Combined slowdown on compute time for this attempt."""
-        return self.time_scale * self.node.compute_scale
 
     def _progress_to(self, p: float) -> None:
         """Advance the progress estimate, dying at the failure point.
@@ -178,19 +185,19 @@ class _TaskBase:
 
     # -- CPU ------------------------------------------------------------
     def _compute(self, profile: CpuProfile, instructions: float, kind: str,
-                 device: str = "core") -> Generator:
-        """Yield the step that charges pure CPU time for *instructions*
-        of *profile* code, or no step for no instructions."""
+                 device: str = "core") -> Optional[_Compute]:
+        """The step that charges pure CPU time for *instructions* of
+        *profile* code, or None (no step) for no instructions."""
         if instructions <= 0:
-            return
+            return None
         perf = self.node.core_perf(profile)
-        seconds = perf.seconds_for(instructions) * self._slow()
+        seconds = perf.seconds_for(instructions) * self.slowdown
         # The runner posts in place, so the step's delay is checked here.
         if not 0.0 <= seconds < math.inf:
             raise SimulationError(f"compute time is negative, infinite or "
                                   f"NaN: {seconds!r}")
-        yield (seconds, kind, 1.0 if device == "fw" else perf.activity,
-               device, instructions)
+        return (seconds, kind, 1.0 if device == "fw" else perf.activity,
+                device, instructions)
 
     def _price_io(self, nbytes: float, user_ipb: float,
                   user_profile: Optional[CpuProfile]):
@@ -214,76 +221,95 @@ class _TaskBase:
         activity = act_weight / t_cpu if t_cpu > 0 else 0.0
         return instr, t_cpu, activity
 
-    def _startup(self) -> Generator:
+    def _startup(self) -> Optional[_Compute]:
         """Task launch overhead (JVM spawn, localization, reporting)."""
-        yield from self._compute(FRAMEWORK_PROFILE,
-                                 self.conf.task_startup_instructions,
-                                 f"{self.phase}.startup", device="fw")
+        return self._compute(FRAMEWORK_PROFILE,
+                             self.conf.task_startup_instructions,
+                             f"{self.phase}.startup", device="fw")
 
-    def _steps(self) -> Generator:
-        """The attempt's body: yields its steps one at a time."""
+    def _steps(self, join: Join) -> Generator:
+        """The attempt's body: yields its steps one at a time, starting
+        each transfer with *join* as its join."""
         raise NotImplementedError
 
     def run(self) -> Generator:
         """The attempt, as a process step: it waits once, for its runner."""
-        yield _Attempt(self, self._steps()).done
+        yield _Attempt(self).done
         return self.output_bytes
 
 
-class _Attempt(Entry):
-    """A task attempt's steps, run by callbacks.
+class _Attempt(Join):
+    """A task attempt's steps, run by callbacks; the join of its transfers.
 
     The task's body (:meth:`_TaskBase._steps`) is a plain generator.  It
-    starts each transfer itself and yields one step at a time: a
-    transfer ``(join, nbytes, kind, user_ipb, user_profile)`` or a
-    compute ``(seconds, kind, activity, device, instructions)``.  For a
-    transfer, the runner waits on the join, records the wait interval
-    and applies the overlap credit: the CPU bill of the bytes hides
-    behind the transfer up to the core's ``io_overlap``, and the
-    residual compute still runs.  The runner posts itself in place for
-    a residual or a compute (fault plans keep slowdowns finite, and
-    :meth:`_TaskBase._compute` checks its delay), records the interval,
-    charges the counters and asks the body for its next step.  These
-    are the calendar positions, in the order, that a process yielding
-    each join and a timeout per compute would take.
+    yields one step at a time: a compute ``(seconds, kind, activity,
+    device, instructions)``, None for a compute of no instructions
+    (skipped), or a transfer ``(kind, nbytes, user_ipb, user_profile)``
+    that it has just started with the attempt as its join.  The
+    transfer's last leg posts the attempt where the transfer's join
+    fires, and :meth:`joined` records the wait interval and applies the
+    overlap credit: the CPU bill of the bytes hides behind the transfer
+    up to the core's ``io_overlap``, and the residual compute still
+    runs.  The runner posts itself in place for a residual or a compute
+    (fault plans keep slowdowns finite, and :meth:`_TaskBase._compute`
+    checks its delay), records the interval, charges the counters and
+    asks the body for its next step.  These are the calendar positions,
+    in the order, that a process yielding an event per transfer and a
+    timeout per compute would take.
+
+    What stays fixed for the attempt is read once: the node's clock,
+    the compute slowdown and the core's overlap.  The last CPU bill is
+    kept, so the node's ``io_bills`` is asked again only when the
+    transfer's bytes or user code change.
 
     The runner finds the task's process as ``Simulator.active_process``
     and resumes it synchronously, once, through :attr:`done`: when the
     body ends, or with the :class:`TaskAttemptError` it raised.  Once
-    the process stops waiting on :attr:`done` (an interrupt), every
-    later callback does nothing, so no further step starts.
+    the process stops waiting on :attr:`done` (an interrupt), the next
+    callback drops the body and every callback does nothing, so no
+    further step starts.  The body's frame is the one thing that refers
+    back to the attempt, and it goes when the body ends or is dropped,
+    so a finished attempt is in no reference cycle.
     """
 
     __slots__ = ("task", "process", "done", "_next", "transfer", "t0",
-                 "kind", "activity", "device", "instr", "cycles")
+                 "kind", "activity", "device", "instr", "cycles",
+                 "freq_hz", "slowdown", "overlap", "bill_key", "bill")
 
-    def __init__(self, task: _TaskBase, body: Generator):
-        sim = task.sim
+    def __init__(self, task: _TaskBase):
+        sim = self.sim = task.sim
         self.process = sim.active_process
         if self.process is None:
             raise SimulationError("a task attempt must run inside a process")
         self.callbacks = None
         self.task = task
+        node = task.node
+        self.freq_hz = node.freq_hz
+        self.slowdown = task.slowdown
+        self.overlap = node.spec.core.io_overlap
+        self.bill_key = None
         self.done = sim.event()
-        self._next = body.__next__
+        self._next = task._steps(self).__next__
         self._step()
 
     def _step(self) -> None:
         """Run the body to its next step and start that step."""
         try:
             step = self._next()
+            while step is None:
+                step = self._next()
         except StopIteration:
             self.done.fire()
             return
         except TaskAttemptError as exc:
             self.done.fire(exc)
             return
-        sim = self.task.sim
+        sim = self.sim
         self.t0 = now = sim.now
         if step[0].__class__ is float:
             seconds, self.kind, self.activity, self.device, instr = step
             self.instr = instr
-            self.cycles = seconds * self.task.node.freq_hz
+            self.cycles = seconds * self.freq_hz
             profiler = prof.ACTIVE
             if profiler is not None:
                 profiler.count("engine.compute_posts")
@@ -291,9 +317,8 @@ class _Attempt(Entry):
             sim.calendar[now + seconds].append(self)
         else:
             self.transfer = step
-            step[0].add_callback(self._joined)
 
-    def _joined(self, _join: Event) -> None:
+    def joined(self, _attempt: "_Attempt") -> None:
         """Bill the transfer that just finished, with overlap credit.
 
         Records the wait interval.  The CPU bill depends only on the
@@ -302,28 +327,42 @@ class _Attempt(Entry):
         the node's ``io_bills``; the attempt's slowdown is applied here.
         """
         if self.process.target is not self.done:
+            self._next = None
             return
         task = self.task
         node = task.node
-        _join, nbytes, kind, user_ipb, user_profile = self.transfer
+        kind, nbytes, user_ipb, user_profile = self.transfer
         t0 = self.t0
-        now = task.sim.now
+        sim = self.sim
+        now = sim.now
         t_wait = now - t0
-        key = (task.stage.io_ipb, nbytes, user_ipb, user_profile)
-        bills = node.io_bills
-        bill = bills.get(key)
-        if bill is None:
-            bill = bills[key] = task._price_io(nbytes, user_ipb,
-                                               user_profile)
+        key = (nbytes, user_ipb, user_profile)
+        if key == self.bill_key:
+            bill = self.bill
+        else:
+            bills = node.io_bills
+            full_key = (task.stage.io_ipb, nbytes, user_ipb, user_profile)
+            bill = bills.get(full_key)
+            if bill is None:
+                bill = bills[full_key] = task._price_io(nbytes, user_ipb,
+                                                        user_profile)
+            self.bill_key = key
+            self.bill = bill
         instr, t_cpu, activity = bill
-        t_cpu *= task._slow()
-        residual = max(0.0, t_cpu - node.spec.core.io_overlap * t_wait)
+        t_cpu *= self.slowdown
+        # ``max(0.0, x)`` and ``min(1.0, y)`` as comparisons: the same
+        # floats, NaN included, without the builtin calls.
+        residual = t_cpu - self.overlap * t_wait
+        if not residual > 0.0:
+            residual = 0.0
         wait_kind, compute_kind = _IO_KINDS[kind]
         # Activity during the wait window accounts for the compute that
         # executed under the transfer, conserving compute energy.
         if t_wait > 0:
             hidden = t_cpu - residual
-            wait_act = min(1.0, _WAIT_ACTIVITY + (hidden / t_wait) * activity)
+            wait_act = _WAIT_ACTIVITY + (hidden / t_wait) * activity
+            if not wait_act < 1.0:
+                wait_act = 1.0
             task.trace.add(t0, now, node.name, "core", wait_kind, wait_act,
                            task.task_id, task.phase)
         if residual > 0:
@@ -331,23 +370,24 @@ class _Attempt(Entry):
             self.activity = activity
             self.device = "core"
             self.instr = instr
-            self.cycles = t_cpu * node.freq_hz
+            self.cycles = t_cpu * self.freq_hz
             self.t0 = now
             profiler = prof.ACTIVE
             if profiler is not None:
                 profiler.count("engine.residual_posts")
             self.callbacks = self._computed
-            task.sim.calendar[now + residual].append(self)
+            sim.calendar[now + residual].append(self)
         else:
-            task.counters.charge(instr, t_cpu * node.freq_hz)
+            task.counters.charge(instr, t_cpu * self.freq_hz)
             self._step()
 
     def _computed(self, _attempt: "_Attempt") -> None:
         """Record and charge the compute that just ran."""
         if self.process.target is not self.done:
+            self._next = None
             return
         task = self.task
-        task.trace.add(self.t0, task.sim.now, task.node.name, self.device,
+        task.trace.add(self.t0, self.sim.now, task.node.name, self.device,
                        self.kind, self.activity, task.task_id, task.phase)
         task.counters.charge(self.instr, self.cycles)
         self._step()
@@ -371,9 +411,10 @@ class MapTask(_TaskBase):
         self.block = block
         self.output_bytes = 0.0
 
-    def _steps(self) -> Generator:
-        yield from self._startup()
-        source = self.hdfs.pick_source(self.block, self.node)
+    def _steps(self, join: Join) -> Generator:
+        yield self._startup()
+        hdfs = self.hdfs
+        source = hdfs.pick_source(self.block, self.node)
 
         # Chunked read/compute pipeline over the block.  The read loop
         # covers progress 0 → 0.9; sort/spill/merge is the final 10%.
@@ -382,10 +423,10 @@ class MapTask(_TaskBase):
         while remaining > 0:
             chunk = min(self.conf.chunk_bytes, remaining)
             remaining -= chunk
-            yield (self.hdfs.read_span(source, self.node, chunk,
-                                       task_id=self.task_id, phase=self.phase,
-                                       io_factor=stage.io_path_factor),
-                   chunk, "map.read", stage.map_ipb, stage.map_profile)
+            hdfs.read_span(join, source, self.node, chunk,
+                           task_id=self.task_id, phase=self.phase,
+                           io_factor=stage.io_path_factor)
+            yield "map.read", chunk, stage.map_ipb, stage.map_profile
             self._progress_to(0.9 * (total - remaining) / total)
         self.counters.input_bytes += total
 
@@ -398,19 +439,21 @@ class MapTask(_TaskBase):
                                stage.sort_ipb, self.conf.merge_factor)
             self.counters.spills += plan.n_spills
             self.counters.spill_bytes += plan.disk_write_bytes
-            yield from self._compute(IO_PATH_PROFILE, plan.sort_instructions,
-                                     "map.sort")
+            yield self._compute(IO_PATH_PROFILE, plan.sort_instructions,
+                                "map.sort")
             io_factor = stage.io_path_factor * _SPILL_IO_FACTOR
             if plan.disk_write_bytes > 0:
-                yield (self.hdfs.write_local(
-                    self.node, plan.disk_write_bytes, task_id=self.task_id,
-                    phase=self.phase, kind="map.spill", io_factor=io_factor),
-                       plan.disk_write_bytes, "map.spill", 0.0, None)
+                hdfs.write_local(
+                    join, self.node, plan.disk_write_bytes,
+                    task_id=self.task_id, phase=self.phase, kind="map.spill",
+                    io_factor=io_factor)
+                yield "map.spill", plan.disk_write_bytes, 0.0, None
             if plan.disk_read_bytes > 0:
-                yield (self.hdfs.read_local(
-                    self.node, plan.disk_read_bytes, task_id=self.task_id,
-                    phase=self.phase, kind="map.merge", io_factor=io_factor),
-                       plan.disk_read_bytes, "map.merge", 0.0, None)
+                hdfs.read_local(
+                    join, self.node, plan.disk_read_bytes,
+                    task_id=self.task_id, phase=self.phase, kind="map.merge",
+                    io_factor=io_factor)
+                yield "map.merge", plan.disk_read_bytes, 0.0, None
         self._progress_to(1.0)
         self.counters.map_tasks += 1
 
@@ -429,8 +472,9 @@ class ReduceTask(_TaskBase):
         self.source_bytes = dict(source_bytes)
         self.output_bytes = 0.0
 
-    def _steps(self) -> Generator:
-        yield from self._startup()
+    def _steps(self, join: Join) -> Generator:
+        yield self._startup()
+        hdfs = self.hdfs
         partition = sum(self.source_bytes.values())
 
         # Shuffle: fetch each node's contribution (local disk or network).
@@ -441,10 +485,10 @@ class ReduceTask(_TaskBase):
             nbytes = self.source_bytes[source_name]
             if nbytes <= 0:
                 continue
-            yield (self.hdfs.read_span(source_name, self.node, nbytes,
-                                       task_id=self.task_id, phase=self.phase,
-                                       io_factor=self.stage.io_path_factor),
-                   nbytes, "shuffle", 0.0, None)
+            hdfs.read_span(join, source_name, self.node, nbytes,
+                           task_id=self.task_id, phase=self.phase,
+                           io_factor=self.stage.io_path_factor)
+            yield "shuffle", nbytes, 0.0, None
             fetched += nbytes
             if partition > 0:
                 self._progress_to(0.6 * fetched / partition)
@@ -453,19 +497,19 @@ class ReduceTask(_TaskBase):
         # Reduce-side merge.
         merge = plan_reduce_merge(partition, self.conf.merge_memory_bytes,
                                   self.stage.sort_ipb)
-        yield from self._compute(IO_PATH_PROFILE, merge.merge_instructions,
-                                 "reduce.merge")
+        yield self._compute(IO_PATH_PROFILE, merge.merge_instructions,
+                            "reduce.merge")
         if merge.disk_write_bytes > 0:
             io_factor = self.stage.io_path_factor * _SPILL_IO_FACTOR
-            yield (self.hdfs.write_local(
-                self.node, merge.disk_write_bytes, task_id=self.task_id,
-                phase=self.phase, kind="reduce.spill", io_factor=io_factor),
-                   merge.disk_write_bytes, "reduce.spill", 0.0, None)
-            yield (self.hdfs.read_local(
-                self.node, merge.disk_read_bytes, task_id=self.task_id,
+            hdfs.write_local(
+                join, self.node, merge.disk_write_bytes, task_id=self.task_id,
+                phase=self.phase, kind="reduce.spill", io_factor=io_factor)
+            yield "reduce.spill", merge.disk_write_bytes, 0.0, None
+            hdfs.read_local(
+                join, self.node, merge.disk_read_bytes, task_id=self.task_id,
                 phase=self.phase, kind="reduce.merge.read",
-                io_factor=io_factor),
-                   merge.disk_read_bytes, "reduce.merge", 0.0, None)
+                io_factor=io_factor)
+            yield "reduce.merge", merge.disk_read_bytes, 0.0, None
         self._progress_to(0.8)
 
         # User reduce function.  Aggregation state (count tables, merge
@@ -477,7 +521,7 @@ class ReduceTask(_TaskBase):
             ws_factor = max(1.0, (partition / _REDUCE_WS_REF_BYTES) ** 0.5)
             profile = scale_profile(self.stage.reduce_profile,
                                     working_set_factor=min(ws_factor, 6.0))
-            yield from self._compute(
+            yield self._compute(
                 profile, partition * self.stage.reduce_ipb, "reduce.user")
         self._progress_to(0.9)
 
@@ -486,10 +530,10 @@ class ReduceTask(_TaskBase):
         self.output_bytes = out
         self.counters.output_bytes += out
         if out > 0:
-            yield (self.hdfs.write(f"{self.task_id}.out", out, self.node,
-                                   task_id=self.task_id, phase=self.phase,
-                                   io_factor=self.stage.io_path_factor,
-                                   replication=self.stage.output_replication),
-                   out, "reduce.write", 0.0, None)
+            hdfs.write(join, f"{self.task_id}.out", out, self.node,
+                       task_id=self.task_id, phase=self.phase,
+                       io_factor=self.stage.io_path_factor,
+                       replication=self.stage.output_replication)
+            yield "reduce.write", out, 0.0, None
         self._progress_to(1.0)
         self.counters.reduce_tasks += 1

@@ -326,7 +326,11 @@ class Process(Event):
     Created only by :meth:`Simulator.process`, which builds it in place.
     """
 
-    __slots__ = ("generator", "_waiting_on", "_resume_cb", "_send", "_throw")
+    #: ``target`` is the event the process waits on (after an
+    #: interrupt, the interrupt's own event), or None before its first
+    #: resume.  A plain slot, read by callback code on its hot path;
+    #: only the engine writes it.
+    __slots__ = ("generator", "target", "_resume_cb", "_send", "_throw")
 
     def __init__(self, *_args, **_kwargs):
         raise TypeError("create a Process with Simulator.process()")
@@ -336,19 +340,13 @@ class Process(Event):
         """True while the generator has not finished."""
         return not self._triggered
 
-    @property
-    def target(self) -> Optional[Event]:
-        """The event the process waits on (after an interrupt, the
-        interrupt's own event), or None before its first resume."""
-        return self._waiting_on
-
     def _resume(self, event: Event) -> None:
         if self._triggered:
             return  # process already finished (e.g. interrupted earlier)
-        waiting = self._waiting_on
+        waiting = self.target
         if waiting is not None and event is not waiting:
             return  # stale wakeup from an event we stopped waiting on
-        # (_waiting_on is left pointing at *event* — it fired, so the
+        # (target is left pointing at *event* — it fired, so the
         # stale guard never matches it again; clearing it here would be
         # a pure hot-path store.)
         sim = self.sim
@@ -396,7 +394,7 @@ class Process(Event):
         if foreign:
             raise SimulationError(
                 "process yielded an event from another simulator")
-        self._waiting_on = target
+        self.target = target
         # Inlined Event.add_callback (the per-yield hot path).
         if target._processed:
             self._resume(target)
@@ -422,7 +420,7 @@ class Process(Event):
             self.sim.obs.instant("interrupt", ("engine", "process"),
                                  cat="engine", cause=str(cause))
         intr = Event(self.sim)
-        self._waiting_on = intr
+        self.target = intr
         intr.callbacks = self._resume_cb
         intr.fail(Interrupt(cause))
 
@@ -543,7 +541,7 @@ class Simulator:
         event._exc = None
         event._cancelled = False
         event.generator = generator
-        event._waiting_on = None
+        event.target = None
         # One bound method each, created once: every resume re-uses them
         # instead of allocating fresh bound methods per yield (and the
         # send/throw lookup doubles as the is-it-a-generator check).

@@ -9,7 +9,7 @@ import pytest
 from repro.arch.presets import ATOM_C2758, XEON_E5_2420
 from repro.cluster.server import Cluster
 from repro.hdfs import filesystem
-from repro.hdfs.filesystem import HDFS
+from repro.hdfs.filesystem import HDFS, EventJoin
 from repro.sim.engine import SimulationError, Simulator
 from repro.sim.trace import TraceRecorder
 
@@ -28,10 +28,13 @@ def _service(dev, nbytes):
     return dev.latency + nbytes / dev.bandwidth
 
 
-def _drive(sim, transfer):
-    """Run *transfer* (started at time 0) to completion; its elapsed time."""
+def _drive(sim, start, *args, **kwargs):
+    """Start a transfer at time 0 with ``start(join, *args, **kwargs)``
+    and run it to completion; its elapsed time."""
+    join = EventJoin(sim)
+    start(join, *args, **kwargs)
     sim.run()
-    assert transfer.ok
+    assert join.event.ok
     return sim.now
 
 
@@ -60,7 +63,7 @@ class TestReads:
         hdfs = HDFS(cluster, 64 * MB)
         node = cluster.nodes[0]
         nbytes = 64 * MB
-        elapsed = _drive(sim, hdfs.read_span(node.name, node, nbytes))
+        elapsed = _drive(sim, hdfs.read_span, node.name, node, nbytes)
         floor = max(_service(node.disk, nbytes),
                     _service(node.iopath, nbytes))
         assert elapsed == pytest.approx(floor, rel=0.01)
@@ -69,11 +72,11 @@ class TestReads:
         sim, cluster = _cluster()
         hdfs = HDFS(cluster, 64 * MB)
         reader = cluster.nodes[0]
-        local = _drive(sim, hdfs.read_span(reader.name, reader, 64 * MB))
+        local = _drive(sim, hdfs.read_span, reader.name, reader, 64 * MB)
         sim2, cluster2 = _cluster()
         hdfs2 = HDFS(cluster2, 64 * MB)
         reader2 = cluster2.nodes[0]
-        remote = _drive(sim2, hdfs2.read_span("xeon1", reader2, 64 * MB))
+        remote = _drive(sim2, hdfs2.read_span, "xeon1", reader2, 64 * MB)
         assert remote > local
 
     def test_page_cache_accelerates_reads(self):
@@ -81,7 +84,7 @@ class TestReads:
             sim, cluster = _cluster()
             hdfs = HDFS(cluster, 64 * MB, page_cache_hit=hit)
             node = cluster.nodes[0]
-            return _drive(sim, hdfs.read_span(node.name, node, 64 * MB))
+            return _drive(sim, hdfs.read_span, node.name, node, 64 * MB)
         assert read_time(0.75) < read_time(0.0)
 
     def test_atom_iopath_binds(self):
@@ -91,8 +94,8 @@ class TestReads:
         hdfs = HDFS(cluster, 64 * MB)
         node = cluster.nodes[0]
         nbytes = 256 * MB
-        elapsed = _drive(sim, hdfs.read_span(node.name, node, nbytes,
-                                             io_factor=2.0))
+        elapsed = _drive(sim, hdfs.read_span, node.name, node, nbytes,
+                         io_factor=2.0)
         disk_only = _service(node.disk, nbytes)
         assert elapsed > 2 * disk_only
 
@@ -102,7 +105,7 @@ class TestWrites:
         sim, cluster = _cluster()
         hdfs = HDFS(cluster, 64 * MB, replication=3)
         writer = cluster.nodes[0]
-        _drive(sim, hdfs.write("out", 64 * MB, writer))
+        _drive(sim, hdfs.write, "out", 64 * MB, writer)
         touched = {iv.node for iv in cluster.trace.filter(device="disk")}
         assert len(touched) == 3
 
@@ -110,7 +113,7 @@ class TestWrites:
         sim, cluster = _cluster()
         hdfs = HDFS(cluster, 64 * MB, replication=3)
         writer = cluster.nodes[0]
-        _drive(sim, hdfs.write("out", 64 * MB, writer, replication=1))
+        _drive(sim, hdfs.write, "out", 64 * MB, writer, replication=1)
         touched = {iv.node for iv in cluster.trace.filter(device="disk")}
         assert touched == {writer.name}
 
@@ -125,9 +128,10 @@ class TestWrites:
         sim, cluster = _cluster()
         hdfs = HDFS(cluster, 64 * MB, replication=3)
         joined = []
-        join = hdfs.write("out", 64 * MB, cluster.nodes[0],
-                          replication=replication)
-        join.add_callback(lambda _join: joined.append(sim.now))
+        join = EventJoin(sim)
+        hdfs.write(join, "out", 64 * MB, cluster.nodes[0],
+                   replication=replication)
+        join.event.add_callback(lambda _event: joined.append(sim.now))
         sim.run()
         assert joined == [end]
         assert sim.event_count == events
@@ -136,7 +140,7 @@ class TestWrites:
         sim, cluster = _cluster()
         hdfs = HDFS(cluster, 64 * MB)
         node = cluster.nodes[0]
-        _drive(sim, hdfs.write_local(node, 32 * MB, kind="map.spill"))
+        _drive(sim, hdfs.write_local, node, 32 * MB, kind="map.spill")
         spills = cluster.trace.filter(device="disk", kind="map.spill")
         assert len(spills) == 1
         assert spills[0].duration == pytest.approx(
@@ -150,7 +154,9 @@ class TestWrites:
         node = cluster.nodes[0]
 
         def task():
-            yield hdfs.read_local(node, -MB)
+            join = EventJoin(sim)
+            hdfs.read_local(join, node, -MB)
+            yield join.event
 
         proc = sim.process(task())
         proc.add_callback(lambda _event: None)
@@ -168,8 +174,8 @@ class TestWrites:
         gc.collect()
         gc.disable()
         try:
-            _drive(sim, hdfs.read_span("xeon1", reader, 8 * MB))
-            _drive(sim, hdfs.write("out", 8 * MB, reader))
+            _drive(sim, hdfs.read_span, "xeon1", reader, 8 * MB)
+            _drive(sim, hdfs.write, "out", 8 * MB, reader)
             leftover = [obj for obj in gc.get_objects()
                         if isinstance(obj, filesystem._Leg)]
         finally:
@@ -180,5 +186,5 @@ class TestWrites:
         sim, cluster = _cluster()
         hdfs = HDFS(cluster, 64 * MB)
         node = cluster.nodes[0]
-        _drive(sim, hdfs.read_span(node.name, node, 8 * MB, phase="reduce"))
+        _drive(sim, hdfs.read_span, node.name, node, 8 * MB, phase="reduce")
         assert all(iv.phase == "reduce" for iv in cluster.trace)

@@ -29,7 +29,7 @@ sensitivity, a central observation of the paper (§3.1.1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 __all__ = ["CacheLevel", "CacheHierarchy", "MissCurve", "KIB", "MIB"]
 
@@ -140,23 +140,6 @@ class CacheHierarchy:
     @property
     def depth(self) -> int:
         return len(self.levels)
-
-    def hit_distribution(self, curve: MissCurve) -> List[Tuple[str, float]]:
-        """Per-level fraction of accesses *served* by each level and DRAM.
-
-        Returns ``[(name, fraction), ...]`` ending with ``("DRAM", f_llc)``.
-        Fractions are of *L1 misses escaping upward*: the first entry is the
-        fraction of accesses served by the level after L1, etc.  The first
-        level's own hits are not listed (they are folded into the base CPI).
-        """
-        out: List[Tuple[str, float]] = []
-        prev_miss = curve.miss_ratio_beyond(self.levels[0].size_bytes)
-        for level in self.levels[1:]:
-            this_miss = curve.miss_ratio_beyond(level.size_bytes)
-            out.append((level.name, max(0.0, prev_miss - this_miss)))
-            prev_miss = this_miss
-        out.append(("DRAM", prev_miss))
-        return out
 
     def l1_miss_ratio(self, curve: MissCurve) -> float:
         """Fraction of accesses missing the first level."""

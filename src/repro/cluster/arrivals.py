@@ -105,8 +105,9 @@ class ArrivalConfig:
     def __post_init__(self):
         if self.n_jobs < 1:
             raise ValueError("need at least one job")
-        if self.jobs_per_1000s <= 0:
-            raise ValueError("arrival rate must be positive")
+        if not 0.0 < self.jobs_per_1000s < math.inf:
+            raise ValueError(f"arrival rate must be positive and finite, "
+                             f"got {self.jobs_per_1000s!r}")
         if not self.workload_mix or any(w <= 0 for _, w in self.workload_mix):
             raise ValueError("workload_mix needs positive weights")
         if not self.node_choices or any(n < 1 for n in self.node_choices):

@@ -279,8 +279,11 @@ class HeteroScheduler(SchedulerPolicy):
     LITTLE, BIG = "atom", "xeon"
 
     def __init__(self, goal: str = "EDP", patience_s: float = 180.0):
-        if patience_s < 0:
-            raise ValueError("patience_s must be non-negative")
+        # Written so that NaN fails too; an infinite patience never
+        # gives up on the preferred pool.
+        if not patience_s >= 0:
+            raise ValueError(f"patience_s must be non-negative, got "
+                             f"{patience_s!r}")
         self.goal = goal.upper()
         self.patience_s = patience_s
         self._pool_sizes: Dict[str, int] = {}

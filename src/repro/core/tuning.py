@@ -136,22 +136,3 @@ class TuningAdvisor:
             workload=workload, machine=machine, goal=goal.upper(),
             best=best, default=default, feasible=bool(feasible))
 
-    def frequency_relief(self, workload: str, machine: str,
-                         data_per_node_gb: Optional[float] = None
-                         ) -> float:
-        """§3.1.1's headline: how much frequency a tuned block size saves.
-
-        Returns the lowest frequency whose best-block execution time
-        matches (within 5%) the default block size at maximum frequency —
-        i.e. how far the core can be down-clocked if the system parameter
-        is tuned instead.
-        """
-        points = self.evaluate(workload, machine, data_per_node_gb)
-        default = next(p for p in points
-                       if p.freq_ghz == max(self.freqs_ghz)
-                       and p.block_size_mb == 64.0)
-        candidates = [p for p in points
-                      if p.execution_time_s <= 1.05 * default.execution_time_s]
-        if not candidates:
-            return max(self.freqs_ghz)
-        return min(p.freq_ghz for p in candidates)

@@ -144,10 +144,6 @@ class FaultPlan:
                 return fault
         return None
 
-    def crash_time(self, node: str) -> Optional[float]:
-        fault = self.node_fault(node)
-        return fault.crash_at_s if fault is not None else None
-
     # -- per-attempt draws ------------------------------------------------
     def attempt_fails(self, task_id: str, attempt: int) -> bool:
         """Does this (task, attempt) fail?  Order-independent draw."""

@@ -259,11 +259,6 @@ class TraceRecorder:
         """Sum of durations of matching intervals (double-counts overlap)."""
         return sum(row[1] - row[0] for row in self._matching_rows(**criteria))
 
-    def weighted_busy_time(self, **criteria) -> float:
-        """Sum of duration × activity over matching intervals."""
-        return sum((row[1] - row[0]) * row[5]
-                   for row in self._matching_rows(**criteria))
-
     def phase_window(self, phase: str) -> Tuple[float, float]:
         """Wall-clock window ``[first start, last end]`` of a phase."""
         lo = hi = None
@@ -280,11 +275,6 @@ class TraceRecorder:
         if lo is None:
             return (0.0, 0.0)
         return (lo, hi)
-
-    def phase_duration(self, phase: str) -> float:
-        """Wall-clock extent of a phase (coalesced, not summed)."""
-        start, end = self.phase_window(phase)
-        return end - start
 
 
 def merge_intervals(spans: Iterable[Tuple[float, float]]

@@ -90,14 +90,6 @@ class TestCacheHierarchy:
         with pytest.raises(ValueError):
             CacheHierarchy([], dram_latency_ns=80.0)
 
-    def test_hit_distribution_conserves_l1_misses(self):
-        h = _hierarchy()
-        curve = MissCurve.from_l1_miss_ratio(0.2, 0.5)
-        dist = h.hit_distribution(curve)
-        total = sum(frac for _name, frac in dist)
-        assert total == pytest.approx(h.l1_miss_ratio(curve))
-        assert dist[-1][0] == "DRAM"
-
     def test_bigger_llc_reduces_stalls(self):
         small = CacheHierarchy(
             [CacheLevel("L1", 32 * KIB, latency_cycles=4),

@@ -273,6 +273,18 @@ class TestDatacenterCommand:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--rate", "--patience"])
+    def test_nan_rate_or_patience_is_one_line_error(self, flag, capsys):
+        """Either used to print a study full of NaN and exit 0."""
+        code = main(["datacenter", flag, "nan", "--nodes", "16",
+                     "--num-jobs", "4", "--no-cache"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("repro-hadoop: error: ")
+        assert captured.err.count("\n") == 1
+        assert "nan" in captured.err
+
     def test_bad_trace_content_is_clean_error(self, tmp_path, capsys):
         trace = tmp_path / "bad.csv"
         trace.write_text("not,a,trace\n")

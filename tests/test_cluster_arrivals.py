@@ -35,6 +35,7 @@ class TestArrivalConfig:
         dict(workload_mix=()), dict(workload_mix=(("wordcount", 0.0),)),
         dict(node_choices=()), dict(node_choices=(0,)),
         dict(size_choices_gb=(0.0,)), dict(users=()),
+        dict(jobs_per_1000s=float("nan")), dict(jobs_per_1000s=float("inf")),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):

@@ -161,6 +161,15 @@ class TestHetero:
         with pytest.raises(ValueError):
             HeteroScheduler(patience_s=-1.0)
 
+    def test_nan_patience_rejected(self):
+        """It used to be accepted: every patience test came out False."""
+        with pytest.raises(ValueError, match="patience_s"):
+            HeteroScheduler(patience_s=float("nan"))
+
+    def test_infinite_patience_accepted(self):
+        assert HeteroScheduler(patience_s=float("inf")).patience_s == \
+            float("inf")
+
 
 class TestRegistry:
     def test_every_name_constructs_fresh_instances(self):

@@ -196,5 +196,3 @@ class TestPerAttemptDraws:
         plan = FaultPlan(node_faults=(nf,))
         assert plan.node_fault("x1") is nf
         assert plan.node_fault("x0") is None
-        assert plan.crash_time("x1") == 12.0
-        assert plan.crash_time("x0") is None

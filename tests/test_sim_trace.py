@@ -113,15 +113,9 @@ class TestTraceRecorder:
         tr = self._populated()
         assert tr.busy_time(node="a") == pytest.approx(5.0)
 
-    def test_weighted_busy_time(self):
-        tr = TraceRecorder()
-        tr.add(0, 10, "n", "core", "w", activity=0.25)
-        assert tr.weighted_busy_time() == pytest.approx(2.5)
-
     def test_phase_window_coalesces(self):
         tr = self._populated()
         assert tr.phase_window("map") == (0.0, 4.0)
-        assert tr.phase_duration("reduce") == pytest.approx(3.0)
 
     def test_marks(self):
         tr = TraceRecorder()

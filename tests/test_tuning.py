@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.arch.dvfs import PAPER_FREQUENCIES_GHZ
 from repro.core.tuning import TuningAdvisor, TuningPoint
 
 
@@ -66,15 +65,3 @@ class TestRecommend:
         rec = advisor.recommend("wordcount", "atom", deadline_s=0.001)
         assert not rec.feasible
 
-    def test_frequency_relief_direction(self, characterizer):
-        """Tuning the block size lets the core run below max frequency
-        while matching the default's performance (§3.1.1).  Needs the
-        full frequency grid to find the intermediate setpoint."""
-        full = TuningAdvisor(characterizer)
-        relief = full.frequency_relief("wordcount", "atom")
-        assert relief < max(PAPER_FREQUENCIES_GHZ)
-
-    def test_relief_bounded_by_sweep(self, advisor):
-        relief = advisor.frequency_relief("sort", "xeon")
-        assert min(PAPER_FREQUENCIES_GHZ) <= relief <= max(
-            PAPER_FREQUENCIES_GHZ)

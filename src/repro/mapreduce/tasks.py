@@ -7,8 +7,8 @@ model.  Its body is a plain generator of steps, run by callbacks
 the whole attempt.  The attempt is also the join of its own transfers
 (the join protocol of ``hdfs/filesystem.py``): the body starts each
 transfer with the attempt as its join, and the transfer's last leg
-posts the attempt to bill it.  The central mechanism is the *overlap credit* of
-the read/compute pipeline: per transfer the task pays
+posts the attempt to bill it.  The central mechanism is the *overlap
+credit* of the read/compute pipeline: per transfer the task pays
 
     t_disk + max(0, t_cpu − io_overlap · t_disk)
 
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Generator, Optional, Tuple
+from typing import Dict, Generator, Optional
 
 from ..arch.cores import CpuProfile, scale_profile
 from ..arch.presets import FRAMEWORK_PROFILE
@@ -56,10 +56,6 @@ _SPILL_IO_FACTOR = 0.4
 _IO_KINDS = {kind: (kind + ".iowait", kind + ".compute") for kind in (
     "map.read", "map.spill", "map.merge", "shuffle", "reduce.spill",
     "reduce.merge", "reduce.write")}
-
-#: A compute step of a task's body: (seconds, trace kind, activity,
-#: device, instructions).
-_Compute = Tuple[float, str, float, str, float]
 
 
 class TaskAttemptError(RuntimeError):
@@ -185,7 +181,7 @@ class _TaskBase:
 
     # -- CPU ------------------------------------------------------------
     def _compute(self, profile: CpuProfile, instructions: float, kind: str,
-                 device: str = "core") -> Optional[_Compute]:
+                 device: str = "core") -> Optional[tuple]:
         """The step that charges pure CPU time for *instructions* of
         *profile* code, or None (no step) for no instructions."""
         if instructions <= 0:
@@ -221,7 +217,7 @@ class _TaskBase:
         activity = act_weight / t_cpu if t_cpu > 0 else 0.0
         return instr, t_cpu, activity
 
-    def _startup(self) -> Optional[_Compute]:
+    def _startup(self) -> Optional[tuple]:
         """Task launch overhead (JVM spawn, localization, reporting)."""
         return self._compute(FRAMEWORK_PROFILE,
                              self.conf.task_startup_instructions,

@@ -113,10 +113,6 @@ class ServerNode:
                 profile, self._op.freq_hz)
             return perf
 
-    def compute_seconds(self, instructions: float, profile: CpuProfile) -> float:
-        """Single-core wall time for *instructions* of *profile* code."""
-        return self.core_perf(profile).seconds_for(instructions)
-
     def __repr__(self) -> str:  # pragma: no cover
         return (f"<ServerNode {self.name} {self.spec.name} "
                 f"{self.n_cores}c @ {self.freq_ghz:.1f} GHz>")
@@ -190,10 +186,6 @@ class Cluster:
     @property
     def dead_node_names(self) -> frozenset:
         return frozenset(n.name for n in self.nodes if not n.alive)
-
-    @property
-    def total_cores(self) -> int:
-        return sum(n.n_cores for n in self.nodes)
 
     def node_power(self) -> Dict[str, NodePower]:
         """node name → power context, as the energy integrator expects."""

@@ -152,12 +152,6 @@ class Characterizer:
     def __len__(self) -> int:
         return len(self._cache)
 
-    def speedup_atom_to_xeon(self, workload: str, **kwargs) -> float:
-        """Execution-time ratio Atom/Xeon for matched configurations."""
-        atom = self.run(RunKey("atom", workload, **kwargs))
-        xeon = self.run(RunKey("xeon", workload, **kwargs))
-        return atom.execution_time_s / xeon.execution_time_s
-
 
 class Results(Dict[Cell, JobResult]):
     """Finished cells of a plan: a cell source that never simulates.

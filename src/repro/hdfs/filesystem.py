@@ -16,6 +16,20 @@ of device transfers, or one node's I/O-path transit — is a
 the power model consumes.  A leg is a calendar entry it posts itself,
 so it allocates no events.
 
+Paths.  Every data-path call moves its bytes over a :class:`_Path`:
+the legs of a :class:`_Route`, a device chain beside one I/O-path
+transit per node.  A route is built once per HDFS and trace, at its
+first use, with each step's fold handle (``sim/trace.py``), and it
+builds its legs' step lists once per distinct transfer size.
+:meth:`_Path.post` is the one place legs are posted.  A map attempt
+reads its block over one resident path (:meth:`HDFS.reader`): the
+attempt's legs are built once, and each read re-posts the same legs,
+at the positions fresh legs took, with the full chunk's or the last
+chunk's step lists.  Another read while the legs are still in flight
+raises :class:`~repro.sim.engine.SimulationError`, so a leg is in the
+calendar at most once.  :meth:`HDFS.read_span` is one read of a
+reader built for it.
+
 The join protocol.  A data-path call sets ``join.legs`` to the number
 of legs it starts, and each leg calls ``join.count_off(leg)`` from its
 own count-off entry.  The last count-off posts the join itself at the
@@ -31,20 +45,20 @@ event from that position.
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..cluster.server import Cluster, ServerNode
 from ..obs import prof
-from ..sim.engine import Entry, Simulator
+from ..sim.engine import Entry, SimulationError, Simulator
 from ..sim.resources import BandwidthDevice, Transfer
 from .blocks import Block, split_input
 from .namenode import NameNode
 
 __all__ = ["HDFS", "Join", "EventJoin"]
 
-#: One device step of a leg: (node, device, trace device label, bytes,
-#: trace kind).
-_Step = Tuple[ServerNode, BandwidthDevice, str, float, str]
+#: One step of a path's device chain, as a data-path call names it:
+#: (node, device, trace device label, trace kind).
+_ChainStep = Tuple[ServerNode, BandwidthDevice, str, str]
 
 
 class HDFS:
@@ -69,6 +83,11 @@ class HDFS:
         self.page_cache_hit = page_cache_hit
         self.namenode = NameNode([n.name for n in cluster.nodes],
                                  replication=replication, seed=seed)
+        #: Routes by (source, node, kind, phase, io_factor), and the
+        #: trace their fold handles belong to (a cluster's trace may be
+        #: replaced before anything records).
+        self._routes: Dict[tuple, _Route] = {}
+        self._routes_trace = None
 
     # -- metadata -----------------------------------------------------------
     def load_input(self, file: str, total_bytes: float) -> List[Block]:
@@ -98,42 +117,64 @@ class HDFS:
         return self.namenode.pick_replica(
             block, reader.name, exclude=self.cluster.dead_node_names)
 
-    # -- legs ---------------------------------------------------------------
-    def _with_iopath(self, join: "Join", nodes: List[ServerNode],
-                     nbytes: float, steps: List[_Step],
-                     task_id: Optional[str], phase: str,
-                     io_factor: float = 1.0) -> None:
-        """Run the device *steps* concurrently with each node's I/O-path
-        transit, each a leg that counts off *join* when it has finished.
+    # -- paths ------------------------------------------------------------
+    def reader(self, join: "Join", source_name: str, node: ServerNode,
+               task_id: Optional[str] = None, phase: str = "map",
+               io_factor: float = 1.0) -> "_Path":
+        """A resident read path from the replica on *source_name* to
+        *node*, counting off *join* (see the module docstring)."""
+        return _Path(self.sim, join, self._route(
+            source_name, node.name, "hdfs.read", phase, io_factor), task_id,
+            source_name != node.name)
 
-        The device chain and the CPU path pipeline against each other, so
-        the elapsed time is the max of the two (plus queueing on both).
-        The legs are built in place, with no ``__init__`` frame, and post
-        themselves for their boots now, the device chain first.
+    def _route(self, source_name: str, node_name: str, kind: str,
+               phase: str, io_factor: float) -> "_Route":
+        """The route of a transfer from *source_name*'s side to
+        *node_name*'s, built at its first use (see :class:`_Route`).
+
+        On one node it is that disk's *kind* operation.  Between two,
+        ``hdfs.read`` reads the source's disk over both NICs, and any
+        other *kind* is a replica's pipeline, which writes the target's
+        disk.  The page cache absorbs its share of the disk bytes, and
+        the disk step goes when it absorbs them all.
         """
-        profiler = prof.ACTIVE
-        if profiler is not None:
-            profiler.count("engine.leg_boots", 1 + len(nodes))
-            profiler.count("engine.device_steps", len(steps) + len(nodes))
-            profiler.count("engine.count_offs", 1 + len(nodes))
-            profiler.count("engine.join_fires")
-        join.legs = 1 + len(nodes)
-        chains = [steps]
-        for node in nodes:
-            chains.append([(node, node.iopath, "fw", nbytes * io_factor,
-                            "iopath")])
         trace = self.cluster.trace
-        sim = self.sim
-        bucket = sim.calendar[sim.now]
-        for chain in chains:
-            leg = _Leg.__new__(_Leg)
-            leg.trace = trace
-            leg.steps = chain
-            leg.task_id = task_id
-            leg.phase = phase
-            leg.join = join
-            leg.callbacks = _Leg.boot
-            bucket.append(leg)
+        if trace is not self._routes_trace:
+            self._routes_trace = trace
+            self._routes = {}
+        key = (source_name, node_name, kind, phase, io_factor)
+        route = self._routes.get(key)
+        if route is not None:
+            return route
+        node = self.cluster.node(node_name)
+        if source_name == node_name:
+            chain = [(node, node.disk, "disk", kind)]
+            nodes = [node]
+        else:
+            source = self.cluster.node(source_name)
+            if kind == "hdfs.read":
+                chain = [(source, source.disk, "disk", "hdfs.read.remote"),
+                         (source, source.nic, "nic", "hdfs.xmit"),
+                         (node, node.nic, "nic", "hdfs.recv")]
+                nodes = [source, node]
+            else:
+                chain = [(source, source.nic, "nic", "hdfs.repl.xmit"),
+                         (node, node.nic, "nic", "hdfs.repl.recv"),
+                         (node, node.disk, "disk", kind)]
+                nodes = [node]
+        route = self._routes[key] = _Route(
+            trace, chain, nodes, phase, io_factor,
+            1.0 - self.page_cache_hit)
+        return route
+
+    def _transfer(self, join: "Join", source_name: str, node_name: str,
+                  kind: str, nbytes: float, task_id: Optional[str],
+                  phase: str, io_factor: float) -> None:
+        """Move *nbytes* once over a path of its own, counting off
+        *join*."""
+        _Path(self.sim, join, self._route(source_name, node_name, kind,
+                                          phase, io_factor),
+              task_id).post(nbytes)
 
     def fan_out(self, join: "Join", starts: List[Callable[["Join"], None]]
                 ) -> None:
@@ -160,43 +201,17 @@ class HDFS:
                   nbytes: float, task_id: Optional[str] = None,
                   phase: str = "map", io_factor: float = 1.0) -> None:
         """Read *nbytes* of a replica on *source_name* from *reader*,
-        counting off *join*.
-
-        Local reads hit the local disk; remote reads pay the source disk
-        plus both NICs.  The page cache absorbs its share of the disk
-        bytes, and the disk step goes when it absorbs them all.
-        """
-        obs = self.sim.obs
-        if obs is not None:
-            # Chunk-level hot path: meta counters only, no per-read spans.
-            obs.count("hdfs.reads")
-            obs.count("hdfs.read_bytes", nbytes)
-            if source_name != reader.name:
-                obs.count("hdfs.remote_reads")
-        disk = nbytes * (1.0 - self.page_cache_hit)
-        if source_name == reader.name:
-            self._with_iopath(
-                join, [reader], nbytes,
-                [(reader, reader.disk, "disk", disk, "hdfs.read")]
-                if disk > 0 else [], task_id, phase, io_factor)
-            return
-        source = self.cluster.node(source_name)
-        steps = ([(source, source.disk, "disk", disk, "hdfs.read.remote")]
-                 if disk > 0 else [])
-        steps.append((source, source.nic, "nic", nbytes, "hdfs.xmit"))
-        steps.append((reader, reader.nic, "nic", nbytes, "hdfs.recv"))
-        self._with_iopath(join, [source, reader], nbytes, steps, task_id,
-                          phase, io_factor)
+        counting off *join*: one read of a :meth:`reader` path."""
+        self.reader(join, source_name, reader, task_id, phase,
+                    io_factor).read(nbytes)
 
     def read_local(self, join: "Join", node: ServerNode, nbytes: float,
                    task_id: Optional[str] = None, phase: str = "map",
                    kind: str = "local.read", io_factor: float = 1.0) -> None:
         """Read *nbytes* from the node's local disk (spill merges etc.),
         counting off *join*."""
-        disk = nbytes * (1.0 - self.page_cache_hit)
-        self._with_iopath(join, [node], nbytes,
-                          [(node, node.disk, "disk", disk, kind)]
-                          if disk > 0 else [], task_id, phase, io_factor)
+        self._transfer(join, node.name, node.name, kind, nbytes, task_id,
+                       phase, io_factor)
 
     def write_local(self, join: "Join", node: ServerNode, nbytes: float,
                     task_id: Optional[str] = None, phase: str = "map",
@@ -204,10 +219,8 @@ class HDFS:
                     ) -> None:
         """Write *nbytes* to local disk (map outputs, spills), counting
         off *join*."""
-        disk = nbytes * (1.0 - self.page_cache_hit)
-        self._with_iopath(join, [node], nbytes,
-                          [(node, node.disk, "disk", disk, kind)]
-                          if disk > 0 else [], task_id, phase, io_factor)
+        self._transfer(join, node.name, node.name, kind, nbytes, task_id,
+                       phase, io_factor)
 
     def write(self, join: "Join", file_hint: str, nbytes: float,
               writer: ServerNode, task_id: Optional[str] = None,
@@ -236,20 +249,12 @@ class HDFS:
 
         # The local write and each replica's pipeline start from boots
         # of their own, one after another.
-        group = partial(self._with_iopath, nbytes=nbytes, task_id=task_id,
-                        phase=phase, io_factor=io_factor)
-        disk = nbytes * (1.0 - self.page_cache_hit)
-        starts = [partial(group, nodes=[writer], steps=(
-            [(writer, writer.disk, "disk", disk, "hdfs.write")]
-            if disk > 0 else []))]
-        for name in replica_names[1:]:
-            target = self.cluster.node(name)
-            steps = [(writer, writer.nic, "nic", nbytes, "hdfs.repl.xmit"),
-                     (target, target.nic, "nic", nbytes, "hdfs.repl.recv")]
-            if disk > 0:
-                steps.append((target, target.disk, "disk", disk,
-                              "hdfs.repl.write"))
-            starts.append(partial(group, nodes=[target], steps=steps))
+        group = partial(self._transfer, source_name=writer.name,
+                        nbytes=nbytes, task_id=task_id, phase=phase,
+                        io_factor=io_factor)
+        starts = [partial(group, node_name=writer.name, kind="hdfs.write")]
+        starts += [partial(group, node_name=name, kind="hdfs.repl.write")
+                   for name in replica_names[1:]]
         self.fan_out(join, starts)
 
 
@@ -260,7 +265,9 @@ class Join(Entry):
     :meth:`count_off`, and the last one posts the join at the current
     time, where :meth:`joined` runs.  A join is in the calendar only
     from its last count-off until :meth:`joined` has run, so it can be
-    handed to the next operation from there on.
+    handed to the next operation from there on.  :attr:`legs` is 0
+    between operations (a join's constructor sets it), so a path's
+    :meth:`_Path.post` refuses a join whose legs are still in flight.
     """
 
     __slots__ = ("sim", "legs")
@@ -305,6 +312,7 @@ class _Spanned(Join):
                  end_span: Callable[[], object]):
         self.sim = sim
         self.callbacks = None
+        self.legs = 0
         self.join = join
         self.end_span = end_span
 
@@ -327,6 +335,7 @@ class _Boot(Join):
     def __init__(self, sim: Simulator, start: Callable[[Join], None],
                  join: Join):
         self.sim = sim
+        self.legs = 0
         self.start = start
         self.join = join
         self.callbacks = self._boot
@@ -341,27 +350,130 @@ class _Boot(Join):
         sim.calendar[sim.now].append(self)
 
 
+class _Route:
+    """What every path of one route shares (:meth:`HDFS._route`): a
+    device chain of ``(node, device, trace label, kind)`` steps beside
+    one I/O-path transit per node, each step with its fold handle
+    (``sim/trace.py``), and the legs' step lists by transfer size.  The
+    device chain and the CPU path pipeline against each other, so a
+    transfer takes the longer of the two (plus queueing on both)."""
+
+    __slots__ = ("chain", "iopaths", "disk_share", "io_factor", "sizes")
+
+    def __init__(self, trace, chain: List[_ChainStep],
+                 nodes: List[ServerNode], phase: str, io_factor: float,
+                 disk_share: float):
+        handles = trace.fold_handles
+        self.chain = [(device, label == "disk", kind,
+                       handles(node.name, label, phase)[1.0])
+                      for node, device, label, kind in chain]
+        self.iopaths = [(node.iopath, handles(node.name, "fw", phase)[1.0])
+                        for node in nodes]
+        self.disk_share = disk_share
+        self.io_factor = io_factor
+        self.sizes: Dict[float, List[list]] = {}
+
+    def steps(self, nbytes: float) -> List[list]:
+        """Each leg's steps for a transfer of *nbytes*: the device chain
+        first, then each I/O-path transit."""
+        steps = self.sizes.get(nbytes)
+        if steps is None:
+            disk = nbytes * self.disk_share
+            transit = nbytes * self.io_factor
+            steps = [[(device, disk if is_disk else nbytes, kind, fold)
+                      for device, is_disk, kind, fold in self.chain
+                      if not is_disk or disk > 0]]
+            steps += [[(device, transit, "iopath", fold)]
+                      for device, fold in self.iopaths]
+            self.sizes[nbytes] = steps
+        return steps
+
+
+class _Path:
+    """The legs of a route, built once and posted for each transfer: once
+    by a data-path call, once per chunk by a map attempt's reader
+    (:meth:`HDFS.reader`).  *remote* is None for a path that is not a
+    read, else whether the replica is on another node: a read is counted
+    on an attached tracer."""
+
+    __slots__ = ("sim", "join", "route", "legs", "nbytes", "remote")
+
+    def __init__(self, sim: Simulator, join: "Join", route: _Route,
+                 task_id: Optional[str], remote: Optional[bool] = None):
+        self.sim = sim
+        self.join = join
+        self.route = route
+        self.nbytes = None
+        self.remote = remote
+        # Built in place, with no ``__init__`` frame per leg.
+        legs = self.legs = []
+        for _ in range(1 + len(route.iopaths)):
+            leg = _Leg.__new__(_Leg)
+            leg.task_id = task_id
+            leg.join = join
+            legs.append(leg)
+
+    def post(self, nbytes: float) -> None:
+        """Move *nbytes* over the path: point the legs at the route's
+        steps for *nbytes*, set ``join.legs`` and post every leg for its
+        boot now, the device chain first.  Raises
+        :class:`SimulationError` if the join's legs from an earlier post
+        are still in flight, so a leg is in the calendar at most once."""
+        join = self.join
+        if join.legs:
+            raise SimulationError("a path's legs are still in flight")
+        obs = self.sim.obs
+        if obs is not None and self.remote is not None:
+            # Chunk-level hot path: meta counters only, no per-read spans.
+            obs.count("hdfs.reads")
+            obs.count("hdfs.read_bytes", nbytes)
+            if self.remote:
+                obs.count("hdfs.remote_reads")
+        legs = self.legs
+        if nbytes != self.nbytes:
+            self.nbytes = nbytes
+            for leg, steps in zip(legs, self.route.steps(nbytes)):
+                leg.steps = steps
+        profiler = prof.ACTIVE
+        if profiler is not None:
+            profiler.count("engine.leg_boots", len(legs))
+            profiler.count("engine.device_steps",
+                           sum(len(leg.steps) for leg in legs))
+            profiler.count("engine.count_offs", len(legs))
+            profiler.count("engine.join_fires")
+        join.legs = len(legs)
+        boot = _Leg.boot
+        for leg in legs:
+            leg.callbacks = boot
+        sim = self.sim
+        sim.calendar[sim.now].extend(legs)
+
+    #: A reader's name for :meth:`post`: it reads *nbytes* of the
+    #: replica.
+    read = post
+
+
 class _Leg(Transfer):
     """One leg of a data-path operation, run by callbacks.
 
     A leg is its own calendar entry and its own device transfer: it
-    posts itself for its boot at the current time, hands itself to each
-    step's device in turn — recording each step's trace interval and
-    starting the next step as it completes — and then posts itself to
-    count off its join.  It takes
-    the same calendar positions, in the same order, as a process that
-    ran the steps would: a boot event, each step's device events, a
-    completion event.  :meth:`HDFS._with_iopath` builds legs in place.
+    posts itself for its boot, hands itself to each step's device in
+    turn — recording each step's trace interval through the step's fold
+    handle and starting the next step as it completes — and then posts
+    itself to count off its join.  It takes the same calendar
+    positions, in the same order, as a process that ran the steps
+    would: a boot event, each step's device events, a completion event.
+    A :class:`_Path` builds its legs and posts them.
     """
 
-    __slots__ = ("trace", "steps", "task_id", "phase", "join", "_next")
+    __slots__ = ("steps", "task_id", "join", "_next")
 
     def boot(self) -> None:
         """The boot callback (the leg is the entry it is called with)."""
         steps = self.steps
         if steps:
             self._next = 1
-            _node, device, _label, self.nbytes, _kind = steps[0]
+            device, self.nbytes, _kind, _fold = steps[0]
             device.transfer(self)
         else:
             join = self.join
@@ -372,18 +484,17 @@ class _Leg(Transfer):
     def done(self) -> None:
         steps = self.steps
         i = self._next
-        node, device, label, nbytes, kind = steps[i - 1]
+        device, nbytes, kind, fold = steps[i - 1]
         sim = device.sim
         end = sim.now
         # The service completion's own expression, so the start is exact.
-        start = end - (device.latency + nbytes / device.bandwidth)
-        self.trace.add(start, end, node.name, label, kind, 1.0,
-                       self.task_id, self.phase)
+        fold.add(end - (device.latency + nbytes / device.bandwidth), end,
+                 kind, self.task_id)
         # The next step, or the count-off, run here rather than relayed.
         if i == len(steps):
             self.callbacks = self.join.count_off
             sim.calendar[end].append(self)
         else:
             self._next = i + 1
-            _node, device, _label, self.nbytes, _kind = steps[i]
+            device, self.nbytes, _kind, _fold = steps[i]
             device.transfer(self)

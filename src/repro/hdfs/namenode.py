@@ -67,9 +67,6 @@ class NameNode:
         except KeyError:
             raise KeyError(f"no such file: {file!r}") from None
 
-    def file_size(self, file: str) -> float:
-        return sum(b.size_bytes for b in self.blocks_of(file))
-
     def files(self) -> List[str]:
         return sorted(self._files)
 

@@ -7,8 +7,12 @@ model.  Its body is a plain generator of steps, run by callbacks
 the whole attempt.  The attempt is also the join of its own transfers
 (the join protocol of ``hdfs/filesystem.py``): the body starts each
 transfer with the attempt as its join, and the transfer's last leg
-posts the attempt to bill it.  The central mechanism is the *overlap
-credit* of the read/compute pipeline: per transfer the task pays
+posts the attempt to bill it.  A map task reads its block chunk by
+chunk over one resident HDFS reader (``hdfs/filesystem.py``), whose
+legs are built once and re-posted for every chunk, and yields one
+prebuilt step for all its full chunks.  The central mechanism is the
+*overlap credit* of the read/compute pipeline: per transfer the task
+pays
 
     t_disk + max(0, t_cpu − io_overlap · t_disk)
 
@@ -254,9 +258,14 @@ class _Attempt(Join):
     timeout per compute would take.
 
     What stays fixed for the attempt is read once: the node's clock,
-    the compute slowdown and the core's overlap.  The last CPU bill is
-    kept, so the node's ``io_bills`` is asked again only when the
-    transfer's bytes or user code change.
+    the compute slowdown, the core's overlap and the fold handles of
+    the node's core in the task's phase (``sim/trace.py``), so a record
+    finds its sums by device and activity.  The last transfer step is
+    kept with what it costs: its CPU bill, the scaled CPU time, its
+    cycles, its two interval kinds and the residual's fold handle.  A
+    map attempt yields one step tuple for all its full chunks, so these
+    are derived again only when the step changes, and the node's
+    ``io_bills`` is asked only then.
 
     The runner finds the task's process as ``Simulator.active_process``
     and resumes it synchronously, once, through :attr:`done`: when the
@@ -269,8 +278,9 @@ class _Attempt(Join):
     """
 
     __slots__ = ("task", "process", "done", "_next", "transfer", "t0",
-                 "kind", "activity", "device", "instr", "cycles",
-                 "freq_hz", "slowdown", "overlap", "bill_key", "bill")
+                 "kind", "fold", "instr", "cycles", "freq_hz", "slowdown",
+                 "overlap", "core", "last", "io_instr", "io_cpu", "io_act",
+                 "io_cycles", "io_fold", "wait_kind", "compute_kind")
 
     def __init__(self, task: _TaskBase):
         sim = self.sim = task.sim
@@ -278,12 +288,14 @@ class _Attempt(Join):
         if self.process is None:
             raise SimulationError("a task attempt must run inside a process")
         self.callbacks = None
+        self.legs = 0
         self.task = task
         node = task.node
         self.freq_hz = node.freq_hz
         self.slowdown = task.slowdown
         self.overlap = node.spec.core.io_overlap
-        self.bill_key = None
+        self.core = task.trace.fold_handles(node.name, "core", task.phase)
+        self.last = None
         self.done = sim.event()
         self._next = task._steps(self).__next__
         self._step()
@@ -303,8 +315,13 @@ class _Attempt(Join):
         sim = self.sim
         self.t0 = now = sim.now
         if step[0].__class__ is float:
-            seconds, self.kind, self.activity, self.device, instr = step
-            self.instr = instr
+            seconds, self.kind, activity, device, self.instr = step
+            if device == "core":
+                self.fold = self.core[activity]
+            else:
+                task = self.task
+                self.fold = task.trace.fold_handles(
+                    task.node.name, device, task.phase)[activity]
             self.cycles = seconds * self.freq_hz
             profiler = prof.ACTIVE
             if profiler is not None:
@@ -314,59 +331,62 @@ class _Attempt(Join):
         else:
             self.transfer = step
 
-    def joined(self, _attempt: "_Attempt") -> None:
-        """Bill the transfer that just finished, with overlap credit.
+    def _bill(self, step: tuple) -> None:
+        """Keep what transfer *step* costs, for as long as it is the
+        last step.
 
-        Records the wait interval.  The CPU bill depends only on the
-        node, the stage's ``io_ipb`` and the step, so it is priced once
-        per distinct value (:meth:`_TaskBase._price_io`) and kept in
-        the node's ``io_bills``; the attempt's slowdown is applied here.
+        The CPU bill depends only on the node, the stage's ``io_ipb``
+        and the step, so it is priced once per distinct value
+        (:meth:`_TaskBase._price_io`) and kept in the node's
+        ``io_bills``; the attempt's slowdown is applied here.
         """
+        task = self.task
+        kind, nbytes, user_ipb, user_profile = step
+        bills = task.node.io_bills
+        key = (task.stage.io_ipb, nbytes, user_ipb, user_profile)
+        bill = bills.get(key)
+        if bill is None:
+            bill = bills[key] = task._price_io(nbytes, user_ipb, user_profile)
+        self.io_instr, t_cpu, self.io_act = bill
+        t_cpu *= self.slowdown
+        self.io_cpu = t_cpu
+        self.io_cycles = t_cpu * self.freq_hz
+        self.io_fold = self.core[self.io_act]
+        self.wait_kind, self.compute_kind = _IO_KINDS[kind]
+        self.last = step
+
+    def joined(self, _attempt: "_Attempt") -> None:
+        """Bill the transfer that just finished, with overlap credit,
+        and record its wait interval."""
         if self.process.target is not self.done:
             self._next = None
             return
-        task = self.task
-        node = task.node
-        kind, nbytes, user_ipb, user_profile = self.transfer
+        if self.transfer is not self.last:
+            self._bill(self.transfer)
         t0 = self.t0
         sim = self.sim
         now = sim.now
         t_wait = now - t0
-        key = (nbytes, user_ipb, user_profile)
-        if key == self.bill_key:
-            bill = self.bill
-        else:
-            bills = node.io_bills
-            full_key = (task.stage.io_ipb, nbytes, user_ipb, user_profile)
-            bill = bills.get(full_key)
-            if bill is None:
-                bill = bills[full_key] = task._price_io(nbytes, user_ipb,
-                                                        user_profile)
-            self.bill_key = key
-            self.bill = bill
-        instr, t_cpu, activity = bill
-        t_cpu *= self.slowdown
+        t_cpu = self.io_cpu
         # ``max(0.0, x)`` and ``min(1.0, y)`` as comparisons: the same
         # floats, NaN included, without the builtin calls.
         residual = t_cpu - self.overlap * t_wait
         if not residual > 0.0:
             residual = 0.0
-        wait_kind, compute_kind = _IO_KINDS[kind]
         # Activity during the wait window accounts for the compute that
         # executed under the transfer, conserving compute energy.
         if t_wait > 0:
             hidden = t_cpu - residual
-            wait_act = _WAIT_ACTIVITY + (hidden / t_wait) * activity
+            wait_act = _WAIT_ACTIVITY + (hidden / t_wait) * self.io_act
             if not wait_act < 1.0:
                 wait_act = 1.0
-            task.trace.add(t0, now, node.name, "core", wait_kind, wait_act,
-                           task.task_id, task.phase)
+            self.core[wait_act].add(t0, now, self.wait_kind,
+                                    self.task.task_id)
         if residual > 0:
-            self.kind = compute_kind
-            self.activity = activity
-            self.device = "core"
-            self.instr = instr
-            self.cycles = t_cpu * self.freq_hz
+            self.kind = self.compute_kind
+            self.fold = self.io_fold
+            self.instr = self.io_instr
+            self.cycles = self.io_cycles
             self.t0 = now
             profiler = prof.ACTIVE
             if profiler is not None:
@@ -374,7 +394,7 @@ class _Attempt(Join):
             self.callbacks = self._computed
             sim.calendar[now + residual].append(self)
         else:
-            task.counters.charge(instr, t_cpu * self.freq_hz)
+            self.task.counters.charge(self.io_instr, self.io_cycles)
             self._step()
 
     def _computed(self, _attempt: "_Attempt") -> None:
@@ -383,8 +403,7 @@ class _Attempt(Join):
             self._next = None
             return
         task = self.task
-        task.trace.add(self.t0, self.sim.now, task.node.name, self.device,
-                       self.kind, self.activity, task.task_id, task.phase)
+        self.fold.add(self.t0, self.sim.now, self.kind, task.task_id)
         task.counters.charge(self.instr, self.cycles)
         self._step()
 
@@ -410,19 +429,23 @@ class MapTask(_TaskBase):
     def _steps(self, join: Join) -> Generator:
         yield self._startup()
         hdfs = self.hdfs
-        source = hdfs.pick_source(self.block, self.node)
-
-        # Chunked read/compute pipeline over the block.  The read loop
-        # covers progress 0 → 0.9; sort/spill/merge is the final 10%.
-        total = remaining = self.block.size_bytes
         stage = self.stage
+        reader = hdfs.reader(join, hdfs.pick_source(self.block, self.node),
+                             self.node, self.task_id, self.phase,
+                             stage.io_path_factor)
+
+        # Chunked read/compute pipeline over the block, on one resident
+        # reader.  The read loop covers progress 0 → 0.9;
+        # sort/spill/merge is the final 10%.
+        total = remaining = self.block.size_bytes
+        chunk_bytes = self.conf.chunk_bytes
+        full = ("map.read", chunk_bytes, stage.map_ipb, stage.map_profile)
         while remaining > 0:
-            chunk = min(self.conf.chunk_bytes, remaining)
+            chunk = min(chunk_bytes, remaining)
             remaining -= chunk
-            hdfs.read_span(join, source, self.node, chunk,
-                           task_id=self.task_id, phase=self.phase,
-                           io_factor=stage.io_path_factor)
-            yield "map.read", chunk, stage.map_ipb, stage.map_profile
+            reader.read(chunk)
+            yield full if chunk == chunk_bytes else (
+                "map.read", chunk, stage.map_ipb, stage.map_profile)
             self._progress_to(0.9 * (total - remaining) / total)
         self.counters.input_bytes += total
 

@@ -328,8 +328,8 @@ class Process(Event):
 
     #: ``target`` is the event the process waits on (after an
     #: interrupt, the interrupt's own event), or None before its first
-    #: resume.  A plain slot, read by callback code on its hot path;
-    #: only the engine writes it.
+    #: resume and once it has finished.  A plain slot, read by callback
+    #: code on its hot path; only the engine writes it.
     __slots__ = ("generator", "target", "_resume_cb", "_send", "_throw")
 
     def __init__(self, *_args, **_kwargs):
@@ -371,6 +371,12 @@ class Process(Event):
                     "silently skip it and strand every waiter") from None
             self._triggered = True
             self.value = stop.value
+            # A finished process waits on nothing.  Its last target may
+            # be a delivered interrupt, whose traceback holds the frame
+            # that refers back to the process: a reference cycle.  The
+            # stale-wakeup guard above returns on ``_triggered`` first,
+            # so it never reads the cleared slot.
+            self.target = None
             sim.calendar[sim.now].append(self)
             return
         except BaseException as exc:
@@ -379,6 +385,7 @@ class Process(Event):
             # is waiting, re-raise so bugs do not pass silently.
             if self.callbacks:
                 self.fail(exc)
+                self.target = None
                 return
             raise
         sim.active_process = None

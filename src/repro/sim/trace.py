@@ -16,6 +16,8 @@ simulator: then nothing reads its rows but the energy integrator
 (:func:`repro.arch.power.integrate_energy`), which reads the finished
 fold.  The integrator replays a kept trace's rows through the same
 fold, so both kinds of recorder give bit-identical breakdowns.
+Every record goes through a :class:`Fold` handle (see
+:class:`TraceRecorder`).
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ from math import inf
 from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
                     Tuple)
 
-__all__ = ["Interval", "TraceRecorder", "merge_intervals", "total_overlap",
-           "complement"]
+__all__ = ["Interval", "Fold", "TraceRecorder", "merge_intervals",
+           "total_overlap", "complement"]
 
 
 @dataclass(frozen=True)
@@ -69,6 +71,80 @@ class Interval:
             raise ValueError(f"activity must be within [0, 1]: {self}")
 
 
+class Fold:
+    """A fold handle: where the records of one ``(node, device, activity,
+    phase)`` combination go (see :class:`TraceRecorder`).
+
+    Built by :meth:`TraceRecorder.fold_handles` and resolved at its first
+    record, never before: a node, device or phase gets its sum in the
+    recorder's splits at its first record, so the splits come out in
+    first-recorded order.  :meth:`add` is the one place a record is
+    kept as a row or folded: one multiply, then four float additions,
+    in record order.
+    """
+
+    __slots__ = ("node", "device", "activity", "phase", "rows", "fold",
+                 "sums")
+
+    def __init__(self, node: str, device: str, activity: float, phase: str,
+                 rows: Optional[List[tuple]], fold: Optional[tuple]):
+        self.node = node
+        self.device = device
+        self.activity = activity
+        self.phase = phase
+        #: The recorder's row list if it keeps rows, else None.
+        self.rows = rows
+        #: The recorder's ``(uplift, joules, by_phase, by_device,
+        #: by_node)`` if it folds, else None.
+        self.fold = fold
+        #: ``(uplift, total, phase sum, device sum, node sum)`` once
+        #: resolved; each sum is a one-element list.
+        self.sums = None
+
+    def add(self, start: float, end: float, kind: str,
+            task_id: Optional[str]) -> None:
+        """Record one interval of this combination."""
+        if not 0.0 <= end - start < inf:
+            # Build the Interval so the caller gets the canonical
+            # validation error with the full record in it.
+            Interval(start, end, self.node, self.device, kind,
+                     self.activity, task_id, self.phase)
+        sums = self.sums
+        if sums is None:
+            rows = self.rows
+            if rows is not None:
+                rows.append((start, end, self.node, self.device, kind,
+                             self.activity, task_id, self.phase))
+                return
+            uplift, joules, by_phase, by_device, by_node = self.fold
+            sums = self.sums = (
+                uplift(self.node, self.device, self.activity), joules,
+                by_phase.setdefault(self.phase, [0.0]),
+                by_device.setdefault(self.device, [0.0]),
+                by_node.setdefault(self.node, [0.0]))
+        uplift, total, by_phase, by_device, by_node = sums
+        joules = uplift * (end - start)
+        total[0] += joules
+        by_phase[0] += joules
+        by_device[0] += joules
+        by_node[0] += joules
+
+
+class _FoldTable(dict):
+    """One node's device in one phase: its fold handles by activity, each
+    built at its first lookup."""
+
+    __slots__ = ("node", "device", "phase", "rows", "fold")
+
+    def __missing__(self, activity: float) -> Fold:
+        if not 0.0 <= activity <= 1.0:
+            raise ValueError(f"activity must be within [0, 1]: {activity!r} "
+                             f"({self.node}, {self.device}, {self.phase})")
+        handle = self[activity] = Fold(self.node, self.device, activity,
+                                       self.phase, self.rows, self.fold)
+        return handle
+
+
 class TraceRecorder:
     """Collects activity intervals and answers aggregate queries.
 
@@ -86,14 +162,21 @@ class TraceRecorder:
     idle floor — the recorder folds instead: each record adds
     ``uplift × duration`` joules to :meth:`energy_fold`'s totals and
     keeps no row, so ``len()`` stays 0 and every row query raises.
-    A trace repeats a handful of ``(node, device, activity, phase)``
-    combinations thousands of times, so each combination is resolved
-    once: its uplift and the four running sums it adds to, each held in
-    a one-element list.  A record then costs one lookup and four float
-    additions, made in record order.
+
+    Fold handles.  A trace repeats a handful of ``(node, device,
+    activity, phase)`` combinations thousands of times, so each
+    combination gets one :class:`Fold` handle: its uplift and the four
+    running sums it adds to, found at its first record.  Recording
+    code that knows its node, device and phase holds that combination's
+    table (:meth:`fold_handles`) and finds a handle by activity alone:
+    an HDFS path looks its steps' handles up once, and a task attempt
+    holds its node's core table for the ``core`` records of every
+    chunk.  No record builds or hashes a key of all four.  :meth:`add`
+    takes the same route through the tables, and a recorder that keeps
+    rows gets every row through :meth:`Fold.add` too.
     """
 
-    __slots__ = ("_rows", "_cache", "marks", "_uplift", "_targets",
+    __slots__ = ("_rows", "_cache", "marks", "_uplift", "_tables",
                  "_joules", "_by_phase", "_by_device", "_by_node")
 
     def __init__(self, uplift: Optional[Callable[[str, str, float], float]]
@@ -104,9 +187,8 @@ class TraceRecorder:
         self._cache: List[Interval] = []
         self.marks: List[Tuple[float, str]] = []
         self._uplift = uplift
-        #: (node, device, activity, phase) -> (uplift, total, phase sum,
-        #: device sum, node sum); each sum is a one-element list.
-        self._targets: Dict[tuple, tuple] = {}
+        #: (node, device, phase) -> that combination's fold handles.
+        self._tables: Dict[tuple, _FoldTable] = {}
         self._joules = [0.0]
         self._by_phase: Dict[str, List[float]] = {}
         self._by_device: Dict[str, List[float]] = {}
@@ -115,16 +197,12 @@ class TraceRecorder:
     # -- recording -------------------------------------------------------
     def record(self, interval: Interval) -> None:
         """Record an already-built (hence already-validated) interval."""
-        if self._uplift is not None:
-            self.add(interval.start, interval.end, interval.node,
-                     interval.device, interval.kind, interval.activity,
-                     interval.task_id, interval.phase)
-            return
-        if len(self._cache) == len(self._rows):
+        cached = len(self._cache) == len(self._rows)
+        self.add(interval.start, interval.end, interval.node,
+                 interval.device, interval.kind, interval.activity,
+                 interval.task_id, interval.phase)
+        if cached and self._uplift is None:
             self._cache.append(interval)
-        self._rows.append((interval.start, interval.end, interval.node,
-                           interval.device, interval.kind, interval.activity,
-                           interval.task_id, interval.phase))
 
     def add(self, start: float, end: float, node: str, device: str, kind: str,
             activity: float = 1.0, task_id: Optional[str] = None,
@@ -134,32 +212,29 @@ class TraceRecorder:
             # Invalid record: build the Interval so the caller gets the
             # canonical validation error with the full record in it.
             Interval(start, end, node, device, kind, activity, task_id, phase)
-        if self._uplift is None:
-            self._rows.append((start, end, node, device, kind, activity,
-                               task_id, phase))
-            return
-        key = (node, device, activity, phase)
-        targets = self._targets.get(key)
-        if targets is None:
-            targets = self._targets[key] = self._resolve(key)
-        uplift, total, by_phase, by_device, by_node = targets
-        joules = uplift * (end - start)
-        total[0] += joules
-        by_phase[0] += joules
-        by_device[0] += joules
-        by_node[0] += joules
+        self.fold_handles(node, device, phase)[activity].add(
+            start, end, kind, task_id)
 
-    def _resolve(self, key: tuple) -> tuple:
-        """The uplift and running sums a new combination adds to.
-
-        A node, device or phase gets its sum at its first record, so the
-        splits come out in first-recorded order.
-        """
-        node, device, activity, phase = key
-        return (self._uplift(node, device, activity), self._joules,
-                self._by_phase.setdefault(phase, [0.0]),
-                self._by_device.setdefault(device, [0.0]),
-                self._by_node.setdefault(node, [0.0]))
+    def fold_handles(self, node: str, device: str, phase: str
+                     ) -> Dict[float, Fold]:
+        """The :class:`Fold` handles of *device* on *node* in *phase*,
+        keyed by activity; a missing one is built at its first lookup
+        (an activity outside [0, 1] raises ``ValueError``)."""
+        key = (node, device, phase)
+        table = self._tables.get(key)
+        if table is None:
+            table = self._tables[key] = _FoldTable()
+            table.node = node
+            table.device = device
+            table.phase = phase
+            if self._uplift is None:
+                table.rows = self._rows
+                table.fold = None
+            else:
+                table.rows = None
+                table.fold = (self._uplift, self._joules, self._by_phase,
+                              self._by_device, self._by_node)
+        return table
 
     def mark(self, time: float, label: str) -> None:
         """Record a point event (job submitted, phase boundary...)."""

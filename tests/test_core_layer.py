@@ -37,9 +37,6 @@ class TestCharacterizer:
         point = cost_point(key, characterizer.run(key))
         assert point.area_mm2 == pytest.approx(80.0)  # 4 * 20 mm^2
 
-    def test_speedup_helper(self, characterizer):
-        assert characterizer.speedup_atom_to_xeon("wordcount") > 1.0
-
     def test_describe_is_readable(self):
         text = RunKey("xeon", "sort", freq_ghz=1.4).describe()
         assert "sort" in text and "xeon" in text and "1.4" in text

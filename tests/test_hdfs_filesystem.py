@@ -100,6 +100,62 @@ class TestReads:
         assert elapsed > 2 * disk_only
 
 
+class _Tally(filesystem.Join):
+    """A join that can fire again: it notes each time it fires."""
+
+    __slots__ = ("fired",)
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.callbacks = None
+        self.legs = 0
+        self.fired = []
+
+    def joined(self, _join):
+        self.fired.append(self.sim.now)
+
+
+class TestResidentReader:
+    """A reader builds its legs once and re-posts them for every read."""
+
+    def test_reads_record_what_fresh_reads_would(self):
+        sizes = (32 * MB, 32 * MB, 8 * MB)
+
+        def run(resident):
+            sim, cluster = _cluster()
+            hdfs = HDFS(cluster, 64 * MB)
+            join = _Tally(sim)
+            reader = hdfs.reader(join, "xeon1", cluster.nodes[0], "m0")
+            for nbytes in sizes:
+                if resident:
+                    reader.read(nbytes)
+                else:
+                    hdfs.read_span(join, "xeon1", cluster.nodes[0], nbytes,
+                                   task_id="m0")
+                sim.run()
+            return join.fired, sim.event_count, cluster.trace.rows
+
+        assert run(True) == run(False)
+        fired, _events, _rows = run(True)
+        assert len(fired) == len(sizes)
+
+    @pytest.mark.parametrize("source", ["xeon0", "xeon1"])
+    def test_read_while_legs_in_flight_raises(self, source):
+        """A second read before the first's legs have counted off would
+        put a leg in the calendar twice; it raises and posts nothing."""
+        sim, cluster = _cluster()
+        hdfs = HDFS(cluster, 64 * MB)
+        join = _Tally(sim)
+        reader = hdfs.reader(join, source, cluster.nodes[0])
+        reader.read(8 * MB)
+        pending = sim.pending
+        with pytest.raises(SimulationError, match="still in flight"):
+            reader.read(8 * MB)
+        assert sim.pending == pending
+        sim.run()
+        assert len(join.fired) == 1
+
+
 class TestWrites:
     def test_replicated_write_touches_other_nodes(self):
         sim, cluster = _cluster()

@@ -61,7 +61,6 @@ class TestLookups:
         nn.register_file("f", split_input("f", 250, 100))
         assert nn.files() == ["f"]
         assert len(nn.blocks_of("f")) == 3
-        assert nn.file_size("f") == pytest.approx(250)
 
     def test_missing_file(self):
         nn = NameNode(NODES)

@@ -6,6 +6,7 @@ import dataclasses
 import gc
 import hashlib
 import math
+from types import SimpleNamespace
 
 import pytest
 
@@ -164,13 +165,18 @@ class TestMapReader:
     def test_no_read_after_an_interrupt_mid_read(self, at, end, events):
         sim, _cluster, hdfs, task, counters = self._task()
         reads = []
-        read_span = hdfs.read_span
+        reader = hdfs.reader
 
         def spy(*args, **kwargs):
-            reads.append(sim.now)
-            return read_span(*args, **kwargs)
+            read = reader(*args, **kwargs).read
 
-        hdfs.read_span = spy
+            def spied(nbytes):
+                reads.append(sim.now)
+                read(nbytes)
+
+            return SimpleNamespace(read=spied)
+
+        hdfs.reader = spy
         interrupted = []
 
         def slot_worker():
@@ -391,12 +397,14 @@ class TestNoReferenceCycles:
 
     def test_no_ended_attempt_is_cyclic_garbage(self):
         """Attempts that end by an exception or an interrupt (failed,
-        killed by a speculation loss or a crash) are freed too.  (An
-        interrupted slot keeps its last task alive through the
-        interrupt's traceback, so tasks are not checked here.)"""
+        killed by a speculation loss or a crash) are freed too, and so
+        are their tasks: a slot process that ends after an interrupt no
+        longer keeps the interrupt, whose traceback holds the slot's
+        last task, as its target."""
         conf = dataclasses.replace(
             DEFAULT_CONF, speculative_execution=True,
             fault_plan=FaultPlan(
                 seed=3, task_fail_prob=0.1, straggler_prob=0.2,
                 node_faults=(NodeFault("atom2", crash_at_s=40.0),)))
-        assert _cyclic_garbage("wordcount", conf, tasks._Attempt) == []
+        assert _cyclic_garbage("wordcount", conf, (
+            tasks._Attempt, MapTask, ReduceTask)) == []

@@ -212,16 +212,6 @@ class RequestTelemetry:
             self._ring.append(trace)
             self.completed += 1
 
-    def get(self, trace_id: str) -> Optional[RequestTrace]:
-        with self._lock:
-            found = self._inflight.get(trace_id)
-            if found is not None:
-                return found
-            for trace in self._ring:
-                if trace.id == trace_id:
-                    return trace
-        return None
-
     def recent(self, limit: Optional[int] = None) -> List[RequestTrace]:
         """Most recently completed traces, newest first."""
         with self._lock:

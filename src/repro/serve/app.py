@@ -19,7 +19,10 @@ compact separators) and a pure function of the request body, so
 identical requests get byte-identical bodies whether they were
 computed, coalesced, or served from cache — the serving path is
 reported in the ``X-Repro-Source`` header instead, and the request's
-trace id (when telemetry is on) in ``X-Repro-Request-Id``.
+trace id (when telemetry is on) in ``X-Repro-Request-Id``.  Bodies are
+spliced from each cell's canonical encoding, which the app keeps (see
+:meth:`SimulationApp._encode`), so a cell served again is not encoded
+again.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import math
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..analysis.executor import MEMORY_ENTRIES
 from ..analysis.experiments import ALL_EXPERIMENTS
 from ..arch.dvfs import GHZ
 from ..arch.presets import MACHINES
@@ -38,8 +42,8 @@ from ..mapreduce.driver import JobResult
 from ..obs import reqtrace, slog
 from ..obs.export import request_json
 from ..obs.reqtrace import RequestTrace
-from ..workloads.base import all_workloads
-from .http import BadRequest, Request, Response
+from ..workloads.base import all_workloads, workload
+from .http import BadRequest, Request, Response, canonical_json
 from .service import (ComputeError, Draining, Overloaded, RequestTimeout,
                       SimulationService)
 
@@ -57,7 +61,7 @@ _KEY_FIELDS: Tuple[Tuple[str, type, bool], ...] = (
     ("cores_per_node", int, False),
     ("map_slots_per_node", int, False),
 )
-_OPTIONAL_NONE = ("cores_per_node", "map_slots_per_node")
+_KEY_NAMES = frozenset(name for name, _, _ in _KEY_FIELDS)
 
 _COMPARE_GOALS = {"EDP": 1, "ED2P": 2, "ED3P": 3}
 
@@ -135,8 +139,13 @@ def _check_bounds(key: RunKey) -> None:
                          f"got {key.block_size_mb!r}")
 
 
-def parse_run_key(doc: Dict[str, object],
-                  extra_allowed: Sequence[str] = ()) -> RunKey:
+def _unknown_fields(doc: Dict[str, object]) -> None:
+    if not _KEY_NAMES.issuperset(doc):
+        unknown = sorted(set(doc) - _KEY_NAMES)
+        raise BadRequest(f"unknown fields: {', '.join(unknown)}")
+
+
+def parse_run_key(doc: Dict[str, object]) -> RunKey:
     """Validate a request document into a :class:`RunKey` (400 on error).
 
     Beyond types, a cell must be one the model can run (a frequency in
@@ -145,10 +154,7 @@ def parse_run_key(doc: Dict[str, object],
     """
     if not isinstance(doc, dict):
         raise BadRequest("body must be a JSON object")
-    known = {name for name, _, _ in _KEY_FIELDS}
-    unknown = sorted(set(doc) - known - set(extra_allowed))
-    if unknown:
-        raise BadRequest(f"unknown fields: {', '.join(unknown)}")
+    _unknown_fields(doc)
     kwargs = {}
     for name, kind, required in _KEY_FIELDS:
         value = doc.get(name)
@@ -161,10 +167,12 @@ def parse_run_key(doc: Dict[str, object],
         raise BadRequest(
             f"unknown machine {kwargs['machine']!r}; "
             f"available: {sorted(MACHINES)}")
-    if kwargs["workload"] not in all_workloads():
+    try:
+        workload(kwargs["workload"])
+    except KeyError:
         raise BadRequest(
             f"unknown workload {kwargs['workload']!r}; "
-            f"available: {sorted(all_workloads())}")
+            f"available: {sorted(all_workloads())}") from None
     key = RunKey(**kwargs)
     _check_bounds(key)
     return key
@@ -214,6 +222,9 @@ class SimulationApp:
 
     def __init__(self, service: SimulationService):
         self.service = service
+        #: Encoded cell payloads (see :meth:`_encode`).  Owned by the
+        #: app, not the module, so a new stack starts with none.
+        self._encoded: Dict[object, bytes] = {}
         plan_limits()       # derive the request bounds before serving
         self._routes = {
             ("POST", "/simulate"): self._simulate,
@@ -329,9 +340,9 @@ class SimulationApp:
 
     async def _simulate(self, request: Request) -> Response:
         key = parse_run_key(request.json_body())
-        result, source = await self.service.submit(key)
-        return Response.json({"result": result_payload(key, result)},
-                             headers=_source_header([source]))
+        ((key_hex, result, source),) = await self.service.submit([key])
+        body = b'{"result":' + self._encode(key_hex, key, result) + b"}"
+        return Response(body=body, headers=_source_header([source]))
 
     async def _sweep(self, request: Request) -> Response:
         doc = request.json_body()
@@ -343,19 +354,17 @@ class SimulationApp:
             raise BadRequest(
                 f"sweep of {len(keys)} cells exceeds the per-request "
                 f"limit of {limit}", status=413)
-        outcomes = await self.service.submit_many(keys)
-        rows = [result_payload(key, result)
-                for key, (result, _source) in zip(keys, outcomes)]
-        return Response.json(
-            {"cells": len(rows), "results": rows},
-            headers=_source_header([source for _r, source in outcomes]))
+        cells = await self.service.submit(keys)
+        rows = b",".join(self._encode(key_hex, key, result)
+                         for key, (key_hex, result, _source)
+                         in zip(keys, cells))
+        body = b'{"cells":%d,"results":[%s]}' % (len(keys), rows)
+        return Response(body=body, headers=_source_header(
+            [source for _h, _r, source in cells]))
 
     def _expand_axes(self, doc: Dict[str, object]) -> List[RunKey]:
         """Cartesian product of list-valued fields, in field order."""
-        known = {name for name, _, _ in _KEY_FIELDS}
-        unknown = sorted(set(doc) - known)
-        if unknown:
-            raise BadRequest(f"unknown fields: {', '.join(unknown)}")
+        _unknown_fields(doc)
         cells: List[Dict[str, object]] = [{}]
         for name, _kind, _required in _KEY_FIELDS:
             if name not in doc:
@@ -374,7 +383,7 @@ class SimulationApp:
         if not isinstance(doc, dict):
             raise BadRequest("body must be a JSON object")
         goal = doc.pop("goal", "EDP")
-        if goal not in _COMPARE_GOALS:
+        if not isinstance(goal, str) or goal not in _COMPARE_GOALS:
             raise BadRequest(
                 f"unknown goal {goal!r}; available: "
                 f"{sorted(_COMPARE_GOALS)}")
@@ -385,35 +394,57 @@ class SimulationApp:
         machines = sorted(MACHINES)
         keys = [parse_run_key(dict(doc, machine=machine))
                 for machine in machines]
-        outcomes = await self.service.submit_many(keys)
-        candidates: Dict[str, Dict[str, object]] = {}
+        cells = await self.service.submit(keys)
+        candidates: List[bytes] = []
         costs: Dict[str, float] = {}
-        for key, (result, _source) in zip(keys, outcomes):
-            payload = result_payload(key, result)
+        for key, (key_hex, result, _source) in zip(keys, cells):
             cost = edxp(result.dynamic_energy_j,
                         result.execution_time_s, exponent)
-            payload["cost"] = cost
-            candidates[key.machine] = payload
             costs[key.machine] = cost
+            candidates.append(canonical_json(key.machine) + b":"
+                              + self._encode((key_hex, goal), key, result,
+                                             cost=cost))
         winner = min(machines, key=lambda m: (costs[m], m))
         others = [m for m in machines if m != winner]
         runner_up = min(others, key=lambda m: (costs[m], m))
         ratio = (costs[winner] / costs[runner_up]
                  if costs[runner_up] else 0.0)
-        body = {
+        rest = canonical_json({
             "workload": doc.get("workload"),
             "goal": goal,
-            "candidates": candidates,
             "winner": winner,
             "cost_ratio_winner_over_runner_up": ratio,
             "recommendation": (
                 f"{winner} wins on {goal}: {costs[winner]:.4g} vs "
                 f"{costs[runner_up]:.4g} for {runner_up} "
                 f"({ratio:.3g}x)"),
-        }
-        return Response.json(
-            body,
-            headers=_source_header([source for _r, source in outcomes]))
+        })
+        # "candidates" sorts before every other key of the body.
+        body = (b'{"candidates":{' + b",".join(candidates) + b"},"
+                + rest[1:])
+        return Response(body=body, headers=_source_header(
+            [source for _h, _r, source in cells]))
+
+    def _encode(self, memo_key, key: RunKey, result: JobResult,
+                **extra: float) -> bytes:
+        """The canonical JSON of one cell's payload (plus *extra*
+        fields), encoded once per *memo_key* and then reused.
+
+        A cell's ``key_hex`` fixes its payload; a ``/compare`` candidate
+        adds its cost, so it is remembered under ``(key_hex, goal)``.
+        The memo keeps at most :data:`MEMORY_ENTRIES` encodings and
+        evicts the oldest first.
+        """
+        memo = self._encoded
+        encoded = memo.get(memo_key)
+        if encoded is None:
+            payload = result_payload(key, result)
+            payload.update(extra)
+            encoded = canonical_json(payload)
+            if len(memo) >= MEMORY_ENTRIES:
+                del memo[next(iter(memo))]
+            memo[memo_key] = encoded
+        return encoded
 
     async def _healthz(self, request: Request) -> Response:
         if self.service.draining:

@@ -14,13 +14,14 @@ stragglers — the mechanics behind zero-5xx SIGTERM restarts.
 from __future__ import annotations
 
 import asyncio
+import json
 import time
 from dataclasses import dataclass
 from typing import Awaitable, Callable, Dict, Optional, Tuple
 from urllib.parse import parse_qsl, urlsplit
 
 __all__ = ["BadRequest", "HTTPServer", "Request", "Response",
-           "STATUS_REASONS"]
+           "STATUS_REASONS", "canonical_json"]
 
 #: Reason phrases for every status the service emits.
 STATUS_REASONS = {
@@ -40,6 +41,19 @@ STATUS_REASONS = {
 _MAX_HEADER_BYTES = 32 * 1024
 _MAX_BODY_BYTES = 4 * 1024 * 1024
 _MAX_REQUESTS_PER_CONN = 10_000
+
+
+def canonical_json(payload) -> bytes:
+    """Canonical JSON: sorted keys, compact separators.
+
+    The canonical encoding is what makes "N identical requests get
+    byte-identical bodies" a testable guarantee rather than an accident
+    of dict ordering.  It also composes: an object's encoding is its
+    members' encodings joined in sorted key order, so a body may be
+    spliced from cached member encodings.
+    """
+    return json.dumps(payload, sort_keys=True,
+                      separators=(",", ":")).encode("utf-8")
 
 
 class BadRequest(Exception):
@@ -66,12 +80,13 @@ class Request:
 
     def json_body(self):
         """Decode the body as JSON, mapping failures to 400."""
-        import json
         if not self.body:
             return {}
         try:
             return json.loads(self.body.decode("utf-8"))
-        except ValueError as exc:      # bad UTF-8, bad JSON, huge ints
+        # Bad UTF-8, bad JSON and huge ints raise ValueError; nesting
+        # deeper than the decoder's recursion limit raises RecursionError.
+        except (ValueError, RecursionError) as exc:
             raise BadRequest(f"body is not valid JSON: {exc}") from exc
 
 
@@ -87,15 +102,8 @@ class Response:
     @classmethod
     def json(cls, payload, status: int = 200,
              headers: Tuple[Tuple[str, str], ...] = ()) -> "Response":
-        """Canonical JSON response: sorted keys, compact separators.
-
-        The canonical encoding is what makes "N identical requests get
-        byte-identical bodies" a testable guarantee rather than an
-        accident of dict ordering.
-        """
-        import json
-        text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return cls(status=status, body=text.encode("utf-8"),
+        """A response whose body is :func:`canonical_json` of *payload*."""
+        return cls(status=status, body=canonical_json(payload),
                    content_type="application/json", headers=headers)
 
     @classmethod

@@ -5,6 +5,9 @@ The what-if API is a thin traffic layer over one pure function
 result is fully determined by its :func:`~repro.analysis.executor.cache_key`,
 the service can be aggressive about sharing work:
 
+* **One pass per request** — a request's cells are probed and admitted
+  in one await-free pass, and the request then waits once for the cells
+  not already in hand; a warm request runs no task and no wait at all.
 * **Request coalescing** — identical in-flight requests await one
   shared future; only the first admission reaches the process pool.
 * **Single-flight cache fill** — the coalescing map doubles as the
@@ -60,6 +63,10 @@ __all__ = ["ComputeError", "Overloaded", "RequestTimeout", "Draining",
 #: enqueue perf-stamp or 0.0).  The trace lets the drain loop attribute
 #: queue-wait and pool-execution spans to the admitting request.
 _Entry = Tuple[str, RunKey, Optional[RequestTrace], float]
+
+#: A cell a request waits on: (its index in the request, the shared
+#: in-flight future, whether the request joined another's computation).
+_Wait = Tuple[int, asyncio.Future, bool]
 
 
 class Overloaded(Exception):
@@ -229,7 +236,7 @@ class ServiceStats:
 class SimulationService:
     """Owns the pool, the coalescing map, the cache, and the counters.
 
-    Lifecycle: ``await start()`` → ``await submit(...)`` from any number
+    Lifecycle: ``await start()`` → ``await submit(keys)`` from any number
     of concurrent handlers → ``await drain()`` (graceful) or
     ``await stop()`` (immediate).
     """
@@ -321,114 +328,122 @@ class SimulationService:
         """Cells admitted and not yet completed (queued + executing)."""
         return self._admitted
 
-    async def submit(self, key: RunKey) -> Tuple[JobResult, str]:
-        """Resolve one cell; returns ``(result, source)``.
+    async def submit(self, keys: Sequence[RunKey]
+                     ) -> List[Tuple[str, JobResult, str]]:
+        """Resolve a request's cells; one ``(key_hex, result, source)``
+        per key, in order.
 
+        ``key_hex`` is the cell's :func:`~repro.analysis.executor.cache_key`.
         ``source`` is ``"cache"``, ``"computed"`` or ``"coalesced"`` —
         reported in a response *header*, never the body, so identical
         requests keep byte-identical bodies whatever path served them.
 
+        One pass probes every cell once (the coalescing map, then the
+        cache) and admits the misses; the request then waits once, under
+        its deadline, for the cells not already in hand.  A request with
+        a shed cell is shed whole: partial sweep results are worse than
+        an honest 429, and the already-admitted sibling cells still
+        complete and land in the cache, so the retry is cheap.
+
         Raises :class:`Overloaded`, :class:`RequestTimeout`,
         :class:`Draining` or :class:`ComputeError`.
         """
-        # NOTE: everything from the coalescing probe to enqueueing is
-        # await-free, so the check-then-register sequence is atomic
-        # under the event loop — two racing identical requests can
-        # never both become the single flight.
-        trace = None
-        if self.telemetry is not None:
-            trace = reqtrace.current()
-        key_hex = cache_key(key, self.conf)
-        existing = self._inflight.get(key_hex)
-        if existing is not None:
-            self.stats.coalesced.inc()
-            result = await self._await_result(existing, trace, joined=True)
-            return result, "coalesced"
+        trace = reqtrace.current() if self.telemetry is not None else None
+        cache = self.cache
+        inflight = self._inflight
+        resolved: List[Tuple[str, Optional[JobResult], str]] = []
+        waits: List[_Wait] = []
+        refused: Optional[Exception] = None
+        # NOTE: the pass contains no await, so each cell's
+        # check-then-register sequence is atomic under the event loop —
+        # two racing identical requests can never both become the
+        # single flight.
+        for key in keys:
+            key_hex = cache_key(key, self.conf)
+            future = inflight.get(key_hex)
+            if future is not None:
+                self.stats.coalesced.inc()
+                waits.append((len(resolved), future, True))
+                resolved.append((key_hex, None, "coalesced"))
+                continue
+            if cache is not None:
+                t0 = time.perf_counter() if trace is not None else 0.0
+                hit = cache.get(key_hex, key, self.conf)
+                if trace is not None:
+                    trace.add_span("cache.get", t0, time.perf_counter(),
+                                   hit=hit is not None)
+                if hit is not None:
+                    resolved.append((key_hex, hit, "cache"))
+                    continue
+            if self.draining:
+                refused = refused or Draining("service is draining")
+                continue
+            if self._admitted >= self.config.queue_limit:
+                self.stats.shed.inc()
+                refused = refused or Overloaded(
+                    f"admission queue full ({self.config.queue_limit} "
+                    f"cells)")
+                continue
+            assert self._loop is not None, "service not started"
+            future = self._loop.create_future()
+            # Swallow "exception never retrieved" when every waiter
+            # timed out or was shed before the worker failed; the error
+            # is still surfaced to any waiter that is left.
+            future.add_done_callback(
+                lambda f: f.exception() if not f.cancelled() else None)
+            inflight[key_hex] = future
+            self._admitted += 1
+            enq_t = time.perf_counter() if trace is not None else 0.0
+            self._queue.put_nowait((key_hex, key, trace, enq_t))
+            waits.append((len(resolved), future, False))
+            resolved.append((key_hex, None, "computed"))
+        if refused is not None:
+            raise refused
+        if waits:
+            await self._wait(resolved, waits, trace)
+        return resolved
 
-        if self.cache is not None:
-            hit = self._cache_get(key_hex, key, trace)
-            if hit is not None:
-                return hit, "cache"
+    async def _wait(self, resolved: List[Tuple[str, Optional[JobResult], str]],
+                    waits: Sequence[_Wait],
+                    trace: Optional[RequestTrace]) -> None:
+        """Wait once for the request's pending cells, then fill them in.
 
-        if self.draining:
-            raise Draining("service is draining")
-        if self._admitted >= self.config.queue_limit:
-            self.stats.shed.inc()
-            raise Overloaded(
-                f"admission queue full ({self.config.queue_limit} cells)")
-
-        assert self._loop is not None, "service not started"
-        future: asyncio.Future = self._loop.create_future()
-        # Swallow "exception never retrieved" when every waiter timed
-        # out before the worker failed; the error is still surfaced to
-        # any waiter that is left.
-        future.add_done_callback(
-            lambda f: f.exception() if not f.cancelled() else None)
-        self._inflight[key_hex] = future
-        self._admitted += 1
-        enq_t = time.perf_counter() if trace is not None else 0.0
-        self._queue.put_nowait((key_hex, key, trace, enq_t))
-        result = await self._await_result(future, trace, joined=False)
-        return result, "computed"
-
-    def _cache_get(self, key_hex: str, key: RunKey,
-                   trace: Optional[RequestTrace]) -> Optional[JobResult]:
-        """Probe the persistent cache, timed on the request trace."""
-        assert self.cache is not None
-        t0 = time.perf_counter()
-        hit = self.cache.get(key_hex, key, self.conf)
-        if trace is not None:
-            trace.add_span("cache.get", t0, time.perf_counter(),
-                           hit=hit is not None)
-        return hit
-
-    async def _await_result(self, future: asyncio.Future,
-                            trace: Optional[RequestTrace] = None,
-                            joined: bool = False) -> JobResult:
-        """Wait for a shared in-flight future under the request deadline.
-
-        The ``coalesce.wait`` span covers both roles — the request that
-        admitted the computation (``joined=False``) and every identical
-        request riding along (``joined=True``) — so a slow trace shows
-        who waited on whom.
+        Each cell gets a ``coalesce.wait`` span: ``joined=False`` for the
+        request that admitted the computation, ``joined=True`` for one
+        riding along on another's, so a slow trace shows who waited on
+        whom.  The computations are never cancelled: a cell that misses
+        the deadline still lands in the cache for the retry.
         """
         t0 = time.perf_counter() if trace is not None else 0.0
-        try:
-            result = await asyncio.wait_for(
-                asyncio.shield(future), self.config.request_timeout_s)
-        except asyncio.TimeoutError:
-            self.stats.timeouts.inc()
+        await asyncio.wait({future for _c, future, _j in waits},
+                           timeout=self.config.request_timeout_s)
+        t1 = time.perf_counter() if trace is not None else 0.0
+        errors: List[Exception] = []
+        for index, future, joined in waits:
+            if not future.done():
+                self.stats.timeouts.inc()
+                if trace is not None:
+                    trace.add_span("coalesce.wait", t0, t1, joined=joined,
+                                   timeout=True)
+                errors.append(RequestTimeout(
+                    f"no result within {self.config.request_timeout_s:g}s "
+                    f"(the computation continues; retry to pick it up "
+                    f"from the cache)"))
+                continue
             if trace is not None:
-                trace.add_span("coalesce.wait", t0, time.perf_counter(),
-                               joined=joined, timeout=True)
-            raise RequestTimeout(
-                f"no result within {self.config.request_timeout_s:g}s "
-                f"(the computation continues; retry to pick it up from "
-                f"the cache)") from None
-        if trace is not None:
-            trace.add_span("coalesce.wait", t0, time.perf_counter(),
-                           joined=joined)
-        return result
-
-    async def submit_many(self, keys: Sequence[RunKey]
-                          ) -> List[Tuple[JobResult, str]]:
-        """Resolve a batch of cells concurrently (sweep / compare).
-
-        Sheds the whole request if any cell is shed: partial sweep
-        results are worse than an honest 429, and the already-admitted
-        sibling cells still complete and land in the cache, so the
-        retry is cheap.
-        """
-        outcomes = await asyncio.gather(
-            *(self.submit(key) for key in keys), return_exceptions=True)
-        for cls in (Overloaded, Draining, RequestTimeout):
-            for outcome in outcomes:
-                if isinstance(outcome, cls):
-                    raise outcome
-        for outcome in outcomes:
-            if isinstance(outcome, BaseException):
-                raise outcome
-        return list(outcomes)
+                trace.add_span("coalesce.wait", t0, t1, joined=joined)
+            exc = future.exception()
+            if exc is not None:
+                errors.append(exc)
+            else:
+                key_hex, _pending, source = resolved[index]
+                resolved[index] = (key_hex, future.result(), source)
+        for cls in (Draining, RequestTimeout):
+            for exc in errors:
+                if isinstance(exc, cls):
+                    raise exc
+        if errors:
+            raise errors[0]
 
     # -- the pool-facing side ---------------------------------------------
 

@@ -97,8 +97,6 @@ class TestRing:
         assert tel.evicted == 2
         kept = [t.id for t in tel.recent()]
         assert kept == [traces[4].id, traces[3].id, traces[2].id]
-        assert tel.get(traces[0].id) is None
-        assert tel.get(traces[4].id) is traces[4]
 
     def test_recent_limit_and_inflight_ordering(self):
         tel = _telemetry(ring=8)

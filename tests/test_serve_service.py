@@ -46,6 +46,12 @@ def _config(tmp_path, **overrides):
     return ServiceConfig(**base)
 
 
+async def _submit(service, key):
+    """Resolve one cell through the service: ``(result, source)``."""
+    ((_key_hex, result, source),) = await service.submit([key])
+    return result, source
+
+
 async def _with_service(config, fn):
     service = SimulationService(config)
     await service.start()
@@ -60,7 +66,7 @@ async def _with_service(config, fn):
 def test_concurrent_identical_submits_coalesce_to_one_flight(tmp_path):
     async def scenario(service):
         outcomes = await asyncio.gather(
-            *(service.submit(KEY) for _ in range(8)))
+            *(_submit(service, KEY) for _ in range(8)))
         return outcomes
 
     outcomes = asyncio.run(
@@ -73,7 +79,7 @@ def test_concurrent_identical_submits_coalesce_to_one_flight(tmp_path):
 
 def test_coalesced_flight_makes_exactly_one_executor_submission(tmp_path):
     async def scenario(service):
-        await asyncio.gather(*(service.submit(KEY) for _ in range(8)))
+        await asyncio.gather(*(_submit(service, KEY) for _ in range(8)))
         return (service.stats.submissions.value,
                 service.stats.cells.value,
                 service.stats.coalesced.value)
@@ -87,7 +93,7 @@ def test_coalesced_flight_makes_exactly_one_executor_submission(tmp_path):
 
 def test_result_matches_direct_simulate_cell(tmp_path):
     async def scenario(service):
-        result, source = await service.submit(KEY)
+        result, source = await _submit(service, KEY)
         return result, source
 
     result, source = asyncio.run(
@@ -102,10 +108,10 @@ def test_second_run_is_served_from_cache(tmp_path):
     config = _config(tmp_path)
 
     async def first(service):
-        return await service.submit(KEY)
+        return await _submit(service, KEY)
 
     async def second(service):
-        return await service.submit(KEY)
+        return await _submit(service, KEY)
 
     asyncio.run(_with_service(config, first))
     result, source = asyncio.run(_with_service(config, second))
@@ -117,7 +123,7 @@ def test_submit_hashes_a_cell_once(tmp_path, monkeypatch):
     from repro.analysis import executor
     from repro.serve import service as service_mod
     config = _config(tmp_path)
-    asyncio.run(_with_service(config, lambda service: service.submit(KEY)))
+    asyncio.run(_with_service(config, lambda service: _submit(service, KEY)))
     calls = []
 
     def counting(key, conf):
@@ -128,7 +134,7 @@ def test_submit_hashes_a_cell_once(tmp_path, monkeypatch):
     monkeypatch.setattr(service_mod, "cache_key", counting)
 
     async def warm(service):
-        return [(await service.submit(KEY))[1] for _ in range(2)]
+        return [(await _submit(service, KEY))[1] for _ in range(2)]
 
     assert asyncio.run(_with_service(config, warm)) == ["cache", "cache"]
     assert calls == [KEY, KEY]
@@ -146,7 +152,7 @@ def test_cache_shards_are_populated_on_disk(tmp_path):
     config = _config(tmp_path, shards=4)
 
     async def scenario(service):
-        await asyncio.gather(*(service.submit(k) for k in FOUR_KEYS))
+        await asyncio.gather(*(_submit(service, k) for k in FOUR_KEYS))
 
     asyncio.run(_with_service(config, scenario))
     shard_dirs = sorted(p.name for p in (tmp_path / "cache").iterdir())
@@ -168,7 +174,7 @@ def _batch_split(tmp_path, **overrides):
 
         async def one(key, trace):
             with reqtrace.use(trace):
-                await service.submit(key)
+                await _submit(service, key)
 
         await asyncio.gather(*(one(k, tr)
                                for k, tr in zip(FOUR_KEYS, traces)))
@@ -209,14 +215,14 @@ def test_split_batches_keep_results_and_bodies_byte_identical(tmp_path):
     async def main(workers):
         config = _config(tmp_path / f"w{workers}", workers=workers)
         results = await _with_service(
-            config, lambda service: service.submit_many(FOUR_KEYS))
+            config, lambda service: service.submit(FOUR_KEYS))
         handle = await start_stack(
             _config(tmp_path / f"http{workers}", workers=workers))
         conn = _Connection(handle.host, handle.port)
         try:
             bodies = [await conn.request("POST", "/sweep", sweep),
                       await conn.request("POST", "/compare", compare)]
-            return ([repr(result) for result, _source in results],
+            return ([repr(result) for _key_hex, result, _s in results],
                     bodies, handle.service.stats.submissions.value)
         finally:
             conn.close()
@@ -252,7 +258,7 @@ def test_idle_count_settles_through_load_and_cancellation(tmp_path):
             await asyncio.sleep(0)
             before = service._idle
             outcomes = await asyncio.wait_for(asyncio.gather(
-                *(service.submit(k) for k in keys * 2)), timeout=120)
+                *(_submit(service, k) for k in keys * 2)), timeout=120)
             after = service._idle
         finally:
             await service.stop()
@@ -274,7 +280,7 @@ def test_admission_beyond_queue_limit_sheds(tmp_path):
 
     async def scenario(service):
         outcomes = await asyncio.gather(
-            *(service.submit(k) for k in keys), return_exceptions=True)
+            *(_submit(service, k) for k in keys), return_exceptions=True)
         return outcomes, service.stats.shed.value
 
     outcomes, shed = asyncio.run(_with_service(config, scenario))
@@ -284,6 +290,32 @@ def test_admission_beyond_queue_limit_sheds(tmp_path):
     assert shed == 2
 
 
+def test_one_shed_cell_sheds_the_request_and_admitted_cells_finish(
+        tmp_path):
+    # One request of three distinct cells past a 1-cell queue: the first
+    # is admitted, the other two are shed, so the request is a 429; each
+    # cell was probed once, and the admitted one still lands in the cache.
+    config = _config(tmp_path, queue_limit=1)
+
+    async def scenario(service):
+        with pytest.raises(Overloaded):
+            await service.submit(FOUR_KEYS[:3])
+        probes = service.cache.misses
+        for _ in range(500):
+            if not service.inflight_cells:
+                break
+            await asyncio.sleep(0.02)
+        return ([service.cache.get(cache_key(k, service.conf), k,
+                                   service.conf) is not None
+                 for k in FOUR_KEYS[:3]],
+                probes, service.stats.shed.value, service.stats.cells.value)
+
+    landed, probes, shed, cells = asyncio.run(
+        _with_service(config, scenario))
+    assert landed == [True, False, False]
+    assert (probes, shed, cells) == (3, 2, 1)
+
+
 def test_identical_requests_coalesce_instead_of_shedding(tmp_path):
     # queue_limit=1 with 5 *identical* submits: one admission, four
     # coalesced waiters, zero shed — coalescing happens before admission.
@@ -291,7 +323,7 @@ def test_identical_requests_coalesce_instead_of_shedding(tmp_path):
 
     async def scenario(service):
         outcomes = await asyncio.gather(
-            *(service.submit(KEY) for _ in range(5)))
+            *(_submit(service, KEY) for _ in range(5)))
         return outcomes, service.stats.shed.value
 
     outcomes, shed = asyncio.run(_with_service(config, scenario))
@@ -305,7 +337,7 @@ def test_waiter_timeout_is_504_and_result_still_lands_in_cache(tmp_path):
 
     async def scenario(service):
         with pytest.raises(RequestTimeout):
-            await service.submit(KEY)
+            await _submit(service, KEY)
         # The flight was not cancelled: wait for it to finish and land.
         for _ in range(500):
             if not service.inflight_cells:
@@ -324,7 +356,7 @@ def test_draining_service_rejects_new_work(tmp_path):
     async def scenario(service):
         service.draining = True
         with pytest.raises(Draining):
-            await service.submit(KEY)
+            await _submit(service, KEY)
 
     asyncio.run(_with_service(_config(tmp_path), scenario))
 
@@ -335,7 +367,7 @@ def test_stop_fails_pending_waiters_with_draining(tmp_path):
     async def main():
         service = SimulationService(config)
         await service.start()
-        task = asyncio.ensure_future(service.submit(KEY))
+        task = asyncio.ensure_future(service.submit([KEY]))
         await asyncio.sleep(0)           # let it register + enqueue
         await service.stop()
         with pytest.raises(Draining):
@@ -505,6 +537,28 @@ def test_non_finite_numbers_are_rejected_on_every_route(tmp_path):
     assert metrics["executor_submissions_total"] == 0
 
 
+def test_deeply_nested_body_is_400_on_every_json_route(tmp_path):
+    # Nesting deeper than the JSON decoder's recursion limit raises
+    # RecursionError, not ValueError; it is still a malformed body.
+    async def main():
+        handle = await _stack(tmp_path)
+        conn = _Connection(handle.host, handle.port)
+        try:
+            out = [await conn.request("POST", route, "[" * 100000)
+                   for route in ("/simulate", "/sweep", "/compare")]
+            _s, metrics = await conn.request("GET", "/metrics?format=json")
+            return out, json.loads(metrics)
+        finally:
+            conn.close()
+            await stop_stack(handle, graceful=False)
+
+    out, metrics = asyncio.run(main())
+    assert [status for status, _body in out] == [400] * 3
+    assert all(b"body is not valid JSON" in body for _status, body in out)
+    assert metrics["requests_total"] == {
+        "/simulate 400": 1, "/sweep 400": 1, "/compare 400": 1}
+
+
 def test_sweep_expands_axes_in_order(tmp_path):
     body = json.dumps({
         "machine": ["atom", "xeon"],
@@ -595,14 +649,21 @@ def test_compare_rejects_goal_and_machine_misuse(tmp_path):
             with_machine = await conn.request(
                 "POST", "/compare",
                 json.dumps({"workload": "wordcount", "machine": "atom"}))
-            return bad_goal, with_machine
+            # A goal that is not a string cannot be looked up at all.
+            odd_goals = [await conn.request(
+                "POST", "/compare",
+                json.dumps({"workload": "wordcount", "goal": goal}))
+                for goal in (["EDP"], {"EDP": 1}, 1, None)]
+            return bad_goal, with_machine, odd_goals
         finally:
             conn.close()
             await stop_stack(handle, graceful=False)
 
-    bad_goal, with_machine = asyncio.run(main())
+    bad_goal, with_machine, odd_goals = asyncio.run(main())
     assert bad_goal[0] == 400
     assert with_machine[0] == 400
+    assert [status for status, _body in odd_goals] == [400] * 4
+    assert all(b"unknown goal" in body for _status, body in odd_goals)
 
 
 def test_healthz_flips_to_503_while_draining(tmp_path):

@@ -129,7 +129,7 @@ def test_coalesced_requests_get_their_own_traces(tmp_path):
             async def one():
                 trace = tel.start("/simulate", "POST")
                 with reqtrace.use(trace):
-                    await service.submit(KEY)
+                    await service.submit([KEY])
                 tel.finish(trace, 200)
 
             await asyncio.gather(*(one() for _ in range(4)))
@@ -281,7 +281,7 @@ def test_timeout_emits_log_line_with_request_id(tmp_path):
     slog.install(sink=sink)
     try:
         async def scenario(handle, conn):
-            async def deadline_blown(key):
+            async def deadline_blown(keys):
                 raise RequestTimeout("no result within 0.05s")
 
             handle.service.submit = deadline_blown
